@@ -47,8 +47,9 @@ from .defects import (
     weighted_sup_distance_report,
 )
 from .errors import ClassificationFailure, NoEligibleIndex, StructureMismatch
-from .filters import _is_nmin_table, enumerate_filters, filter_indicator, zero_map
+from .filters import _is_nmin_table
 from .mat2 import Mat2
+from .oracle import _diagonal_t2, _exhaustive_nearest, _mult_scalar_maps
 from .semilattice import (
     OrthogonalSum,
     Semilattice,
@@ -150,7 +151,7 @@ def psi_n_family(base=2, sizes=(2, 3, 4, 5)) -> list[CounterexampleReport]:
         raise ValueError("blocks need at least 2 generators to break multiplicativity")
     T = orthogonal_free_sum(sizes)
     WS = weighted(T, counterexample_weight(T, base))
-    mult_maps = [zero_map(T)] + [filter_indicator(T, f) for f in enumerate_filters(T)]
+    mult_maps = _mult_scalar_maps(T)
     reports = []
     for n, (start, stop) in enumerate(T.blocks):
         k = sizes[n]
@@ -164,19 +165,13 @@ def psi_n_family(base=2, sizes=(2, 3, 4, 5)) -> list[CounterexampleReport]:
             raise ClassificationFailure(
                 f"block {n}: defect^2 is {rep.defect_sq!r}, expected {expected_sq!r}"
             )
-        best_sq = None
-        best_index = -1
-        for i, phi in enumerate(mult_maps):
-            d = weighted_sup_distance_report(WS, psi, phi)
-            if best_sq is None or d.value_sq < best_sq:
-                best_sq, best_index = d.value_sq, i
-        expected_dist_sq = (1 / base) ** 2
-        if best_sq != expected_dist_sq:
-            raise ClassificationFailure(
-                f"block {n}: nearest multiplicative map is at squared distance "
-                f"{best_sq!r}, expected {expected_dist_sq!r}"
-            )
+        near = _exhaustive_nearest(WS, psi, mult_maps)
         dist = 1 / base
+        if near.value_exact != dist:
+            raise ClassificationFailure(
+                f"block {n}: nearest multiplicative map is at distance "
+                f"{near.value!r}, expected {dist!r}"
+            )
         reports.append(
             CounterexampleReport(
                 family="psi-blocks",
@@ -190,7 +185,7 @@ def psi_n_family(base=2, sizes=(2, 3, 4, 5)) -> list[CounterexampleReport]:
                     "block_range": (start, stop),
                     "block_zero": block_zero,
                     "maps_scanned": len(mult_maps),
-                    "nearest_map_index": best_index,
+                    "nearest_map_index": mult_maps.index(near.best_map),
                 },
             )
         )
@@ -246,22 +241,15 @@ def theta_m_t2(WS: WeightedSemilattice, m: int) -> CounterexampleReport:
     elif abs(rep.defect_float - 1.0 / om[m]) > 1e-12 * (1.0 + 1.0 / om[m]):
         raise ClassificationFailure("defect does not match 1/omega(m)")
 
-    mult_maps = [zero_map(S)] + [filter_indicator(S, f) for f in enumerate_filters(S)]
-    best = None
-    for phi in mult_maps:
-        phi_t2 = t2_map([(v, v * 0) for v in phi.values])
-        d = weighted_sup_distance_report(WS, theta, phi_t2)
-        key = d.value_sq if d.value_sq is not None else d.value_float
-        if best is None or key < best:
-            best = key
-    expected_best = Fraction(1) if WS.is_exact else 1.0
+    mult_maps = _diagonal_t2(_mult_scalar_maps(S))
+    near = _exhaustive_nearest(WS, theta, mult_maps)
     if WS.is_exact:
-        certified = best == expected_best
+        certified = near.value_exact == 1
     else:
-        certified = abs(best - 1.0) <= 1e-12
+        certified = abs(near.value - 1.0) <= 1e-12
     if not certified:
         raise ClassificationFailure(
-            f"nearest multiplicative upper-triangular map is at {best!r}, expected 1"
+            f"nearest multiplicative upper-triangular map is at {near.value!r}, expected 1"
         )
 
     companion = m2_map(

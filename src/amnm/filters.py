@@ -116,7 +116,7 @@ def filter_indicator(S: Semilattice, filt: Filter | None) -> AlgebraMap:
 
 
 def zero_map(S: Semilattice) -> AlgebraMap:
-    return scalar_map([0] * S.n)
+    return filter_indicator(S, None)
 
 
 def characters(S: Semilattice) -> list[AlgebraMap]:

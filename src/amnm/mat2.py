@@ -467,6 +467,17 @@ def obstruction_check(
 # ---------------------------------------------------------------------------
 
 
+def _rank_one(v, cu, pairing) -> Mat2:
+    """The rank-one idempotent ``v u* / (u* v)``, given ``v``, ``conj(u)`` and
+    the pairing ``u* v``; each entry is ``v[i] * cu[j] / pairing``."""
+    return Mat2(
+        v[0] * cu[0] / pairing,
+        v[0] * cu[1] / pairing,
+        v[1] * cu[0] / pairing,
+        v[1] * cu[1] / pairing,
+    )
+
+
 def _random_rank1_idempotent(rng: np.random.Generator, exact: bool) -> Mat2:
     """P = v u* / (u* v) for random u, v with a non-degenerate pairing."""
     from fractions import Fraction
@@ -482,12 +493,7 @@ def _random_rank1_idempotent(rng: np.random.Generator, exact: bool) -> Mat2:
                 continue
             if 25 * pairing**2 < nu * nv:  # |<u,v>| >= 0.2 ||u|| ||v||
                 continue
-            return Mat2(
-                v[0] * u[0] / pairing,
-                v[0] * u[1] / pairing,
-                v[1] * u[0] / pairing,
-                v[1] * u[1] / pairing,
-            )
+            return _rank_one(v, u, pairing)
         re = rng.standard_normal(4)
         im = rng.standard_normal(4)
         u = [complex(re[0], im[0]), complex(re[1], im[1])]
@@ -497,12 +503,7 @@ def _random_rank1_idempotent(rng: np.random.Generator, exact: bool) -> Mat2:
         nv = math.sqrt(abs(v[0]) ** 2 + abs(v[1]) ** 2)
         if nu == 0.0 or nv == 0.0 or abs(pairing) < 0.2 * nu * nv:
             continue
-        return Mat2(
-            v[0] * u[0].conjugate() / pairing,
-            v[0] * u[1].conjugate() / pairing,
-            v[1] * u[0].conjugate() / pairing,
-            v[1] * u[1].conjugate() / pairing,
-        )
+        return _rank_one(v, (u[0].conjugate(), u[1].conjugate()), pairing)
 
 
 def sample_commuting_idempotents(

@@ -25,19 +25,25 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import minimize
 
-from .defects import AlgebraMap, defect, m2_map, t2_map, weighted_sup_distance_report
+from .defects import (
+    AlgebraMap,
+    _resolve,
+    defect,
+    m2_map,
+    t2_map,
+    weighted_sup_distance_report,
+)
 from .errors import ClassificationFailure
-from .filters import Filter, enumerate_filters, filter_indicator, zero_map
+from .filters import Filter, enumerate_filters, filter_indicator
 from .mat2 import (
     M2_ID,
-    M2_ZERO,
     Mat2,
+    _rank_one,
     hs_norm,
     is_idempotent_within,
     nearest_binary_idempotent,
     op_norm,
 )
-from .weights import WeightedSemilattice, unit_weight
 
 __all__ = [
     "NearestReport",
@@ -50,11 +56,8 @@ __all__ = [
     "nearest_mult_m2",
 ]
 
-
-def _resolve(ws_or_s) -> WeightedSemilattice:
-    if isinstance(ws_or_s, WeightedSemilattice):
-        return ws_or_s
-    return unit_weight(ws_or_s)
+# Survivor cells that get the simplex polish, best first.
+_POLISH_TOP = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,9 +84,18 @@ class NearestReport:
 # ---------------------------------------------------------------------------
 
 
+def _mult_scalar_maps(S) -> list[AlgebraMap]:
+    """The zero map and one indicator per filter, without the defect check."""
+    return [filter_indicator(S, f) for f in (None, *enumerate_filters(S))]
+
+
+def _diagonal_t2(maps) -> list[AlgebraMap]:
+    return [t2_map([(v, v * 0) for v in m.values]) for m in maps]
+
+
 def enumerate_mult_scalar(S) -> list[AlgebraMap]:
     """All multiplicative scalar maps: the zero map and one per filter."""
-    maps = [zero_map(S)] + [filter_indicator(S, f) for f in enumerate_filters(S)]
+    maps = _mult_scalar_maps(S)
     for m in maps:
         if defect(S, m).defect_float != 0.0:
             raise ClassificationFailure("enumerated scalar map is not multiplicative")
@@ -97,16 +109,15 @@ def enumerate_mult_t2(S) -> list[AlgebraMap]:
     idempotent argument: b = 2ab forces b = 0 for a in {0,1}), so the list
     is exactly the scalar one embedded on the diagonal.
     """
-    maps = [
-        t2_map([(v, v * 0) for v in m.values]) for m in enumerate_mult_scalar(S)
-    ]
+    maps = _diagonal_t2(enumerate_mult_scalar(S))
     for m in maps:
         if defect(S, m).defect_float != 0.0:
             raise ClassificationFailure("enumerated T2 map is not multiplicative")
     return maps
 
 
-def _exhaustive_nearest(WS, theta, maps, norm):
+def _exhaustive_nearest(WS, theta, maps, norm=None) -> NearestReport:
+    """The map of ``maps`` nearest ``theta``; the first one on ties."""
     best = None
     for m in maps:
         dr = weighted_sup_distance_report(WS, theta, m, norm)
@@ -131,7 +142,7 @@ def nearest_mult_scalar(ws_or_s, theta: AlgebraMap) -> NearestReport:
     WS = _resolve(ws_or_s)
     if theta.codomain != "scalar":
         raise ValueError("nearest_mult_scalar expects a scalar map")
-    return _exhaustive_nearest(WS, theta, enumerate_mult_scalar(WS.S), None)
+    return _exhaustive_nearest(WS, theta, enumerate_mult_scalar(WS.S))
 
 
 def nearest_mult_t2(ws_or_s, theta: AlgebraMap) -> NearestReport:
@@ -139,7 +150,7 @@ def nearest_mult_t2(ws_or_s, theta: AlgebraMap) -> NearestReport:
     WS = _resolve(ws_or_s)
     if theta.codomain != "t2":
         raise ValueError("nearest_mult_t2 expects an upper-triangular map")
-    return _exhaustive_nearest(WS, theta, enumerate_mult_t2(WS.S), None)
+    return _exhaustive_nearest(WS, theta, enumerate_mult_t2(WS.S))
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +246,7 @@ def _idempotent_from_params(x) -> Mat2 | None:
     pairing = u[0] * v[0] + u[1].conjugate() * v[1]
     if abs(pairing) < 1e-3:
         return None
-    cu = (u[0], u[1].conjugate())
-    return Mat2(
-        v[0] * cu[0] / pairing,
-        v[0] * cu[1] / pairing,
-        v[1] * cu[0] / pairing,
-        v[1] * cu[1] / pairing,
-    )
+    return _rank_one(v, (u[0], u[1].conjugate()), pairing)
 
 
 def nearest_mult_m2(
@@ -252,13 +257,12 @@ def nearest_mult_m2(
     starts: int = 8,
     seed: int = 0,
     polish: bool = True,
-    polish_top: int = 3,
 ) -> NearestReport:
     """Search the multiplicative 2x2 family for the map nearest ``theta``.
 
     Deterministic for fixed ``seed``.  ``starts`` extra random idempotents
-    are tried in every cell that survives pruning; the ``polish_top`` most
-    promising cells get a simplex descent over the rank-one parametrization.
+    are tried in every cell that survives pruning; the three most promising
+    cells get a simplex descent over the rank-one parametrization.
     """
     WS = _resolve(ws_or_s)
     S = WS.S
@@ -347,7 +351,7 @@ def nearest_mult_m2(
     polish_improved = False
     if polish and survivors:
         survivors.sort(key=lambda rec: (rec[0], rec[1]))
-        for val, _, F1, F2, P, p_only, q_only, const in survivors[:polish_top]:
+        for val, _, F1, F2, P, p_only, q_only, const in survivors[:_POLISH_TOP]:
             x0 = _params_from_idempotent(P)
             if x0 is None:
                 continue

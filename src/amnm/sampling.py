@@ -17,7 +17,8 @@ import numpy as np
 
 from .defects import AlgebraMap, defect, m2_map, scalar_map, t2_map
 from .filters import enumerate_filters, filter_indicator, zero_map
-from .mat2 import Mat2, hs_norm
+from .mat2 import Mat2, _rank_one, hs_norm
+from .oracle import m2_family_map
 from .semilattice import Semilattice
 from .weights import WeightedSemilattice, flighty_report
 
@@ -103,12 +104,7 @@ def random_bounded_idempotent(rng: np.random.Generator, *, min_pairing: float = 
         pairing = complex(np.vdot(u, v))
         if abs(pairing) < min_pairing:
             continue
-        return Mat2(
-            complex(v[0] * u[0].conjugate() / pairing),
-            complex(v[0] * u[1].conjugate() / pairing),
-            complex(v[1] * u[0].conjugate() / pairing),
-            complex(v[1] * u[1].conjugate() / pairing),
-        )
+        return Mat2(*map(complex, _rank_one(v, u.conj(), pairing)))
 
 
 def _random_mat2_ball(rng: np.random.Generator, radius: float) -> Mat2:
@@ -135,26 +131,10 @@ def random_m2_instance(
     sets and a norm-bounded random rank-one ``P``; each value then receives
     an independent perturbation of HS norm at most ``amp``.
     """
-    filters = enumerate_filters(S)
-    options = [None] + list(filters)
+    options = [None, *enumerate_filters(S)]
     F1 = options[int(rng.integers(0, len(options)))]
     F2 = options[int(rng.integers(0, len(options)))]
-    P = random_bounded_idempotent(rng)
-    one = 1.0 + 0.0j
-    ident = Mat2(one, 0.0j, 0.0j, one)
-    comp = ident - P
-    m1 = F1.members if F1 is not None else frozenset()
-    m2 = F2.members if F2 is not None else frozenset()
-    base = []
-    for e in range(S.n):
-        if e in m1 and e in m2:
-            base.append(ident)
-        elif e in m1:
-            base.append(P)
-        elif e in m2:
-            base.append(comp)
-        else:
-            base.append(Mat2(0.0j, 0.0j, 0.0j, 0.0j))
+    base = m2_family_map(S, F1, F2, random_bounded_idempotent(rng)).values
     noise = [_random_mat2_ball(rng, amp) for _ in range(S.n)]
     scale = 1.0
     for _ in range(_MAX_SHRINKS):

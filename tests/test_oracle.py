@@ -130,6 +130,14 @@ def test_nearest_scalar_exact_on_rational_input():
     assert rep.value_exact == Fraction(3, 4)
 
 
+def test_nearest_rejects_a_non_semilattice_carrier():
+    # the same TypeError that defect raises
+    psi = scalar_map([0, 1])
+    for fn in (defect, nearest_mult_scalar):
+        with pytest.raises(TypeError):
+            fn(object(), psi)
+
+
 def test_nearest_t2_matches_manual_minimum(rng):
     S = free_semilattice(2)
     theta = t2_map([(0.96, 0.02), (0.05, -0.01), (1.02, 0.0)])
