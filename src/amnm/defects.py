@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ClassificationFailure, ParseError
 from .mat2 import Mat2, T2Element, abs2, hs_norm_sq
 from .semilattice import Semilattice
-from .weights import WeightedSemilattice, unit_weight
+from .weights import WeightedSemilattice, _is_exact, unit_weight
 
 __all__ = [
     "AlgebraMap",
@@ -54,10 +54,6 @@ __all__ = [
 _CODOMAINS = ("scalar", "t2", "m2")
 _DEFAULT_NORMS = {"scalar": "abs", "t2": "t2", "m2": "hs"}
 _ALLOWED_NORMS = {"scalar": ("abs",), "t2": ("t2",), "m2": ("hs", "op")}
-
-
-def _exact_number(x) -> bool:
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,8 +80,8 @@ class AlgebraMap:
     @property
     def is_exact(self) -> bool:
         if self.codomain == "scalar":
-            return all(_exact_number(v) for v in self.values)
-        return all(all(_exact_number(x) for x in v) for v in self.values)
+            return all(_is_exact(v) for v in self.values)
+        return all(all(_is_exact(x) for x in v) for v in self.values)
 
     def as_m2(self) -> "AlgebraMap":
         """Embed into 2x2 matrices (scalars diagonally, T2 upper-triangularly)."""
@@ -201,10 +197,6 @@ def _value_mul(x, y, codomain: str):
     return x @ y
 
 
-def _value_sub(x, y, codomain: str):
-    return x - y
-
-
 def _can_run_exact(WS: WeightedSemilattice, *maps: AlgebraMap) -> bool:
     return WS.is_exact and all(m.is_exact for m in maps)
 
@@ -220,8 +212,7 @@ def _defect_exact(WS: WeightedSemilattice, theta: AlgebraMap, norm: str) -> Defe
     for i in range(n):
         j_start = 0 if ordered else i
         for j in range(j_start, n):
-            prod = _value_mul(vals[i], vals[j], theta.codomain)
-            diff = _value_sub(prod, vals[int(table[i, j])], theta.codomain)
+            diff = _value_mul(vals[i], vals[j], theta.codomain) - vals[int(table[i, j])]
             ratio_sq = _norm_sq_exact(diff, theta.codomain, norm) / (omega[i] * omega[j]) ** 2
             if ratio_sq > best_sq:
                 best_sq = ratio_sq
@@ -251,6 +242,16 @@ def _m2_stack(theta: AlgebraMap) -> np.ndarray:
     return np.array([v.to_array() for v in theta.values])
 
 
+def _m2_norms(D: np.ndarray, norm: str) -> np.ndarray:
+    """HS or operator norms of a ``(..., 2, 2)`` stack of matrices."""
+    t = np.sum(np.abs(D) ** 2, axis=(-2, -1))
+    if norm == "hs":
+        return np.sqrt(t)
+    det = D[..., 0, 0] * D[..., 1, 1] - D[..., 0, 1] * D[..., 1, 0]
+    disc = np.maximum(t * t - 4.0 * np.abs(det) ** 2, 0.0)
+    return np.sqrt((t + np.sqrt(disc)) / 2.0)
+
+
 def _pair_norms_float(theta: AlgebraMap, table: np.ndarray, norm: str) -> np.ndarray:
     """Matrix of ||theta(i) theta(j) - theta(ij)|| over all ordered pairs."""
     if theta.codomain == "scalar":
@@ -262,14 +263,7 @@ def _pair_norms_float(theta: AlgebraMap, table: np.ndarray, norm: str) -> np.nda
         pb = a[:, None] * b[None, :] + b[:, None] * a[None, :]
         return np.abs(pa - a[table]) + np.abs(pb - b[table])
     V = _m2_stack(theta)
-    prod = np.einsum("iab,jbc->ijac", V, V)
-    diff = prod - V[table]
-    if norm == "hs":
-        return np.sqrt(np.sum(np.abs(diff) ** 2, axis=(2, 3)))
-    t = np.sum(np.abs(diff) ** 2, axis=(2, 3))
-    det = diff[..., 0, 0] * diff[..., 1, 1] - diff[..., 0, 1] * diff[..., 1, 0]
-    disc = np.maximum(t * t - 4.0 * np.abs(det) ** 2, 0.0)
-    return np.sqrt((t + np.sqrt(disc)) / 2.0)
+    return _m2_norms(np.einsum("iab,jbc->ijac", V, V) - V[table], norm)
 
 
 def _defect_float(WS: WeightedSemilattice, theta: AlgebraMap, norm: str) -> DefectReport:
@@ -333,7 +327,7 @@ def weighted_sup_distance_report(
         best_sq = Fraction(0)
         witness = 0
         for e in range(WS.n):
-            diff = _value_sub(theta.values[e], phi.values[e], theta.codomain)
+            diff = theta.values[e] - phi.values[e]
             ratio_sq = _norm_sq_exact(diff, theta.codomain, norm) / omega[e] ** 2
             if ratio_sq > best_sq:
                 best_sq = ratio_sq
@@ -350,14 +344,7 @@ def weighted_sup_distance_report(
         pa, pb = _t2_stacks(phi)
         diffs = np.abs(ta - pa) + np.abs(tb - pb)
     else:
-        D = _m2_stack(theta) - _m2_stack(phi)
-        if norm == "hs":
-            diffs = np.sqrt(np.sum(np.abs(D) ** 2, axis=(1, 2)))
-        else:
-            t = np.sum(np.abs(D) ** 2, axis=(1, 2))
-            det = D[:, 0, 0] * D[:, 1, 1] - D[:, 0, 1] * D[:, 1, 0]
-            disc = np.maximum(t * t - 4.0 * np.abs(det) ** 2, 0.0)
-            diffs = np.sqrt((t + np.sqrt(disc)) / 2.0)
+        diffs = _m2_norms(_m2_stack(theta) - _m2_stack(phi), norm)
     ratios = diffs / w
     e = int(np.argmax(ratios))
     return DistanceReport(float(ratios[e]), e, norm)
