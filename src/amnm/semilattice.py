@@ -239,13 +239,9 @@ def _check_subset(S: Semilattice, E: Iterable[int]) -> frozenset[int]:
     return elems
 
 
-def generated(S: Semilattice, E: Iterable[int], depth: int | None = None) -> frozenset[int]:
-    """Products of at most ``depth`` factors from ``E`` (all products if None).
-
-    By idempotency every product of at most ``d`` factors is also a product
-    of exactly ``d`` factors, so this is the usual generated-subsemilattice
-    filtration.
-    """
+def _closure(S: Semilattice, E: Iterable[int], depth: int | None) -> tuple[set[int], int]:
+    """Products of at most ``depth`` factors from ``E`` (all if None), and the
+    factor count ``level`` at which the scan stopped."""
     elems = _check_subset(S, E)
     if depth is not None and depth < 1:
         raise ValueError("depth must be >= 1")
@@ -258,21 +254,22 @@ def generated(S: Semilattice, E: Iterable[int], depth: int | None = None) -> fro
             break
         current |= new
         level += 1
-    return frozenset(current)
+    return current, level
+
+
+def generated(S: Semilattice, E: Iterable[int], depth: int | None = None) -> frozenset[int]:
+    """Products of at most ``depth`` factors from ``E`` (all products if None).
+
+    By idempotency every product of at most ``d`` factors is also a product
+    of exactly ``d`` factors, so this is the usual generated-subsemilattice
+    filtration.
+    """
+    return frozenset(_closure(S, E, depth)[0])
 
 
 def b_loc(S: Semilattice, E: Iterable[int]) -> int:
     """Least ``d`` such that products of at most ``d`` factors from ``E`` stabilize."""
-    elems = _check_subset(S, E)
-    table = S.table
-    current = set(elems)
-    level = 1
-    while True:
-        new = {int(table[a, e]) for a in current for e in elems} - current
-        if not new:
-            return level
-        current |= new
-        level += 1
+    return _closure(S, E, None)[1]
 
 
 def _product_masks(table: np.ndarray, n: int) -> list[list[int]]:
@@ -307,14 +304,13 @@ def breadth(
     method: str = "exhaustive",
     samples: int = 2000,
     rng: np.random.Generator | None = None,
-    exhaustive_cap: int = 20,
 ) -> int:
     """Maximum of :func:`b_loc` over all nonempty subsets.
 
-    ``method="exhaustive"`` scans all ``2^n - 1`` subsets and requires
-    ``n <= exhaustive_cap`` (default 20); past the cap a ``ValueError``
-    suggests ``method="sample"``, which evaluates ``samples`` random subsets
-    and returns a lower-bound estimate.
+    ``method="exhaustive"`` scans all ``2^n - 1`` subsets as bitmasks and
+    requires ``n <= 16``; past that a ``ValueError`` suggests
+    ``method="sample"``, which evaluates ``samples`` random subsets and
+    returns a lower-bound estimate.
     """
     n = S.n
     if method == "sample":
@@ -328,23 +324,16 @@ def breadth(
         return best
     if method != "exhaustive":
         raise ValueError(f"unknown breadth method {method!r}")
-    if n > exhaustive_cap:
+    if n > 16:
         raise ValueError(
-            f"exhaustive breadth scan supports n <= {exhaustive_cap} (got n = {n}); "
+            f"exhaustive breadth scan supports n <= 16 (got n = {n}); "
             'use method="sample" for a lower-bound estimate'
         )
-    if n <= 16:
-        pm = _product_masks(S.table, n)
-        best = 1
-        for e_mask in range(1, 1 << n):
-            gens = [i for i in range(n) if (e_mask >> i) & 1]
-            best = max(best, _b_loc_mask(pm, gens, e_mask))
-        return best
+    pm = _product_masks(S.table, n)
     best = 1
-    elements = list(range(n))
     for e_mask in range(1, 1 << n):
-        subset = [i for i in elements if (e_mask >> i) & 1]
-        best = max(best, b_loc(S, subset))
+        gens = [i for i in range(n) if (e_mask >> i) & 1]
+        best = max(best, _b_loc_mask(pm, gens, e_mask))
     return best
 
 

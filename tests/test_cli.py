@@ -70,6 +70,14 @@ def test_invariants_json_reports_breadth_width_height(tmp_path, capsys):
     assert doc["filters"] == 3
 
 
+def test_invariants_past_sixteen_elements_is_a_usage_error(tmp_path, capsys):
+    chain17 = {"table": [[min(i, j) for j in range(17)] for i in range(17)]}
+    code, out, err = run(capsys, "invariants", write_doc(tmp_path, chain17))
+    assert code == 3
+    assert out == ""
+    assert 'method="sample"' in err
+
+
 def test_filters_lists_principal_up_sets(tmp_path, capsys):
     code, out, _ = run(capsys, "filters", "--json", write_doc(tmp_path, CHAIN3))
     assert code == 0

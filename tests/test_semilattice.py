@@ -206,6 +206,13 @@ def test_breadth_rejects_unknown_method():
         breadth(nmin(3), method="guess")
 
 
+def test_exhaustive_breadth_stops_at_sixteen_elements():
+    assert breadth(nmin(16)) == 1
+    with pytest.raises(ValueError, match='method="sample"'):
+        breadth(nmin(17))
+    assert breadth(nmin(17), method="sample", samples=20) == 1
+
+
 # ---------------------------------------------------------------------------
 # Serialization round-trip.
 # ---------------------------------------------------------------------------
