@@ -18,9 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +26,7 @@ import numpy as np
 from .correction import correct_m2, correct_scalar, correct_t2, correct_weighted
 from .counterexamples import (
     geometric_weight,
+    orthogonal_free_sum,
     psi_n_family,
     spiked_weight,
     theta_m2_chain,
@@ -61,7 +60,12 @@ from .semilattice import (
     semilattice_from_json,
     width,
 )
-from .weights import WeightedSemilattice, random_submultiplicative_weight, weighted
+from .weights import (
+    WeightedSemilattice,
+    counterexample_weight,
+    random_submultiplicative_weight,
+    weighted,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -89,9 +93,7 @@ def _load_document(path: str) -> dict:
 def _parse_weight_entry(x):
     if isinstance(x, bool):
         raise ParseError(f"weight {x!r} is not a number")
-    if isinstance(x, int):
-        return x
-    if isinstance(x, float):
+    if isinstance(x, (int, float)):
         return x
     if isinstance(x, str):
         try:
@@ -99,10 +101,6 @@ def _parse_weight_entry(x):
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad weight entry {x!r}: {exc}") from exc
     raise ParseError(f"weight {x!r} is not a number")
-
-
-def _semilattice(doc: dict) -> Semilattice:
-    return semilattice_from_json(doc)
 
 
 def _weighted(doc: dict, S: Semilattice) -> WeightedSemilattice | None:
@@ -144,7 +142,7 @@ def _fmt(x) -> str:
 
 def cmd_validate(args):
     doc = _load_document(args.input)
-    S = _semilattice(doc)
+    S = semilattice_from_json(doc)
     out = {"valid": True, "n": S.n}
     lines = [f"valid semilattice on {S.n} elements"]
     WS = _weighted(doc, S)
@@ -166,7 +164,7 @@ def cmd_validate(args):
 
 def cmd_invariants(args):
     doc = _load_document(args.input)
-    S = _semilattice(doc)
+    S = semilattice_from_json(doc)
     rng = np.random.default_rng(args.seed)
     b = breadth(S, method=args.breadth_method, samples=args.samples, rng=rng)
     out = {
@@ -186,7 +184,7 @@ def cmd_invariants(args):
 
 def cmd_filters(args):
     doc = _load_document(args.input)
-    S = _semilattice(doc)
+    S = semilattice_from_json(doc)
     rows = []
     items = []
     for f in enumerate_filters(S):
@@ -200,7 +198,7 @@ def cmd_filters(args):
 
 def cmd_defect(args):
     doc = _load_document(args.input)
-    S = _semilattice(doc)
+    S = semilattice_from_json(doc)
     WS = _weighted(doc, S)
     m = _map(doc)
     rep = defect(WS if WS is not None else S, m, args.norm)
@@ -235,7 +233,7 @@ def _certificate_text(cert) -> str:
 
 def cmd_correct(args):
     doc = _load_document(args.input)
-    S = _semilattice(doc)
+    S = semilattice_from_json(doc)
     WS = _weighted(doc, S)
     m = _map(doc)
     if args.target == "weighted":
@@ -261,14 +259,16 @@ def cmd_correct(args):
     return cert, _certificate_text(cert)
 
 
-def _corroborate(WS, report, norm, starts, seed):
-    theta = report.theta
+def _nearest(target, theta, norm, starts, seed, polish=True):
     if theta.codomain == "scalar":
-        near = nearest_mult_scalar(WS, theta)
-    elif theta.codomain == "t2":
-        near = nearest_mult_t2(WS, theta)
-    else:
-        near = nearest_mult_m2(WS, theta, norm=norm, starts=starts, seed=seed)
+        return nearest_mult_scalar(target, theta)
+    if theta.codomain == "t2":
+        return nearest_mult_t2(target, theta)
+    return nearest_mult_m2(target, theta, norm=norm, starts=starts, seed=seed, polish=polish)
+
+
+def _corroborate(WS, report, norm, starts, seed):
+    near = _nearest(WS, report.theta, norm, starts, seed)
     if near.value < report.distance_lower_bound - 0.01:
         raise ClassificationFailure(
             f"search found a multiplicative map at {near.value!r}, inside the "
@@ -285,15 +285,15 @@ def cmd_counterexample(args):
         reports = psi_n_family(base, sizes)
         ws = None
     else:
+        if args.family != "t2-chain" and args.delta is None:
+            raise ParseError(f"{args.family} needs --delta")
         if args.input is not None:
             doc = _load_document(args.input)
-            S = _semilattice(doc)
+            S = semilattice_from_json(doc)
             ws = _weighted(doc, S)
             if ws is None:
                 raise ParseError("chain families need weights (or use --length)")
         elif args.family == "m2-chain-nonuniform":
-            if args.delta is None:
-                raise ParseError("m2-chain-nonuniform needs --delta")
             spike = max(2, math.ceil(6.0 / args.delta))
             ws = spiked_weight(args.length, args.length // 2, spike)
         else:
@@ -308,22 +308,15 @@ def cmd_counterexample(args):
                 raise ParseError("t2-chain needs --m or --m-range")
             reports = [theta_m_t2(ws, m) for m in indices]
         elif args.family == "m2-chain":
-            if args.delta is None:
-                raise ParseError("m2-chain needs --delta")
             reports = [theta_m2_chain(ws, args.delta)]
         else:
-            if args.delta is None:
-                raise ParseError("m2-chain-nonuniform needs --delta")
             reports = [theta_m2_chain_nonuniform(ws, args.delta)]
 
     if args.corroborate:
-        target = ws if ws is not None else None
+        target = ws
         for rep in reports:
             if args.family == "psi-blocks":
                 # rebuild the weighted carrier the family used
-                from .counterexamples import orthogonal_free_sum
-                from .weights import counterexample_weight
-
                 T = orthogonal_free_sum(rep.params["sizes"])
                 target = weighted(T, counterexample_weight(T, rep.params["base"]))
             corroborations.append(
@@ -352,23 +345,11 @@ def cmd_counterexample(args):
 
 def cmd_oracle(args):
     doc = _load_document(args.input)
-    S = _semilattice(doc)
+    S = semilattice_from_json(doc)
     WS = _weighted(doc, S)
     m = _map(doc)
     target = WS if WS is not None else S
-    if m.codomain == "scalar":
-        rep = nearest_mult_scalar(target, m)
-    elif m.codomain == "t2":
-        rep = nearest_mult_t2(target, m)
-    else:
-        rep = nearest_mult_m2(
-            target,
-            m,
-            norm=args.norm,
-            starts=args.starts,
-            seed=args.seed,
-            polish=not args.no_polish,
-        )
+    rep = _nearest(target, m, args.norm, args.starts, args.seed, polish=not args.no_polish)
     text = (
         f"nearest multiplicative map at distance "
         f"{_fmt(rep.value_exact if rep.value_exact is not None else rep.value)} "
@@ -382,70 +363,49 @@ def cmd_oracle(args):
 # ---------------------------------------------------------------------------
 
 
-def _pool_map(fn, items):
-    env = os.environ.get("AMNM_THREADS", "")
-    workers = int(env) if env.strip().isdigit() else 1
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))  # ordered assembly
+def _scalar_case(rng, i):
+    S = random_semilattice(rng, max_n=8)
+    cert = correct_scalar(S, random_scalar_instance(rng, S))
+    return cert.achieved_distance <= 1.4 * cert.input_defect + 1e-9
 
 
-def _suite_scalar(seed, count):
-    def one(i):
-        rng = np.random.default_rng((seed, 1, i))
-        S = random_semilattice(rng, max_n=8)
-        psi = random_scalar_instance(rng, S)
-        cert = correct_scalar(S, psi)
-        return cert.achieved_distance <= 1.4 * cert.input_defect + 1e-9
-
-    results = _pool_map(one, range(count))
-    return ["scalar corrections", count, sum(results), all(results)]
+def _t2_case(rng, i):
+    S = random_semilattice(rng, max_n=8)
+    cert = correct_t2(S, random_t2_instance(rng, S))
+    return cert.achieved_distance <= (25.0 / 11.0) * cert.input_defect + 1e-9
 
 
-def _suite_t2(seed, count):
-    def one(i):
-        rng = np.random.default_rng((seed, 2, i))
-        S = random_semilattice(rng, max_n=8)
-        theta = random_t2_instance(rng, S)
-        cert = correct_t2(S, theta)
-        return cert.achieved_distance <= (25.0 / 11.0) * cert.input_defect + 1e-9
-
-    results = _pool_map(one, range(count))
-    return ["upper-triangular corrections", count, sum(results), all(results)]
+def _weighted_case(rng, i):
+    S = random_semilattice(rng, max_n=8)
+    WS = random_submultiplicative_weight(rng, S)
+    epsilon = float(rng.choice([0.5, 1.0, 2.0]))
+    psi = random_binary_weighted_instance(rng, WS, epsilon)
+    cert = correct_weighted(WS, psi, epsilon)
+    return cert.achieved_distance <= epsilon + 1e-9
 
 
-def _suite_weighted(seed, count):
-    def one(i):
-        rng = np.random.default_rng((seed, 3, i))
-        S = random_semilattice(rng, max_n=8)
-        WS = random_submultiplicative_weight(rng, S)
-        epsilon = float(rng.choice([0.5, 1.0, 2.0]))
-        psi = random_binary_weighted_instance(rng, WS, epsilon)
-        cert = correct_weighted(WS, psi, epsilon)
-        return cert.achieved_distance <= epsilon + 1e-9
-
-    results = _pool_map(one, range(count))
-    return ["weighted binary corrections", count, sum(results), all(results)]
+def _m2_case(rng, i):
+    S = random_semilattice(rng, max_n=6)
+    theta = random_m2_instance(rng, S)
+    cert = correct_m2(S, theta)
+    near = nearest_mult_m2(S, theta, starts=2, seed=i)
+    return (
+        cert.achieved_distance <= 12.0 * cert.input_defect + 1e-9
+        and near.value <= cert.achieved_distance + 1e-6
+    )
 
 
-def _suite_m2(seed, count):
-    def one(i):
-        rng = np.random.default_rng((seed, 4, i))
-        S = random_semilattice(rng, max_n=6)
-        theta = random_m2_instance(rng, S)
-        cert = correct_m2(S, theta)
-        near = nearest_mult_m2(S, theta, starts=2, seed=i)
-        return (
-            cert.achieved_distance <= 12.0 * cert.input_defect + 1e-9
-            and near.value <= cert.achieved_distance + 1e-6
-        )
-
-    results = _pool_map(one, range(count))
-    return ["matrix corrections + search", count, sum(results), all(results)]
+# (section name, stream k, instances with --fast and without, check of
+# instance i drawn from default_rng((seed, k, i)))
+_SUITE_SECTIONS = (
+    ("scalar corrections", 1, (40, 200), _scalar_case),
+    ("upper-triangular corrections", 2, (40, 200), _t2_case),
+    ("weighted binary corrections", 3, (25, 60), _weighted_case),
+    ("matrix corrections + search", 4, (8, 30), _m2_case),
+)
 
 
-def _suite_families(seed):
+def _suite_families():
     ok = True
     n_checked = 0
     for rep in psi_n_family(2, (2, 3, 4)):
@@ -466,14 +426,12 @@ def _suite_families(seed):
 
 
 def cmd_suite(args):
-    counts = (40, 40, 25, 8) if args.fast else (200, 200, 60, 30)
-    rows = [
-        _suite_scalar(args.seed, counts[0]),
-        _suite_t2(args.seed, counts[1]),
-        _suite_weighted(args.seed, counts[2]),
-        _suite_m2(args.seed, counts[3]),
-        _suite_families(args.seed),
-    ]
+    rows = []
+    for name, k, counts, case in _SUITE_SECTIONS:
+        count = counts[0] if args.fast else counts[1]
+        results = [case(np.random.default_rng((args.seed, k, i)), i) for i in range(count)]
+        rows.append([name, count, sum(results), all(results)])
+    rows.append(_suite_families())
     all_ok = all(r[3] for r in rows)
     out = {
         "seed": args.seed,
