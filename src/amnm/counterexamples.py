@@ -355,7 +355,7 @@ def theta_m2_chain(WS: WeightedSemilattice, delta: float) -> CounterexampleRepor
         theta=theta,
         defect=rep,
         distance_lower_bound=0.5,
-        distance_exact=Fraction(1, 2),
+        distance_exact=None,
         method="analytic-lemma",
         details={
             "lemma_scenario": "pair",
@@ -436,7 +436,7 @@ def theta_m2_chain_nonuniform(WS: WeightedSemilattice, delta: float) -> Countere
         theta=theta,
         defect=rep,
         distance_lower_bound=0.5,
-        distance_exact=Fraction(1, 2),
+        distance_exact=None,
         method="analytic-lemma",
         details={
             "lemma_scenario": "double",

@@ -397,7 +397,12 @@ def round_to_binary(ws_or_s, psi: AlgebraMap) -> AlgebraMap:
 # ---------------------------------------------------------------------------
 
 
-def _num_to_json(x) -> list[float]:
+def _num_to_json(x):
+    # exact entries go out as _num_from_json reads them back exactly
+    if isinstance(x, Fraction):
+        return f"{x.numerator}/{x.denominator}"
+    if _is_exact(x):
+        return int(x)
     z = complex(x)
     return [z.real, z.imag]
 

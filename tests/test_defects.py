@@ -1,9 +1,12 @@
 """Defect and distance reports: exact arithmetic, witnesses, scan order, rounding."""
 
+import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from amnm import (
     AlgebraMap,
@@ -173,6 +176,29 @@ def test_map_json_round_trip_all_codomains():
                 assert all(
                     complex(x) == complex(y) for x, y in zip(u, v)
                 )
+
+
+_RATIONALS = st.one_of(st.integers(-(10**6), 10**6), st.fractions(max_denominator=10**6))
+
+
+@st.composite
+def rational_maps(draw):
+    codomain = draw(st.sampled_from(["scalar", "t2", "m2"]))
+    width = {"scalar": 1, "t2": 2, "m2": 4}[codomain]
+    rows = draw(st.lists(st.tuples(*[_RATIONALS] * width), min_size=1, max_size=6))
+    if codomain == "scalar":
+        return scalar_map([r[0] for r in rows])
+    if codomain == "t2":
+        return t2_map(rows)
+    return m2_map([Mat2(*r) for r in rows])
+
+
+@given(rational_maps())
+def test_exact_maps_survive_the_json_wire(theta):
+    back = map_from_json(json.loads(json.dumps(map_to_json(theta))))
+    assert back.codomain == theta.codomain
+    assert back.values == theta.values
+    assert theta.is_exact and back.is_exact
 
 
 def test_algebra_map_rejects_unknown_codomain_and_bad_rows():
