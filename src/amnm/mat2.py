@@ -295,9 +295,12 @@ def unitary_triangularize(A: Mat2) -> tuple[Mat2, Mat2]:
     n2 = abs(cand2[0]) ** 2 + abs(cand2[1]) ** 2
     v = cand1 if n1 >= n2 else cand2
     vn = math.sqrt(abs(v[0]) ** 2 + abs(v[1]) ** 2)
-    if vn == 0.0:
-        v = (1.0 + 0.0j, 0.0j)
-        vn = 1.0
+    if vn < 1e-150:  # the squares lose bits to underflow: rescale v first
+        m = max(abs(v[0]), abs(v[1]))
+        if m == 0.0:
+            v, m = (1.0 + 0.0j, 0.0j), 1.0
+        v = (v[0] / m, v[1] / m)
+        vn = math.sqrt(abs(v[0]) ** 2 + abs(v[1]) ** 2)
     v1, v2 = v[0] / vn, v[1] / vn
     U = Mat2(v1, -v2.conjugate(), v2, v1.conjugate())
     T = U.adjoint() @ Mat2(a, b, c, d) @ U

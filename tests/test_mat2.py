@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amnm import (
@@ -129,6 +129,7 @@ def test_triangularize_lower_shift():
 
 @settings(max_examples=60, deadline=None)
 @given(A=small_mat)
+@example(A=Mat2(0j, 0j, 0j, 1.7404779806271032e-158j))  # eigenvector norm underflows
 def test_triangularize_round_trip(A):
     U, T = unitary_triangularize(A)
     # U is unitary, T upper triangular, and U T U* reconstructs A
