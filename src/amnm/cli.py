@@ -93,6 +93,8 @@ def _load_document(path: str) -> dict:
 def _parse_weight_entry(x):
     if isinstance(x, bool):
         raise ParseError(f"weight {x!r} is not a number")
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ParseError(f"weight {x!r} is not finite")
     if isinstance(x, (int, float)):
         return x
     if isinstance(x, str):

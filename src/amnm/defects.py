@@ -20,6 +20,29 @@ For matrix codomains the scan covers all ordered pairs — matrix values need
 not commute, and there are natural maps whose defect is attained at (e, f)
 but not (f, e).  For scalar and T2 codomains the defect function is symmetric
 and the scan covers unordered pairs; witnesses are lexicographically first.
+
+The exact defect is filtered (Shewchuk 1997; Bronnimann, Burnikel and Pion
+1998).  A float pass, in row blocks of about ``_FILTER_CELLS`` pairs, encloses
+every pair's exact ratio in ``[lo, hi]``; only pairs with ``hi > 0`` and
+``hi >= max lo`` are evaluated in ``Fraction``, in the full scan's order and
+with its strict ``>``, so the value and the first witness are the full
+scan's.  The pass normalises the :meth:`AlgebraMap.as_m2` matrices by the
+weights, ``x = theta(e)/omega(e)`` and ``r = omega(ef)/(omega(e) omega(f))``,
+so the ratio is a norm of ``D = x_e x_f - r x_ef``.  Each ``x`` is one
+correctly rounded integer division and ``r`` is ``ldexp`` of three rounded
+weight mantissas.  In the standard model, ``fl(a op b) = (a op b)(1 + d) + e``
+with ``|d| <= u = 2**-53`` and ``|e| <= 2**-1075``, an entry of ``D`` has at
+most three terms and is off by ``gamma_9 = 9u/(1 - 9u)`` times the sum of
+their absolute values (``mag`` sums these; it bounds every norm of ``D``),
+plus ``2**-820`` while all ``|x| <= 2**250``.  The norm adds ``gamma_4``
+relatively and ``2**-536`` for squares below the normal range.  So
+``|nu - exact| <= 2**-48 mag + 2**-535``, and the code's width
+``2**-40 (mag + nu) + 2**-500`` also covers its own roundings; a pair whose
+terms are all exactly zero has ``D = 0`` and no width.  The operator norm's
+closed form cancels badly, so it is enclosed by ``[hs/sqrt(2), hs]``.  When
+a value overflows a float or ``|x| > 2**250``, every pair is evaluated
+exactly.  Survivors whose exact difference is zero are skipped before any
+norm is taken, so an irrational operator norm raises only if it survives.
 """
 
 from __future__ import annotations
@@ -27,6 +50,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, partial
+from itertools import chain
 
 import numpy as np
 
@@ -77,11 +102,11 @@ class AlgebraMap:
     def n(self) -> int:
         return len(self.values)
 
-    @property
+    @cached_property
     def is_exact(self) -> bool:
         if self.codomain == "scalar":
-            return all(_is_exact(v) for v in self.values)
-        return all(all(_is_exact(x) for x in v) for v in self.values)
+            return all(map(_is_exact, self.values))
+        return all(map(_is_exact, chain.from_iterable(self.values)))
 
     def as_m2(self) -> "AlgebraMap":
         """Embed into 2x2 matrices (scalars diagonally, T2 upper-triangularly)."""
@@ -201,22 +226,91 @@ def _can_run_exact(WS: WeightedSemilattice, *maps: AlgebraMap) -> bool:
     return WS.is_exact and all(m.is_exact for m in maps)
 
 
+# Filter constants; the module docstring derives the bound they implement.
+_FILTER_CELLS = 1 << 14  # pairs per row block of the float pass
+_FILTER_RANGE = 2.0**250  # largest normalised entry the float pass accepts
+_FILTER_REL, _FILTER_ABS = 2.0**-40, 2.0**-500  # the enclosure's relative and absolute width
+_INV_SQRT2_DOWN = 0.7071067811865  # below 1/sqrt(2), even after rounding a product
+
+
+def _normalised_entries(WS: WeightedSemilattice, theta: AlgebraMap):
+    """The matrices ``theta(e)/omega(e)`` of :meth:`AlgebraMap.as_m2` as rows,
+    which are exactly nonzero, and the weights' mantissas and exponents."""
+    rows, nonzero, mant, expo = [], [], [], []
+    for entries, w in zip(theta.as_m2().values, WS.omega):
+        p, q = w.numerator, w.denominator
+        row = [(x.numerator * q) / (x.denominator * p) for x in entries]  # correctly rounded
+        if max(map(abs, row)) > _FILTER_RANGE:
+            raise OverflowError("normalised entry outside the filter's range")
+        rows.append(row)
+        nonzero.append(any(entries))
+        k = p.bit_length() - q.bit_length()
+        k -= (p << max(-k, 0)) < (q << max(k, 0))  # now 2**k <= w < 2**(k + 1)
+        mant.append((p << max(-k, 0)) / (q << max(k, 0)))
+        expo.append(k)
+    return np.array(rows), np.array(nonzero), np.array(mant), np.array(expo, dtype=np.int64)
+
+
+def _pair_enclosures(M, nonzero, mant, expo, table, norm: str, rows: slice):
+    """``(lo, hi)`` around the exact ratios of the pairs in a block of rows."""
+    P = table[rows]
+    k = np.clip(expo[P] - expo[rows, None] - expo[None, :], -2000, 2000)
+    r = np.ldexp(mant[P] / (mant[rows, None] * mant[None, :]), k.astype(np.int32))
+    x, y = M.T, M[rows].T[..., None]
+    # entry i = 2 row + col of x_e x_f - r x_ef, one (block, n) array each
+    D = [y[i & 2] * x[i & 1] + y[(i & 2) + 1] * x[(i & 1) + 2] - r * x[i][P] for i in range(4)]
+    A = np.abs(M)
+    # the sum over entries of |x_e| |x_f| + r |x_ef|, which bounds every norm of D
+    col, row = A[:, [0, 1]] + A[:, [2, 3]], A[:, [0, 2]] + A[:, [1, 3]]
+    mag = col[rows] @ row.T + r * A.sum(axis=1)[P]
+    if norm in ("hs", "op"):
+        nu = np.sqrt(D[0] * D[0] + D[1] * D[1] + D[2] * D[2] + D[3] * D[3])
+    else:
+        nu = np.abs(D[0]) + (norm == "t2") * np.abs(D[1])
+    live = (nonzero[rows, None] & nonzero[None, :]) | nonzero[P]
+    width = _FILTER_REL * (mag + nu) + _FILTER_ABS * live
+    lo, hi = np.maximum(nu - width, 0.0), nu + width
+    return (lo * _INV_SQRT2_DOWN if norm == "op" else lo), hi
+
+
+def _candidate_pairs(WS: WeightedSemilattice, theta: AlgebraMap, norm: str):
+    """The pairs that can attain the exact maximum, in lexicographic order:
+    those the float filter keeps, or all when it cannot bound this input."""
+    n, table, ordered = WS.n, WS.S.table, theta.codomain == "m2"
+    try:
+        entries = _normalised_entries(WS, theta)
+    except OverflowError:
+        yield from ((i, j) for i in range(n) for j in range(0 if ordered else i, n))
+        return
+    step = max(1, _FILTER_CELLS // n)
+    blocks = [slice(i0, i0 + step) for i0 in range(0, n, step)]
+
+    enclose = partial(_pair_enclosures, *entries, table, norm)
+    # two passes keep extra memory to one block: max lo, then the survivors
+    first = enclose(blocks[0])
+    best_lo = max(float(lo.max()) for lo, _ in chain([first], map(enclose, blocks[1:])))
+    for b in blocks:
+        hi = (first if b is blocks[0] else enclose(b))[1]
+        keep = (hi > 0) & (hi >= best_lo)
+        for i, j in zip(*np.nonzero(keep if ordered else np.triu(keep, b.start))):
+            yield b.start + int(i), int(j)
+
+
 def _defect_exact(WS: WeightedSemilattice, theta: AlgebraMap, norm: str) -> DefectReport:
     table = WS.S.table
     omega = [Fraction(w) for w in WS.omega]
-    n = WS.n
-    ordered = theta.codomain == "m2"
     best_sq = Fraction(0)
     witness = (0, 0)
     vals = theta.values
-    for i in range(n):
-        j_start = 0 if ordered else i
-        for j in range(j_start, n):
-            diff = _value_mul(vals[i], vals[j], theta.codomain) - vals[int(table[i, j])]
-            ratio_sq = _norm_sq_exact(diff, theta.codomain, norm) / (omega[i] * omega[j]) ** 2
-            if ratio_sq > best_sq:
-                best_sq = ratio_sq
-                witness = (i, j)
+    scalar = theta.codomain == "scalar"
+    for i, j in _candidate_pairs(WS, theta, norm):
+        diff = _value_mul(vals[i], vals[j], theta.codomain) - vals[int(table[i, j])]
+        if not (diff if scalar else any(diff)):
+            continue  # a zero ratio never beats best_sq >= 0
+        ratio_sq = _norm_sq_exact(diff, theta.codomain, norm) / (omega[i] * omega[j]) ** 2
+        if ratio_sq > best_sq:
+            best_sq = ratio_sq
+            witness = (i, j)
     root = _exact_sqrt(best_sq)
     if root is not None:
         return DefectReport(root, witness, norm, best_sq, exact_value=True)
@@ -323,15 +417,12 @@ def weighted_sup_distance_report(
         raise ParseError("map length does not match the semilattice")
     norm = _check_norm(theta.codomain, norm)
     if _can_run_exact(WS, theta, phi):
-        omega = [Fraction(w) for w in WS.omega]
-        best_sq = Fraction(0)
-        witness = 0
-        for e in range(WS.n):
-            diff = theta.values[e] - phi.values[e]
-            ratio_sq = _norm_sq_exact(diff, theta.codomain, norm) / omega[e] ** 2
-            if ratio_sq > best_sq:
-                best_sq = ratio_sq
-                witness = e
+        ratios_sq = [
+            _norm_sq_exact(t - p, theta.codomain, norm) / Fraction(w) ** 2
+            for t, p, w in zip(theta.values, phi.values, WS.omega)
+        ]
+        best_sq = max(ratios_sq)
+        witness = ratios_sq.index(best_sq)  # the first, as a strict > scan finds it
         root = _exact_sqrt(best_sq)
         if root is not None:
             return DistanceReport(root, witness, norm, best_sq, exact_value=True)
@@ -433,10 +524,14 @@ def _num_from_json(x):
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational literal {x!r}") from exc
     if isinstance(x, float):
-        return complex(x)
-    if isinstance(x, list) and len(x) == 2:
-        return complex(float(x[0]), float(x[1]))
-    raise ParseError(f"expected a number, 'p/q' string or [re, im] pair, got {x!r}")
+        z = complex(x)
+    elif isinstance(x, list) and len(x) == 2:
+        z = complex(float(x[0]), float(x[1]))
+    else:
+        raise ParseError(f"expected a number, 'p/q' string or [re, im] pair, got {x!r}")
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ParseError(f"map value {x!r} is not finite")
+    return z
 
 
 def map_from_json(doc: dict) -> AlgebraMap:

@@ -27,13 +27,17 @@ from scipy.optimize import minimize
 
 from .defects import (
     AlgebraMap,
+    _can_run_exact,
+    _check_norm,
+    _exact_sqrt,
+    _norm_sq_exact,
     _resolve,
     defect,
     m2_map,
     t2_map,
     weighted_sup_distance_report,
 )
-from .errors import ClassificationFailure
+from .errors import ClassificationFailure, ParseError
 from .filters import Filter, enumerate_filters, filter_indicator
 from .mat2 import (
     M2_ID,
@@ -93,13 +97,16 @@ def _diagonal_t2(maps) -> list[AlgebraMap]:
     return [t2_map([(v, v * 0) for v in m.values]) for m in maps]
 
 
-def enumerate_mult_scalar(S) -> list[AlgebraMap]:
-    """All multiplicative scalar maps: the zero map and one per filter."""
-    maps = _mult_scalar_maps(S)
+def _checked(S, maps: list[AlgebraMap], what: str) -> list[AlgebraMap]:
     for m in maps:
         if defect(S, m).defect_float != 0.0:
-            raise ClassificationFailure("enumerated scalar map is not multiplicative")
+            raise ClassificationFailure(f"enumerated {what} map is not multiplicative")
     return maps
+
+
+def enumerate_mult_scalar(S) -> list[AlgebraMap]:
+    """All multiplicative scalar maps: the zero map and one per filter."""
+    return _checked(S, _mult_scalar_maps(S), "scalar")
 
 
 def enumerate_mult_t2(S) -> list[AlgebraMap]:
@@ -107,31 +114,45 @@ def enumerate_mult_t2(S) -> list[AlgebraMap]:
 
     The off-diagonal part of a multiplicative map vanishes (evaluate at an
     idempotent argument: b = 2ab forces b = 0 for a in {0,1}), so the list
-    is exactly the scalar one embedded on the diagonal.
+    is exactly the scalar one embedded on the diagonal.  A diagonal map is
+    multiplicative iff its scalar map is, so only the T2 maps are checked.
     """
-    maps = _diagonal_t2(enumerate_mult_scalar(S))
-    for m in maps:
-        if defect(S, m).defect_float != 0.0:
-            raise ClassificationFailure("enumerated T2 map is not multiplicative")
-    return maps
+    return _checked(S, _diagonal_t2(_mult_scalar_maps(S)), "T2")
 
 
 def _exhaustive_nearest(WS, theta, maps, norm=None) -> NearestReport:
-    """The map of ``maps`` nearest ``theta``; the first one on ties."""
-    best = None
-    for m in maps:
-        dr = weighted_sup_distance_report(WS, theta, m, norm)
-        key = dr.value_sq if dr.value_sq is not None else dr.value_float
-        if best is None or key < best[0]:
-            best = (key, dr, m)
-    _, dr, m = best
+    """The map of ``maps`` nearest ``theta``; the first one on ties.  The exact
+    path costs each distinct (element, value) once in ``Fraction`` and then
+    compares the maps by the integer ranks of the sorted costs."""
+    if not _can_run_exact(WS, theta, *maps):
+        dr, m = min(
+            ((weighted_sup_distance_report(WS, theta, m, norm), m) for m in maps),
+            key=lambda rec: rec[0].value_float,
+        )
+        value, witness, norm = dr.value_float, dr.witness, dr.norm
+        exact = dr.value if dr.exact_value else None
+    else:
+        if theta.n != WS.n:
+            raise ParseError("map length does not match the semilattice")
+        norm = _check_norm(theta.codomain, norm)
+        costs = [  # per element: candidate value -> exact squared weighted cost
+            {c: _norm_sq_exact(v - c, theta.codomain, norm) / Fraction(w) ** 2 for c in set(cs)}
+            for v, w, cs in zip(theta.values, WS.omega, zip(*(m.values for m in maps)))
+        ]
+        levels = sorted({Fraction(0)}.union(*(per.values() for per in costs)))
+        rank = {q: i for i, q in enumerate(levels)}
+        ranks = [{c: rank[q] for c, q in per.items()} for per in costs]
+        scans = ([per[c] for per, c in zip(ranks, m.values)] for m in maps)
+        top, r, m = min(((max(r), r, m) for r, m in zip(scans, maps)), key=lambda rec: rec[0])
+        witness, exact = r.index(top), _exact_sqrt(levels[top])
+        value = float(exact) if exact is not None else math.sqrt(float(levels[top]))
     return NearestReport(
         codomain=theta.codomain,
-        value=dr.value_float,
-        value_exact=dr.value if dr.exact_value else None,
+        value=value,
+        value_exact=exact,
         best_map=m,
-        witness=dr.witness,
-        norm=dr.norm,
+        witness=witness,
+        norm=norm,
         method="exhaustive",
         details={"maps_scanned": len(maps)},
     )

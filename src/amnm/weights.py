@@ -100,7 +100,7 @@ class WeightedSemilattice:
         arr.setflags(write=False)
         return arr
 
-    @property
+    @cached_property
     def is_exact(self) -> bool:
         return all(_is_exact(w) for w in self.omega)
 

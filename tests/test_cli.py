@@ -102,6 +102,25 @@ def test_defect_exact_rational_output(tmp_path, capsys):
     assert parsed["witness"] == [0, 1]
 
 
+NONFINITE = {"table": [[0, 0], [0, 1]], "map": {"codomain": "scalar", "values": [0, 1]}}
+
+
+def test_a_non_finite_weight_is_an_input_error(tmp_path, capsys):
+    doc = dict(NONFINITE, weights=[1, float("inf")])
+    code, out, err = run(capsys, "--json", "defect", write_doc(tmp_path, doc))
+    assert (code, out) == (3, "")
+    assert "input error" in err and "not finite" in err
+
+
+def test_a_nan_map_value_is_an_input_error(tmp_path, capsys):
+    doc = dict(NONFINITE, map={"codomain": "scalar", "values": [0, float("nan")]})
+    path = write_doc(tmp_path, doc)
+    for argv in (["defect"], ["correct", "--target", "scalar"]):
+        code, out, err = run(capsys, "--json", *argv, path)
+        assert (code, out) == (3, "")
+        assert "input error" in err and "not finite" in err
+
+
 def test_defect_reads_from_stdin(capsys, monkeypatch):
     doc = dict(CHAIN3, map={"codomain": "scalar", "values": [0, 1, 1]})
     import io

@@ -2,12 +2,22 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amnm import (
     NoEligibleIndex,
     StructureMismatch,
     defect,
+    enumerate_mult_scalar,
+    enumerate_mult_t2,
+    nearest_mult_scalar,
+    nearest_mult_t2,
+    random_semilattice,
+    scalar_map,
+    t2_map,
     free_semilattice,
     geometric_weight,
     nmin,
@@ -20,6 +30,7 @@ from amnm import (
     unit_weight,
     weighted,
     weighted_sup_distance,
+    weighted_sup_distance_report,
 )
 
 
@@ -116,6 +127,16 @@ def test_t2_chain_companion_restores_the_distance():
     assert again == Fraction(1, 32)
 
 
+def test_t2_chain_survives_weights_past_the_float_range():
+    # omega(k) = 2**(30 (k + 1)) reaches 2**1200, beyond any float
+    WS = geometric_weight(40, base=2**30)
+    for m in (3, 20, 39):
+        r = theta_m_t2(WS, m)
+        assert r.defect.witness == (m, m)
+        assert r.defect.defect_sq == 1 / Fraction(WS.omega[m]) ** 2
+        assert r.distance_exact == 1
+
+
 def test_t2_chain_rejects_indices_off_the_chain():
     WS = geometric_weight(4)
     with pytest.raises(NoEligibleIndex):
@@ -182,3 +203,48 @@ def test_m2_families_require_chains():
         theta_m2_chain(WS, 0.05)
     with pytest.raises(StructureMismatch):
         theta_m2_chain_nonuniform(WS, 0.05)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass exhaustive scan against a scan of every candidate map.
+# ---------------------------------------------------------------------------
+
+_CARRIERS = [nmin(5), free_semilattice(3), orthogonal_free_sum((2, 2))]
+_CARRIERS += [random_semilattice(np.random.default_rng(seed)) for seed in range(4)]
+_VALUES = st.one_of(st.sampled_from([0, 1]), st.fractions(min_value=-2, max_value=3, max_denominator=6))
+
+
+def _per_map_nearest(WS, theta, maps):
+    """The first map at the least exact distance, one distance report per map."""
+    best = None
+    for m in maps:
+        dr = weighted_sup_distance_report(WS, theta, m)
+        if best is None or dr.value_sq < best[0].value_sq:
+            best = (dr, m)
+    return best
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_nearest_scan_matches_a_scan_of_every_map(data):
+    S = data.draw(st.sampled_from(_CARRIERS))
+    if data.draw(st.booleans()):
+        WS = unit_weight(S)
+    else:
+        # monotone weights >= 1 are submultiplicative
+        c = data.draw(st.lists(st.fractions(0, 5, max_denominator=4), min_size=S.n, max_size=S.n))
+        WS = weighted(S, [1 + sum(c[y] for y in range(S.n) if S.table[x, y] == y) for x in range(S.n)])
+    values = data.draw(st.lists(_VALUES, min_size=S.n, max_size=S.n))
+    if data.draw(st.booleans()):
+        theta, maps = scalar_map(values), enumerate_mult_scalar(S)
+        near = nearest_mult_scalar(WS, theta)
+    else:
+        nil = data.draw(st.lists(_VALUES, min_size=S.n, max_size=S.n))
+        theta, maps = t2_map(zip(values, nil)), enumerate_mult_t2(S)
+        near = nearest_mult_t2(WS, theta)
+    dr, m = _per_map_nearest(WS, theta, maps)
+    assert near.best_map.values == m.values
+    assert near.witness == dr.witness
+    assert near.value == dr.value_float
+    assert near.value_exact == (dr.value if dr.exact_value else None)
+    assert near.details["maps_scanned"] == len(maps)

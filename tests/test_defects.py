@@ -4,8 +4,9 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amnm import (
@@ -14,12 +15,17 @@ from amnm import (
     characters,
     defect,
     default_norm,
+    enumerate_filters,
+    filter_indicator,
     free_semilattice,
     hs_norm,
+    m2_family_map,
     m2_map,
     map_from_json,
     map_to_json,
     nmin,
+    orthogonal_free_sum,
+    random_semilattice,
     round_to_binary,
     scalar_map,
     t2_map,
@@ -208,3 +214,158 @@ def test_algebra_map_rejects_unknown_codomain_and_bad_rows():
         m2_map([[1, 2, 3]])
     with pytest.raises((TypeError, IndexError)):
         m2_map([[[1, 2], [3]]])
+
+
+# ---------------------------------------------------------------------------
+# The filtered exact defect against a plain all-pairs Fraction scan.
+# ---------------------------------------------------------------------------
+
+_POOL = [nmin(1), nmin(4), free_semilattice(2), free_semilattice(3), orthogonal_free_sum((2, 2))]
+_POOL += [random_semilattice(np.random.default_rng(seed)) for seed in range(4)]
+_SMALL = st.one_of(
+    st.just(0), st.integers(-3, 3), st.fractions(min_value=-5, max_value=5, max_denominator=12)
+)
+
+
+def _reference_brackets(WS, theta, norm):
+    """Every scanned pair with its exact squared ratio as a bracket [lo, hi]
+    (lo == hi unless the operator norm is irrational), in scan order."""
+    n, table = WS.n, WS.S.table
+    omega = [Fraction(w) for w in WS.omega]
+    out = []
+    for i in range(n):
+        for j in range(0 if theta.codomain == "m2" else i, n):
+            x, y, z = theta.values[i], theta.values[j], theta.values[int(table[i, j])]
+            if theta.codomain == "scalar":
+                lo = hi = Fraction(x * y - z) ** 2
+            elif theta.codomain == "t2":
+                lo = hi = (abs(Fraction(x[0] * y[0] - z[0])) + abs(Fraction(x[0] * y[1] + x[1] * y[0] - z[1]))) ** 2
+            else:
+                a, b, c, d = (
+                    Fraction(x[0] * y[0] + x[1] * y[2] - z[0]),
+                    Fraction(x[0] * y[1] + x[1] * y[3] - z[1]),
+                    Fraction(x[2] * y[0] + x[3] * y[2] - z[2]),
+                    Fraction(x[2] * y[1] + x[3] * y[3] - z[3]),
+                )
+                t = a * a + b * b + c * c + d * d
+                lo = hi = t
+                if norm == "op" and a * d != b * c:
+                    disc = t * t - 4 * (a * d - b * c) ** 2  # op^2 = (t + sqrt(disc)) / 2
+                    k = 2**64 * disc.denominator
+                    root = math.isqrt(disc.numerator * disc.denominator * 2**128)
+                    lo, hi = (t + Fraction(root, k)) / 2, (t + Fraction(root + 1, k)) / 2
+                    if root * root == disc.numerator * disc.denominator * 2**128:
+                        hi = lo
+            scale = (omega[i] * omega[j]) ** 2
+            out.append(((i, j), lo / scale, hi / scale))
+    return out
+
+
+def _one_off_map(draw, S, codomain):
+    """A multiplicative map with the value at one element replaced."""
+    options = [None, *enumerate_filters(S)]
+    F1, F2 = draw(st.sampled_from(options)), draw(st.sampled_from(options))
+    if codomain == "m2":
+        b = draw(_SMALL)
+        P = draw(st.sampled_from([Mat2(1, b, 0, 0), Mat2(0, 0, b, 1), Mat2(1, 0, 0, 0)]))
+        values = list(m2_family_map(S, F1, F2, P).values)
+        values[draw(st.integers(0, S.n - 1))] = _m2_value(draw, draw(st.booleans()))
+        return m2_map(values)
+    values = list(filter_indicator(S, F1).values)
+    values[draw(st.integers(0, S.n - 1))] = draw(_SMALL)
+    if codomain == "scalar":
+        return scalar_map(values)
+    return t2_map([(v, draw(_SMALL) if k == 0 else 0) for k, v in enumerate(values)])
+
+
+def _m2_value(draw, diagonal):
+    # diagonal differences have rational operator norms, max(|a|, |d|)
+    a, b, c, d = (draw(_SMALL) for _ in range(4))
+    return Mat2(a, 0, 0, d) if diagonal else Mat2(a, b, c, d)
+
+
+@st.composite
+def defect_cases(draw):
+    S = draw(st.sampled_from(_POOL))
+    kind = draw(st.sampled_from(["unit", "rational", "huge"]))
+    below = [[y for y in range(S.n) if int(S.table[x, y]) == y] for x in range(S.n)]
+    if kind == "unit":
+        omega = [1] * S.n
+    elif kind == "rational":
+        # monotone weights >= 1 are submultiplicative: omega(xy) <= omega(x)
+        c = [draw(st.fractions(min_value=0, max_value=9, max_denominator=7)) for _ in range(S.n)]
+        omega = [1 + sum(c[y] for y in below[x]) for x in range(S.n)]
+    else:
+        omega = [Fraction(2**30) ** len(below[x]) for x in range(S.n)]
+    codomain = draw(st.sampled_from(["scalar", "t2", "m2"]))
+    if draw(st.booleans()):
+        theta = _one_off_map(draw, S, codomain)
+    else:
+        width = {"scalar": 1, "t2": 2, "m2": 4}[codomain]
+        rows = [tuple(draw(_SMALL) for _ in range(width)) for _ in range(S.n)]
+        if codomain == "scalar":
+            theta = scalar_map(r[0] for r in rows)
+        elif codomain == "t2":
+            theta = t2_map(rows)
+        else:
+            diagonal = draw(st.booleans())
+            theta = m2_map(_m2_value(draw, diagonal) for _ in range(S.n))
+    return weighted(S, omega), theta
+
+
+@settings(max_examples=300, deadline=None)
+@given(defect_cases(), st.sampled_from(["hs", "op"]))
+def test_exact_defect_matches_the_all_pairs_fraction_scan(case, m2_norm):
+    WS, theta = case
+    norm = m2_norm if theta.codomain == "m2" else None
+    brackets = _reference_brackets(WS, theta, norm or default_norm(theta.codomain))
+    try:
+        rep = defect(WS, theta, norm)
+    except ValueError:
+        # Only an irrational operator norm may stop the scan, and only one the
+        # filter must keep: hs/sqrt(2) <= op <= hs puts it within half the maximum.
+        top = max(lo for _, lo, _ in brackets)
+        assert any(lo != hi and 4 * hi >= top * (1 - Fraction(1, 10**9)) for _, lo, hi in brackets)
+        return
+    best = rep.defect_sq
+    if rep.exact_value:
+        assert rep.defect**2 == best
+    else:
+        assert rep.defect == math.sqrt(float(best))
+    if best == 0:
+        assert rep.witness == (0, 0) and all(hi == 0 for _, _, hi in brackets)
+        return
+    for pair, lo, hi in brackets:
+        if pair == rep.witness:
+            assert lo == hi == best
+        elif pair < rep.witness:
+            assert hi < best  # the witness is the first pair at the maximum
+        else:
+            assert hi <= best if lo == hi else hi < best
+
+
+def test_filtered_defect_keeps_the_first_of_tied_pairs():
+    # (0,0), (0,1) and (1,1) all cost exactly 4/25, but in floats (0,0)
+    # rounds below the other two; the enclosure widths keep it the witness
+    S = free_semilattice(2)
+    rep = defect(S, scalar_map([Fraction(4, 5), Fraction(1, 5), 0]))
+    assert rep.defect == Fraction(4, 25)
+    assert rep.witness == (0, 0)
+
+
+def _irrational_op_pair_map():
+    # on the chain 0 < 1 < 2: theta(1)^2 - theta(1) = diag(2, 0) has op norm 2,
+    # theta(2)^2 - theta(2) = [[2, 1], [0, 2]] has op^2 = (9 + sqrt(17))/2
+    return m2_map([Mat2(0, 0, 0, 0), Mat2(2, 0, 0, 0), Mat2(2, Fraction(1, 3), 0, 2)])
+
+
+def test_an_irrational_op_norm_pair_that_is_filtered_out_does_not_raise():
+    WS = weighted(nmin(3), (1, 1, 10))
+    rep = defect(WS, _irrational_op_pair_map(), "op")
+    assert rep.defect == 2 and rep.exact_value
+    assert rep.witness == (1, 1)
+
+
+def test_an_irrational_op_norm_pair_at_the_maximum_still_raises():
+    with pytest.raises(ValueError, match="perfect-square discriminant"):
+        defect(nmin(3), _irrational_op_pair_map(), "op")
