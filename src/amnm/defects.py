@@ -104,9 +104,9 @@ class AlgebraMap:
 
     @cached_property
     def is_exact(self) -> bool:
-        if self.codomain == "scalar":
-            return all(map(_is_exact, self.values))
-        return all(map(_is_exact, chain.from_iterable(self.values)))
+        # exactness is a property of the entry's type: test one entry per type
+        flat = self.values if self.codomain == "scalar" else tuple(chain.from_iterable(self.values))
+        return all(map(_is_exact, dict(zip(map(type, flat), flat)).values()))
 
     def as_m2(self) -> "AlgebraMap":
         """Embed into 2x2 matrices (scalars diagonally, T2 upper-triangularly)."""

@@ -42,6 +42,7 @@ from .filters import Filter, enumerate_filters, filter_indicator
 from .mat2 import (
     M2_ID,
     Mat2,
+    T2Element,
     _rank_one,
     hs_norm,
     is_idempotent_within,
@@ -94,7 +95,9 @@ def _mult_scalar_maps(S) -> list[AlgebraMap]:
 
 
 def _diagonal_t2(maps) -> list[AlgebraMap]:
-    return [t2_map([(v, v * 0) for v in m.values]) for m in maps]
+    # the values are the ints 0 and 1; each gets one shared T2 element
+    embed = {v: T2Element(v, v * 0) for m in maps for v in set(m.values)}
+    return [AlgebraMap("t2", tuple(map(embed.__getitem__, m.values))) for m in maps]
 
 
 def _checked(S, maps: list[AlgebraMap], what: str) -> list[AlgebraMap]:
@@ -125,10 +128,8 @@ def _exhaustive_nearest(WS, theta, maps, norm=None) -> NearestReport:
     path costs each distinct (element, value) once in ``Fraction`` and then
     compares the maps by the integer ranks of the sorted costs."""
     if not _can_run_exact(WS, theta, *maps):
-        dr, m = min(
-            ((weighted_sup_distance_report(WS, theta, m, norm), m) for m in maps),
-            key=lambda rec: rec[0].value_float,
-        )
+        reports = [weighted_sup_distance_report(WS, theta, m, norm) for m in maps]
+        dr, m = min(zip(reports, maps), key=lambda rec: rec[0].value_float)
         value, witness, norm = dr.value_float, dr.witness, dr.norm
         exact = dr.value if dr.exact_value else None
     else:
