@@ -356,6 +356,16 @@ def test_filtered_defect_keeps_the_first_of_tied_pairs():
     assert rep.witness == (0, 0)
 
 
+def test_operator_norm_filter_keeps_a_rank_one_maximum():
+    # (0,0) costs diag(2, 0): op = hs = 2, the maximum; (1,1) costs
+    # diag(36/25, 36/25): op 36/25 but hs 36/25 sqrt(2) > 2, so only a lower
+    # bound of hs/sqrt(2) keeps (0,0)
+    S = free_semilattice(2)
+    theta = m2_map([Mat2(2, 0, 0, 0), Mat2(Fraction(-4, 5), 0, 0, Fraction(-4, 5)), Mat2(0, 0, 0, 0)])
+    rep = defect(S, theta, "op")
+    assert rep.defect == 2 and rep.witness == (0, 0)
+
+
 def _irrational_op_pair_map():
     # on the chain 0 < 1 < 2: theta(1)^2 - theta(1) = diag(2, 0) has op norm 2,
     # theta(2)^2 - theta(2) = [[2, 1], [0, 2]] has op^2 = (9 + sqrt(17))/2
