@@ -13,17 +13,17 @@ from amnm import (
     defect,
     enumerate_mult_scalar,
     enumerate_mult_t2,
-    nearest_mult_scalar,
-    nearest_mult_t2,
-    random_semilattice,
-    scalar_map,
-    t2_map,
     free_semilattice,
     geometric_weight,
+    nearest_mult_scalar,
+    nearest_mult_t2,
     nmin,
     orthogonal_free_sum,
     psi_n_family,
+    random_semilattice,
+    scalar_map,
     spiked_weight,
+    t2_map,
     theta_m2_chain,
     theta_m2_chain_nonuniform,
     theta_m_t2,
