@@ -91,7 +91,6 @@ from .mat2 import (
     obstruction_check,
     op_norm,
     rho,
-    sample_commuting_idempotents,
     scalar_project,
     t2_norm,
     unitary_triangularize,
@@ -115,6 +114,7 @@ from .sampling import (
     random_near_idempotent,
     random_scalar_instance,
     random_t2_instance,
+    sample_commuting_idempotents,
 )
 from .semilattice import (
     FreeSemilattice,

@@ -106,18 +106,18 @@ def geometric_weight(M: int, base=2) -> WeightedSemilattice:
     return weighted(nmin(M), [base ** (i + 1) for i in range(M)])
 
 
-def spiked_weight(M: int, position: int, spike, low=1) -> WeightedSemilattice:
-    """A min-chain weight that is ``low`` everywhere except one ``spike``.
+def spiked_weight(M: int, position: int, spike) -> WeightedSemilattice:
+    """A min-chain weight that is 1 everywhere except one ``spike``.
 
     This is the natural carrier for the non-uniform matrix family: the
-    largest adjacent minimum stays at ``low`` while the spike towers over
+    largest adjacent minimum stays at 1 while the spike towers over
     it, so the index right after the spike is eligible.
     """
     if not 0 <= position < M:
         raise ValueError(f"spike position {position} outside 0..{M - 1}")
-    if not (low >= 1 and spike >= low):
-        raise ValueError("need spike >= low >= 1")
-    values = [low] * M
+    if not spike >= 1:
+        raise ValueError("need spike >= 1")
+    values = [1] * M
     values[position] = spike
     return weighted(nmin(M), values)
 
@@ -204,8 +204,21 @@ def _require_chain(WS: WeightedSemilattice) -> Semilattice:
     return S
 
 
-def _omega_values(WS: WeightedSemilattice):
-    return list(WS.omega) if WS.is_exact else [float(x) for x in WS.omega_float]
+def _weights_and_unit(WS: WeightedSemilattice):
+    """The weights and the unit in the weight's number type (exact weights as given)."""
+    return (list(WS.omega), 1) if WS.is_exact else ([float(x) for x in WS.omega_float], 1.0)
+
+
+def _check_closed_form(value: float, value_sq, expected_sq, what: str) -> None:
+    """Raise unless a reported value is ``sqrt(expected_sq)``: exactly when the
+    report carries its exact square ``value_sq``, to 1e-12 relative otherwise."""
+    if value_sq is not None:
+        holds = value_sq == expected_sq
+    else:
+        want = math.sqrt(expected_sq)
+        holds = abs(value - want) <= 1e-12 * (1.0 + want)
+    if not holds:
+        raise ClassificationFailure(f"{what} is {value!r}, expected sqrt({expected_sq!r})")
 
 
 def theta_m_t2(WS: WeightedSemilattice, m: int) -> CounterexampleReport:
@@ -223,8 +236,7 @@ def theta_m_t2(WS: WeightedSemilattice, m: int) -> CounterexampleReport:
     n = S.n
     if not 0 <= m < n:
         raise NoEligibleIndex(f"index {m} outside 0..{n - 1}")
-    om = _omega_values(WS)
-    one = 1 if WS.is_exact else 1.0
+    om, one = _weights_and_unit(WS)
     zero = one * 0
     theta = t2_map(
         [(one if k >= m else zero, om[m] if k == m else zero) for k in range(n)]
@@ -232,25 +244,15 @@ def theta_m_t2(WS: WeightedSemilattice, m: int) -> CounterexampleReport:
     rep = defect(WS, theta)
     if not (rep.witness == (m, m)):
         raise ClassificationFailure(f"defect witness {rep.witness!r} is not ({m},{m})")
-    if WS.is_exact:
-        expected_sq = Fraction(1) / (Fraction(om[m]) ** 2)
-        if rep.defect_sq != expected_sq:
-            raise ClassificationFailure(
-                f"defect^2 is {rep.defect_sq!r}, expected {expected_sq!r}"
-            )
-    elif abs(rep.defect_float - 1.0 / om[m]) > 1e-12 * (1.0 + 1.0 / om[m]):
-        raise ClassificationFailure("defect does not match 1/omega(m)")
+    inv_sq = (Fraction(1) / om[m]) ** 2
+    _check_closed_form(rep.defect_float, rep.defect_sq, inv_sq, "defect 1/omega(m)")
 
     mult_maps = _diagonal_t2(_mult_scalar_maps(S))
     near = _exhaustive_nearest(WS, theta, mult_maps)
-    if WS.is_exact:
-        certified = near.value_exact == 1
-    else:
-        certified = abs(near.value - 1.0) <= 1e-12
-    if not certified:
-        raise ClassificationFailure(
-            f"nearest multiplicative upper-triangular map is at {near.value!r}, expected 1"
-        )
+    exact = near.value_exact
+    _check_closed_form(
+        near.value, None if exact is None else exact**2, 1, "nearest upper-triangular distance"
+    )
 
     companion = m2_map(
         [
@@ -267,11 +269,9 @@ def theta_m_t2(WS: WeightedSemilattice, m: int) -> CounterexampleReport:
     if companion_defect.defect_float != 0.0:
         raise ClassificationFailure("companion map is not exactly multiplicative")
     companion_distance = weighted_sup_distance_report(WS, theta.as_m2(), companion, "op")
-    if WS.is_exact:
-        if companion_distance.value_sq != Fraction(1) / (Fraction(om[m]) ** 2):
-            raise ClassificationFailure("companion distance is not exactly 1/omega(m)")
-    elif abs(companion_distance.value_float - 1.0 / om[m]) > 1e-12 * (1.0 + 1.0 / om[m]):
-        raise ClassificationFailure("companion distance does not match 1/omega(m)")
+    _check_closed_form(
+        companion_distance.value_float, companion_distance.value_sq, inv_sq, "companion distance"
+    )
 
     return CounterexampleReport(
         family="t2-chain",
@@ -279,7 +279,7 @@ def theta_m_t2(WS: WeightedSemilattice, m: int) -> CounterexampleReport:
         theta=theta,
         defect=rep,
         distance_lower_bound=1.0,
-        distance_exact=Fraction(1) if WS.is_exact else None,
+        distance_exact=exact,
         method="exhaustive",
         details={
             "maps_scanned": len(mult_maps),
@@ -288,6 +288,13 @@ def theta_m_t2(WS: WeightedSemilattice, m: int) -> CounterexampleReport:
             "companion_distance": companion_distance,
         },
     )
+
+
+def _chain_map(n: int, i: int, at_i: Mat2, at_next: Mat2, one) -> AlgebraMap:
+    """Zero below ``i``, ``at_i`` at ``i``, ``at_next`` at ``i + 1``, identity above."""
+    zero = one * 0
+    below, above = Mat2(zero, zero, zero, zero), Mat2(one, zero, zero, one)
+    return m2_map([below] * i + [at_i, at_next] + [above] * (n - i - 2))
 
 
 def _eligible_index(pred, n: int, what: str) -> int:
@@ -317,34 +324,18 @@ def theta_m2_chain(WS: WeightedSemilattice, delta: float) -> CounterexampleRepor
     delta = float(delta)
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta!r}")
-    om = _omega_values(WS)
+    om, one = _weights_and_unit(WS)
     level = 2.0 / delta
     i = _eligible_index(lambda j: om[j] >= level and om[j + 1] >= level, S.n, "m2-chain")
-    one = 1 if WS.is_exact else 1.0
     zero = one * 0
-    vals = []
-    for k in range(S.n):
-        if k < i:
-            vals.append(Mat2(zero, zero, zero, zero))
-        elif k == i:
-            vals.append(Mat2(one, -om[i], zero, zero))
-        elif k == i + 1:
-            vals.append(Mat2(one, om[i + 1], zero, zero))
-        else:
-            vals.append(Mat2(one, zero, zero, one))
-    theta = m2_map(vals)
+    theta = _chain_map(S.n, i, Mat2(one, -om[i], zero, zero), Mat2(one, om[i + 1], zero, zero), one)
     rep = defect(WS, theta, "op")
     if rep.witness != (i, i + 1):
         raise ClassificationFailure(f"defect witness {rep.witness!r} is not ({i},{i + 1})")
-    closed_form = 1.0 / float(om[i]) + 1.0 / float(om[i + 1])
-    if WS.is_exact:
-        expected = Fraction(1) / Fraction(om[i]) + Fraction(1) / Fraction(om[i + 1])
-        if rep.defect_sq != expected**2:
-            raise ClassificationFailure(
-                f"defect^2 is {rep.defect_sq!r}, expected {expected**2!r}"
-            )
-    elif abs(rep.defect_float - closed_form) > 1e-12 * (1.0 + closed_form):
-        raise ClassificationFailure("defect does not match 1/omega(i) + 1/omega(i+1)")
+    expected = Fraction(1) / om[i] + Fraction(1) / om[i + 1]
+    _check_closed_form(
+        rep.defect_float, rep.defect_sq, expected**2, "defect 1/omega(i) + 1/omega(i+1)"
+    )
     if rep.defect_float > delta:
         raise ClassificationFailure(
             f"defect {rep.defect_float!r} exceeds the requested delta {delta!r}"
@@ -384,7 +375,7 @@ def theta_m2_chain_nonuniform(WS: WeightedSemilattice, delta: float) -> Countere
     delta = float(delta)
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta!r}")
-    om = _omega_values(WS)
+    om, one = _weights_and_unit(WS)
     c = max(min(om[j], om[j + 1]) for j in range(S.n - 1)) if S.n > 1 else None
     if c is None:
         raise NoEligibleIndex("the chain has no adjacent pair at all")
@@ -395,36 +386,19 @@ def theta_m2_chain_nonuniform(WS: WeightedSemilattice, delta: float) -> Countere
     )
     if not om[i] >= 2 * om[i + 1]:
         raise ClassificationFailure("omega(i) >= 2 omega(i+1) failed after selection")
-    one = 1 if WS.is_exact else 1.0
     zero = one * 0
     base = Mat2(one, om[i], zero, zero)
-    vals = []
-    for k in range(S.n):
-        if k < i:
-            vals.append(Mat2(zero, zero, zero, zero))
-        elif k == i:
-            vals.append(2 * base)
-        elif k == i + 1:
-            vals.append(base)
-        else:
-            vals.append(Mat2(one, zero, zero, one))
-    theta = m2_map(vals)
+    theta = _chain_map(S.n, i, 2 * base, base, one)
     rep = defect(WS, theta, "op")
     if rep.witness != (i, i):
         raise ClassificationFailure(f"defect witness {rep.witness!r} is not ({i},{i})")
-    if WS.is_exact:
-        w = Fraction(om[i])
-        expected_sq = 4 * (1 + w**2) / w**4
-        if rep.defect_sq != expected_sq:
-            raise ClassificationFailure(
-                f"defect^2 is {rep.defect_sq!r}, expected {expected_sq!r}"
-            )
-    else:
-        closed_form = 2.0 * math.sqrt(1.0 + om[i] ** 2) / om[i] ** 2
-        if abs(rep.defect_float - closed_form) > 1e-12 * (1.0 + closed_form):
-            raise ClassificationFailure(
-                "defect does not match 2 sqrt(1 + omega(i)^2) / omega(i)^2"
-            )
+    inv = Fraction(1) / om[i]
+    _check_closed_form(
+        rep.defect_float,
+        rep.defect_sq,
+        4 * (inv**2 + inv**4),
+        "defect 2 sqrt(1 + omega(i)^2) / omega(i)^2",
+    )
     if rep.defect_float > (2.0 / 3.0) * delta + 1e-15:
         raise ClassificationFailure(
             f"defect {rep.defect_float!r} exceeds (2/3) delta = {(2.0 / 3.0) * delta!r}"

@@ -14,7 +14,10 @@ Two evaluation paths exist and agree: a vectorized float path, and an exact
 path used when the map and weight are rational-valued (real), which tracks
 maxima through exact squared ratios so that defects of the certified
 counterexample families are reported as exact rationals whenever the square
-root is rational, and as an exact rational square otherwise.
+root is rational, and as an exact rational square otherwise (``_root``).
+This module is the only one that decides between the two (``_can_run_exact``):
+the oracle's exhaustive scan costs its candidates with ``_element_ratios``,
+and callers read the path off a report's ``defect_sq`` or ``value_sq``.
 
 For matrix codomains the scan covers all ordered pairs — matrix values need
 not commute, and there are natural maps whose defect is attained at (e, f)
@@ -183,14 +186,17 @@ class DefectReport:
 # ---------------------------------------------------------------------------
 
 
-def _exact_sqrt(q: Fraction) -> Fraction | None:
-    if q < 0:
-        return None
+def _root(q: Fraction) -> tuple:
+    """``(sqrt(q), True)`` when ``q >= 0`` has a rational root, else the float
+    root and ``False``; past the float range, the root of ``q``'s integer part."""
     num, den = q.numerator, q.denominator
     rn, rd = math.isqrt(num), math.isqrt(den)
     if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
+        return Fraction(rn, rd), True
+    try:
+        return math.sqrt(float(q)), False
+    except OverflowError:
+        return float(math.isqrt(num // den)), False
 
 
 def _norm_sq_exact(diff, codomain: str, norm: str) -> Fraction:
@@ -207,9 +213,8 @@ def _norm_sq_exact(diff, codomain: str, norm: str) -> Fraction:
         return hs_sq  # rank <= 1: operator and HS norms coincide
     # General case: op^2 = (T + sqrt(T^2 - 4 |det|^2))/2, exact only when the
     # discriminant is a perfect square.
-    disc = hs_sq * hs_sq - 4 * det * det
-    root = _exact_sqrt(disc)
-    if root is None:
+    root, exact = _root(hs_sq * hs_sq - 4 * det * det)
+    if not exact:
         raise ValueError(
             "exact operator norm needs rank <= 1 or a perfect-square discriminant"
         )
@@ -223,6 +228,7 @@ def _value_mul(x, y, codomain: str):
 
 
 def _can_run_exact(WS: WeightedSemilattice, *maps: AlgebraMap) -> bool:
+    # the one place that decides between the exact and the float path
     return WS.is_exact and all(m.is_exact for m in maps)
 
 
@@ -311,10 +317,8 @@ def _defect_exact(WS: WeightedSemilattice, theta: AlgebraMap, norm: str) -> Defe
         if ratio_sq > best_sq:
             best_sq = ratio_sq
             witness = (i, j)
-    root = _exact_sqrt(best_sq)
-    if root is not None:
-        return DefectReport(root, witness, norm, best_sq, exact_value=True)
-    return DefectReport(math.sqrt(float(best_sq)), witness, norm, best_sq, exact_value=False)
+    value, exact = _root(best_sq)
+    return DefectReport(value, witness, norm, best_sq, exact_value=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +408,26 @@ class DistanceReport:
         return float(self.value)
 
 
+def _element_ratios(WS: WeightedSemilattice, theta: AlgebraMap, phi: AlgebraMap, norm: str):
+    """``||theta(e) - phi(e)|| / omega(e)`` per element: the exact squared ratios
+    as a list when the weight and both maps are exact, else a numpy array of
+    the float ratios."""
+    if _can_run_exact(WS, theta, phi):
+        return [
+            _norm_sq_exact(t - p, theta.codomain, norm) / Fraction(w) ** 2
+            for t, p, w in zip(theta.values, phi.values, WS.omega)
+        ]
+    if theta.codomain == "scalar":
+        diffs = np.abs(_scalar_stack(theta) - _scalar_stack(phi))
+    elif theta.codomain == "t2":
+        ta, tb = _t2_stacks(theta)
+        pa, pb = _t2_stacks(phi)
+        diffs = np.abs(ta - pa) + np.abs(tb - pb)
+    else:
+        diffs = _m2_norms(_m2_stack(theta) - _m2_stack(phi), norm)
+    return diffs / WS.omega_float
+
+
 def weighted_sup_distance_report(
     ws_or_s, theta: AlgebraMap, phi: AlgebraMap, norm: str | None = None
 ) -> DistanceReport:
@@ -416,29 +440,14 @@ def weighted_sup_distance_report(
     if theta.n != WS.n or phi.n != WS.n:
         raise ParseError("map length does not match the semilattice")
     norm = _check_norm(theta.codomain, norm)
-    if _can_run_exact(WS, theta, phi):
-        ratios_sq = [
-            _norm_sq_exact(t - p, theta.codomain, norm) / Fraction(w) ** 2
-            for t, p, w in zip(theta.values, phi.values, WS.omega)
-        ]
-        best_sq = max(ratios_sq)
-        witness = ratios_sq.index(best_sq)  # the first, as a strict > scan finds it
-        root = _exact_sqrt(best_sq)
-        if root is not None:
-            return DistanceReport(root, witness, norm, best_sq, exact_value=True)
-        return DistanceReport(math.sqrt(float(best_sq)), witness, norm, best_sq, False)
-    w = WS.omega_float
-    if theta.codomain == "scalar":
-        diffs = np.abs(_scalar_stack(theta) - _scalar_stack(phi))
-    elif theta.codomain == "t2":
-        ta, tb = _t2_stacks(theta)
-        pa, pb = _t2_stacks(phi)
-        diffs = np.abs(ta - pa) + np.abs(tb - pb)
-    else:
-        diffs = _m2_norms(_m2_stack(theta) - _m2_stack(phi), norm)
-    ratios = diffs / w
-    e = int(np.argmax(ratios))
-    return DistanceReport(float(ratios[e]), e, norm)
+    ratios = _element_ratios(WS, theta, phi, norm)
+    if isinstance(ratios, np.ndarray):
+        e = int(np.argmax(ratios))
+        return DistanceReport(float(ratios[e]), e, norm)
+    best_sq = max(ratios)
+    value, exact = _root(best_sq)
+    # the first maximum, as a strict > scan finds it
+    return DistanceReport(value, ratios.index(best_sq), norm, best_sq, exact)
 
 
 def weighted_sup_distance(ws_or_s, theta: AlgebraMap, phi: AlgebraMap, norm: str | None = None):

@@ -96,10 +96,10 @@ def enumerate_filters(S: Semilattice) -> list[Filter]:
     return [Filter(S.upset(m), m) for m in range(S.n)]
 
 
-def brute_force_filters(S: Semilattice, cap: int = 16) -> list[frozenset[int]]:
+def brute_force_filters(S: Semilattice) -> list[frozenset[int]]:
     """Definition-first enumeration over all ``2^n`` subsets (cross-check)."""
-    if S.n > cap:
-        raise ValueError(f"brute-force filter scan supports n <= {cap}")
+    if S.n > 16:
+        raise ValueError("brute-force filter scan supports n <= 16")
     found = []
     for mask in range(1, 1 << S.n):
         subset = frozenset(i for i in range(S.n) if (mask >> i) & 1)

@@ -53,7 +53,6 @@ __all__ = [
     "key_estimates",
     "ObstructionReport",
     "obstruction_check",
-    "sample_commuting_idempotents",
     "is_idempotent_within",
     "commute_within",
 ]
@@ -113,10 +112,6 @@ class Mat2(NamedTuple):
 
     def to_array(self) -> np.ndarray:
         return np.array([[complex(self.a), complex(self.b)], [complex(self.c), complex(self.d)]])
-
-    @classmethod
-    def from_array(cls, arr) -> "Mat2":
-        return cls(arr[0][0], arr[0][1], arr[1][0], arr[1][1])
 
 
 class T2Element(NamedTuple):
@@ -433,7 +428,6 @@ def obstruction_check(
     a: float | None = None,
     b: float | None = None,
     d: float | None = None,
-    tol: float = 1e-9,
 ) -> ObstructionReport:
     """Check the certified dichotomy against a pair of commuting idempotents.
 
@@ -442,9 +436,9 @@ def obstruction_check(
     ``||Q - B||_op >= b/2`` holds.  Scenario ``"double"`` (requires d >= 1):
     with C = (1 d / 0 0), at least one of ``||P - 2C||_op >= d/2`` and
     ``||Q - C||_op >= d/4`` holds.  Inputs are validated to be commuting
-    idempotents to within ``tol``.
+    idempotents to within 1e-9.
     """
-    _check_pair_inputs(P, Q, tol)
+    _check_pair_inputs(P, Q, 1e-9)
     slack = 1e-9
     if scenario == "pair":
         if a is None or b is None or not (a >= 1 and b >= 1):
@@ -466,7 +460,7 @@ def obstruction_check(
 
 
 # ---------------------------------------------------------------------------
-# Sampling commuting idempotent pairs (all four structural cases).
+# Rank-one idempotents.
 # ---------------------------------------------------------------------------
 
 
@@ -479,65 +473,3 @@ def _rank_one(v, cu, pairing) -> Mat2:
         v[1] * cu[0] / pairing,
         v[1] * cu[1] / pairing,
     )
-
-
-def _random_rank1_idempotent(rng: np.random.Generator, exact: bool) -> Mat2:
-    """P = v u* / (u* v) for random u, v with a non-degenerate pairing."""
-    from fractions import Fraction
-
-    while True:
-        if exact:
-            u = [Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 5))) for _ in range(2)]
-            v = [Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 5))) for _ in range(2)]
-            pairing = u[0] * v[0] + u[1] * v[1]
-            nu = u[0] ** 2 + u[1] ** 2
-            nv = v[0] ** 2 + v[1] ** 2
-            if nu == 0 or nv == 0:
-                continue
-            if 25 * pairing**2 < nu * nv:  # |<u,v>| >= 0.2 ||u|| ||v||
-                continue
-            return _rank_one(v, u, pairing)
-        re = rng.standard_normal(4)
-        im = rng.standard_normal(4)
-        u = [complex(re[0], im[0]), complex(re[1], im[1])]
-        v = [complex(re[2], im[2]), complex(re[3], im[3])]
-        pairing = u[0].conjugate() * v[0] + u[1].conjugate() * v[1]
-        nu = math.sqrt(abs(u[0]) ** 2 + abs(u[1]) ** 2)
-        nv = math.sqrt(abs(v[0]) ** 2 + abs(v[1]) ** 2)
-        if nu == 0.0 or nv == 0.0 or abs(pairing) < 0.2 * nu * nv:
-            continue
-        return _rank_one(v, (u[0].conjugate(), u[1].conjugate()), pairing)
-
-
-def sample_commuting_idempotents(
-    rng: np.random.Generator, count: int, exact: bool = False
-) -> list[tuple[Mat2, Mat2]]:
-    """Random commuting idempotent pairs covering all structural cases:
-    both scalar; equal rank-1; complementary (Q = I - P); one scalar.
-
-    In exact mode the entries are rational (real), and idempotency /
-    commutation hold exactly; in float mode they hold to machine precision.
-    """
-    one = 1 if exact else 1.0
-    zero_m = M2_ZERO if not exact else Mat2(0, 0, 0, 0)
-    id_m = M2_ID if not exact else Mat2(1, 0, 0, 1)
-    scalars = [zero_m, id_m]
-    pairs = []
-    for _ in range(count):
-        case = int(rng.integers(0, 4))
-        if case == 0:
-            P = scalars[int(rng.integers(0, 2))]
-            Q = scalars[int(rng.integers(0, 2))]
-        elif case == 1:
-            P = _random_rank1_idempotent(rng, exact)
-            Q = P
-        elif case == 2:
-            P = _random_rank1_idempotent(rng, exact)
-            Q = Mat2(one - P.a, -P.b, -P.c, one - P.d)
-        else:
-            P = scalars[int(rng.integers(0, 2))]
-            Q = _random_rank1_idempotent(rng, exact)
-            if rng.integers(0, 2):
-                P, Q = Q, P
-        pairs.append((P, Q))
-    return pairs

@@ -3,8 +3,10 @@
 For scalar and upper-triangular codomains the multiplicative maps form a
 finite, explicitly enumerable set (the zero map plus one map per filter),
 so the nearest one is found exhaustively — exactly, when the inputs are
-rational.  For the 2x2-matrix codomain the multiplicative maps form the
-finite-dimensional family
+rational.  The scan costs each candidate value once with the defects
+module's per-element kernel, which decides between exact and float costs,
+and ranks the float costs as it ranks the exact ones.  For the 2x2-matrix
+codomain the multiplicative maps form the finite-dimensional family
 
     phi = chi_F1 * P + chi_F2 * (I - P)
 
@@ -21,17 +23,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .defects import (
     AlgebraMap,
-    _can_run_exact,
     _check_norm,
-    _exact_sqrt,
-    _norm_sq_exact,
+    _element_ratios,
     _resolve,
+    _root,
     defect,
     m2_map,
     t2_map,
@@ -124,33 +126,34 @@ def enumerate_mult_t2(S) -> list[AlgebraMap]:
 
 
 def _exhaustive_nearest(WS, theta, maps, norm=None) -> NearestReport:
-    """The map of ``maps`` nearest ``theta``; the first one on ties.  The exact
-    path costs each distinct (element, value) once in ``Fraction`` and then
-    compares the maps by the integer ranks of the sorted costs."""
-    if not _can_run_exact(WS, theta, *maps):
-        reports = [weighted_sup_distance_report(WS, theta, m, norm) for m in maps]
-        dr, m = min(zip(reports, maps), key=lambda rec: rec[0].value_float)
-        value, witness, norm = dr.value_float, dr.witness, dr.norm
-        exact = dr.value if dr.exact_value else None
+    """The map of ``maps`` nearest ``theta``; the first one on ties.
+
+    Each distinct candidate value is costed once, against every element, by
+    :func:`defects._element_ratios`, which also decides the number type: exact
+    squared costs when the weight and ``theta`` are exact (the candidates are
+    0/1 maps), float costs otherwise.  The maps are then compared by the
+    integer ranks of the sorted costs, on both paths.
+    """
+    if theta.n != WS.n:
+        raise ParseError("map length does not match the semilattice")
+    norm = _check_norm(theta.codomain, norm)
+    values = dict.fromkeys(v for m in maps for v in m.values)
+    constant = (AlgebraMap(theta.codomain, (c,) * WS.n) for c in values)
+    costs = [_element_ratios(WS, theta, phi, norm) for phi in constant]
+    levels = sorted(set(chain.from_iterable(costs)))
+    rank = {q: i for i, q in enumerate(levels)}
+    ranks = {c: [rank[q] for q in per] for c, per in zip(values, costs)}
+    scans = ([ranks[c][e] for e, c in enumerate(m.values)] for m in maps)
+    top, r, m = min(((max(r), r, m) for r, m in zip(scans, maps)), key=lambda rec: rec[0])
+    witness = r.index(top)
+    if isinstance(costs[0], list):  # exact squared costs
+        value, exact = _root(levels[top])
     else:
-        if theta.n != WS.n:
-            raise ParseError("map length does not match the semilattice")
-        norm = _check_norm(theta.codomain, norm)
-        costs = [  # per element: candidate value -> exact squared weighted cost
-            {c: _norm_sq_exact(v - c, theta.codomain, norm) / Fraction(w) ** 2 for c in set(cs)}
-            for v, w, cs in zip(theta.values, WS.omega, zip(*(m.values for m in maps)))
-        ]
-        levels = sorted({Fraction(0)}.union(*(per.values() for per in costs)))
-        rank = {q: i for i, q in enumerate(levels)}
-        ranks = [{c: rank[q] for c, q in per.items()} for per in costs]
-        scans = ([per[c] for per, c in zip(ranks, m.values)] for m in maps)
-        top, r, m = min(((max(r), r, m) for r, m in zip(scans, maps)), key=lambda rec: rec[0])
-        witness, exact = r.index(top), _exact_sqrt(levels[top])
-        value = float(exact) if exact is not None else math.sqrt(float(levels[top]))
+        value, exact = levels[top], False
     return NearestReport(
         codomain=theta.codomain,
-        value=value,
-        value_exact=exact,
+        value=float(value),
+        value_exact=value if exact else None,
         best_map=m,
         witness=witness,
         norm=norm,

@@ -9,15 +9,13 @@ entitled to succeed.  All draws go through a caller-supplied
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
-import sys
 
 import numpy as np
 
 from .defects import AlgebraMap, defect, m2_map, scalar_map, t2_map
 from .filters import enumerate_filters, filter_indicator, zero_map
-from .mat2 import Mat2, _rank_one, hs_norm
+from .mat2 import M2_ID, M2_ZERO, Mat2, _rank_one, hs_norm
 from .oracle import m2_family_map
 from .semilattice import Semilattice
 from .weights import WeightedSemilattice, flighty_report
@@ -30,10 +28,14 @@ __all__ = [
     "random_binary_weighted_instance",
     "random_bounded_idempotent",
     "random_near_idempotent",
+    "sample_commuting_idempotents",
 ]
 
 _MAX_SHRINKS = 60
-_P_ATOL = math.sqrt(sys.float_info.epsilon)  # Generator.choice's tolerance on sum(p)
+_MIN_PAIRING = 0.35  # |u* v| of a sampled rank-one idempotent, so its HS norm is <= 1/0.35
+# random_near_idempotent's chances 0.2, 0.6, 0.2 of a base at 0, a rank-one P
+# and I, as the normalised cumulative sum that Generator.choice inverts
+_RANK_CDF = (0.2, 0.8, 1.0)
 
 
 def random_multiplicative_scalar(rng: np.random.Generator, S: Semilattice) -> AlgebraMap:
@@ -86,8 +88,8 @@ def random_t2_instance(
     raise RuntimeError("could not shrink T2 noise below the defect threshold")
 
 
-def random_bounded_idempotent(rng: np.random.Generator, *, min_pairing: float = 0.35) -> Mat2:
-    """A rank-one idempotent ``v u* / (u* v)`` with HS norm at most ``1/min_pairing``.
+def random_bounded_idempotent(rng: np.random.Generator) -> Mat2:
+    """A rank-one idempotent ``v u* / (u* v)`` with HS norm at most ``1/_MIN_PAIRING``.
 
     Entries are Python ``complex``: numpy scalars would slow every later
     ``Mat2`` operation on the result.
@@ -102,7 +104,7 @@ def random_bounded_idempotent(rng: np.random.Generator, *, min_pairing: float = 
             continue
         u, v = u / nu, v / nv
         pairing = complex(np.vdot(u, v))
-        if abs(pairing) < min_pairing:
+        if abs(pairing) < _MIN_PAIRING:
             continue
         return Mat2(*map(complex, _rank_one(v, u.conj(), pairing)))
 
@@ -171,23 +173,11 @@ def random_binary_weighted_instance(
     return psi
 
 
-def _weighted_index(rng: np.random.Generator, weights) -> int:
-    """``int(rng.choice(len(weights), p=weights))``, draw for draw.
-
-    Inverts the same normalised cumulative sum with one ``rng.random()``;
-    ``Generator.choice`` spends several microseconds validating ``p``.
-    """
-    cdf = list(itertools.accumulate(float(w) for w in weights))
-    if min(weights) < 0 or abs(cdf[-1] - 1.0) > _P_ATOL:
-        raise ValueError(f"weights must be non-negative and sum to 1, got {weights!r}")
-    return bisect.bisect_right([c / cdf[-1] for c in cdf], rng.random())
-
-
-def random_near_idempotent(
-    rng: np.random.Generator, eps: float, *, rank_weights=(0.2, 0.6, 0.2)
-) -> Mat2:
+def random_near_idempotent(rng: np.random.Generator, eps: float) -> Mat2:
     """A matrix with ``||A - A^2||_HS <= eps``, near a random 0/rank-one/identity."""
-    kind = _weighted_index(rng, rank_weights)
+    # int(rng.choice(3, p=(0.2, 0.6, 0.2))), draw for draw, without choice's
+    # validation of p, which costs several microseconds
+    kind = bisect.bisect_right(_RANK_CDF, rng.random())
     if kind == 0:
         base = Mat2(0.0j, 0.0j, 0.0j, 0.0j)
     elif kind == 2:
@@ -202,3 +192,27 @@ def random_near_idempotent(
             return A
         scale *= 0.5
     return base
+
+
+def sample_commuting_idempotents(rng: np.random.Generator, count: int) -> list[tuple[Mat2, Mat2]]:
+    """Random commuting idempotent pairs covering all structural cases:
+    both scalar; equal rank-1; complementary (Q = I - P); one scalar."""
+    scalars = [M2_ZERO, M2_ID]
+    pairs = []
+    for _ in range(count):
+        case = int(rng.integers(0, 4))
+        if case == 0:
+            P = scalars[int(rng.integers(0, 2))]
+            Q = scalars[int(rng.integers(0, 2))]
+        elif case == 1:
+            P = Q = random_bounded_idempotent(rng)
+        elif case == 2:
+            P = random_bounded_idempotent(rng)
+            Q = M2_ID - P
+        else:
+            P = scalars[int(rng.integers(0, 2))]
+            Q = random_bounded_idempotent(rng)
+            if rng.integers(0, 2):
+                P, Q = Q, P
+        pairs.append((P, Q))
+    return pairs

@@ -473,10 +473,11 @@ def height(S: Semilattice) -> int:
 # ---------------------------------------------------------------------------
 
 
-def random_poset(rng: np.random.Generator, n: int, p: float = 0.3) -> np.ndarray:
-    """Random poset as a reflexive leq matrix (random DAG + transitive closure)."""
+def random_poset(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Random poset as a reflexive leq matrix: a random DAG (each forward edge
+    with chance 0.3) and its transitive closure."""
     perm = rng.permutation(n)
-    up = np.triu(rng.random((n, n)) < p, 1)
+    up = np.triu(rng.random((n, n)) < 0.3, 1)
     closure = up.copy()
     while True:
         nxt = closure | (closure @ closure)
@@ -491,21 +492,19 @@ def random_poset(rng: np.random.Generator, n: int, p: float = 0.3) -> np.ndarray
     return leq
 
 
-def random_semilattice(
-    rng: np.random.Generator, max_n: int = 8, universe: int = 6
-) -> Semilattice:
+def random_semilattice(rng: np.random.Generator, max_n: int = 8) -> Semilattice:
     """Random semilattice: an intersection-closed family of bitmask subsets.
 
-    Seeds a few random subsets of a small universe, closes under pairwise
-    intersection, and retries until the closure has at most ``max_n``
-    elements.  The product is intersection, which is automatically
+    Seeds a few random subsets of a six-element universe, closes under
+    pairwise intersection, and retries until the closure has at most
+    ``max_n`` elements.  The product is intersection, which is automatically
     commutative, idempotent and associative.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     while True:
         seeds = int(rng.integers(1, max_n + 1))
-        family = {int(rng.integers(0, 1 << universe)) for _ in range(seeds)}
+        family = {int(rng.integers(0, 1 << 6)) for _ in range(seeds)}
         while True:
             new = {a & b for a in family for b in family} - family
             if not new:

@@ -256,16 +256,16 @@ def flighty_constant(WS: WeightedSemilattice, K):
 
 
 def random_submultiplicative_weight(
-    rng: np.random.Generator, S: Semilattice, spread: float = 2.5
+    rng: np.random.Generator, S: Semilattice
 ) -> WeightedSemilattice:
     """Random float weight >= 1, repaired to submultiplicativity.
 
-    Starts from log-uniform values and repeatedly caps ``omega(x*y)`` by
-    ``omega(x)*omega(y)`` until a fixpoint; the result stays >= 1 because the
-    caps are products of values >= 1.
+    Starts from log-uniform values in ``[1, e**2.5]`` and repeatedly caps
+    ``omega(x*y)`` by ``omega(x)*omega(y)`` until a fixpoint; the result
+    stays >= 1 because the caps are products of values >= 1.
     """
     n = S.n
-    vals = [float(v) for v in np.exp(rng.uniform(0.0, spread, n))]
+    vals = [float(v) for v in np.exp(rng.uniform(0.0, 2.5, n))]
     table = S.table
     for _ in range(5 * n + 10):
         changed = False

@@ -382,3 +382,26 @@ def test_an_irrational_op_norm_pair_that_is_filtered_out_does_not_raise():
 def test_an_irrational_op_norm_pair_at_the_maximum_still_raises():
     with pytest.raises(ValueError, match="perfect-square discriminant"):
         defect(nmin(3), _irrational_op_pair_map(), "op")
+
+
+# ---------------------------------------------------------------------------
+# Exact squares past the float range.
+# ---------------------------------------------------------------------------
+
+
+def test_an_exact_defect_past_the_float_range_has_a_float_root():
+    # theta^2 - theta = [[0, 0], [x - 1, x^2 - x]]: defect^2 = (x - 1)^2 (1 + x^2)
+    # has no rational root, and float(defect^2) overflows
+    x = 2**300
+    rep = defect(nmin(1), m2_map([Mat2(0, 0, 1, x)]))
+    assert rep.defect_sq == (x - 1) ** 2 * (1 + x**2)
+    assert not rep.exact_value and rep.witness == (0, 0)
+    assert rep.defect == 2.0**600  # (x - 1) sqrt(1 + x^2), correctly rounded
+
+
+def test_an_exact_distance_past_the_float_range_has_a_float_root():
+    zero = m2_map([Mat2(0, 0, 0, 0)])
+    rep = weighted_sup_distance_report(nmin(1), m2_map([Mat2(2**600, 1, 0, 0)]), zero)
+    assert rep.value_sq == 2**1200 + 1
+    assert not rep.exact_value and rep.witness == 0
+    assert rep.value == 2.0**600

@@ -1,4 +1,5 @@
 """Pinned instance streams: a refactor of the samplers must draw the same maps.
+The commuting-idempotent sampler is checked for coverage instead.
 
 Each digest is a SHA-256 over ``repr(complex(x))`` of every map entry of 500
 instances from ``default_rng(707)``, each made by ``random_semilattice`` and
@@ -13,12 +14,16 @@ import numpy as np
 import pytest
 
 from amnm import (
+    M2_ID,
+    M2_ZERO,
+    hs_norm,
     random_binary_weighted_instance,
     random_m2_instance,
     random_scalar_instance,
     random_semilattice,
     random_submultiplicative_weight,
     random_t2_instance,
+    sample_commuting_idempotents,
 )
 
 
@@ -45,3 +50,26 @@ def test_instance_stream_is_pinned(name):
             for x in [v] if theta.codomain == "scalar" else v:
                 digest.update(repr(complex(x)).encode())
     assert digest.hexdigest() == expected
+
+
+def _structure(P, Q) -> str:
+    scalar = [M in (M2_ZERO, M2_ID) for M in (P, Q)]
+    if all(scalar):
+        return "both scalar"
+    if any(scalar):
+        return "one scalar"
+    if P == Q:
+        return "equal rank one"
+    assert hs_norm(P + Q - M2_ID) < 1e-12
+    return "complementary"
+
+
+def test_commuting_idempotent_pairs_cover_all_four_cases():
+    pairs = sample_commuting_idempotents(np.random.default_rng(0), 200)
+    assert len(pairs) == 200
+    assert {_structure(P, Q) for P, Q in pairs} == {
+        "both scalar",
+        "one scalar",
+        "equal rank one",
+        "complementary",
+    }
