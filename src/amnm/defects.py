@@ -237,6 +237,7 @@ _FILTER_CELLS = 1 << 14  # pairs per row block of the float pass
 _FILTER_RANGE = 2.0**250  # largest normalised entry the float pass accepts
 _FILTER_REL, _FILTER_ABS = 2.0**-40, 2.0**-500  # the enclosure's relative and absolute width
 _INV_SQRT2_DOWN = 0.7071067811865  # below 1/sqrt(2), even after rounding a product
+_UNSCALED_RANGE = 2.0**250  # the float kernels rescale past this entry or weight
 
 
 def _normalised_entries(WS: WeightedSemilattice, theta: AlgebraMap):
@@ -341,13 +342,27 @@ def _m2_stack(theta: AlgebraMap) -> np.ndarray:
 
 
 def _m2_norms(D: np.ndarray, norm: str) -> np.ndarray:
-    """HS or operator norms of a ``(..., 2, 2)`` stack of matrices."""
-    t = np.sum(np.abs(D) ** 2, axis=(-2, -1))
+    """HS or operator norms of a ``(..., 2, 2)`` stack of matrices.
+
+    Past ``_UNSCALED_RANGE`` the squares, or the operator norm's ``t * t``,
+    could overflow: then each matrix is scaled by the power of two at its
+    largest entry, which is exact, and its norm scaled back.
+    """
+    A = np.abs(D)
+    k = None
+    if A.max(initial=0.0) > _UNSCALED_RANGE:
+        k = np.frexp(A.max(axis=(-2, -1)))[1]
+        D = D.copy()  # scale the parts apart: a complex product turns inf into nan
+        D.real, D.imag = [np.ldexp(part, -k[..., None, None]) for part in (D.real, D.imag)]
+        A = np.abs(D)
+    t = np.sum(A**2, axis=(-2, -1))
     if norm == "hs":
-        return np.sqrt(t)
-    det = D[..., 0, 0] * D[..., 1, 1] - D[..., 0, 1] * D[..., 1, 0]
-    disc = np.maximum(t * t - 4.0 * np.abs(det) ** 2, 0.0)
-    return np.sqrt((t + np.sqrt(disc)) / 2.0)
+        out = np.sqrt(t)
+    else:
+        det = D[..., 0, 0] * D[..., 1, 1] - D[..., 0, 1] * D[..., 1, 0]
+        disc = np.maximum(t * t - 4.0 * np.abs(det) ** 2, 0.0)
+        out = np.sqrt((t + np.sqrt(disc)) / 2.0)
+    return out if k is None else np.ldexp(out, k)
 
 
 def _pair_norms_float(theta: AlgebraMap, table: np.ndarray, norm: str) -> np.ndarray:
@@ -367,7 +382,11 @@ def _pair_norms_float(theta: AlgebraMap, table: np.ndarray, norm: str) -> np.nda
 def _defect_float(WS: WeightedSemilattice, theta: AlgebraMap, norm: str) -> DefectReport:
     table = WS.S.table
     w = WS.omega_float
-    ratios = _pair_norms_float(theta, table, norm) / (w[:, None] * w[None, :])
+    norms = _pair_norms_float(theta, table, norm)
+    if w.max() > _UNSCALED_RANGE:  # the product of two weights could overflow
+        ratios = norms / w[:, None] / w[None, :]
+    else:
+        ratios = norms / (w[:, None] * w[None, :])
     if theta.codomain != "m2":
         # symmetric defect function: restrict to i <= j (keeps the same
         # maximum and the same lexicographically-first witness)

@@ -146,18 +146,39 @@ def abs2(x):
     return v.real if isinstance(v, complex) else v
 
 
+def _complex_hs_sq(a: complex, b: complex, c: complex, d: complex) -> float:
+    # re^2 + im^2 has the same bits as abs2's (z * z.conjugate()).real,
+    # without the product or four calls.
+    return (
+        (a.real * a.real + a.imag * a.imag)
+        + (b.real * b.real + b.imag * b.imag)
+        + (c.real * c.real + c.imag * c.imag)
+        + (d.real * d.real + d.imag * d.imag)
+    )
+
+
+def _op_from_gram(t: float, det_sq: float) -> float:
+    """Largest singular value from ``t = tr(A* A)`` and ``|det A|^2``."""
+    disc = max(t * t - 4.0 * det_sq, 0.0)
+    return math.sqrt((t + math.sqrt(disc)) / 2.0)
+
+
+def _complex_norm(a: complex, b: complex, c: complex, d: complex, op: bool) -> float:
+    """HS norm, or operator norm when ``op``, of the matrix with the four
+    ``complex`` entries: :func:`hs_norm` and :func:`op_norm` without the
+    ``Mat2``, for the scalar float kernels."""
+    t = _complex_hs_sq(a, b, c, d)
+    if not op:
+        return math.sqrt(t)
+    det = a * d - b * c
+    return _op_from_gram(t, det.real * det.real + det.imag * det.imag)
+
+
 def hs_norm_sq(A: Mat2):
     """Squared Hilbert-Schmidt norm tr(A* A); exact for exact entries."""
     a, b, c, d = A
     if type(a) is type(b) is type(c) is type(d) is complex:
-        # The float path.  re^2 + im^2 has the same bits as abs2's
-        # (z * z.conjugate()).real, without the product or four calls.
-        return (
-            (a.real * a.real + a.imag * a.imag)
-            + (b.real * b.real + b.imag * b.imag)
-            + (c.real * c.real + c.imag * c.imag)
-            + (d.real * d.real + d.imag * d.imag)
-        )
+        return _complex_hs_sq(a, b, c, d)
     return abs2(a) + abs2(b) + abs2(c) + abs2(d)
 
 
@@ -167,10 +188,7 @@ def hs_norm(A: Mat2) -> float:
 
 def op_norm(A: Mat2) -> float:
     """Largest singular value, from the closed form on the 2x2 Gram trace."""
-    t = float(hs_norm_sq(A))
-    d = float(abs2(A.det))
-    disc = max(t * t - 4.0 * d, 0.0)
-    return math.sqrt((t + math.sqrt(disc)) / 2.0)
+    return _op_from_gram(float(hs_norm_sq(A)), float(abs2(A.det)))
 
 
 def t2_norm(x: T2Element):
@@ -467,9 +485,12 @@ def obstruction_check(
 def _rank_one(v, cu, pairing) -> Mat2:
     """The rank-one idempotent ``v u* / (u* v)``, given ``v``, ``conj(u)`` and
     the pairing ``u* v``; each entry is ``v[i] * cu[j] / pairing``."""
-    return Mat2(
-        v[0] * cu[0] / pairing,
-        v[0] * cu[1] / pairing,
-        v[1] * cu[0] / pairing,
-        v[1] * cu[1] / pairing,
+    return _tuple_new(
+        Mat2,
+        (
+            v[0] * cu[0] / pairing,
+            v[0] * cu[1] / pairing,
+            v[1] * cu[0] / pairing,
+            v[1] * cu[1] / pairing,
+        ),
     )

@@ -14,8 +14,11 @@ over pairs of empty-or-filter index sets and idempotents ``P``; the search
 scans every (F1, F2) cell, prunes by the P-independent part of the cost,
 seeds each surviving cell with idempotents read off from the map's own
 values, and polishes the leaders with a derivative-free simplex descent
-over a rank-one parametrization.  The result is an upper bound on the true
-distance that is certified to be attained by an exactly multiplicative map.
+over a rank-one parametrization.  The descent is this module's own
+Nelder-Mead (:func:`minimize`), run on one scalar cell objective over the
+map's ``complex`` entries, so the search needs nothing beyond numpy.  The
+result is an upper bound on the true distance that is certified to be
+attained by an exactly multiplicative map.
 """
 
 from __future__ import annotations
@@ -23,10 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
+from operator import add
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .defects import (
     AlgebraMap,
@@ -45,11 +49,10 @@ from .mat2 import (
     M2_ID,
     Mat2,
     T2Element,
+    _complex_norm,
     _rank_one,
-    hs_norm,
     is_idempotent_within,
     nearest_binary_idempotent,
-    op_norm,
 )
 
 __all__ = [
@@ -261,17 +264,110 @@ def _params_from_idempotent(P: Mat2):
     av = angles(v)
     if au is None or av is None:
         return None
-    return np.array([au[0], au[1], av[0], av[1]])
+    return au[0], au[1], av[0], av[1]
 
 
 def _idempotent_from_params(x) -> Mat2 | None:
-    alpha, phi1, beta, phi2 = (float(t) for t in x)
+    alpha, phi1, beta, phi2 = x
     u = (math.cos(alpha), math.sin(alpha) * complex(math.cos(phi1), math.sin(phi1)))
     v = (math.cos(beta), math.sin(beta) * complex(math.cos(phi2), math.sin(phi2)))
     pairing = u[0] * v[0] + u[1].conjugate() * v[1]
     if abs(pairing) < 1e-3:
         return None
     return _rank_one(v, (u[0], u[1].conjugate()), pairing)
+
+
+# The simplex polish: the non-adaptive Nelder-Mead method (Nelder and Mead,
+# Comput. J. 7, 1965; Lagarias et al., SIAM J. Optim. 9, 1998), with at most
+# 400 iterations and the stopping tolerances below.
+_MAXITER = 400
+_XATOL = 1e-9
+_FATOL = 1e-12
+
+
+def _ordered(sim, fsim):
+    # np.argsort, not sorted(): equal values keep the reference's tie order
+    ind = np.array(fsim).argsort().tolist()
+    return [sim[i] for i in ind], [fsim[i] for i in ind]
+
+
+def minimize(fun, x0) -> list[float]:
+    """Nelder-Mead descent of ``fun`` from ``x0``; returns the best vertex.
+
+    A port of the widely used reference implementation with the options
+    above: the same initial simplex (each coordinate times 1.05, or 0.00025
+    where it is zero), the same float expressions in the same order
+    (rho = 1, chi = 2, psi = sigma = 1/2), the same vertex order, so the same
+    calls of ``fun`` and the same bits in the result.  ``tests/test_oracle.py``
+    compares the two where the reference is installed.
+    """
+    n = len(x0)
+    sim = [list(x0)]
+    for k in range(n):
+        y = list(x0)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    fsim = [fun(x) for x in sim]
+    sim, fsim = _ordered(*_ordered(sim, fsim))  # the reference sorts twice here
+    for _ in range(_MAXITER - 1):  # the initial simplex counts as iteration 1
+        best = sim[0]
+        if all(abs(x - b) <= _XATOL for v in sim[1:] for x, b in zip(v, best)) and all(
+            abs(fsim[0] - f) <= _FATOL for f in fsim[1:]
+        ):
+            break
+        last = sim[-1]
+        xbar = [reduce(add, col) / n for col in zip(*sim[:-1])]
+        xr = [2 * c - x for c, x in zip(xbar, last)]
+        fxr = fun(xr)
+        if fxr < fsim[0]:
+            xe = [3 * c - 2 * x for c, x in zip(xbar, last)]
+            fxe = fun(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = [1.5 * c - 0.5 * x for c, x in zip(xbar, last)]
+                fxc = fun(xc)
+                accept = fxc <= fxr
+            else:  # inside contraction
+                xc = [0.5 * c + 0.5 * x for c, x in zip(xbar, last)]
+                fxc = fun(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink towards the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = [b + 0.5 * (x - b) for b, x in zip(best, sim[j])]
+                    fsim[j] = fun(sim[j])
+        sim, fsim = _ordered(sim, fsim)
+    return sim[0]
+
+
+def _cell_objective(theta_c, om, p_only, q_only, const, op: bool):
+    """The cost of ``P`` in one (F1, F2) cell: the largest of ``const`` and
+    ``||theta(e) - P|| / omega(e)`` over ``p_only``, ``||theta(e) - (I - P)||
+    / omega(e)`` over ``q_only``.  ``theta_c`` holds the values with
+    ``complex`` entries; the differences and norms are those of ``Mat2``
+    arithmetic with :func:`hs_norm` or :func:`op_norm`, bit for bit."""
+    p_terms = [(*theta_c[e], om[e]) for e in p_only]
+    q_terms = [(*theta_c[e], om[e]) for e in q_only]
+
+    def cost(P) -> float:
+        pa, pb, pc, pd = P
+        qa, qb, qc, qd = 1 - pa, 0 - pb, 0 - pc, 1 - pd  # M2_ID - P
+        val = const
+        for a, b, c, d, w in p_terms:
+            r = _complex_norm(a - pa, b - pb, c - pc, d - pd, op) / w
+            if r > val:  # max(val, r)
+                val = r
+        for a, b, c, d, w in q_terms:
+            r = _complex_norm(a - qa, b - qb, c - qc, d - qd, op) / w
+            if r > val:
+                val = r
+        return val
+
+    return cost
 
 
 def nearest_mult_m2(
@@ -295,15 +391,15 @@ def nearest_mult_m2(
         raise ValueError("nearest_mult_m2 expects a 2x2-matrix-valued map")
     if norm not in ("hs", "op"):
         raise ValueError(f"norm must be 'hs' or 'op', got {norm!r}")
-    normf = hs_norm if norm == "hs" else op_norm
+    op = norm == "op"
     theta_c = [Mat2(*(complex(x) for x in v)) for v in theta.values]
     om = [float(x) for x in WS.omega_float]
     n = S.n
     rng = np.random.default_rng(seed)
     options: list[Filter | None] = [None] + list(enumerate_filters(S))
 
-    norm_to_id = [normf(theta_c[e] - M2_ID) / om[e] for e in range(n)]
-    norm_to_zero = [normf(theta_c[e]) / om[e] for e in range(n)]
+    norm_to_id = [_complex_norm(a - 1, b, c, d - 1, op) / w for (a, b, c, d), w in zip(theta_c, om)]
+    norm_to_zero = [_complex_norm(*t, op) / w for t, w in zip(theta_c, om)]
 
     evaluations = 0
     best_val = math.inf
@@ -312,24 +408,15 @@ def nearest_mult_m2(
     # P-independent cells first: phi = chi_F * I (including the zero map).
     for opt in options:
         members = opt.members if opt is not None else frozenset()
-        cost = 0.0
+        value = 0.0
         for e in range(n):
-            cost = max(cost, norm_to_id[e] if e in members else norm_to_zero[e])
+            value = max(value, norm_to_id[e] if e in members else norm_to_zero[e])
         evaluations += 1
-        if cost < best_val:
-            best_val, best_cell = cost, (opt, opt, None)
-
-    def cell_objective(p_only, q_only, const, P):
-        val = const
-        comp = M2_ID - P
-        for e in p_only:
-            val = max(val, normf(theta_c[e] - P) / om[e])
-        for e in q_only:
-            val = max(val, normf(theta_c[e] - comp) / om[e])
-        return val
+        if value < best_val:
+            best_val, best_cell = value, (opt, opt, None)
 
     pruned = 0
-    survivors = []  # (cell_val, counter, F1, F2, P, p_only, q_only, const)
+    survivors = []  # (cell_val, counter, F1, F2, P, cost)
     counter = 0
     for i1, F1 in enumerate(options):
         m1 = F1.members if F1 is not None else frozenset()
@@ -348,27 +435,26 @@ def nearest_mult_m2(
                 continue
             p_only = sorted(m1 - m2)
             q_only = sorted(m2 - m1)
+            cost = _cell_objective(theta_c, om, p_only, q_only, const, op)
             candidates = []
             for e in p_only:
                 candidates.append(nearest_binary_idempotent(theta_c[e])[0])
             for e in q_only:
                 candidates.append(M2_ID - nearest_binary_idempotent(theta_c[e])[0])
             for _ in range(starts):
-                P = _idempotent_from_params(rng.uniform(0.0, 2.0 * math.pi, size=4))
+                P = _idempotent_from_params(rng.uniform(0.0, 2.0 * math.pi, size=4).tolist())
                 if P is not None:
                     candidates.append(P)
             cell_best = None
             for P in candidates:
-                val = cell_objective(p_only, q_only, const, P)
+                val = cost(P)
                 evaluations += 1
                 if cell_best is None or val < cell_best[0]:
                     cell_best = (val, P)
             if cell_best is None:
                 continue
             counter += 1
-            survivors.append(
-                (cell_best[0], counter, F1, F2, cell_best[1], p_only, q_only, const)
-            )
+            survivors.append((cell_best[0], counter, F1, F2, cell_best[1], cost))
             if cell_best[0] < best_val:
                 best_val = cell_best[0]
                 best_cell = (F1, F2, cell_best[1])
@@ -376,7 +462,7 @@ def nearest_mult_m2(
     polish_improved = False
     if polish and survivors:
         survivors.sort(key=lambda rec: (rec[0], rec[1]))
-        for val, _, F1, F2, P, p_only, q_only, const in survivors[:_POLISH_TOP]:
+        for val, _, F1, F2, P, cost in survivors[:_POLISH_TOP]:
             x0 = _params_from_idempotent(P)
             if x0 is None:
                 continue
@@ -387,18 +473,12 @@ def nearest_mult_m2(
                 cand = _idempotent_from_params(x)
                 if cand is None:
                     return 1e6
-                return cell_objective(p_only, q_only, const, cand)
+                return cost(cand)
 
-            res = minimize(
-                objective,
-                x0,
-                method="Nelder-Mead",
-                options={"maxiter": 400, "xatol": 1e-9, "fatol": 1e-12},
-            )
-            cand = _idempotent_from_params(res.x)
+            cand = _idempotent_from_params(minimize(objective, x0))
             if cand is None:
                 continue
-            val = cell_objective(p_only, q_only, const, cand)
+            val = cost(cand)
             if val < best_val:
                 best_val, best_cell = val, (F1, F2, cand)
                 polish_improved = True

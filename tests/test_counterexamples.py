@@ -1,5 +1,6 @@
 """Counterexample families: exact defect formulas and certified distance floors."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -189,6 +190,20 @@ def test_m2_chain_nonuniform_defect_formula():
     # only the lower bound 1/2 is proved; a search finds about 1
     assert r.distance_exact is None and r.distance_lower_bound == 0.5
     assert float(r.defect.defect) <= (2.0 / 3.0) * 0.02 + 1e-15
+
+
+@pytest.mark.parametrize("spike", [1e80, 1e160, 1e200, 1e300])
+def test_m2_chain_nonuniform_with_float_weights_past_the_square_range(spike):
+    # omega(i)^2 and the squares of theta(i)'s entries overflow a float, so the
+    # float kernels rescale; the defect is 2 sqrt(1 + omega(i)^2) / omega(i)^2
+    WS = spiked_weight(9, 4, spike)
+    r = theta_m2_chain_nonuniform(WS, 0.05)
+    expected = 2 / spike * math.sqrt(1 + 1 / spike / spike)
+    assert r.defect.witness == (4, 4)
+    for norm in ("hs", "op"):
+        rep = defect(WS, r.theta, norm)
+        assert rep.witness == (4, 4)
+        assert rep.defect_float == pytest.approx(expected, rel=1e-14)
 
 
 def test_m2_chain_nonuniform_requires_a_spike():

@@ -1,11 +1,18 @@
 """Independent search for nearest multiplicative maps: enumeration and descent."""
 
+import hashlib
 import itertools
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import amnm
 from amnm import (
     M2_ID,
     M2_ZERO,
@@ -17,6 +24,7 @@ from amnm import (
     enumerate_mult_scalar,
     enumerate_mult_t2,
     free_semilattice,
+    geometric_weight,
     m2_family_map,
     m2_map,
     nearest_mult_m2,
@@ -26,7 +34,10 @@ from amnm import (
     random_m2_instance,
     random_semilattice,
     scalar_map,
+    spiked_weight,
     t2_map,
+    theta_m2_chain,
+    theta_m2_chain_nonuniform,
     to_jsonable,
     weighted,
     weighted_sup_distance,
@@ -183,3 +194,118 @@ def test_nearest_m2_beats_or_matches_the_diagonal_cells(rng):
     for F in filters:
         phi = m2_family_map(S, F, F, Mat2(1.0, 0.0, 0.0, 0.0))
         assert rep.value <= float(weighted_sup_distance(S, theta, phi, "hs")) + 1e-12
+
+
+def _report_record(rep) -> bytes:
+    d = rep.details
+    P = d["P"]
+    entries = None if P is None else [complex(x) for row in P for x in row]
+    return repr((
+        rep.value.hex(),
+        rep.witness,
+        None if P is None else [(z.real.hex(), z.imag.hex()) for z in entries],
+        d["evaluations"],
+        d["pruned"],
+        d["polish_improved"],
+        d["internal_value"].hex(),
+    )).encode()
+
+
+def test_m2_oracle_output_stream_is_pinned():
+    """SHA-256 over the oracle's reports: the first 150 criterion-7 instances
+    (HS, 8 starts), the next 50 in the operator norm with 2 starts, and
+    criterion 8's two 64-start chain searches.  Value, witness, ``P``,
+    evaluation and pruning counts, whether the polish helped and the internal
+    value must all keep their bits."""
+    h = hashlib.sha256()
+    rng = np.random.default_rng(707)
+    for k in range(200):
+        S = random_semilattice(rng)
+        theta = random_m2_instance(rng, S)
+        if k < 150:
+            rep = nearest_mult_m2(S, theta, starts=8, seed=11)
+        else:
+            rep = nearest_mult_m2(S, theta, norm="op", starts=2, seed=11)
+        h.update(_report_record(rep))
+    for ws, chain in (
+        (geometric_weight(12), lambda ws: theta_m2_chain(ws, 0.05)),
+        (spiked_weight(9, 4, 400), lambda ws: theta_m2_chain_nonuniform(ws, 0.02)),
+    ):
+        rep = nearest_mult_m2(ws, chain(ws).theta, norm="op", starts=64, seed=8)
+        h.update(_report_record(rep))
+    assert h.hexdigest() == "0eaa3279eb1d32ad1807f82f2e7000dbdeead4358240a73dc87ad9cfb164ad13"
+
+
+# ---------------------------------------------------------------------------
+# The simplex polish against scipy's Nelder-Mead.
+# ---------------------------------------------------------------------------
+
+
+def _rosenbrock(x):
+    return float(sum(100.0 * (x[i + 1] - x[i] ** 2) ** 2 + (1.0 - x[i]) ** 2 for i in range(3)))
+
+
+def _plateau(x):
+    # flat at 1 near the origin: tied vertex values, contractions and shrinks
+    return float(max(1.0, max(abs(t) for t in x)))
+
+
+def _walled(x):
+    # the oracle's wall for a singular pairing, here past x[0] = 1.2
+    if x[0] > 1.2:
+        return 1e6
+    return float(sum((t - 2.0) ** 2 for t in x))
+
+
+def _nan_region(x):
+    if x[1] < -0.5:
+        return math.nan
+    return float(abs(x[0] - 0.3) + abs(x[1] + 0.4) + abs(x[2]) + abs(x[3]))
+
+
+@pytest.mark.parametrize(
+    "fun, x0, status",
+    [
+        (_rosenbrock, (-2.0, 2.0, -2.0, 2.0), 2),  # stops at maxiter
+        (_plateau, (0.1, -0.2, 0.3, 0.05), 0),
+        (_walled, (1.0, 0.5, 0.0, 1.5), 0),
+        (_nan_region, (0.0, 0.0, 0.0, 0.0), 2),  # every coordinate takes the zero step
+        (_plateau, (2.0, 0.0, -1.0, 0.0), 0),
+    ],
+)
+def test_simplex_polish_matches_scipy_nelder_mead(fun, x0, status):
+    """Same result bits and the same number of calls as scipy, on objectives
+    that take every step: expansion, reflection, both contractions, shrinks
+    (on the plateau), ties, the wall, NaN values and zero start entries."""
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    calls = {"ours": 0, "scipy": 0}
+
+    def counted(key):
+        def f(x):
+            calls[key] += 1
+            return fun(x)
+
+        return f
+
+    ours = amnm.oracle.minimize(counted("ours"), x0)
+    ref = scipy_optimize.minimize(
+        counted("scipy"),
+        np.array(x0),
+        method="Nelder-Mead",
+        options={"maxiter": 400, "xatol": 1e-9, "fatol": 1e-12},
+    )
+    assert ref.status == status
+    assert [float(v).hex() for v in ours] == [float(v).hex() for v in ref.x]
+    assert calls["ours"] == calls["scipy"] == ref.nfev
+
+
+def test_importing_amnm_loads_no_scipy():
+    """The polish is the oracle's own, so the library and the CLI run without scipy."""
+    code = (
+        "import sys, amnm, amnm.cli; "
+        "sys.exit(' '.join(m for m in sys.modules if m.partition('.')[0] == 'scipy') or None)"
+    )
+    package_root = str(Path(amnm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=package_root)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, text=True)
+    assert proc.returncode == 0, f"import amnm loaded {proc.stderr.strip()}"
