@@ -209,14 +209,18 @@ def _weights_and_unit(WS: WeightedSemilattice):
     return (list(WS.omega), 1) if WS.is_exact else ([float(x) for x in WS.omega_float], 1.0)
 
 
+_CLOSED_FORM_BAND = ((1 - Fraction(1, 10**12)) ** 2, (1 + Fraction(1, 10**12)) ** 2)
+
+
 def _check_closed_form(value: float, value_sq, expected_sq, what: str) -> None:
     """Raise unless a reported value is ``sqrt(expected_sq)``: exactly when the
-    report carries its exact square ``value_sq``, to 1e-12 relative otherwise."""
+    report carries its exact square ``value_sq``, to 1e-12 relative otherwise.
+    The float value is squared in ``Fraction``, so no scale underflows the check."""
     if value_sq is not None:
         holds = value_sq == expected_sq
     else:
-        want = math.sqrt(expected_sq)
-        holds = abs(value - want) <= 1e-12 * (1.0 + want)
+        low, high = (band * expected_sq for band in _CLOSED_FORM_BAND)
+        holds = 0 <= value < math.inf and low <= Fraction(value) ** 2 <= high
     if not holds:
         raise ClassificationFailure(f"{what} is {value!r}, expected sqrt({expected_sq!r})")
 
@@ -244,7 +248,7 @@ def theta_m_t2(WS: WeightedSemilattice, m: int) -> CounterexampleReport:
     rep = defect(WS, theta)
     if not (rep.witness == (m, m)):
         raise ClassificationFailure(f"defect witness {rep.witness!r} is not ({m},{m})")
-    inv_sq = (Fraction(1) / om[m]) ** 2
+    inv_sq = (1 / Fraction(om[m])) ** 2
     _check_closed_form(rep.defect_float, rep.defect_sq, inv_sq, "defect 1/omega(m)")
 
     mult_maps = _diagonal_t2(_mult_scalar_maps(S))
@@ -332,7 +336,7 @@ def theta_m2_chain(WS: WeightedSemilattice, delta: float) -> CounterexampleRepor
     rep = defect(WS, theta, "op")
     if rep.witness != (i, i + 1):
         raise ClassificationFailure(f"defect witness {rep.witness!r} is not ({i},{i + 1})")
-    expected = Fraction(1) / om[i] + Fraction(1) / om[i + 1]
+    expected = 1 / Fraction(om[i]) + 1 / Fraction(om[i + 1])
     _check_closed_form(
         rep.defect_float, rep.defect_sq, expected**2, "defect 1/omega(i) + 1/omega(i+1)"
     )
@@ -392,7 +396,7 @@ def theta_m2_chain_nonuniform(WS: WeightedSemilattice, delta: float) -> Countere
     rep = defect(WS, theta, "op")
     if rep.witness != (i, i):
         raise ClassificationFailure(f"defect witness {rep.witness!r} is not ({i},{i})")
-    inv = Fraction(1) / om[i]
+    inv = 1 / Fraction(om[i])
     _check_closed_form(
         rep.defect_float,
         rep.defect_sq,

@@ -19,6 +19,12 @@ This module is the only one that decides between the two (``_can_run_exact``):
 the oracle's exhaustive scan costs its candidates with ``_element_ratios``,
 and callers read the path off a report's ``defect_sq`` or ``value_sq``.
 
+The float path reads every codomain through :meth:`AlgebraMap.as_m2`, as the
+exact filter below does: scalars embed diagonally and T2 values as
+``[[a, b], [0, a]]``, so one ``(n, 2, 2)`` stack and one norm function
+(``_norms``, also the filter's) serve all three.  The exact scans keep the
+native values, whose ``Fraction`` products are cheaper than embedded ones.
+
 For matrix codomains the scan covers all ordered pairs — matrix values need
 not commute, and there are natural maps whose defect is attained at (e, f)
 but not (f, e).  For scalar and T2 codomains the defect function is symmetric
@@ -38,7 +44,11 @@ with ``|d| <= u = 2**-53`` and ``|e| <= 2**-1075``, an entry of ``D`` has at
 most three terms and is off by ``gamma_9 = 9u/(1 - 9u)`` times the sum of
 their absolute values (``mag`` sums these; it bounds every norm of ``D``),
 plus ``2**-820`` while all ``|x| <= 2**250``.  The norm adds ``gamma_4``
-relatively and ``2**-536`` for squares below the normal range.  So
+relatively and ``2**-536`` for squares below the normal range.  As ``r <= 1``
+for a submultiplicative weight, ``|D|`` stays below about ``2**501``, and past
+``2**250`` the norm rescales ``D`` by the power of two at its largest entry:
+that is exact except for entries pushed below the normal range, and their
+error is under ``2**-1070`` of the rescaled norm (at least 1/2).  So
 ``|nu - exact| <= 2**-48 mag + 2**-535``, and the code's width
 ``2**-40 (mag + nu) + 2**-500`` also covers its own roundings; a pair whose
 terms are all exactly zero has ``D = 0`` and no width.  The operator norm's
@@ -199,11 +209,11 @@ def _root(q: Fraction) -> tuple:
         return float(math.isqrt(num // den)), False
 
 
-def _norm_sq_exact(diff, codomain: str, norm: str) -> Fraction:
+def _norm_sq_exact(diff, norm: str) -> Fraction:
     """Exact squared norm of a difference value (real rational entries)."""
-    if codomain == "scalar":
+    if norm == "abs":
         return Fraction(diff) ** 2
-    if codomain == "t2":
+    if norm == "t2":
         return (abs(Fraction(diff.a)) + abs(Fraction(diff.b))) ** 2
     hs_sq = Fraction(hs_norm_sq(diff))
     if norm == "hs":
@@ -221,12 +231,6 @@ def _norm_sq_exact(diff, codomain: str, norm: str) -> Fraction:
     return (hs_sq + root) / 2
 
 
-def _value_mul(x, y, codomain: str):
-    if codomain == "scalar":
-        return x * y
-    return x @ y
-
-
 def _can_run_exact(WS: WeightedSemilattice, *maps: AlgebraMap) -> bool:
     # the one place that decides between the exact and the float path
     return WS.is_exact and all(m.is_exact for m in maps)
@@ -238,6 +242,42 @@ _FILTER_RANGE = 2.0**250  # largest normalised entry the float pass accepts
 _FILTER_REL, _FILTER_ABS = 2.0**-40, 2.0**-500  # the enclosure's relative and absolute width
 _INV_SQRT2_DOWN = 0.7071067811865  # below 1/sqrt(2), even after rounding a product
 _UNSCALED_RANGE = 2.0**250  # the float kernels rescale past this entry or weight
+
+
+def _stack(theta: AlgebraMap) -> np.ndarray:
+    """The :meth:`AlgebraMap.as_m2` values as an ``(n, 2, 2)`` complex array."""
+    entries = chain.from_iterable(theta.as_m2().values)
+    return np.fromiter(entries, complex, 4 * theta.n).reshape(-1, 2, 2)
+
+
+def _norms(D: np.ndarray, norm: str) -> np.ndarray:
+    """Norms of a ``(..., 2, 2)`` stack of embedded differences.
+
+    ``abs`` is ``|d00|`` and ``t2`` is ``|d00| + |d01|``, the norms of the
+    scalar and T2 values that :meth:`AlgebraMap.as_m2` embeds.  For ``hs`` and
+    ``op``, past ``_UNSCALED_RANGE`` the squares, or the operator norm's
+    ``t * t``, could overflow: then each matrix is scaled by the power of two
+    at its largest entry, which is exact, and its norm scaled back.
+    """
+    if norm == "abs":
+        return np.abs(D[..., 0, 0])
+    if norm == "t2":
+        return np.abs(D[..., 0, 0]) + np.abs(D[..., 0, 1])
+    A = np.abs(D)
+    k = None
+    if A.max(initial=0.0) > _UNSCALED_RANGE:
+        k = np.frexp(A.max(axis=(-2, -1)))[1]
+        # scale the float parts apart: a complex product turns inf into nan
+        D = np.ldexp(D.view(float), -k[..., None, None]).view(D.dtype)
+        A = np.abs(D)
+    t = np.sum(A**2, axis=(-2, -1))
+    if norm == "hs":
+        out = np.sqrt(t)
+    else:
+        det = D[..., 0, 0] * D[..., 1, 1] - D[..., 0, 1] * D[..., 1, 0]
+        disc = np.maximum(t * t - 4.0 * np.abs(det) ** 2, 0.0)
+        out = np.sqrt((t + np.sqrt(disc)) / 2.0)
+    return out if k is None else np.ldexp(out, k)
 
 
 def _normalised_entries(WS: WeightedSemilattice, theta: AlgebraMap):
@@ -264,16 +304,14 @@ def _pair_enclosures(M, nonzero, mant, expo, table, norm: str, rows: slice):
     k = np.clip(expo[P] - expo[rows, None] - expo[None, :], -2000, 2000)
     r = np.ldexp(mant[P] / (mant[rows, None] * mant[None, :]), k.astype(np.int32))
     x, y = M.T, M[rows].T[..., None]
-    # entry i = 2 row + col of x_e x_f - r x_ef, one (block, n) array each
+    # entry i = 2 row + col of x_e x_f - r x_ef, as a (block, n, 2, 2) stack
     D = [y[i & 2] * x[i & 1] + y[(i & 2) + 1] * x[(i & 1) + 2] - r * x[i][P] for i in range(4)]
+    D = np.stack(D, axis=-1).reshape(r.shape + (2, 2))
     A = np.abs(M)
     # the sum over entries of |x_e| |x_f| + r |x_ef|, which bounds every norm of D
     col, row = A[:, [0, 1]] + A[:, [2, 3]], A[:, [0, 2]] + A[:, [1, 3]]
     mag = col[rows] @ row.T + r * A.sum(axis=1)[P]
-    if norm in ("hs", "op"):
-        nu = np.sqrt(D[0] * D[0] + D[1] * D[1] + D[2] * D[2] + D[3] * D[3])
-    else:
-        nu = np.abs(D[0]) + (norm == "t2") * np.abs(D[1])
+    nu = _norms(D, "hs" if norm == "op" else norm)
     live = (nonzero[rows, None] & nonzero[None, :]) | nonzero[P]
     width = _FILTER_REL * (mag + nu) + _FILTER_ABS * live
     lo, hi = np.maximum(nu - width, 0.0), nu + width
@@ -311,10 +349,10 @@ def _defect_exact(WS: WeightedSemilattice, theta: AlgebraMap, norm: str) -> Defe
     vals = theta.values
     scalar = theta.codomain == "scalar"
     for i, j in _candidate_pairs(WS, theta, norm):
-        diff = _value_mul(vals[i], vals[j], theta.codomain) - vals[int(table[i, j])]
+        diff = (vals[i] * vals[j] if scalar else vals[i] @ vals[j]) - vals[int(table[i, j])]
         if not (diff if scalar else any(diff)):
             continue  # a zero ratio never beats best_sq >= 0
-        ratio_sq = _norm_sq_exact(diff, theta.codomain, norm) / (omega[i] * omega[j]) ** 2
+        ratio_sq = _norm_sq_exact(diff, norm) / (omega[i] * omega[j]) ** 2
         if ratio_sq > best_sq:
             best_sq = ratio_sq
             witness = (i, j)
@@ -327,62 +365,10 @@ def _defect_exact(WS: WeightedSemilattice, theta: AlgebraMap, norm: str) -> Defe
 # ---------------------------------------------------------------------------
 
 
-def _scalar_stack(theta: AlgebraMap) -> np.ndarray:
-    return np.array([complex(v) for v in theta.values])
-
-
-def _t2_stacks(theta: AlgebraMap) -> tuple[np.ndarray, np.ndarray]:
-    a = np.array([complex(v.a) for v in theta.values])
-    b = np.array([complex(v.b) for v in theta.values])
-    return a, b
-
-
-def _m2_stack(theta: AlgebraMap) -> np.ndarray:
-    return np.array([v.to_array() for v in theta.values])
-
-
-def _m2_norms(D: np.ndarray, norm: str) -> np.ndarray:
-    """HS or operator norms of a ``(..., 2, 2)`` stack of matrices.
-
-    Past ``_UNSCALED_RANGE`` the squares, or the operator norm's ``t * t``,
-    could overflow: then each matrix is scaled by the power of two at its
-    largest entry, which is exact, and its norm scaled back.
-    """
-    A = np.abs(D)
-    k = None
-    if A.max(initial=0.0) > _UNSCALED_RANGE:
-        k = np.frexp(A.max(axis=(-2, -1)))[1]
-        D = D.copy()  # scale the parts apart: a complex product turns inf into nan
-        D.real, D.imag = [np.ldexp(part, -k[..., None, None]) for part in (D.real, D.imag)]
-        A = np.abs(D)
-    t = np.sum(A**2, axis=(-2, -1))
-    if norm == "hs":
-        out = np.sqrt(t)
-    else:
-        det = D[..., 0, 0] * D[..., 1, 1] - D[..., 0, 1] * D[..., 1, 0]
-        disc = np.maximum(t * t - 4.0 * np.abs(det) ** 2, 0.0)
-        out = np.sqrt((t + np.sqrt(disc)) / 2.0)
-    return out if k is None else np.ldexp(out, k)
-
-
-def _pair_norms_float(theta: AlgebraMap, table: np.ndarray, norm: str) -> np.ndarray:
-    """Matrix of ||theta(i) theta(j) - theta(ij)|| over all ordered pairs."""
-    if theta.codomain == "scalar":
-        v = _scalar_stack(theta)
-        return np.abs(v[:, None] * v[None, :] - v[table])
-    if theta.codomain == "t2":
-        a, b = _t2_stacks(theta)
-        pa = a[:, None] * a[None, :]
-        pb = a[:, None] * b[None, :] + b[:, None] * a[None, :]
-        return np.abs(pa - a[table]) + np.abs(pb - b[table])
-    V = _m2_stack(theta)
-    return _m2_norms(np.einsum("iab,jbc->ijac", V, V) - V[table], norm)
-
-
 def _defect_float(WS: WeightedSemilattice, theta: AlgebraMap, norm: str) -> DefectReport:
-    table = WS.S.table
     w = WS.omega_float
-    norms = _pair_norms_float(theta, table, norm)
+    V = _stack(theta)
+    norms = _norms(np.einsum("iab,jbc->ijac", V, V) - V[WS.S.table], norm)
     if w.max() > _UNSCALED_RANGE:  # the product of two weights could overflow
         ratios = norms / w[:, None] / w[None, :]
     else:
@@ -433,18 +419,10 @@ def _element_ratios(WS: WeightedSemilattice, theta: AlgebraMap, phi: AlgebraMap,
     the float ratios."""
     if _can_run_exact(WS, theta, phi):
         return [
-            _norm_sq_exact(t - p, theta.codomain, norm) / Fraction(w) ** 2
+            _norm_sq_exact(t - p, norm) / Fraction(w) ** 2
             for t, p, w in zip(theta.values, phi.values, WS.omega)
         ]
-    if theta.codomain == "scalar":
-        diffs = np.abs(_scalar_stack(theta) - _scalar_stack(phi))
-    elif theta.codomain == "t2":
-        ta, tb = _t2_stacks(theta)
-        pa, pb = _t2_stacks(phi)
-        diffs = np.abs(ta - pa) + np.abs(tb - pb)
-    else:
-        diffs = _m2_norms(_m2_stack(theta) - _m2_stack(phi), norm)
-    return diffs / WS.omega_float
+    return _norms(_stack(theta) - _stack(phi), norm) / WS.omega_float
 
 
 def weighted_sup_distance_report(

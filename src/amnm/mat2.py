@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import ClassificationFailure, DefectTooLarge
 
 __all__ = [
@@ -34,8 +32,6 @@ __all__ = [
     "T2Element",
     "M2_ZERO",
     "M2_ID",
-    "T2_ZERO",
-    "T2_ONE",
     "abs2",
     "hs_norm_sq",
     "hs_norm",
@@ -110,9 +106,6 @@ class Mat2(NamedTuple):
     def det(self):
         return self.a * self.d - self.b * self.c
 
-    def to_array(self) -> np.ndarray:
-        return np.array([[complex(self.a), complex(self.b)], [complex(self.c), complex(self.d)]])
-
 
 class T2Element(NamedTuple):
     """Element (a, b) of the two-dimensional algebra with product
@@ -136,8 +129,6 @@ class T2Element(NamedTuple):
 
 M2_ZERO = Mat2(0, 0, 0, 0)
 M2_ID = Mat2(1, 0, 0, 1)
-T2_ZERO = T2Element(0, 0)
-T2_ONE = T2Element(1, 0)
 
 
 def abs2(x):

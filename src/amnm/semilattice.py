@@ -77,9 +77,6 @@ class Semilattice:
     def n(self) -> int:
         return int(self.table.shape[0])
 
-    def product(self, i: int, j: int) -> int:
-        return int(self.table[i, j])
-
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels is not None else str(i)
 

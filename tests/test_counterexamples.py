@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amnm import (
+    ClassificationFailure,
     NoEligibleIndex,
     StructureMismatch,
     defect,
@@ -33,6 +34,7 @@ from amnm import (
     weighted_sup_distance,
     weighted_sup_distance_report,
 )
+from amnm.counterexamples import _check_closed_form
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +206,20 @@ def test_m2_chain_nonuniform_with_float_weights_past_the_square_range(spike):
         rep = defect(WS, r.theta, norm)
         assert rep.witness == (4, 4)
         assert rep.defect_float == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("spike", [1e80, 1e160, 1e200, 1e300])
+def test_the_closed_form_check_separates_a_relative_error_at_every_scale(spike):
+    # the defect is below any absolute tolerance here, and from w = 1.3e154 on
+    # its square 4 (1/w^2 + 1/w^4) leaves the normal float range; the check
+    # squares the reported value in Fraction and compares relatively
+    r = theta_m2_chain_nonuniform(spiked_weight(9, 4, spike), 0.05)
+    inv = 1 / Fraction(spike)
+    expected_sq = 4 * (inv**2 + inv**4)
+    value = r.defect.defect_float
+    _check_closed_form(value, None, expected_sq, "defect")
+    with pytest.raises(ClassificationFailure):
+        _check_closed_form(value * (1 + 1e-9), None, expected_sq, "defect")
 
 
 def test_m2_chain_nonuniform_requires_a_spike():

@@ -25,10 +25,14 @@ from amnm import (
     map_to_json,
     nmin,
     orthogonal_free_sum,
+    random_scalar_instance,
     random_semilattice,
+    random_submultiplicative_weight,
+    random_t2_instance,
     round_to_binary,
     scalar_map,
     t2_map,
+    unit_weight,
     weighted,
     weighted_sup_distance,
     weighted_sup_distance_report,
@@ -75,6 +79,33 @@ def test_float_defect_matches_direct_computation(rng):
     x, y = rep.witness
     at_witness = abs(values[x] * values[y] - values[S.table[x, y]])
     assert math.isclose(at_witness, rep.defect_float, rel_tol=1e-12)
+
+
+def _python_product_defect(WS, theta):
+    """The float defect from Python products, one ``np.abs`` per complex part."""
+    w, table, vals = WS.omega_float, WS.S.table, theta.values
+    best = 0.0
+    for i in range(WS.n):
+        for j in range(i, WS.n):
+            if theta.codomain == "scalar":
+                norm = np.abs(np.complex128(vals[i] * vals[j] - vals[table[i, j]]))
+            else:
+                d = vals[i] @ vals[j] - vals[table[i, j]]
+                norm = np.abs(np.complex128(d.a)) + np.abs(np.complex128(d.b))
+            best = max(best, norm / (w[i] * w[j]))
+    return best
+
+
+@pytest.mark.parametrize("draw", [random_scalar_instance, random_t2_instance])
+def test_float_defect_rounds_like_python_products(draw):
+    # pins the rounding of the embedded float kernel: numpy's elementwise complex
+    # multiply may fuse multiply-adds, and then differs in the last bits
+    gen = np.random.default_rng(1010)
+    for _ in range(300):
+        S = random_semilattice(gen)
+        theta = draw(gen, S)
+        for WS in (unit_weight(S), random_submultiplicative_weight(gen, S)):
+            assert defect(WS, theta).defect_float == _python_product_defect(WS, theta)
 
 
 def test_t2_defect_uses_the_dual_number_norm():
