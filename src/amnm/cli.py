@@ -280,7 +280,6 @@ def _corroborate(WS, report, norm, starts, seed):
 
 
 def cmd_counterexample(args):
-    corroborations = []
     if args.family == "psi-blocks":
         base = _parse_rational(args.base)
         sizes = tuple(int(s) for s in args.sizes.split(","))
@@ -314,16 +313,15 @@ def cmd_counterexample(args):
         else:
             reports = [theta_m2_chain_nonuniform(ws, args.delta)]
 
+    corroborations = []
     if args.corroborate:
-        target = ws
-        for rep in reports:
-            if args.family == "psi-blocks":
-                # rebuild the weighted carrier the family used
-                T = orthogonal_free_sum(rep.params["sizes"])
-                target = weighted(T, counterexample_weight(T, rep.params["base"]))
-            corroborations.append(
-                _corroborate(target, rep, args.norm, args.starts, args.seed)
-            )
+        if args.family == "psi-blocks":
+            # the weighted carrier that every block of the family shares
+            T = orthogonal_free_sum(sizes)
+            ws = weighted(T, counterexample_weight(T, base))
+        corroborations = [
+            _corroborate(ws, rep, args.norm, args.starts, args.seed) for rep in reports
+        ]
 
     rows = []
     for k, rep in enumerate(reports):

@@ -4,7 +4,9 @@ Each ``correct_*`` function takes a map whose multiplicativity defect is
 below the method's threshold, constructs an exactly multiplicative map
 nearby, *verifies every intermediate claim of the construction at runtime*,
 and returns a :class:`Certificate` recording the input defect, the claimed
-distance bound, the achieved distance, and the classification data.
+distance bound, the achieved distance, and the classification data.  All four
+end in :func:`_certify`, which measures the achieved distance and the
+corrected map's defect and builds the certificate.
 
 The four procedures and their guarantees (defect delta measured in the
 stated norm):
@@ -22,6 +24,10 @@ procedure                    threshold      corrected map               bound
 (round first with :func:`amnm.defects.round_to_binary`); its margin is
 ``2 * delta * C(2/epsilon) / epsilon`` with ``C`` the flighty constant.  The
 other three are unweighted statements and take a bare semilattice.
+
+``correct_m2``'s battery (:func:`_m2_battery`) checks the split trace
+classes as a homomorphism: every product of elements lies in the class that
+the product of their corrected values 0, P, I - P and I names.
 
 Internal assertion failures raise :class:`ClassificationFailure`; every such
 check is a proved consequence of the stated precondition, so a raise means
@@ -106,6 +112,25 @@ def _require_semilattice(S) -> Semilattice:
     return S
 
 
+def _certify(target: str, ws_or_s, theta: AlgebraMap, phi: AlgebraMap, input_defect: float,
+             claimed_bound: float, norm: str, details: dict) -> Certificate:
+    """The ending every correction shares: measure how far the corrected map
+    ``phi`` lies from ``theta`` and its own defect, both in ``norm``, and let
+    :class:`Certificate` check them against the claimed bound."""
+    dist = weighted_sup_distance_report(ws_or_s, theta, phi, norm)
+    details["distance_witness"] = dist.witness
+    return Certificate(
+        target=target,
+        corrected=phi,
+        input_defect=input_defect,
+        claimed_bound=claimed_bound,
+        achieved_distance=dist.value_float,
+        corrected_defect=defect(ws_or_s, phi, norm).defect_float,
+        norm=norm,
+        details=details,
+    )
+
+
 def correct_scalar(S: Semilattice, psi: AlgebraMap) -> Certificate:
     """Correct a scalar map with defect < 1/5 to a filter indicator.
 
@@ -117,8 +142,7 @@ def correct_scalar(S: Semilattice, psi: AlgebraMap) -> Certificate:
     S = _require_semilattice(S)
     if psi.codomain != "scalar":
         raise ValueError("correct_scalar expects a scalar map")
-    rep = defect(S, psi)
-    delta = rep.defect_float
+    delta = defect(S, psi).defect_float
     if not delta < 0.2:
         raise DefectTooLarge(delta, 0.2)
     values = [complex(v) for v in psi.values]
@@ -132,18 +156,7 @@ def correct_scalar(S: Semilattice, psi: AlgebraMap) -> Certificate:
             raise ClassificationFailure(
                 f"pointwise bound |psi - chi| <= (7/5)|psi^2 - psi| failed at {e}"
             )
-    dist = weighted_sup_distance_report(S, psi, chi)
-    chi_defect = defect(S, chi)
-    return Certificate(
-        target="scalar",
-        corrected=chi,
-        input_defect=delta,
-        claimed_bound=1.4 * delta,
-        achieved_distance=dist.value_float,
-        corrected_defect=chi_defect.defect_float,
-        norm="abs",
-        details={"S1": sorted(s1), "distance_witness": dist.witness},
-    )
+    return _certify("scalar", S, psi, chi, delta, 1.4 * delta, "abs", {"S1": sorted(s1)})
 
 
 def _binary_values(psi: AlgebraMap) -> list[int]:
@@ -207,30 +220,15 @@ def correct_weighted(WS: WeightedSemilattice, psi: AlgebraMap, epsilon: float) -
     else:
         filt = None
         chi = zero_map(S)
-    dist = weighted_sup_distance_report(WS, psi, chi)
-    if dist.value_float > epsilon + _TOL:
-        raise ClassificationFailure(
-            f"corrected map is {dist.value_float!r} away, beyond epsilon = {epsilon!r}"
-        )
-    chi_defect = defect(WS, chi)
-    return Certificate(
-        target="weighted-scalar",
-        corrected=chi,
-        input_defect=delta,
-        claimed_bound=epsilon,
-        achieved_distance=dist.value_float,
-        corrected_defect=chi_defect.defect_float,
-        norm="abs",
-        details={
-            "delta": delta,
-            "flighty_constant": c_val,
-            "margin": 2.0 * delta * c_val / epsilon,
-            "sublevel": sorted(s_fix),
-            "E": sorted(ones),
-            "filter": sorted(filt.members) if filt is not None else None,
-            "distance_witness": dist.witness,
-        },
-    )
+    details = {
+        "delta": delta,
+        "flighty_constant": c_val,
+        "margin": 2.0 * delta * c_val / epsilon,
+        "sublevel": sorted(s_fix),
+        "E": sorted(ones),
+        "filter": sorted(filt.members) if filt is not None else None,
+    }
+    return _certify("weighted-scalar", WS, psi, chi, delta, epsilon, "abs", details)
 
 
 def correct_t2(S: Semilattice, theta: AlgebraMap) -> Certificate:
@@ -245,17 +243,14 @@ def correct_t2(S: Semilattice, theta: AlgebraMap) -> Certificate:
     S = _require_semilattice(S)
     if theta.codomain != "t2":
         raise ValueError("correct_t2 expects a T2-valued map")
-    rep = defect(S, theta)
-    delta = rep.defect_float
+    delta = defect(S, theta).defect_float
     if not delta < 0.2:
         raise DefectTooLarge(delta, 0.2)
     a_vals = [complex(v.a) for v in theta.values]
     b_vals = [complex(v.b) for v in theta.values]
-    a_map = scalar_map(a_vals)
-    a_defect = defect(S, a_map).defect_float
-    if a_defect > delta + _TOL:
+    scalar_cert = correct_scalar(S, scalar_map(a_vals))
+    if scalar_cert.input_defect > delta + _TOL:
         raise ClassificationFailure("diagonal defect exceeded the full T2 defect")
-    scalar_cert = correct_scalar(S, a_map)
     chi_vals = [int(complex(v).real) for v in scalar_cert.corrected.values]
     for e in range(S.n):
         if abs(2.0 * a_vals[e] - 1.0) < 11.0 / 25.0 - _TOL:
@@ -269,22 +264,8 @@ def correct_t2(S: Semilattice, theta: AlgebraMap) -> Certificate:
                 f"per-element (25/11) bound against the diagonal defect failed at {e}"
             )
     phi = t2_map([(chi_vals[e], 0) for e in range(S.n)])
-    dist = weighted_sup_distance_report(S, theta, phi)
-    phi_defect = defect(S, phi)
-    return Certificate(
-        target="t2",
-        corrected=phi,
-        input_defect=delta,
-        claimed_bound=(25.0 / 11.0) * delta,
-        achieved_distance=dist.value_float,
-        corrected_defect=phi_defect.defect_float,
-        norm="t2",
-        details={
-            "S1": scalar_cert.details["S1"],
-            "scalar_bound": scalar_cert.claimed_bound,
-            "distance_witness": dist.witness,
-        },
-    )
+    details = {"S1": scalar_cert.details["S1"], "scalar_bound": scalar_cert.claimed_bound}
+    return _certify("t2", S, theta, phi, delta, (25.0 / 11.0) * delta, "t2", details)
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +298,21 @@ def _trace_classify(vals: list[Mat2], delta: float) -> tuple[list[int], list[flo
     return classes, distances
 
 
+# Each corrected value 0, P, I - P or I is the sum of the orthogonal idempotents
+# P (bit 1) and I - P (bit 2) it contains, so a label's bits name its value and
+# the values multiply as the labels' bitwise and: I is the unit, 0 absorbs,
+# PP = P, (I - P)(I - P) = I - P and P(I - P) = 0.
+_LABEL_VALUES = ("0", "P", "I - P", "I")
+_LABEL_PRODUCT = [[a & b for b in range(4)] for a in range(4)]
+
+
 def _m2_battery(S: Semilattice, vals: list[Mat2], classes: list[int], delta: float,
                 s_p: frozenset[int], s_q: frozenset[int]) -> int:
     """Run every certified closure/metric assertion of the 2x2 correction.
 
-    Returns the number of checks performed; raises
+    The labels are checked as a homomorphism onto {0, P, I - P, I}; with
+    ``f <= e`` meaning ``fe = f``, this also makes the near-identity class
+    upward closed.  Returns the number of checks performed; raises
     :class:`ClassificationFailure` on the first violated claim.
     """
     n = S.n
@@ -333,26 +324,19 @@ def _m2_battery(S: Semilattice, vals: list[Mat2], classes: list[int], delta: flo
     def fail(msg: str):
         raise ClassificationFailure(msg)
 
-    label = {}
-    for e in range(n):
-        if classes[e] == 2:
-            label[e] = "2"
-        elif classes[e] == 0:
-            label[e] = "0"
-        else:
-            label[e] = "p" if e in s_p else "q"
-
+    label = [3 if c == 2 else 0 if c == 0 else 1 if e in s_p else 2
+             for e, c in enumerate(classes)]
     for e in range(n):
         checks += 1
         if hs_norm(2.0 * vals[e] - M2_ID) < math.sqrt(max(2.0 - 6.0 * delta, 0.0)) - _TOL:
             fail(f"||2 theta - I|| lower bound failed at element {e}")
-        if label[e] == "2":
+        if label[e] == 3:
             checks += 2
             if hs_norm(vals[e] - M2_ID) > kd + _TOL:
                 fail(f"element {e} in the near-identity class is not within kappa*delta of I")
             if hs_norm(inv2(vals[e])) >= 1.5:
                 fail(f"inverse norm bound < 1.5 failed on the near-identity class at {e}")
-        if label[e] == "0":
+        if label[e] == 0:
             checks += 2
             if hs_norm(vals[e]) > kd + _TOL:
                 fail(f"element {e} in the near-zero class is not within kappa*delta of 0")
@@ -361,28 +345,13 @@ def _m2_battery(S: Semilattice, vals: list[Mat2], classes: list[int], delta: flo
 
     for e in range(n):
         for f in range(n):
-            p = int(table[e, f])
-            le, lf, lp = label[e], label[f], label[p]
             checks += 1
-            if le == "2" and lf == "2" and lp != "2":
-                fail(f"near-identity class is not closed under products at ({e},{f})")
-            if lf == "0" and lp != "0":
-                fail(f"near-zero class is not an ideal at ({e},{f})")
-            if le == "2" and lf == "p" and lp != "p":
-                fail(f"identity * P-class escaped the P-class at ({e},{f})")
-            if le == "2" and lf == "q" and lp != "q":
-                fail(f"identity * Q-class escaped the Q-class at ({e},{f})")
-            if le == "p" and lf == "p" and lp != "p":
-                fail(f"P-class not closed under products at ({e},{f})")
-            if le == "q" and lf == "q" and lp != "q":
-                fail(f"Q-class not closed under products at ({e},{f})")
-            if {le, lf} == {"p", "q"} and lp != "0":
-                fail(f"P-class times Q-class left the near-zero class at ({e},{f})")
-            if le in ("p", "q") and lf in ("p", "q") and lp == "2":
-                fail(f"rank-one classes multiplied into the identity class at ({e},{f})")
-            # upward closure of the near-identity class
-            if leq[f, e] and lf == "2" and le != "2":
-                fail(f"near-identity class is not upward closed at ({f},{e})")
+            want = _LABEL_PRODUCT[label[e]][label[f]]
+            if label[int(table[e, f])] != want:
+                fail(
+                    f"classes {_LABEL_VALUES[label[e]]} and {_LABEL_VALUES[label[f]]} do not "
+                    f"multiply into class {_LABEL_VALUES[want]} at ({e},{f})"
+                )
 
     mid = [e for e in range(n) if classes[e] == 1]
     for e in mid:
@@ -416,8 +385,7 @@ def correct_m2(S: Semilattice, theta: AlgebraMap, delta: float | None = None) ->
     S = _require_semilattice(S)
     if theta.codomain != "m2":
         raise ValueError("correct_m2 expects a 2x2-matrix-valued map")
-    rep = defect(S, theta, "hs")
-    measured = rep.defect_float
+    measured = defect(S, theta, "hs").defect_float
     if delta is None:
         delta = measured
     delta = float(delta)
@@ -442,10 +410,8 @@ def correct_m2(S: Semilattice, theta: AlgebraMap, delta: float | None = None) ->
     }
 
     if not s1:
-        phi_vals = [M2_ID if e in s2 else M2_ZERO for e in range(n)]
-        s_p: frozenset[int] = frozenset()
-        s_q: frozenset[int] = frozenset()
-        p_mat = None
+        s_p = s_q = frozenset()
+        p_mat = complement = None
         details.update({"p0": None, "P": None, "Sp": [], "Sq": []})
     else:
         p0 = min(s1)
@@ -483,16 +449,6 @@ def correct_m2(S: Semilattice, theta: AlgebraMap, delta: float | None = None) ->
                 raise ClassificationFailure(
                     f"Q-class element {e} lies outside the 12 delta ball around I - P"
                 )
-        phi_vals = []
-        for e in range(n):
-            if e in s2:
-                phi_vals.append(M2_ID)
-            elif e in s0:
-                phi_vals.append(M2_ZERO)
-            elif e in s_p:
-                phi_vals.append(p_mat)
-            else:
-                phi_vals.append(complement)
         details.update(
             {
                 "p0": p0,
@@ -506,17 +462,6 @@ def correct_m2(S: Semilattice, theta: AlgebraMap, delta: float | None = None) ->
     details["assertions_checked"] = checks
     details["F1"] = sorted(s2 | s_p)
     details["F2"] = sorted(s2 | s_q)
-
-    phi = m2_map(phi_vals)
-    dist = weighted_sup_distance_report(S, theta, phi, "hs")
-    phi_defect = defect(S, phi, "hs")
-    return Certificate(
-        target="m2",
-        corrected=phi,
-        input_defect=measured,
-        claimed_bound=12.0 * delta,
-        achieved_distance=dist.value_float,
-        corrected_defect=phi_defect.defect_float,
-        norm="hs",
-        details=details,
-    )
+    phi_vals = [M2_ID if e in s2 else p_mat if e in s_p else complement if e in s_q else M2_ZERO
+                for e in range(n)]
+    return _certify("m2", S, theta, m2_map(phi_vals), measured, 12.0 * delta, "hs", details)

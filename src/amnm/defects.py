@@ -55,7 +55,10 @@ terms are all exactly zero has ``D = 0`` and no width.  The operator norm's
 closed form cancels badly, so it is enclosed by ``[hs/sqrt(2), hs]``.  When
 a value overflows a float or ``|x| > 2**250``, every pair is evaluated
 exactly.  Survivors whose exact difference is zero are skipped before any
-norm is taken, so an irrational operator norm raises only if it survives.
+norm is taken.  A survivor whose operator norm is irrational raises only when
+its HS norm, which bounds the operator norm, exceeds the maximum of the
+rational ones; an irrational square never ties that rational maximum, so the
+value and the first witness stay the full scan's.
 """
 
 from __future__ import annotations
@@ -348,14 +351,24 @@ def _defect_exact(WS: WeightedSemilattice, theta: AlgebraMap, norm: str) -> Defe
     witness = (0, 0)
     vals = theta.values
     scalar = theta.codomain == "scalar"
+    # the largest HS ratio square among pairs with an irrational operator norm
+    irrational_sq, irrational = Fraction(0), None
     for i, j in _candidate_pairs(WS, theta, norm):
         diff = (vals[i] * vals[j] if scalar else vals[i] @ vals[j]) - vals[int(table[i, j])]
         if not (diff if scalar else any(diff)):
             continue  # a zero ratio never beats best_sq >= 0
-        ratio_sq = _norm_sq_exact(diff, norm) / (omega[i] * omega[j]) ** 2
+        weight_sq = (omega[i] * omega[j]) ** 2
+        try:
+            ratio_sq = _norm_sq_exact(diff, norm) / weight_sq
+        except ValueError as err:  # op <= hs: the pair matters only if hs beats best_sq
+            irrational_sq = max(irrational_sq, Fraction(hs_norm_sq(diff)) / weight_sq)
+            irrational = err
+            continue
         if ratio_sq > best_sq:
             best_sq = ratio_sq
             witness = (i, j)
+    if irrational_sq > best_sq:
+        raise irrational
     value, exact = _root(best_sq)
     return DefectReport(value, witness, norm, best_sq, exact_value=exact)
 

@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amnm import (
+    M2_ID,
+    M2_ZERO,
+    ClassificationFailure,
     DefectTooLarge,
+    Mat2,
     PreconditionGap,
     characters,
     correct_m2,
@@ -12,6 +18,7 @@ from amnm import (
     correct_t2,
     correct_weighted,
     defect,
+    enumerate_filters,
     filter_indicator,
     free_semilattice,
     geometric_weight,
@@ -31,6 +38,7 @@ from amnm import (
     weighted,
     weighted_sup_distance,
 )
+from amnm.correction import _m2_battery
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +207,85 @@ def test_m2_correction_distance_verified_independently(rng):
         cert = correct_m2(S, theta)
         again = weighted_sup_distance(S, theta, cert.corrected, "hs")
         assert float(again) == pytest.approx(cert.achieved_distance, abs=1e-12)
+
+
+def test_m2_assertion_count_over_the_criterion_7_stream_is_pinned():
+    # one check per pair whatever form the product rules take: this total was
+    # computed with eight product rules and an upward-closure rule per pair
+    rng = np.random.default_rng(707)
+    total = 0
+    for _ in range(500):
+        S = random_semilattice(rng)
+        total += correct_m2(S, random_m2_instance(rng, S)).details["assertions_checked"]
+    assert total == 17_500
+
+
+def _rules_violated(S, label):
+    """The battery's product rules and upward-closure rule as separate checks,
+    the form that checking the labels as a homomorphism must agree with."""
+    table = S.table
+    leq = S.leq
+    for e in range(S.n):
+        for f in range(S.n):
+            p = int(table[e, f])
+            le, lf, lp = label[e], label[f], label[p]
+            if le == "2" and lf == "2" and lp != "2":
+                return True
+            if lf == "0" and lp != "0":
+                return True
+            if le == "2" and lf == "p" and lp != "p":
+                return True
+            if le == "2" and lf == "q" and lp != "q":
+                return True
+            if le == "p" and lf == "p" and lp != "p":
+                return True
+            if le == "q" and lf == "q" and lp != "q":
+                return True
+            if {le, lf} == {"p", "q"} and lp != "0":
+                return True
+            if le in ("p", "q") and lf in ("p", "q") and lp == "2":
+                return True
+            # upward closure of the near-identity class
+            if leq[f, e] and lf == "2" and le != "2":
+                return True
+    return False
+
+
+_P = Mat2(1, 0, 0, 0)
+_LABELLED = {"0": (0, M2_ZERO), "p": (1, _P), "q": (1, M2_ID - _P), "2": (2, M2_ID)}
+
+
+@st.composite
+def labelled_semilattices(draw):
+    S = random_semilattice(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    if draw(st.booleans()):
+        return S, draw(st.lists(st.sampled_from("0pq2"), min_size=S.n, max_size=S.n))
+    # two filters label a homomorphism (bit 1: in F1, bit 2: in F2); one
+    # relabelled element may break it
+    F1, F2 = (draw(st.sampled_from([None, *enumerate_filters(S)])) for _ in range(2))
+    bits = [(F1 is not None and e in F1.members) + 2 * (F2 is not None and e in F2.members)
+            for e in range(S.n)]
+    labels = ["0pq2"[b] for b in bits]
+    if draw(st.booleans()):
+        labels[draw(st.integers(0, S.n - 1))] = draw(st.sampled_from("0pq2"))
+    return S, labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_semilattices())
+def test_m2_battery_fails_exactly_when_a_product_or_closure_rule_does(case):
+    S, labels = case
+    classes = [_LABELLED[x][0] for x in labels]
+    vals = [_LABELLED[x][1] for x in labels]
+    s_p = frozenset(e for e, x in enumerate(labels) if x == "p")
+    s_q = frozenset(e for e, x in enumerate(labels) if x == "q")
+    violated = _rules_violated(S, labels)
+    try:
+        _m2_battery(S, vals, classes, 0.01, s_p, s_q)
+    except ClassificationFailure:
+        assert violated
+    else:
+        assert not violated
 
 
 def test_corrections_compose_with_exact_family_maps():

@@ -415,6 +415,17 @@ def test_an_irrational_op_norm_pair_at_the_maximum_still_raises():
         defect(nmin(3), _irrational_op_pair_map(), "op")
 
 
+def test_an_irrational_op_norm_pair_below_the_maximum_does_not_raise():
+    # every ratio is below the filter's 2**-500 floor, so every pair survives
+    # it; (1,1) costs [[t^2, t^2 - t], [t^2 - t, 2t^2 - t]], with an irrational
+    # operator norm but HS^2 about 3t^2, below the 20t^2 of the rank-one (0,1)
+    t = Fraction(1, 2**1100)
+    theta = m2_map([Mat2(0, -3, 0, 1), Mat2(0, t, t, t), Mat2(0, 0, 0, 0)])
+    rep = defect(unit_weight(free_semilattice(2)), theta, "op")
+    assert rep.witness == (0, 1)
+    assert rep.defect_sq == 20 * t**2
+
+
 # ---------------------------------------------------------------------------
 # Exact squares past the float range.
 # ---------------------------------------------------------------------------
