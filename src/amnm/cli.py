@@ -16,6 +16,7 @@ error; 2 structural violation (bad table, bad weights, wrong shape);
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -204,8 +205,8 @@ def cmd_defect(args):
     WS = _weighted(doc, S)
     m = _map(doc)
     rep = defect(WS if WS is not None else S, m, args.norm)
-    out = {
-        "defect": rep.defect_float,
+    out = {  # a float view past the float range is null, beside the exact value
+        "defect": rep.defect_float if rep.defect_float < math.inf else None,
         "witness": list(rep.witness),
         "norm": rep.norm,
         "exact": rep.exact_value,
@@ -355,7 +356,7 @@ def cmd_oracle(args):
         f"{_fmt(rep.value_exact if rep.value_exact is not None else rep.value)} "
         f"(method {rep.method}, norm {rep.norm!r}, witness element {rep.witness})"
     )
-    return rep, text
+    return dataclasses.replace(rep, value=rep.value if rep.value < math.inf else None), text
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,10 @@ and callers read the path off a report's ``defect_sq`` or ``value_sq``.
 The float path reads every codomain through :meth:`AlgebraMap.as_m2`, as the
 exact filter below does: scalars embed diagonally and T2 values as
 ``[[a, b], [0, a]]``, so one ``(n, 2, 2)`` stack and one norm function
-(``_norms``, also the filter's) serve all three.  The exact scans keep the
-native values, whose ``Fraction`` products are cheaper than embedded ones.
+(``_norms``, also the filter's) serve all three; past ``2**250`` the products
+are formed on values scaled by powers of two.  The exact scans use the same
+embedding on integers, ``N = L theta`` over the common denominator ``L`` of
+the entries (``_integers``), and build a ``Fraction`` only for a ratio.
 
 For matrix codomains the scan covers all ordered pairs — matrix values need
 not commute, and there are natural maps whose defect is attained at (e, f)
@@ -31,9 +33,9 @@ but not (f, e).  For scalar and T2 codomains the defect function is symmetric
 and the scan covers unordered pairs; witnesses are lexicographically first.
 
 The exact defect is filtered (Shewchuk 1997; Bronnimann, Burnikel and Pion
-1998).  A float pass, in row blocks of about ``_FILTER_CELLS`` pairs, encloses
+1998).  A float pass, in row blocks of about ``_BLOCK_CELLS`` pairs, encloses
 every pair's exact ratio in ``[lo, hi]``; only pairs with ``hi > 0`` and
-``hi >= max lo`` are evaluated in ``Fraction``, in the full scan's order and
+``hi >= max lo`` are evaluated exactly, in the full scan's order and
 with its strict ``>``, so the value and the first witness are the full
 scan's.  The pass normalises the :meth:`AlgebraMap.as_m2` matrices by the
 weights, ``x = theta(e)/omega(e)`` and ``r = omega(ef)/(omega(e) omega(f))``,
@@ -53,12 +55,14 @@ error is under ``2**-1070`` of the rescaled norm (at least 1/2).  So
 ``2**-40 (mag + nu) + 2**-500`` also covers its own roundings; a pair whose
 terms are all exactly zero has ``D = 0`` and no width.  The operator norm's
 closed form cancels badly, so it is enclosed by ``[hs/sqrt(2), hs]``.  When
-a value overflows a float or ``|x| > 2**250``, every pair is evaluated
-exactly.  Survivors whose exact difference is zero are skipped before any
-norm is taken.  A survivor whose operator norm is irrational raises only when
-its HS norm, which bounds the operator norm, exceeds the maximum of the
-rational ones; an irrational square never ties that rational maximum, so the
-value and the first witness stay the full scan's.
+a value overflows a float or ``|x| > 2**250``, every pair survives.  Survivors
+get a vectorised exact zero test: ``theta(e) theta(f) = theta(ef)`` iff
+``N_e N_f = L N_ef`` entrywise, in ``int64`` when ``2 max|N|**2 + L max|N| <
+2**63`` proves that nothing overflows, else on Python ints; a pair that passes
+it is dropped before any norm is taken.  A survivor whose operator norm is
+irrational raises only when its HS norm, which bounds the operator norm,
+exceeds the maximum of the rational ones; an irrational square never ties
+that rational maximum, so the value and the first witness stay the full scan's.
 """
 
 from __future__ import annotations
@@ -74,7 +78,8 @@ import numpy as np
 from .errors import ClassificationFailure, ParseError
 from .mat2 import Mat2, T2Element, abs2, hs_norm_sq
 from .semilattice import Semilattice
-from .weights import WeightedSemilattice, _is_exact, unit_weight
+from .weights import _BLOCK_CELLS, WeightedSemilattice, _is_exact, _over_common_denominator
+from .weights import unit_weight
 
 __all__ = [
     "AlgebraMap",
@@ -191,12 +196,19 @@ class DefectReport:
 
     @property
     def defect_float(self) -> float:
-        return float(self.defect)
+        return _float(self.defect)
 
 
 # ---------------------------------------------------------------------------
 # Exact helpers.
 # ---------------------------------------------------------------------------
+
+
+def _float(x) -> float:
+    try:  # float(x) for a value x >= 0, and inf past the float range
+        return float(x)
+    except OverflowError:
+        return math.inf
 
 
 def _root(q: Fraction) -> tuple:
@@ -212,26 +224,25 @@ def _root(q: Fraction) -> tuple:
         return float(math.isqrt(num // den)), False
 
 
-def _norm_sq_exact(diff, norm: str) -> Fraction:
-    """Exact squared norm of a difference value (real rational entries)."""
+def _norm_sq_exact(diff: Mat2, norm: str):
+    """Exact squared norm of an embedded difference with integer entries."""
     if norm == "abs":
-        return Fraction(diff) ** 2
+        return diff.a**2
     if norm == "t2":
-        return (abs(Fraction(diff.a)) + abs(Fraction(diff.b))) ** 2
-    hs_sq = Fraction(hs_norm_sq(diff))
+        return (abs(diff.a) + abs(diff.b)) ** 2
+    hs_sq = hs_norm_sq(diff)
     if norm == "hs":
         return hs_sq
-    det = Fraction(diff.det)
+    det = diff.det
     if det == 0:
         return hs_sq  # rank <= 1: operator and HS norms coincide
     # General case: op^2 = (T + sqrt(T^2 - 4 |det|^2))/2, exact only when the
     # discriminant is a perfect square.
-    root, exact = _root(hs_sq * hs_sq - 4 * det * det)
-    if not exact:
-        raise ValueError(
-            "exact operator norm needs rank <= 1 or a perfect-square discriminant"
-        )
-    return (hs_sq + root) / 2
+    disc = hs_sq * hs_sq - 4 * det * det
+    root = math.isqrt(disc)
+    if root * root != disc:
+        raise ValueError("exact operator norm needs rank <= 1 or a perfect-square discriminant")
+    return Fraction(hs_sq + root, 2)
 
 
 def _can_run_exact(WS: WeightedSemilattice, *maps: AlgebraMap) -> bool:
@@ -240,7 +251,6 @@ def _can_run_exact(WS: WeightedSemilattice, *maps: AlgebraMap) -> bool:
 
 
 # Filter constants; the module docstring derives the bound they implement.
-_FILTER_CELLS = 1 << 14  # pairs per row block of the float pass
 _FILTER_RANGE = 2.0**250  # largest normalised entry the float pass accepts
 _FILTER_REL, _FILTER_ABS = 2.0**-40, 2.0**-500  # the enclosure's relative and absolute width
 _INV_SQRT2_DOWN = 0.7071067811865  # below 1/sqrt(2), even after rounding a product
@@ -251,6 +261,12 @@ def _stack(theta: AlgebraMap) -> np.ndarray:
     """The :meth:`AlgebraMap.as_m2` values as an ``(n, 2, 2)`` complex array."""
     entries = chain.from_iterable(theta.as_m2().values)
     return np.fromiter(entries, complex, 4 * theta.n).reshape(-1, 2, 2)
+
+
+def _scaled(D: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """``2**k D`` per matrix of a complex ``(..., 2, 2)`` stack, on the float
+    parts: a complex product would turn inf into nan."""
+    return np.ldexp(D.view(float), k[..., None, None]).view(D.dtype)
 
 
 def _norms(D: np.ndarray, norm: str) -> np.ndarray:
@@ -270,8 +286,7 @@ def _norms(D: np.ndarray, norm: str) -> np.ndarray:
     k = None
     if A.max(initial=0.0) > _UNSCALED_RANGE:
         k = np.frexp(A.max(axis=(-2, -1)))[1]
-        # scale the float parts apart: a complex product turns inf into nan
-        D = np.ldexp(D.view(float), -k[..., None, None]).view(D.dtype)
+        D = _scaled(D, -k)
         A = np.abs(D)
     t = np.sum(A**2, axis=(-2, -1))
     if norm == "hs":
@@ -283,13 +298,13 @@ def _norms(D: np.ndarray, norm: str) -> np.ndarray:
     return out if k is None else np.ldexp(out, k)
 
 
-def _normalised_entries(WS: WeightedSemilattice, theta: AlgebraMap):
-    """The matrices ``theta(e)/omega(e)`` of :meth:`AlgebraMap.as_m2` as rows,
+def _normalised_entries(WS: WeightedSemilattice, N, L: int):
+    """The matrices ``theta(e)/omega(e)`` for ``N, L = _integers(theta)`` as rows,
     which are exactly nonzero, and the weights' mantissas and exponents."""
     rows, nonzero, mant, expo = [], [], [], []
-    for entries, w in zip(theta.as_m2().values, WS.omega):
+    for entries, w in zip(N.reshape(-1, 4).tolist(), WS.omega):
         p, q = w.numerator, w.denominator
-        row = [(x.numerator * q) / (x.denominator * p) for x in entries]  # correctly rounded
+        row = [(x * q) / (L * p) for x in entries]  # correctly rounded
         if max(map(abs, row)) > _FILTER_RANGE:
             raise OverflowError("normalised entry outside the filter's range")
         rows.append(row)
@@ -321,47 +336,54 @@ def _pair_enclosures(M, nonzero, mant, expo, table, norm: str, rows: slice):
     return (lo * _INV_SQRT2_DOWN if norm == "op" else lo), hi
 
 
-def _candidate_pairs(WS: WeightedSemilattice, theta: AlgebraMap, norm: str):
-    """The pairs that can attain the exact maximum, in lexicographic order:
-    those the float filter keeps, or all when it cannot bound this input."""
-    n, table, ordered = WS.n, WS.S.table, theta.codomain == "m2"
-    try:
-        entries = _normalised_entries(WS, theta)
-    except OverflowError:
-        yield from ((i, j) for i in range(n) for j in range(0 if ordered else i, n))
-        return
-    step = max(1, _FILTER_CELLS // n)
-    blocks = [slice(i0, i0 + step) for i0 in range(0, n, step)]
+def _integers(*maps: AlgebraMap):
+    """The :meth:`AlgebraMap.as_m2` values of exact maps, one after the other,
+    as an ``(n, 2, 2)`` stack of integers ``N = L theta`` and their ``L``."""
+    entries = chain.from_iterable(chain.from_iterable(m.as_m2().values for m in maps))
+    N, L = _over_common_denominator(list(entries))
+    return N.reshape(-1, 2, 2), L
 
-    enclose = partial(_pair_enclosures, *entries, table, norm)
+
+def _candidate_pairs(WS: WeightedSemilattice, N, L: int, norm: str):
+    """The pairs ``(e, f)`` that the float filter keeps, or all when it cannot
+    bound this input, in lexicographic order (ordered pairs for matrix norms),
+    less those whose difference is zero; each with the entries of ``N_e N_f -
+    L N_ef = L**2 (theta(e) theta(f) - theta(ef))`` for ``N, L = _integers(theta)``."""
+    n, table, ordered = WS.n, WS.S.table, norm in ("hs", "op")
+    step = max(1, _BLOCK_CELLS // n)
+    blocks = [slice(i0, i0 + step) for i0 in range(0, n, step)]
+    try:
+        enclose = partial(_pair_enclosures, *_normalised_entries(WS, N, L), table, norm)
+    except OverflowError:  # no float bound: every pair survives
+        enclose = lambda b: (np.ones(table[b].shape),) * 2  # (lo, hi)
     # two passes keep extra memory to one block: max lo, then the survivors
     first = enclose(blocks[0])
     best_lo = max(float(lo.max()) for lo, _ in chain([first], map(enclose, blocks[1:])))
     for b in blocks:
         hi = (first if b is blocks[0] else enclose(b))[1]
         keep = (hi > 0) & (hi >= best_lo)
-        for i, j in zip(*np.nonzero(keep if ordered else np.triu(keep, b.start))):
-            yield b.start + int(i), int(j)
+        I, J = np.nonzero(keep if ordered else np.triu(keep, b.start))
+        I += b.start
+        P = (N[I] @ N[J] - L * N[table[I, J]]).reshape(-1, 4)
+        differs = (P != 0).any(axis=1)
+        yield from zip(I[differs].tolist(), J[differs].tolist(), P[differs].tolist())
 
 
 def _defect_exact(WS: WeightedSemilattice, theta: AlgebraMap, norm: str) -> DefectReport:
-    table = WS.S.table
-    omega = [Fraction(w) for w in WS.omega]
+    N, L = _integers(theta)
+    W, K = _over_common_denominator(WS.omega)  # omega(e) = W_e / K
+    W, K4 = W.tolist(), K**4
     best_sq = Fraction(0)
     witness = (0, 0)
-    vals = theta.values
-    scalar = theta.codomain == "scalar"
     # the largest HS ratio square among pairs with an irrational operator norm
     irrational_sq, irrational = Fraction(0), None
-    for i, j in _candidate_pairs(WS, theta, norm):
-        diff = (vals[i] * vals[j] if scalar else vals[i] @ vals[j]) - vals[int(table[i, j])]
-        if not (diff if scalar else any(diff)):
-            continue  # a zero ratio never beats best_sq >= 0
-        weight_sq = (omega[i] * omega[j]) ** 2
+    for i, j, d in _candidate_pairs(WS, N, L, norm):
+        diff = Mat2(*d)  # over L**2 omega(e) omega(f) = L**2 W_e W_f / K**2
+        weight_sq = (L * L * W[i] * W[j]) ** 2
         try:
-            ratio_sq = _norm_sq_exact(diff, norm) / weight_sq
+            ratio_sq = Fraction(_norm_sq_exact(diff, norm) * K4, weight_sq)
         except ValueError as err:  # op <= hs: the pair matters only if hs beats best_sq
-            irrational_sq = max(irrational_sq, Fraction(hs_norm_sq(diff)) / weight_sq)
+            irrational_sq = max(irrational_sq, Fraction(hs_norm_sq(diff) * K4, weight_sq))
             irrational = err
             continue
         if ratio_sq > best_sq:
@@ -379,13 +401,24 @@ def _defect_exact(WS: WeightedSemilattice, theta: AlgebraMap, norm: str) -> Defe
 
 
 def _defect_float(WS: WeightedSemilattice, theta: AlgebraMap, norm: str) -> DefectReport:
-    w = WS.omega_float
+    w, table = WS.omega_float, WS.S.table
     V = _stack(theta)
-    norms = _norms(np.einsum("iab,jbc->ijac", V, V) - V[WS.S.table], norm)
-    if w.max() > _UNSCALED_RANGE:  # the product of two weights could overflow
-        ratios = norms / w[:, None] / w[None, :]
+    big = np.abs(V).max(axis=(1, 2))
+    if big.max() > _UNSCALED_RANGE:
+        # the products could overflow: scale each value down to its largest entry,
+        # each difference to its own and the weights to their mantissas, by powers of two
+        k = np.maximum(np.frexp(big)[1], 0)
+        K = k[:, None] + k[None, :]
+        U = _scaled(V, -k)
+        D = np.einsum("iab,jbc->ijac", U, U) - _scaled(V[table], -K)
+        j = np.frexp(np.abs(D).max(axis=(-2, -1)))[1]
+        mant, e = np.frexp(w)
+        norms = _norms(_scaled(D, -j), norm) / (mant[:, None] * mant[None, :])
+        ratios = np.ldexp(norms, K + j - e[:, None] - e[None, :])
     else:
-        ratios = norms / (w[:, None] * w[None, :])
+        norms = _norms(np.einsum("iab,jbc->ijac", V, V) - V[table], norm)
+        wide = w.max() > _UNSCALED_RANGE  # the product of two weights could overflow
+        ratios = norms / w[:, None] / w[None, :] if wide else norms / (w[:, None] * w[None, :])
     if theta.codomain != "m2":
         # symmetric defect function: restrict to i <= j (keeps the same
         # maximum and the same lexicographically-first witness)
@@ -423,7 +456,7 @@ class DistanceReport:
 
     @property
     def value_float(self) -> float:
-        return float(self.value)
+        return _float(self.value)
 
 
 def _element_ratios(WS: WeightedSemilattice, theta: AlgebraMap, phi: AlgebraMap, norm: str):
@@ -431,9 +464,12 @@ def _element_ratios(WS: WeightedSemilattice, theta: AlgebraMap, phi: AlgebraMap,
     as a list when the weight and both maps are exact, else a numpy array of
     the float ratios."""
     if _can_run_exact(WS, theta, phi):
+        N, L = _integers(theta, phi)  # theta(e) - phi(e) = (N_e - N_{n+e}) / L
+        W, K = _over_common_denominator(WS.omega)  # omega(e) = W_e / K
+        D = (N[: WS.n] - N[WS.n :]).reshape(-1, 4).tolist()
         return [
-            _norm_sq_exact(t - p, norm) / Fraction(w) ** 2
-            for t, p, w in zip(theta.values, phi.values, WS.omega)
+            Fraction(_norm_sq_exact(Mat2(*d), norm) * K * K, (L * w) ** 2)
+            for d, w in zip(D, W.tolist())
         ]
     return _norms(_stack(theta) - _stack(phi), norm) / WS.omega_float
 

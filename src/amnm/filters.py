@@ -121,8 +121,9 @@ def zero_map(S: Semilattice) -> AlgebraMap:
 
 def characters(S: Semilattice) -> list[AlgebraMap]:
     """All nonzero multiplicative scalar maps: the filter indicators, in
-    :func:`enumerate_filters` order."""
-    return [filter_indicator(S, f) for f in enumerate_filters(S)]
+    :func:`enumerate_filters` order.  Row m of ``S.leq`` is the up-set of m,
+    the filter with principal m."""
+    return [scalar_map(row) for row in S.leq.astype(int).tolist()]
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ attained by an exactly multiplicative map.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -36,6 +37,7 @@ from .defects import (
     AlgebraMap,
     _check_norm,
     _element_ratios,
+    _float,
     _resolve,
     _root,
     defect,
@@ -44,7 +46,7 @@ from .defects import (
     weighted_sup_distance_report,
 )
 from .errors import ClassificationFailure, ParseError
-from .filters import Filter, enumerate_filters, filter_indicator
+from .filters import Filter, characters, enumerate_filters, zero_map
 from .mat2 import (
     M2_ID,
     Mat2,
@@ -96,7 +98,7 @@ class NearestReport:
 
 def _mult_scalar_maps(S) -> list[AlgebraMap]:
     """The zero map and one indicator per filter, without the defect check."""
-    return [filter_indicator(S, f) for f in (None, *enumerate_filters(S))]
+    return [zero_map(S), *characters(S)]
 
 
 def _diagonal_t2(maps) -> list[AlgebraMap]:
@@ -140,25 +142,27 @@ def _exhaustive_nearest(WS, theta, maps, norm=None) -> NearestReport:
     if theta.n != WS.n:
         raise ParseError("map length does not match the semilattice")
     norm = _check_norm(theta.codomain, norm)
-    values = dict.fromkeys(v for m in maps for v in m.values)
-    constant = (AlgebraMap(theta.codomain, (c,) * WS.n) for c in values)
+    index = defaultdict()
+    index.default_factory = index.__len__  # a new value gets the next id
+    ids = np.array([list(map(index.__getitem__, m.values)) for m in maps])
+    constant = (AlgebraMap(theta.codomain, (c,) * WS.n) for c in index)
     costs = [_element_ratios(WS, theta, phi, norm) for phi in constant]
     levels = sorted(set(chain.from_iterable(costs)))
     rank = {q: i for i, q in enumerate(levels)}
-    ranks = {c: [rank[q] for q in per] for c, per in zip(values, costs)}
-    scans = ([ranks[c][e] for e, c in enumerate(m.values)] for m in maps)
-    top, r, m = min(((max(r), r, m) for r, m in zip(scans, maps)), key=lambda rec: rec[0])
-    witness = r.index(top)
+    # scan[k, e] is the rank of map k's cost at element e
+    scan = np.array([list(map(rank.__getitem__, per)) for per in costs])[ids, np.arange(WS.n)]
+    best = int(np.argmin(scan.max(axis=1)))
+    top = int(scan[best].max())
     if isinstance(costs[0], list):  # exact squared costs
         value, exact = _root(levels[top])
     else:
         value, exact = levels[top], False
     return NearestReport(
         codomain=theta.codomain,
-        value=float(value),
+        value=_float(value),
         value_exact=value if exact else None,
-        best_map=m,
-        witness=witness,
+        best_map=maps[best],
+        witness=int(np.argmax(scan[best] == top)),
         norm=norm,
         method="exhaustive",
         details={"maps_scanned": len(maps)},

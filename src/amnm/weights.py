@@ -9,6 +9,8 @@ certificates use.
 Provided here:
 
 * validation (:func:`check_submultiplicative`, :class:`WeightedSemilattice`),
+  in numpy row blocks: exact weights compare as integers over their common
+  denominator (:func:`_over_common_denominator`), others as float64,
 * the building-block weight ``C^gamma`` on a free semilattice and its
   orthogonal-sum extension used by the non-AMNM counterexample families,
 * the flighty constant: the maximum weight reachable by products of
@@ -18,6 +20,7 @@ Provided here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -49,12 +52,26 @@ def _is_exact(value) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
+def _over_common_denominator(values) -> tuple[np.ndarray, int]:
+    """Exact rationals as integers ``N = L * values`` over their least common
+    denominator ``L``: ``int64`` when ``2 max|N|**2 + L max|N| < 2**63`` proves
+    that no ``N_a N_b + N_c N_d - L N_e`` overflows, else Python ints."""
+    L = math.lcm(*(x.denominator for x in values))
+    N = [x.numerator * (L // x.denominator) for x in values]
+    big = max(map(abs, N))
+    return np.array(N, dtype=np.int64 if 2 * big * big + L * big < 2**63 else object), L
+
+
+_BLOCK_CELLS = 1 << 14  # pairs per row block of the vectorised pair scans
+
+
 def check_submultiplicative(S: Semilattice, omega: Sequence) -> tuple[int, int] | None:
     """Validate positivity and return the first pair with
     ``omega(x*y) > omega(x)*omega(y)``, or None if the weight is valid.
 
-    Comparisons are exact (no tolerance).  Raises :class:`NonPositiveWeight`
-    if some value is not a strictly positive real number.
+    Comparisons are exact (no tolerance): ``W(x*y) L > W(x) W(y)`` on the
+    integers ``W = L omega``, or on float64 if any weight is a float.  Raises
+    :class:`NonPositiveWeight` if some value is not a strictly positive real number.
     """
     if len(omega) != S.n:
         raise ValueError(f"weight has {len(omega)} entries for a {S.n}-element semilattice")
@@ -63,11 +80,17 @@ def check_submultiplicative(S: Semilattice, omega: Sequence) -> tuple[int, int] 
             raise NonPositiveWeight(f"omega[{i}] = {w!r} is not a real number", i)
         if not w > 0:
             raise NonPositiveWeight(f"omega[{i}] = {w!r} is not strictly positive", i)
-    table = S.table
-    for i in range(S.n):
-        for j in range(S.n):
-            if omega[int(table[i, j])] > omega[i] * omega[j]:
-                return (i, j)
+    if max(omega, default=1) <= min(omega, default=1) * min(omega, default=1):
+        return None  # then omega(x*y) <= max <= min**2 <= omega(x) * omega(y)
+    exact = all(map(_is_exact, omega))
+    W, L = _over_common_denominator(omega) if exact else (np.array(omega, dtype=float), 1)
+    step = max(1, _BLOCK_CELLS // S.n)
+    with np.errstate(over="ignore"):  # an overflowing float product is inf, as in Python
+        for i0 in range(0, S.n, step):
+            bad = W[S.table[i0 : i0 + step]] * L > W[i0 : i0 + step, None] * W
+            if bad.any():
+                i, j = divmod(int(np.argmax(bad)), S.n)
+                return (i0 + i, j)
     return None
 
 
@@ -134,43 +157,32 @@ def building_block_weight(F: FreeSemilattice, C) -> tuple:
 
 
 def _recover_blocks(T: Semilattice) -> tuple[int, list[list[int]]]:
-    """Find the absorbing zero and the connected blocks of an orthogonal sum."""
-    table = T.table
-    n = T.n
-    zeros = [z for z in range(n) if all(int(table[z, x]) == z for x in range(n))]
+    """Find the absorbing zero and the connected blocks of an orthogonal sum:
+    the components of the graph linking two elements whose product is not
+    the zero, each labelled by its least element."""
+    zeros = np.flatnonzero((T.table == np.arange(T.n)[:, None]).all(axis=1))
     if len(zeros) != 1:
-        raise StructureMismatch(
-            f"expected a unique absorbing zero element, found {len(zeros)}"
-        )
-    zero = zeros[0]
-    others = [i for i in range(n) if i != zero]
-    parent = {i: i for i in others}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in others:
-        for j in others:
-            if i < j and int(table[i, j]) != zero:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in others:
-        groups.setdefault(find(i), []).append(i)
-    blocks = sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
-    return zero, blocks
+        raise StructureMismatch(f"expected a unique absorbing zero element, found {len(zeros)}")
+    zero = int(zeros[0])
+    linked = np.triu(T.table != zero, 1)  # read above the diagonal, as on a commutative table
+    linked |= linked.T
+    linked[zero, :] = linked[:, zero] = False
+    label = np.arange(T.n)
+    while True:  # each element takes the least label among its neighbours
+        new = np.minimum(label, np.where(linked, label, T.n).min(axis=1))
+        if np.array_equal(new, label):
+            break
+        label = new
+    roots = np.flatnonzero(label == np.arange(T.n))  # the least element of each block
+    return zero, [np.flatnonzero(label == b).tolist() for b in roots if b != zero]
 
 
 def _verify_free_block(T: Semilattice, block: list[int]) -> dict[int, int]:
     """Check a block is a free semilattice; return the length function on it."""
     table = T.table
     members = set(block)
-    for i in block:
-        for j in block:
-            if int(table[i, j]) not in members:
-                raise StructureMismatch("block is not closed under the product")
+    if not np.isin(table[np.ix_(block, block)], block).all():
+        raise StructureMismatch("block is not closed under the product")
     generators = [
         i for i in block if all(int(table[i, j]) != i for j in block if j != i)
     ]
@@ -180,7 +192,6 @@ def _verify_free_block(T: Semilattice, block: list[int]) -> dict[int, int]:
             f"block of size {len(block)} is not free on its {k} maximal elements"
         )
     gamma: dict[int, int] = {}
-    seen: dict[int, int] = {}
     for mask in range(1, 1 << k):
         prod = None
         for b in range(k):
@@ -188,12 +199,11 @@ def _verify_free_block(T: Semilattice, block: list[int]) -> dict[int, int]:
                 g = generators[b]
                 prod = g if prod is None else int(table[prod, g])
         size = mask.bit_count()
-        if prod in seen and seen[prod] != size:
+        if prod in gamma and gamma[prod] != size:
             raise StructureMismatch("block products do not realize a free semilattice")
         if prod in gamma:
             raise StructureMismatch("two generator subsets share a product; block not free")
         gamma[prod] = size
-        seen[prod] = size
     if set(gamma) != members:
         raise StructureMismatch("generator products do not exhaust the block")
     return gamma

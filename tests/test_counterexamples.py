@@ -35,6 +35,7 @@ from amnm import (
     weighted_sup_distance_report,
 )
 from amnm.counterexamples import _check_closed_form
+from amnm.defects import _candidate_pairs, _integers, _normalised_entries, _pair_enclosures
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +129,19 @@ def test_t2_chain_companion_restores_the_distance():
     # the companion really is that close in the wider algebra
     again = weighted_sup_distance(WS, r.theta.as_m2(), companion, "op")
     assert again == Fraction(1, 32)
+
+
+def test_the_companion_leaves_the_exact_defect_scan_no_pair():
+    # the companion is exactly multiplicative; the float filter cannot tell its
+    # 1,397.5 pairs per index (on average) from zero, the integer zero test can
+    WS = geometric_weight(64)
+    kept = 0
+    for m in range(64):
+        N, L = _integers(theta_m_t2(WS, m).details["companion"])
+        lo, hi = _pair_enclosures(*_normalised_entries(WS, N, L), WS.S.table, "op", slice(0, 64))
+        kept += int(((hi > 0) & (hi >= lo.max())).sum())
+        assert list(_candidate_pairs(WS, N, L, "op")) == []
+    assert kept == 89440
 
 
 def test_t2_chain_survives_weights_past_the_float_range():

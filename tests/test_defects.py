@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +38,7 @@ from amnm import (
     weighted_sup_distance,
     weighted_sup_distance_report,
 )
+from amnm.defects import _integers, _norms, _stack
 
 
 def test_default_norm_per_codomain():
@@ -260,6 +262,9 @@ _SMALL = st.one_of(
 # root) past the float filter's range, which takes the full scan
 _TINY = st.one_of(_SMALL, st.just(Fraction(1, 2**1100)))
 _VALUES = st.one_of(_TINY, st.just(2**300))
+# entries over denominators past 2**40: their common denominator L passes the
+# int64 bound 2 max|N|**2 + L max|N| < 2**63, so the exact scans run on Python ints
+_WIDE = st.builds(Fraction, st.integers(-(2**42), 2**42), st.integers(2**40, 2**41))
 
 
 def _reference_brackets(WS, theta, norm):
@@ -297,7 +302,7 @@ def _reference_brackets(WS, theta, norm):
     return out
 
 
-def _one_off_map(draw, S, codomain):
+def _one_off_map(draw, S, codomain, entries):
     """A multiplicative map with the value at one element replaced."""
     options = [None, *enumerate_filters(S)]
     F1, F2 = draw(st.sampled_from(options)), draw(st.sampled_from(options))
@@ -305,26 +310,26 @@ def _one_off_map(draw, S, codomain):
         b = draw(_SMALL)
         P = draw(st.sampled_from([Mat2(1, b, 0, 0), Mat2(0, 0, b, 1), Mat2(1, 0, 0, 0)]))
         values = list(m2_family_map(S, F1, F2, P).values)
-        values[draw(st.integers(0, S.n - 1))] = _m2_value(draw, draw(st.booleans()))
+        values[draw(st.integers(0, S.n - 1))] = _m2_value(draw, draw(st.booleans()), entries)
         return m2_map(values)
     values = list(filter_indicator(S, F1).values)
     k = draw(st.integers(0, S.n - 1))
-    values[k] = draw(_VALUES)
+    values[k] = draw(entries)
     if codomain == "scalar":
         return scalar_map(values)
-    return t2_map([(v, draw(_VALUES) if e == k else 0) for e, v in enumerate(values)])
+    return t2_map([(v, draw(entries) if e == k else 0) for e, v in enumerate(values)])
 
 
-def _m2_value(draw, diagonal):
+def _m2_value(draw, diagonal, entries):
     # diagonal differences have rational operator norms, max(|a|, |d|)
-    a, b, c, d = (draw(_TINY) for _ in range(4))
+    a, b, c, d = (draw(entries) for _ in range(4))
     return Mat2(a, 0, 0, d) if diagonal else Mat2(a, b, c, d)
 
 
 @st.composite
 def defect_cases(draw):
     S = draw(st.sampled_from(_POOL))
-    kind = draw(st.sampled_from(["unit", "rational", "huge"]))
+    kind = draw(st.sampled_from(["unit", "rational", "huge", "wide"]))
     below = [[y for y in range(S.n) if int(S.table[x, y]) == y] for x in range(S.n)]
     if kind == "unit":
         omega = [1] * S.n
@@ -332,18 +337,22 @@ def defect_cases(draw):
         # monotone weights >= 1 are submultiplicative: omega(xy) <= omega(x)
         c = [draw(st.fractions(min_value=0, max_value=9, max_denominator=7)) for _ in range(S.n)]
         omega = [1 + sum(c[y] for y in below[x]) for x in range(S.n)]
-    else:
+    elif kind == "huge":
         omega = [Fraction(2**30) ** len(below[x]) for x in range(S.n)]
+    else:
+        c = [abs(draw(_WIDE)) for _ in range(S.n)]
+        omega = [1 + sum(c[y] for y in below[x]) for x in range(S.n)]
+    values, entries = (_WIDE, _WIDE) if kind == "wide" else (_VALUES, _TINY)
     codomain = draw(st.sampled_from(["scalar", "t2", "m2"]))
     if draw(st.booleans()):
-        theta = _one_off_map(draw, S, codomain)
+        theta = _one_off_map(draw, S, codomain, entries if codomain == "m2" else values)
     elif codomain == "scalar":
-        theta = scalar_map(draw(_VALUES) for _ in range(S.n))
+        theta = scalar_map(draw(values) for _ in range(S.n))
     elif codomain == "t2":
-        theta = t2_map((draw(_VALUES), draw(_VALUES)) for _ in range(S.n))
+        theta = t2_map((draw(values), draw(values)) for _ in range(S.n))
     else:
         diagonal = draw(st.booleans())
-        theta = m2_map(_m2_value(draw, diagonal) for _ in range(S.n))
+        theta = m2_map(_m2_value(draw, diagonal, entries) for _ in range(S.n))
     return weighted(S, omega), theta
 
 
@@ -447,3 +456,70 @@ def test_an_exact_distance_past_the_float_range_has_a_float_root():
     assert rep.value_sq == 2**1200 + 1
     assert not rep.exact_value and rep.witness == 0
     assert rep.value == 2.0**600
+
+
+def test_an_exact_value_past_the_float_range_has_an_infinite_float_view():
+    x = 2**1100
+    rep = defect(nmin(1), scalar_map([x]))
+    assert rep.exact_value and rep.defect == x * x - x
+    assert rep.defect_float == math.inf
+    dist = weighted_sup_distance_report(nmin(1), scalar_map([x]), scalar_map([0]))
+    assert dist.value == x and dist.value_float == math.inf
+
+
+# ---------------------------------------------------------------------------
+# The integer stacks of the exact scans.
+# ---------------------------------------------------------------------------
+
+
+def test_integer_stacks_switch_to_python_ints_past_the_int64_bound():
+    small = scalar_map([Fraction(1, 3), 1, 0])
+    N, L = _integers(small)
+    assert N.dtype == np.int64 and L == 3
+    assert N[:, 0, 0].tolist() == [1, 3, 0]
+    wide = scalar_map([Fraction(1, 2**40 + 1), 1, 0])
+    N, L = _integers(wide)
+    assert N.dtype == object and L == 2**40 + 1
+    assert N[:, 0, 0].tolist() == [1, L, 0]
+    # on both paths the defect is |x * 1 - theta(zero)| = x at (0, 1), above
+    # the |x^2 - x| at (0, 0)
+    S = free_semilattice(2)
+    for theta in (small, wide):
+        rep = defect(S, theta)
+        assert rep.defect == theta.values[0] and rep.witness == (0, 1)
+
+
+# ---------------------------------------------------------------------------
+# Float m2 defects whose products would overflow.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("norm", ["hs", "op"])
+def test_a_float_m2_defect_past_the_square_range_does_not_overflow(norm):
+    # theta^2 - theta = [[4e400 - 2e200, 0], [0, 0]] over the weight 1e400
+    x, w = 2e200, 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = defect(weighted(nmin(1), [w]), m2_map([Mat2(x, 0.0, 0.0, 0.0)]), norm)
+    exact = (Fraction(x) ** 2 - Fraction(x)) / Fraction(w) ** 2
+    assert rep.defect_float == pytest.approx(float(exact), rel=1e-14)
+    assert rep.witness == (0, 0)
+
+
+def test_scaled_float_m2_defects_keep_the_unscaled_bits_where_nothing_overflows():
+    # entries between 1e60 and 1e140 take the scaled path; their products stay
+    # finite, and scaling by powers of two is exact, so the bits are the same
+    gen = np.random.default_rng(1212)
+    for _ in range(100):
+        S = random_semilattice(gen)
+        scale = [10.0 ** gen.uniform(60, 140) for _ in range(S.n)]
+        entries = [[complex(*gen.normal(size=2)) * k for _ in range(4)] for k in scale]
+        theta = m2_map([Mat2(*e) for e in entries])
+        WS = random_submultiplicative_weight(gen, S)
+        V, w = _stack(theta), WS.omega_float
+        for norm in ("hs", "op"):
+            ratios = _norms(np.einsum("iab,jbc->ijac", V, V) - V[S.table], norm)
+            ratios = ratios / (w[:, None] * w[None, :])
+            i, j = divmod(int(np.argmax(ratios)), S.n)
+            rep = defect(WS, theta, norm)
+            assert rep.defect_float == ratios[i, j] and rep.witness == (i, j)

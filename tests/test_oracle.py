@@ -42,6 +42,8 @@ from amnm import (
     weighted,
     weighted_sup_distance,
 )
+from amnm.filters import filter_indicator
+from amnm.oracle import _mult_scalar_maps
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +57,14 @@ def test_scalar_enumeration_counts_zero_plus_filters(semilattice_pool):
         assert len(maps) == S.n + 1
         for phi in maps:
             assert defect(S, phi).defect == 0
+
+
+def test_scalar_maps_from_the_order_match_the_filter_indicators(semilattice_pool):
+    for S in semilattice_pool:
+        got = _mult_scalar_maps(S)
+        want = [filter_indicator(S, f) for f in (None, *enumerate_filters(S))]
+        assert [m.values for m in got] == [m.values for m in want]
+        assert all(m.codomain == "scalar" and {type(v) for v in m.values} == {int} for m in got)
 
 
 def test_t2_enumeration_is_diagonal(semilattice_pool):
@@ -139,6 +149,12 @@ def test_nearest_scalar_exact_on_rational_input():
     rep = nearest_mult_scalar(S, psi)
     # candidates: 0 -> 3/4, [1,1] -> 3/4, [0,1] -> 3/4 ... indicator {1}: max(3/4, 3/4)
     assert rep.value_exact == Fraction(3, 4)
+
+
+def test_nearest_scalar_past_the_float_range_has_an_infinite_float_view():
+    rep = nearest_mult_scalar(nmin(1), scalar_map([2**1100]))
+    assert rep.value_exact == 2**1100 - 1 and rep.value == math.inf
+    assert rep.best_map.values == (1,) and rep.witness == 0
 
 
 def test_nearest_rejects_a_non_semilattice_carrier():

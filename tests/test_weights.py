@@ -147,3 +147,62 @@ def test_random_weight_is_always_submultiplicative(seed):
     WS = random_submultiplicative_weight(rng, S)
     assert check_submultiplicative(S, WS.omega) is None
     assert all(w >= 1 for w in WS.omega_float)
+
+
+# ---------------------------------------------------------------------------
+# The vectorised weight check against the all-pairs loop it replaced.
+# ---------------------------------------------------------------------------
+
+
+def _all_pairs_check(S, omega):
+    """The former all-pairs loop of check_submultiplicative, as the reference."""
+    table = S.table
+    for i in range(S.n):
+        for j in range(S.n):
+            if omega[int(table[i, j])] > omega[i] * omega[j]:
+                return (i, j)
+    return None
+
+
+_WEIGHT_POOL = [nmin(4), free_semilattice(3), orthogonal_free_sum((2, 3))]
+_WEIGHT_POOL += [random_semilattice(np.random.default_rng(seed)) for seed in range(4)]
+# exact weights with integers and common denominators past 2**63, and float
+# weights whose products overflow to inf
+_EXACT_WEIGHT = st.one_of(
+    st.integers(1, 4),
+    st.integers(2**62, 2**80),
+    st.fractions(min_value=1, max_value=4, max_denominator=12),
+    st.builds(Fraction, st.integers(2**64, 2**66), st.integers(2**63, 2**64)),
+)
+_FLOAT_WEIGHT = st.one_of(st.floats(1.0, 4.0), st.floats(1e150, 1e300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_check_submultiplicative_matches_the_all_pairs_loop(data):
+    S = data.draw(st.sampled_from(_WEIGHT_POOL))
+    draw_weight = _EXACT_WEIGHT if data.draw(st.booleans()) else _FLOAT_WEIGHT
+    omega = [data.draw(draw_weight) for _ in range(S.n)]
+    if data.draw(st.booleans()):
+        # monotone weights >= 1 are submultiplicative: omega(xy) <= omega(x)
+        below = [[y for y in range(S.n) if int(S.table[x, y]) == y] for x in range(S.n)]
+        omega = [max(omega[y] for y in below[x]) for x in range(S.n)]
+        if data.draw(st.booleans()):  # plant a violation at a drawn pair
+            i, j = data.draw(st.integers(0, S.n - 1)), data.draw(st.integers(0, S.n - 1))
+            omega[int(S.table[i, j])] = 2 * omega[i] * omega[j]
+    assert check_submultiplicative(S, omega) == _all_pairs_check(S, omega)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("late", [100, 200])
+def test_the_first_violation_can_sit_in_a_later_row_block(exact, late):
+    # 255 elements make four row blocks of 64 rows.  Rows below ``late`` weigh
+    # 4, which no product outweighs; the others weigh 1, but the zero weighs 2,
+    # so the first violation is a pair in row ``late`` whose product is the zero
+    S = free_semilattice(8)
+    omega = [4 if e < late else 1 for e in range(S.n)]
+    omega[S.zero] = 2
+    omega = omega if exact else [float(w) for w in omega]
+    witness = check_submultiplicative(S, omega)
+    assert witness == _all_pairs_check(S, omega)
+    assert witness[0] == late and int(S.table[witness]) == S.zero
