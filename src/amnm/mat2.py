@@ -3,7 +3,9 @@
 Everything here is exact-formula work on 2x2 complex matrices — no iterative
 linear algebra.  :class:`Mat2` is a lightweight tuple type whose entries may
 be Python complex/floats or exact ``Fraction`` values (for the certified
-counterexample computations); all arithmetic is entrywise and generic.
+counterexample computations); all arithmetic is entrywise and generic.  The
+per-matrix kernels below share one core on unpacked entries (``_schur``,
+``_idempotent_defect`` and ``_mul``) and build a ``Mat2`` only to return one.
 
 The analytical core:
 
@@ -84,9 +86,7 @@ class Mat2(NamedTuple):
         return _tuple_new(Mat2, (-a, -b, -c, -d))
 
     def __matmul__(self, o: "Mat2") -> "Mat2":
-        a, b, c, d = self
-        e, f, g, h = o
-        return _tuple_new(Mat2, (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
+        return _tuple_new(Mat2, _mul(*self, *o))
 
     def __mul__(self, s) -> "Mat2":
         a, b, c, d = self
@@ -165,6 +165,16 @@ def _complex_norm(a: complex, b: complex, c: complex, d: complex, op: bool) -> f
     return _op_from_gram(t, det.real * det.real + det.imag * det.imag)
 
 
+def _idempotent_defect(a, b, c, d) -> float:
+    """``hs_norm(A @ A - A)`` on A's four entries, operation for operation."""
+    return hs_norm((a * a + b * c - a, a * b + b * d - b, c * a + d * c - c, c * b + d * d - d))
+
+
+def _mul(a, b, c, d, e, f, g, h) -> tuple:
+    """The entries of the product ``(a b / c d)(e f / g h)``: ``Mat2``'s ``@``."""
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
 def hs_norm_sq(A: Mat2):
     """Squared Hilbert-Schmidt norm tr(A* A); exact for exact entries."""
     a, b, c, d = A
@@ -195,7 +205,7 @@ def inv2(A: Mat2) -> Mat2:
 
 
 def is_idempotent_within(A: Mat2, tol: float = 1e-9) -> bool:
-    return hs_norm(A @ A - A) <= tol
+    return _idempotent_defect(*A) <= tol
 
 
 def commute_within(A: Mat2, B: Mat2, tol: float = 1e-9) -> bool:
@@ -277,6 +287,36 @@ def scalar_project(z: complex, eps: float) -> ScalarProjection:
 # ---------------------------------------------------------------------------
 
 
+def _schur(A, a: complex, b: complex, c: complex, d: complex) -> tuple:
+    """:func:`unitary_triangularize` on ``A``'s entries as ``complex``, without
+    a ``Mat2``: returns U's first column ``v1, v2`` and T's entries ``ta, tb, td``."""
+    tr = a + d
+    disc = (a - d) * (a - d) + 4.0 * b * c
+    root = complex(disc) ** 0.5
+    l1, l2 = 0.5 * (tr + root), 0.5 * (tr - root)
+    half = 0.5 * tr  # lam: the larger by (|l - tr/2|, re, im), l1 on ties, as max() picks
+    lam = l2 if (abs(l2 - half), l2.real, l2.imag) > (abs(l1 - half), l1.real, l1.imag) else l1
+    n1 = abs(b) ** 2 + abs(lam - a) ** 2  # the two eigenvector candidates' squared norms
+    n2 = abs(lam - d) ** 2 + abs(c) ** 2
+    x, y, vn = (b, lam - a, math.sqrt(n1)) if n1 >= n2 else (lam - d, c, math.sqrt(n2))
+    if vn < 1e-150:  # the squares lose bits to underflow: rescale v first
+        m = max(abs(x), abs(y))
+        if m == 0.0:
+            x, y, m = 1.0 + 0.0j, 0.0j, 1.0
+        x, y = x / m, y / m
+        vn = math.sqrt(abs(x) ** 2 + abs(y) ** 2)
+    v1, v2 = x / vn, y / vn
+    p, q = v1.conjugate(), v2.conjugate()  # U* = (p, q / -v2, v1)
+    ma, mb, mc, md = _mul(p, q, -v2, v1, a, b, c, d)
+    ta, tb, tc, td = _mul(ma, mb, mc, md, v1, -q, v2, p)
+    scale = 1.0 + hs_norm(A)
+    if abs(tc) > 1e-10 * scale:
+        raise ClassificationFailure(
+            f"triangularization left subdiagonal {abs(tc)!r} (scale {scale!r})"
+        )
+    return v1, v2, ta, tb, td
+
+
 def unitary_triangularize(A: Mat2) -> tuple[Mat2, Mat2]:
     """Deterministic unitary U and upper-triangular T with A = U T U*.
 
@@ -287,33 +327,8 @@ def unitary_triangularize(A: Mat2) -> tuple[Mat2, Mat2]:
     orthogonal completion.  The subdiagonal entry is asserted tiny and then
     set to exactly zero.
     """
-    a, b, c, d = map(complex, A)
-    tr = a + d
-    disc = (a - d) * (a - d) + 4.0 * b * c
-    root = complex(disc) ** 0.5
-    lams = (0.5 * (tr + root), 0.5 * (tr - root))
-    lam = max(lams, key=lambda z: (abs(z - 0.5 * tr), z.real, z.imag))
-    cand1 = (b, lam - a)
-    cand2 = (lam - d, c)
-    n1 = abs(cand1[0]) ** 2 + abs(cand1[1]) ** 2
-    n2 = abs(cand2[0]) ** 2 + abs(cand2[1]) ** 2
-    v = cand1 if n1 >= n2 else cand2
-    vn = math.sqrt(abs(v[0]) ** 2 + abs(v[1]) ** 2)
-    if vn < 1e-150:  # the squares lose bits to underflow: rescale v first
-        m = max(abs(v[0]), abs(v[1]))
-        if m == 0.0:
-            v, m = (1.0 + 0.0j, 0.0j), 1.0
-        v = (v[0] / m, v[1] / m)
-        vn = math.sqrt(abs(v[0]) ** 2 + abs(v[1]) ** 2)
-    v1, v2 = v[0] / vn, v[1] / vn
-    U = Mat2(v1, -v2.conjugate(), v2, v1.conjugate())
-    T = U.adjoint() @ Mat2(a, b, c, d) @ U
-    scale = 1.0 + hs_norm(A)
-    if abs(T.c) > 1e-10 * scale:
-        raise ClassificationFailure(
-            f"triangularization left subdiagonal {abs(T.c)!r} (scale {scale!r})"
-        )
-    return U, Mat2(T.a, T.b, 0.0j, T.d)
+    v1, v2, ta, tb, td = _schur(A, *map(complex, A))
+    return Mat2(v1, -v2.conjugate(), v2, v1.conjugate()), Mat2(ta, tb, 0.0j, td)
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +355,6 @@ class KeyEstimateReport:
     measured: float
 
 
-def _nearest01(z: complex) -> int:
-    return 0 if abs(z) <= abs(z - 1.0) else 1
-
-
 def nearest_binary_idempotent(A: Mat2) -> tuple[Mat2, int]:
     """Idempotent from rounding the triangularized diagonal of ``A`` to {0, 1}.
 
@@ -353,13 +364,12 @@ def nearest_binary_idempotent(A: Mat2) -> tuple[Mat2, int]:
     otherwise ``P`` is 0 or the identity.  No smallness of ``||A - A^2||``
     is assumed — :func:`key_estimates` adds the certified bounds.
     """
-    U, T = unitary_triangularize(A)
-    na, nd = _nearest01(T.a), _nearest01(T.d)
-    if na != nd:
-        P_T = Mat2(complex(na), T.b, 0.0j, complex(nd))
-    else:
-        P_T = M2_ZERO if na == 0 else M2_ID
-    return U @ P_T @ U.adjoint(), na + nd
+    v1, v2, ta, tb, td = _schur(A, *map(complex, A))
+    na = 0 if abs(ta) <= abs(ta - 1.0) else 1  # T's diagonal, rounded to {0, 1}
+    nd = 0 if abs(td) <= abs(td - 1.0) else 1
+    e, f, g, h = (complex(na), tb, 0.0j, complex(nd)) if na != nd else (M2_ID if na else M2_ZERO)
+    p, q = v1.conjugate(), v2.conjugate()  # P = U P_T U*, with U = (v1, -q / v2, p)
+    return _tuple_new(Mat2, _mul(*_mul(v1, -q, v2, p, e, f, g, h), p, q, -v2, v1)), na + nd
 
 
 def key_estimates(A: Mat2, eps: float) -> KeyEstimateReport:
@@ -370,26 +380,28 @@ def key_estimates(A: Mat2, eps: float) -> KeyEstimateReport:
     eps = float(eps)
     if not 0.0 <= eps < 2.0 / 9.0:
         raise ValueError(f"key estimates require 0 <= eps < 2/9, got {eps!r}")
-    measured = hs_norm(A @ A - A)
+    a, b, c, d = A
+    measured = _idempotent_defect(a, b, c, d)
     if measured > eps:
         raise DefectTooLarge(measured, eps, what="||A - A^2||_HS")
 
     lower = math.sqrt(max(2.0 - 6.0 * measured, 0.0))
-    if hs_norm(2.0 * A - M2_ID) < lower - 1e-12:
+    if hs_norm((a * 2.0 - 1, b * 2.0 - 0, c * 2.0 - 0, d * 2.0 - 1)) < lower - 1e-12:
         raise ClassificationFailure("||2A - I|| fell below the certified lower bound")
 
     P, j = nearest_binary_idempotent(A)
-    trace_distance = abs(complex(A.trace) - j)
+    e, f, g, h = P
+    trace_distance = abs(complex(a + d) - j)
     rho_eps = rho(eps)
     cap = _SQRT2 * rho_eps * eps + 1e-12
     if trace_distance > cap or trace_distance >= 0.5:
         raise ClassificationFailure(
-            f"trace {complex(A.trace)!r} is not within {cap!r} of class {j}"
+            f"trace {complex(a + d)!r} is not within {cap!r} of class {j}"
         )
     bound = rho_eps * eps if j == 1 else kappa(eps) * eps
-    if hs_norm(P @ P - P) > 1e-12 * (1.0 + hs_norm_sq(P)):
+    if _idempotent_defect(e, f, g, h) > 1e-12 * (1.0 + hs_norm_sq(P)):
         raise ClassificationFailure("constructed projection failed idempotency check")
-    achieved = hs_norm(A - P)
+    achieved = hs_norm((a - e, b - f, c - g, d - h))
     if achieved > bound + 1e-12 * (1.0 + hs_norm(A)):
         raise ClassificationFailure(
             f"achieved distance {achieved!r} exceeds certified bound {bound!r}"

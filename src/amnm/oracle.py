@@ -147,16 +147,20 @@ def _exhaustive_nearest(WS, theta, maps, norm=None) -> NearestReport:
     ids = np.array([list(map(index.__getitem__, m.values)) for m in maps])
     constant = (AlgebraMap(theta.codomain, (c,) * WS.n) for c in index)
     costs = [_element_ratios(WS, theta, phi, norm) for phi in constant]
-    levels = sorted(set(chain.from_iterable(costs)))
-    rank = {q: i for i, q in enumerate(levels)}
+    flat = list(chain.from_iterable(costs))
+    exact_costs = isinstance(costs[0], list)  # exact squared costs, not floats
+    # an exact cost is keyed by its (numerator, denominator): a Fraction's own
+    # hash takes a modular inverse
+    keys = [(q.numerator, q.denominator) for q in flat] if exact_costs else flat
+    first = dict(zip(reversed(keys), reversed(flat)))  # each distinct cost, first seen
+    levels = sorted(first, key=first.__getitem__)
+    rank = {k: i for i, k in enumerate(levels)}
     # scan[k, e] is the rank of map k's cost at element e
-    scan = np.array([list(map(rank.__getitem__, per)) for per in costs])[ids, np.arange(WS.n)]
+    ranks = np.array(list(map(rank.__getitem__, keys))).reshape(len(costs), WS.n)
+    scan = ranks[ids, np.arange(WS.n)]
     best = int(np.argmin(scan.max(axis=1)))
     top = int(scan[best].max())
-    if isinstance(costs[0], list):  # exact squared costs
-        value, exact = _root(levels[top])
-    else:
-        value, exact = levels[top], False
+    value, exact = _root(first[levels[top]]) if exact_costs else (first[levels[top]], False)
     return NearestReport(
         codomain=theta.codomain,
         value=_float(value),

@@ -15,7 +15,7 @@ import numpy as np
 
 from .defects import AlgebraMap, defect, m2_map, scalar_map, t2_map
 from .filters import enumerate_filters, filter_indicator, zero_map
-from .mat2 import M2_ID, M2_ZERO, Mat2, _rank_one, hs_norm
+from .mat2 import M2_ID, M2_ZERO, Mat2, _idempotent_defect, _rank_one, _tuple_new
 from .oracle import m2_family_map
 from .semilattice import Semilattice
 from .weights import WeightedSemilattice, flighty_report
@@ -95,9 +95,9 @@ def random_bounded_idempotent(rng: np.random.Generator) -> Mat2:
     ``Mat2`` operation on the result.
     """
     while True:
-        x = rng.normal(size=8)  # the same stream as four normal(size=2) draws
-        u = x[0:2] + 1j * x[2:4]
-        v = x[4:6] + 1j * x[6:8]
+        x0, x1, x2, x3, x4, x5, x6, x7 = rng.normal(size=8).tolist()  # four normal(size=2) draws
+        u = np.array((complex(x0, x2), complex(x1, x3)))  # x[0:2] + 1j * x[2:4], bit for bit
+        v = np.array((complex(x4, x6), complex(x5, x7)))
         nu = math.sqrt(float(np.vdot(u, u).real))
         nv = math.sqrt(float(np.vdot(v, v).real))
         if nu < 1e-6 or nv < 1e-6:
@@ -106,18 +106,20 @@ def random_bounded_idempotent(rng: np.random.Generator) -> Mat2:
         pairing = complex(np.vdot(u, v))
         if abs(pairing) < _MIN_PAIRING:
             continue
-        return Mat2(*map(complex, _rank_one(v, u.conj(), pairing)))
+        return _tuple_new(Mat2, map(complex, _rank_one(v, u.conj(), pairing)))
 
 
 def _random_mat2_ball(rng: np.random.Generator, radius: float) -> Mat2:
-    x = rng.normal(size=8)  # the same stream as two normal(size=4) draws
-    raw = x[0:4] + 1j * x[4:8]
+    x0, x1, x2, x3, x4, x5, x6, x7 = rng.normal(size=8).tolist()  # two normal(size=4) draws
+    z0, z1, z2, z3 = complex(x0, x4), complex(x1, x5), complex(x2, x6), complex(x3, x7)
+    raw = np.array((z0, z1, z2, z3))  # x[0:4] + 1j * x[4:8], bit for bit
     nrm = math.sqrt(float(np.vdot(raw, raw).real))
     if nrm == 0.0:
         return Mat2(0.0j, 0.0j, 0.0j, 0.0j)
-    r = radius * rng.random()  # the same draw as rng.uniform(), at a third of the cost
-    raw = raw * (r / nrm)
-    return Mat2(*raw.tolist())
+    # rng.random() is the same draw as rng.uniform(), at a third of the cost; z * f has
+    # the bits of numpy's raw * f, as each part adds a product with zero, fused or not
+    f = radius * rng.random() / nrm
+    return _tuple_new(Mat2, (z0 * f, z1 * f, z2 * f, z3 * f))
 
 
 def random_m2_instance(
@@ -184,12 +186,13 @@ def random_near_idempotent(rng: np.random.Generator, eps: float) -> Mat2:
         base = Mat2(1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
     else:
         base = random_bounded_idempotent(rng)
-    noise = _random_mat2_ball(rng, 1.0)
+    b0, b1, b2, b3 = base
+    n0, n1, n2, n3 = _random_mat2_ball(rng, 1.0)
     scale = 0.45 * eps  # first guess: the defect map is roughly 2-Lipschitz here
     for _ in range(_MAX_SHRINKS):
-        A = base + scale * noise
-        if hs_norm(A @ A - A) <= eps:
-            return A
+        a, b, c, d = b0 + n0 * scale, b1 + n1 * scale, b2 + n2 * scale, b3 + n3 * scale
+        if _idempotent_defect(a, b, c, d) <= eps:
+            return _tuple_new(Mat2, (a, b, c, d))
         scale *= 0.5
     return base
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import amnm
-from amnm.cli import main
+from amnm.cli import build_parser, main
 
 CHAIN3 = {"table": [[0, 0, 0], [0, 1, 1], [0, 1, 2]]}
 FREE2 = {"table": [[0, 2, 2], [2, 1, 2], [2, 2, 2]]}
@@ -386,3 +386,19 @@ def test_bad_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 3
+
+
+def test_main_parses_as_a_fresh_parser_on_every_call(tmp_path, capsys):
+    """``main`` builds its parser once and reuses it: help, usage errors and
+    a ``--json`` given on one call must not differ from a fresh parser's."""
+    path = write_doc(tmp_path, CHAIN3)
+    for argv in (["--help"], ["defect", "--help"], ["frobnicate"], ["defect"], ["correct", path]):
+        seen = []
+        for parse in (lambda a: build_parser().parse_args(a), main):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            seen.append((exc.value.code, capsys.readouterr()))
+        assert seen[0] == seen[1]
+    assert json.loads(run(capsys, "validate", path, "--json")[1])
+    code, out, _ = run(capsys, "validate", path)
+    assert code == 0 and out == run(capsys, "validate", path)[1] and not out.startswith("{")
