@@ -33,36 +33,29 @@ but not (f, e).  For scalar and T2 codomains the defect function is symmetric
 and the scan covers unordered pairs; witnesses are lexicographically first.
 
 The exact defect is filtered (Shewchuk 1997; Bronnimann, Burnikel and Pion
-1998).  A float pass, in row blocks of about ``_BLOCK_CELLS`` pairs, encloses
-every pair's exact ratio in ``[lo, hi]``; only pairs with ``hi > 0`` and
-``hi >= max lo`` are evaluated exactly, in the full scan's order and
-with its strict ``>``, so the value and the first witness are the full
-scan's.  The pass normalises the :meth:`AlgebraMap.as_m2` matrices by the
-weights, ``x = theta(e)/omega(e)`` and ``r = omega(ef)/(omega(e) omega(f))``,
-so the ratio is a norm of ``D = x_e x_f - r x_ef``.  Each ``x`` is one
-correctly rounded integer division and ``r`` is ``ldexp`` of three rounded
-weight mantissas.  In the standard model, ``fl(a op b) = (a op b)(1 + d) + e``
-with ``|d| <= u = 2**-53`` and ``|e| <= 2**-1075``, an entry of ``D`` has at
-most three terms and is off by ``gamma_9 = 9u/(1 - 9u)`` times the sum of
-their absolute values (``mag`` sums these; it bounds every norm of ``D``),
-plus ``2**-820`` while all ``|x| <= 2**250``.  The norm adds ``gamma_4``
-relatively and ``2**-536`` for squares below the normal range.  As ``r <= 1``
-for a submultiplicative weight, ``|D|`` stays below about ``2**501``, and past
-``2**250`` the norm rescales ``D`` by the power of two at its largest entry:
-that is exact except for entries pushed below the normal range, and their
-error is under ``2**-1070`` of the rescaled norm (at least 1/2).  So
-``|nu - exact| <= 2**-48 mag + 2**-535``, and the code's width
-``2**-40 (mag + nu) + 2**-500`` also covers its own roundings; a pair whose
-terms are all exactly zero has ``D = 0`` and no width.  The operator norm's
-closed form cancels badly, so it is enclosed by ``[hs/sqrt(2), hs]``.  When
-a value overflows a float or ``|x| > 2**250``, every pair survives.  Survivors
-get a vectorised exact zero test: ``theta(e) theta(f) = theta(ef)`` iff
-``N_e N_f = L N_ef`` entrywise, in ``int64`` when ``2 max|N|**2 + L max|N| <
-2**63`` proves that nothing overflows, else on Python ints; a pair that passes
-it is dropped before any norm is taken.  A survivor whose operator norm is
-irrational raises only when its HS norm, which bounds the operator norm,
-exceeds the maximum of the rational ones; an irrational square never ties
-that rational maximum, so the value and the first witness stay the full scan's.
+1998).  In row blocks of about ``_BLOCK_CELLS`` pairs, each pair's difference
+``P = N_e N_f - L N_ef = L**2 (theta(e) theta(f) - theta(ef))`` is formed on
+the integers, in ``int64`` when ``2 max|N|**2 + L max|N| < 2**63`` proves that
+nothing overflows, else on Python ints; pairs whose terms are all zero are
+skipped and exact zeros dropped.  With ``omega = W / K``, a pair's ratio is ``||P|| / (W_e
+W_f)`` times ``K**2 / L**2``, a factor common to all pairs, so a float pass
+encloses ``||P|| / (w_e w_f)`` in ``[lo, hi]``, for ``w`` the correctly rounded
+``W`` over the power of two that brings it below ``2**500`` (a subnormal ``w``
+counts as 0).  Only pairs whose ``hi`` reaches the largest ``lo`` so far are
+evaluated exactly, in the full scan's order and with its strict ``>``; every
+pair at the maximum is among them, so the value and the first witness are the
+full scan's.  As ``P`` is exact and nonzero, the float ratio carries
+relative roundings alone (the entries, squares, sum, root, weights, their
+product and the quotient: about ``12u``, ``u = 2**-53``) against the width
+``2**-40``: nothing cancels, the quotient is at least ``2**-1000``, and a finite
+one has ``w_e w_f >= 2**-1024``, which keeps even a subnormal product within
+``2**-51``.  The operator norm's closed form cancels badly, so it is enclosed by
+``[hs/sqrt(2), hs]``.  A pair whose quotient is infinite, or in a block where an
+entry of ``P`` does not fit a float, gets ``[0, inf]`` and survives.
+A survivor whose operator norm is irrational raises only when its HS norm,
+which bounds the operator norm, exceeds the maximum of the rational ones; an
+irrational square never ties that rational maximum, so the value and the
+first witness stay the full scan's.
 """
 
 from __future__ import annotations
@@ -70,7 +63,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -251,8 +244,7 @@ def _can_run_exact(WS: WeightedSemilattice, *maps: AlgebraMap) -> bool:
 
 
 # Filter constants; the module docstring derives the bound they implement.
-_FILTER_RANGE = 2.0**250  # largest normalised entry the float pass accepts
-_FILTER_REL, _FILTER_ABS = 2.0**-40, 2.0**-500  # the enclosure's relative and absolute width
+_FILTER_REL = 2.0**-40  # the enclosure's relative width
 _INV_SQRT2_DOWN = 0.7071067811865  # below 1/sqrt(2), even after rounding a product
 _UNSCALED_RANGE = 2.0**250  # the float kernels rescale past this entry or weight
 
@@ -298,44 +290,6 @@ def _norms(D: np.ndarray, norm: str) -> np.ndarray:
     return out if k is None else np.ldexp(out, k)
 
 
-def _normalised_entries(WS: WeightedSemilattice, N, L: int):
-    """The matrices ``theta(e)/omega(e)`` for ``N, L = _integers(theta)`` as rows,
-    which are exactly nonzero, and the weights' mantissas and exponents."""
-    rows, nonzero, mant, expo = [], [], [], []
-    for entries, w in zip(N.reshape(-1, 4).tolist(), WS.omega):
-        p, q = w.numerator, w.denominator
-        row = [(x * q) / (L * p) for x in entries]  # correctly rounded
-        if max(map(abs, row)) > _FILTER_RANGE:
-            raise OverflowError("normalised entry outside the filter's range")
-        rows.append(row)
-        nonzero.append(any(entries))
-        k = p.bit_length() - q.bit_length()
-        k -= (p << max(-k, 0)) < (q << max(k, 0))  # now 2**k <= w < 2**(k + 1)
-        mant.append((p << max(-k, 0)) / (q << max(k, 0)))
-        expo.append(k)
-    return np.array(rows), np.array(nonzero), np.array(mant), np.array(expo, dtype=np.int64)
-
-
-def _pair_enclosures(M, nonzero, mant, expo, table, norm: str, rows: slice):
-    """``(lo, hi)`` around the exact ratios of the pairs in a block of rows."""
-    P = table[rows]
-    k = np.clip(expo[P] - expo[rows, None] - expo[None, :], -2000, 2000)
-    r = np.ldexp(mant[P] / (mant[rows, None] * mant[None, :]), k.astype(np.int32))
-    x, y = M.T, M[rows].T[..., None]
-    # entry i = 2 row + col of x_e x_f - r x_ef, as a (block, n, 2, 2) stack
-    D = [y[i & 2] * x[i & 1] + y[(i & 2) + 1] * x[(i & 1) + 2] - r * x[i][P] for i in range(4)]
-    D = np.stack(D, axis=-1).reshape(r.shape + (2, 2))
-    A = np.abs(M)
-    # the sum over entries of |x_e| |x_f| + r |x_ef|, which bounds every norm of D
-    col, row = A[:, [0, 1]] + A[:, [2, 3]], A[:, [0, 2]] + A[:, [1, 3]]
-    mag = col[rows] @ row.T + r * A.sum(axis=1)[P]
-    nu = _norms(D, "hs" if norm == "op" else norm)
-    live = (nonzero[rows, None] & nonzero[None, :]) | nonzero[P]
-    width = _FILTER_REL * (mag + nu) + _FILTER_ABS * live
-    lo, hi = np.maximum(nu - width, 0.0), nu + width
-    return (lo * _INV_SQRT2_DOWN if norm == "op" else lo), hi
-
-
 def _integers(*maps: AlgebraMap):
     """The :meth:`AlgebraMap.as_m2` values of exact maps, one after the other,
     as an ``(n, 2, 2)`` stack of integers ``N = L theta`` and their ``L``."""
@@ -344,29 +298,48 @@ def _integers(*maps: AlgebraMap):
     return N.reshape(-1, 2, 2), L
 
 
-def _candidate_pairs(WS: WeightedSemilattice, N, L: int, norm: str):
-    """The pairs ``(e, f)`` that the float filter keeps, or all when it cannot
-    bound this input, in lexicographic order (ordered pairs for matrix norms),
-    less those whose difference is zero; each with the entries of ``N_e N_f -
-    L N_ef = L**2 (theta(e) theta(f) - theta(ef))`` for ``N, L = _integers(theta)``."""
-    n, table, ordered = WS.n, WS.S.table, norm in ("hs", "op")
-    step = max(1, _BLOCK_CELLS // n)
-    blocks = [slice(i0, i0 + step) for i0 in range(0, n, step)]
+def _pair_bounds(P, ww, norm: str):
+    """``(lo, hi)`` around ``||P|| / ww`` for rows ``P`` of nonzero integer
+    differences over weight products ``ww``: ``(0, inf)`` where the quotient is
+    infinite, and for all when an entry of ``P`` is past the float range."""
     try:
-        enclose = partial(_pair_enclosures, *_normalised_entries(WS, N, L), table, norm)
-    except OverflowError:  # no float bound: every pair survives
-        enclose = lambda b: (np.ones(table[b].shape),) * 2  # (lo, hi)
-    # two passes keep extra memory to one block: max lo, then the survivors
-    first = enclose(blocks[0])
-    best_lo = max(float(lo.max()) for lo, _ in chain([first], map(enclose, blocks[1:])))
-    for b in blocks:
-        hi = (first if b is blocks[0] else enclose(b))[1]
-        keep = (hi > 0) & (hi >= best_lo)
-        I, J = np.nonzero(keep if ordered else np.triu(keep, b.start))
-        I += b.start
+        D = P.astype(float).reshape(-1, 2, 2)
+    except OverflowError:
+        return np.zeros(len(P)), np.full(len(P), np.inf)
+    with np.errstate(over="ignore", divide="ignore"):  # past the float range: inf
+        ratio = _norms(D, "hs" if norm == "op" else norm) / ww
+    lo, hi = ratio * (1.0 - _FILTER_REL), ratio * (1.0 + _FILTER_REL)
+    lo[ratio == np.inf] = 0.0  # an infinite ratio bounds nothing from below
+    return (lo * _INV_SQRT2_DOWN if norm == "op" else lo), hi
+
+
+def _candidate_pairs(WS: WeightedSemilattice, W, N, L: int, norm: str):
+    """The pairs ``(e, f)`` whose difference is nonzero and that the float filter
+    keeps, in lexicographic order (ordered pairs for matrix norms), each with
+    the entries of ``N_e N_f - L N_ef = L**2 (theta(e) theta(f) - theta(ef))``
+    for ``N, L = _integers(theta)`` and ``W`` the weight integers as a list."""
+    n, table = WS.n, WS.S.table
+    step = max(1, _BLOCK_CELLS // n)
+    # the weights over a common power of two, below 2**500 and correctly rounded;
+    # a subnormal one has lost its relative accuracy and counts as 0
+    shift = 1 << max(max(W).bit_length() - 500, 0)
+    w = np.array([x / shift for x in W])
+    w[w < 2.0**-1022] = 0.0
+    nonzero = (N.reshape(n, 4) != 0).any(axis=1)
+    best_lo = 0.0
+    for i0 in range(0, n, step):
+        rows = slice(i0, i0 + step)
+        # a pair whose terms are all zero has a zero difference
+        cells = (nonzero[rows, None] & nonzero[None, :]) | nonzero[table[rows]]
+        I, J = np.nonzero(cells if norm in ("hs", "op") else np.triu(cells, i0))
+        I += i0
         P = (N[I] @ N[J] - L * N[table[I, J]]).reshape(-1, 4)
         differs = (P != 0).any(axis=1)
-        yield from zip(I[differs].tolist(), J[differs].tolist(), P[differs].tolist())
+        I, J, P = I[differs], J[differs], P[differs]
+        lo, hi = _pair_bounds(P, w[I] * w[J], norm)
+        best_lo = max(best_lo, lo.max(initial=0.0))
+        keep = hi >= best_lo
+        yield from zip(I[keep].tolist(), J[keep].tolist(), P[keep].tolist())
 
 
 def _defect_exact(WS: WeightedSemilattice, theta: AlgebraMap, norm: str) -> DefectReport:
@@ -377,7 +350,7 @@ def _defect_exact(WS: WeightedSemilattice, theta: AlgebraMap, norm: str) -> Defe
     witness = (0, 0)
     # the largest HS ratio square among pairs with an irrational operator norm
     irrational_sq, irrational = Fraction(0), None
-    for i, j, d in _candidate_pairs(WS, N, L, norm):
+    for i, j, d in _candidate_pairs(WS, W, N, L, norm):
         diff = Mat2(*d)  # over L**2 omega(e) omega(f) = L**2 W_e W_f / K**2
         weight_sq = (L * L * W[i] * W[j]) ** 2
         try:

@@ -382,7 +382,7 @@ def key_estimates(A: Mat2, eps: float) -> KeyEstimateReport:
         raise ValueError(f"key estimates require 0 <= eps < 2/9, got {eps!r}")
     a, b, c, d = A
     measured = _idempotent_defect(a, b, c, d)
-    if measured > eps:
+    if not measured <= eps:
         raise DefectTooLarge(measured, eps, what="||A - A^2||_HS")
 
     lower = math.sqrt(max(2.0 - 6.0 * measured, 0.0))

@@ -35,7 +35,8 @@ from amnm import (
     weighted_sup_distance_report,
 )
 from amnm.counterexamples import _check_closed_form
-from amnm.defects import _candidate_pairs, _integers, _normalised_entries, _pair_enclosures
+from amnm.defects import _candidate_pairs, _integers
+from amnm.weights import _over_common_denominator
 
 
 # ---------------------------------------------------------------------------
@@ -132,16 +133,13 @@ def test_t2_chain_companion_restores_the_distance():
 
 
 def test_the_companion_leaves_the_exact_defect_scan_no_pair():
-    # the companion is exactly multiplicative; the float filter cannot tell its
-    # 1,397.5 pairs per index (on average) from zero, the integer zero test can
+    # the companion is exactly multiplicative: the integer zero test drops
+    # every one of its pairs before any float bound is formed
     WS = geometric_weight(64)
-    kept = 0
+    W = _over_common_denominator(WS.omega)[0].tolist()
     for m in range(64):
         N, L = _integers(theta_m_t2(WS, m).details["companion"])
-        lo, hi = _pair_enclosures(*_normalised_entries(WS, N, L), WS.S.table, "op", slice(0, 64))
-        kept += int(((hi > 0) & (hi >= lo.max())).sum())
-        assert list(_candidate_pairs(WS, N, L, "op")) == []
-    assert kept == 89440
+        assert list(_candidate_pairs(WS, W, N, L, "op")) == []
 
 
 def test_t2_chain_survives_weights_past_the_float_range():

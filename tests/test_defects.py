@@ -38,7 +38,8 @@ from amnm import (
     weighted_sup_distance,
     weighted_sup_distance_report,
 )
-from amnm.defects import _integers, _norms, _stack
+from amnm.defects import _candidate_pairs, _integers, _norms, _stack
+from amnm.weights import _over_common_denominator
 
 
 def test_default_norm_per_codomain():
@@ -370,6 +371,11 @@ def test_exact_defect_matches_the_all_pairs_fraction_scan(case, m2_norm):
         top = max(lo for _, lo, _ in brackets)
         assert any(lo != hi and 4 * hi >= top * (1 - Fraction(1, 10**9)) for _, lo, hi in brackets)
         return
+    _assert_full_scan(rep, brackets)
+
+
+def _assert_full_scan(rep, brackets):
+    """The report gives the all-pairs scan's maximum and its first witness."""
     best = rep.defect_sq
     if rep.exact_value:
         assert rep.defect**2 == best
@@ -388,8 +394,8 @@ def test_exact_defect_matches_the_all_pairs_fraction_scan(case, m2_norm):
 
 
 def test_filtered_defect_keeps_the_first_of_tied_pairs():
-    # (0,0), (0,1) and (1,1) all cost exactly 4/25, but in floats (0,0)
-    # rounds below the other two; the enclosure widths keep it the witness
+    # (0,0), (0,1) and (1,1) all cost exactly 4/25: each reaches the others'
+    # lower bounds, so all three survive the filter and the strict > keeps (0,0)
     S = free_semilattice(2)
     rep = defect(S, scalar_map([Fraction(4, 5), Fraction(1, 5), 0]))
     assert rep.defect == Fraction(4, 25)
@@ -425,14 +431,70 @@ def test_an_irrational_op_norm_pair_at_the_maximum_still_raises():
 
 
 def test_an_irrational_op_norm_pair_below_the_maximum_does_not_raise():
-    # every ratio is below the filter's 2**-500 floor, so every pair survives
-    # it; (1,1) costs [[t^2, t^2 - t], [t^2 - t, 2t^2 - t]], with an irrational
-    # operator norm but HS^2 about 3t^2, below the 20t^2 of the rank-one (0,1)
+    # over L = 2**1100 the integer differences pass the float range, so every
+    # nonzero pair survives the filter; (1,1) costs [[t^2, t^2 - t], [t^2 - t,
+    # 2t^2 - t]], with an irrational operator norm but HS^2 about 3t^2, below
+    # the 20t^2 of the rank-one (0,1)
     t = Fraction(1, 2**1100)
     theta = m2_map([Mat2(0, -3, 0, 1), Mat2(0, t, t, t), Mat2(0, 0, 0, 0)])
     rep = defect(unit_weight(free_semilattice(2)), theta, "op")
     assert rep.witness == (0, 1)
     assert rep.defect_sq == 20 * t**2
+
+
+@pytest.mark.parametrize(
+    "weight", [lambda k: 1 + Fraction(k, 7), lambda k: 4**k], ids=["rational", "powers-of-4"]
+)
+def test_the_float_filter_passes_on_a_handful_of_a_dense_maps_pairs(weight):
+    # a random rational map on a 256-chain: tens of thousands of pairs differ
+    # from zero, and the enclosures pass on only those that can be the maximum,
+    # also under weights up to 2**510, which the filter scales by 2**-11
+    rng = np.random.default_rng(14)
+    n = 256
+    WS = weighted(nmin(n), [weight(k) for k in range(n)])
+    num, den = rng.integers(-999, 1000, n).tolist(), rng.integers(1, 9, n).tolist()
+    theta = scalar_map(map(Fraction, num, den))
+    brackets = _reference_brackets(WS, theta, "abs")
+    assert sum(hi > 0 for _, _, hi in brackets) > 30_000
+    N, L = _integers(theta)
+    W = _over_common_denominator(WS.omega)[0].tolist()
+    survivors = list(_candidate_pairs(WS, W, N, L, "abs"))
+    assert 1 <= len(survivors) <= 5
+    rep = defect(WS, theta)
+    assert rep.witness in [(i, j) for i, j, _ in survivors]
+    _assert_full_scan(rep, brackets)
+
+
+@pytest.mark.parametrize("norm", ["hs", "op"])
+def test_a_norm_past_the_float_range_does_not_prune_the_maximum(norm):
+    # theta(2)^2 - theta(2) has four entries 2**1023 - 2**511: each fits a float
+    # but the norm overflows, while the weight 2**499 makes its ratio about
+    # 2**26; the maximum, about 2**28, is at (1,1) under the weight 1, so the
+    # overflowed norm must give no lower bound
+    x = 2**511
+    WS = weighted(nmin(3), (1, 1, 2**499))
+    theta = m2_map([Mat2(0, 0, 0, 0), Mat2(2**14, 0, 0, 0), Mat2(x, x, x, x)])
+    rep = defect(WS, theta, norm)
+    assert rep.witness == (1, 1)
+    _assert_full_scan(rep, _reference_brackets(WS, theta, norm))
+
+
+@pytest.mark.parametrize("codomain", ["scalar", "m2"])
+@pytest.mark.parametrize("scaled", [False, True])
+def test_weights_wider_than_the_float_range_keep_the_full_scans_maximum(codomain, scaled):
+    # the weights span 3**1000, about 2**1585: over their common power of two
+    # one is subnormal and some products fall below the normal range; values
+    # scaled by their weights make every pair compete, and differences past
+    # the float range
+    WS = weighted(nmin(6), [1, 3**114, 3**300, 3**500, 3**700, 3**1000])
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        num, den = rng.integers(-2, 3, 24).tolist(), rng.integers(1, 3, 24).tolist()
+        scale = [WS.omega[k // 4] if scaled else 1 for k in range(24)]
+        r = [Fraction(p, q) * c for p, q, c in zip(num, den, scale)]
+        values = [Mat2(*r[k : k + 4]) for k in range(0, 24, 4)]
+        theta = scalar_map(r[::4]) if codomain == "scalar" else m2_map(values)
+        _assert_full_scan(defect(WS, theta), _reference_brackets(WS, theta, default_norm(codomain)))
 
 
 # ---------------------------------------------------------------------------

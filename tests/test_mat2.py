@@ -182,6 +182,13 @@ def test_key_estimates_rejects_bad_epsilon_and_large_defect():
         key_estimates(Mat2(0.5, 0.0, 0.0, 0.5), 0.1)  # ||A - A^2|| = 0.25 sqrt(2)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+def test_key_estimates_refuses_a_nan_defect(x):
+    # inf gives inf - inf = nan in A^2 - A; a nan defect meets no threshold
+    with pytest.raises(DefectTooLarge, match="nan"):
+        key_estimates(Mat2(x, 0.0, 0.0, 0.0), 0.1)
+
+
 def test_nearest_binary_idempotent_agrees_with_key_estimates(rng):
     for _ in range(200):
         A = random_near_idempotent(rng, 0.1)
