@@ -25,9 +25,11 @@ procedure                    threshold      corrected map               bound
 ``2 * delta * C(2/epsilon) / epsilon`` with ``C`` the flighty constant.  The
 other three are unweighted statements and take a bare semilattice.
 
-``correct_m2``'s battery (:func:`_m2_battery`) checks the split trace
-classes as a homomorphism: every product of elements lies in the class that
-the product of their corrected values 0, P, I - P and I names.
+``correct_m2`` labels each element ``[e in F1] + 2 [e in F2]``, the
+encoding :func:`amnm.oracle.m2_family_map` uses: the label names the
+corrected value in ``(0, P, I - P, I)``.  Its battery (:func:`_m2_battery`)
+checks the labels as a homomorphism: every product of elements lies in the
+class that the product of their corrected values names.
 
 Internal assertion failures raise :class:`ClassificationFailure`; every such
 check is a proved consequence of the stated precondition, so a raise means
@@ -306,14 +308,14 @@ _LABEL_VALUES = ("0", "P", "I - P", "I")
 _LABEL_PRODUCT = [[a & b for b in range(4)] for a in range(4)]
 
 
-def _m2_battery(S: Semilattice, vals: list[Mat2], classes: list[int], delta: float,
-                s_p: frozenset[int], s_q: frozenset[int]) -> int:
+def _m2_battery(S: Semilattice, vals: list[Mat2], label: list[int], delta: float) -> int:
     """Run every certified closure/metric assertion of the 2x2 correction.
 
     The labels are checked as a homomorphism onto {0, P, I - P, I}; with
     ``f <= e`` meaning ``fe = f``, this also makes the near-identity class
-    upward closed.  Returns the number of checks performed; raises
-    :class:`ClassificationFailure` on the first violated claim.
+    upward closed.  The middle trace class is the labels 1 and 2.  Returns
+    the number of checks performed; raises :class:`ClassificationFailure` on
+    the first violated claim.
     """
     n = S.n
     table = S.table
@@ -324,8 +326,6 @@ def _m2_battery(S: Semilattice, vals: list[Mat2], classes: list[int], delta: flo
     def fail(msg: str):
         raise ClassificationFailure(msg)
 
-    label = [3 if c == 2 else 0 if c == 0 else 1 if e in s_p else 2
-             for e, c in enumerate(classes)]
     for e in range(n):
         checks += 1
         if hs_norm(2.0 * vals[e] - M2_ID) < math.sqrt(max(2.0 - 6.0 * delta, 0.0)) - _TOL:
@@ -353,11 +353,11 @@ def _m2_battery(S: Semilattice, vals: list[Mat2], classes: list[int], delta: flo
                     f"multiply into class {_LABEL_VALUES[want]} at ({e},{f})"
                 )
 
-    mid = [e for e in range(n) if classes[e] == 1]
+    mid = [e for e in range(n) if label[e] in (1, 2)]
     for e in mid:
         for f in mid:
             p = int(table[e, f])
-            if classes[p] == 0:
+            if label[p] == 0:
                 checks += 2
                 if hs_norm(vals[e] + vals[f] - M2_ID) > 10.0 * delta + _TOL:
                     fail(f"separation bound ||e + f - I|| <= 10 delta failed at ({e},{f})")
@@ -397,16 +397,15 @@ def correct_m2(S: Semilattice, theta: AlgebraMap, delta: float | None = None) ->
     vals = [Mat2(*(complex(x) for x in v)) for v in theta.values]
     n = S.n
     classes, trace_distances = _trace_classify(vals, delta)
-    s0 = frozenset(e for e in range(n) if classes[e] == 0)
-    s1 = frozenset(e for e in range(n) if classes[e] == 1)
-    s2 = frozenset(e for e in range(n) if classes[e] == 2)
+    in_class = [[e for e in range(n) if classes[e] == j] for j in range(3)]
+    s1 = frozenset(in_class[1])
 
     details: dict = {
         "classes": classes,
         "trace_distances": trace_distances,
-        "S0": sorted(s0),
-        "S1": sorted(s1),
-        "S2": sorted(s2),
+        "S0": in_class[0],
+        "S1": in_class[1],
+        "S2": in_class[2],
     }
 
     if not s1:
@@ -458,10 +457,10 @@ def correct_m2(S: Semilattice, theta: AlgebraMap, delta: float | None = None) ->
             }
         )
 
-    checks = _m2_battery(S, vals, classes, delta, s_p, s_q)
-    details["assertions_checked"] = checks
-    details["F1"] = sorted(s2 | s_p)
-    details["F2"] = sorted(s2 | s_q)
-    phi_vals = [M2_ID if e in s2 else p_mat if e in s_p else complement if e in s_q else M2_ZERO
-                for e in range(n)]
-    return _certify("m2", S, theta, m2_map(phi_vals), measured, 12.0 * delta, "hs", details)
+    label = [3 if c == 2 else (e in s_p) + 2 * (e in s_q) for e, c in enumerate(classes)]
+    details["assertions_checked"] = _m2_battery(S, vals, label, delta)
+    details["F1"] = [e for e in range(n) if label[e] & 1]
+    details["F2"] = [e for e in range(n) if label[e] & 2]
+    values = (M2_ZERO, p_mat, complement, M2_ID)
+    phi = m2_map([values[k] for k in label])
+    return _certify("m2", S, theta, phi, measured, 12.0 * delta, "hs", details)

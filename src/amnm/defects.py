@@ -387,7 +387,8 @@ def _defect_float(WS: WeightedSemilattice, theta: AlgebraMap, norm: str) -> Defe
         j = np.frexp(np.abs(D).max(axis=(-2, -1)))[1]
         mant, e = np.frexp(w)
         norms = _norms(_scaled(D, -j), norm) / (mant[:, None] * mant[None, :])
-        ratios = np.ldexp(norms, K + j - e[:, None] - e[None, :])
+        with np.errstate(over="ignore"):  # a defect past the float range is inf
+            ratios = np.ldexp(norms, K + j - e[:, None] - e[None, :])
     else:
         norms = _norms(np.einsum("iab,jbc->ijac", V, V) - V[table], norm)
         wide = w.max() > _UNSCALED_RANGE  # the product of two weights could overflow

@@ -289,7 +289,19 @@ def scalar_project(z: complex, eps: float) -> ScalarProjection:
 
 def _schur(A, a: complex, b: complex, c: complex, d: complex) -> tuple:
     """:func:`unitary_triangularize` on ``A``'s entries as ``complex``, without
-    a ``Mat2``: returns U's first column ``v1, v2`` and T's entries ``ta, tb, td``."""
+    a ``Mat2``: returns U's first column ``v1, v2`` and T's entries ``ta, tb, td``.
+
+    Past ``2**500`` the squares below could overflow, so the body runs on the
+    entries scaled by the power of two that brings the largest part to at most
+    ``2**500``: U is the same, and T is scaled back."""
+    scale = 1.0 + hs_norm(A)
+    if scale > 2.0**500:
+        k = math.frexp(max(max(abs(x.real), abs(x.imag)) for x in (a, b, c, d)))[1] - 500
+        if k > 0:  # not when the largest part is within 2**500 or infinite (exponent 0)
+            down, up = 2.0**-k, 2.0**k
+            B = tuple(complex(x.real * down, x.imag * down) for x in (a, b, c, d))
+            v1, v2, *T = _schur(B, *B)
+            return v1, v2, *(complex(t.real * up, t.imag * up) for t in T)
     tr = a + d
     disc = (a - d) * (a - d) + 4.0 * b * c
     root = complex(disc) ** 0.5
@@ -309,7 +321,6 @@ def _schur(A, a: complex, b: complex, c: complex, d: complex) -> tuple:
     p, q = v1.conjugate(), v2.conjugate()  # U* = (p, q / -v2, v1)
     ma, mb, mc, md = _mul(p, q, -v2, v1, a, b, c, d)
     ta, tb, tc, td = _mul(ma, mb, mc, md, v1, -q, v2, p)
-    scale = 1.0 + hs_norm(A)
     if abs(tc) > 1e-10 * scale:
         raise ClassificationFailure(
             f"triangularization left subdiagonal {abs(tc)!r} (scale {scale!r})"

@@ -10,15 +10,18 @@ codomain the multiplicative maps form the finite-dimensional family
 
     phi = chi_F1 * P + chi_F2 * (I - P)
 
-over pairs of empty-or-filter index sets and idempotents ``P``; the search
-scans every (F1, F2) cell, prunes by the P-independent part of the cost,
-seeds each surviving cell with idempotents read off from the map's own
-values, and polishes the leaders with a derivative-free simplex descent
-over a rank-one parametrization.  The descent is this module's own
-Nelder-Mead (:func:`minimize`), run on one scalar cell objective over the
-map's ``complex`` entries, so the search needs nothing beyond numpy.  The
-result is an upper bound on the true distance that is certified to be
-attained by an exactly multiplicative map.
+over pairs of empty-or-filter index sets and idempotents ``P``.  Element
+``e`` carries the label ``[e in F1] + 2 [e in F2]``, which names its value
+in ``(0, P, I - P, I)``.  The search tabulates the P-independent part of
+every (F1, F2) cell's cost (the elements labelled 0 or 3) in one numpy
+table, whose diagonal is the cost of the P-independent maps ``chi_F * I``.
+It prunes the cells by that table, seeds each surviving cell with
+idempotents read off from the map's own values, and polishes the leaders
+with a derivative-free simplex descent over a rank-one parametrization.
+The descent is this module's own Nelder-Mead (:func:`minimize`), run on one
+scalar cell objective over the map's ``complex`` entries, so the search
+needs nothing beyond numpy.  The result is an upper bound on the true
+distance that is certified to be attained by an exactly multiplicative map.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import chain
-from operator import add
+from functools import cache, reduce
+from itertools import chain, product
+from operator import add, itemgetter
 
 import numpy as np
 
@@ -197,48 +200,33 @@ def nearest_mult_t2(ws_or_s, theta: AlgebraMap) -> NearestReport:
 def m2_family_map(S, F1: Filter | None, F2: Filter | None, P: Mat2) -> AlgebraMap:
     """The multiplicative map ``chi_F1 * P + chi_F2 * (I - P)``.
 
-    ``P`` must be idempotent; elements in both filters get the identity,
-    elements in neither get zero.
+    ``P`` must be idempotent.  Element ``e`` takes the value that its label
+    ``[e in F1] + 2 [e in F2]`` names in ``(0, P, I - P, I)``.
     """
     if not is_idempotent_within(P, 1e-9):
         raise ValueError("P must be idempotent")
     zero_el = P.a * 0
     one_el = zero_el + 1
-    Z = Mat2(zero_el, zero_el, zero_el, zero_el)
     ident = Mat2(one_el, zero_el, zero_el, one_el)
-    comp = ident - P
+    values = (Mat2(zero_el, zero_el, zero_el, zero_el), P, ident - P, ident)
     m1 = F1.members if F1 is not None else frozenset()
     m2 = F2.members if F2 is not None else frozenset()
-    vals = []
-    for e in range(S.n):
-        if e in m1 and e in m2:
-            vals.append(ident)
-        elif e in m1:
-            vals.append(P)
-        elif e in m2:
-            vals.append(comp)
-        else:
-            vals.append(Z)
-    return m2_map(vals)
+    return m2_map([values[(e in m1) + 2 * (e in m2)] for e in range(S.n)])
 
 
 def enumerate_mult_m2_with(S, P: Mat2) -> list[AlgebraMap]:
     """All family maps over (F1, F2) cells for a fixed idempotent ``P``.
 
-    Deduplicated by value; for ``P`` not in {0, I} and ``P != I - P`` this
-    is the complete list of multiplicative maps taking values in
-    ``{0, P, I - P, I}``.
+    Deduplicated by value, first seen first; for ``P`` not in {0, I} and
+    ``P != I - P`` this is the complete list of multiplicative maps taking
+    values in ``{0, P, I - P, I}``.
     """
-    options: list[Filter | None] = [None] + list(enumerate_filters(S))
-    seen = set()
-    out = []
-    for F1 in options:
-        for F2 in options:
-            m = m2_family_map(S, F1, F2, P)
-            if m.values not in seen:
-                seen.add(m.values)
-                out.append(m)
-    return out
+    options: list[Filter | None] = [None, *enumerate_filters(S)]
+    maps: dict = {}
+    for F1, F2 in product(options, repeat=2):
+        m = m2_family_map(S, F1, F2, P)
+        maps.setdefault(m.values, m)
+    return list(maps.values())
 
 
 def _params_from_idempotent(P: Mat2):
@@ -391,7 +379,8 @@ def nearest_mult_m2(
 
     Deterministic for fixed ``seed``.  ``starts`` extra random idempotents
     are tried in every cell that survives pruning; the three most promising
-    cells get a simplex descent over the rank-one parametrization.
+    cells get a simplex descent over the rank-one parametrization.  Raises
+    ``ValueError`` when every family map is at infinite distance.
     """
     WS = _resolve(ws_or_s)
     S = WS.S
@@ -402,75 +391,57 @@ def nearest_mult_m2(
     op = norm == "op"
     theta_c = [Mat2(*(complex(x) for x in v)) for v in theta.values]
     om = [float(x) for x in WS.omega_float]
-    n = S.n
     rng = np.random.default_rng(seed)
-    options: list[Filter | None] = [None] + list(enumerate_filters(S))
+    options: list[Filter | None] = [None, *enumerate_filters(S)]
+    rows = np.vstack([np.zeros(S.n, dtype=bool), S.leq])  # row i: option i's members
 
     norm_to_id = [_complex_norm(a - 1, b, c, d - 1, op) / w for (a, b, c, d), w in zip(theta_c, om)]
     norm_to_zero = [_complex_norm(*t, op) / w for t, w in zip(theta_c, om)]
+    # const[i1][i2]: the P-independent part of cell (i1, i2)'s cost, the largest
+    # norm over its elements labelled 3 (to I) and 0 (to 0); fmax skips a NaN norm
+    both = rows[:, None, :] & rows[None, :, :]
+    neither = ~(rows[:, None, :] | rows[None, :, :])
+    terms = np.where(both, norm_to_id, np.where(neither, norm_to_zero, 0.0))
+    const = np.fmax.reduce(terms, axis=2, initial=0.0).tolist()
 
-    evaluations = 0
+    # the P-independent maps chi_F * I (including the zero map) first: the diagonal
+    evaluations = len(options)
     best_val = math.inf
     best_cell = None  # (F1, F2, P or None)
+    for i, opt in enumerate(options):
+        if const[i][i] < best_val:
+            best_val, best_cell = const[i][i], (opt, opt, None)
 
-    # P-independent cells first: phi = chi_F * I (including the zero map).
-    for opt in options:
-        members = opt.members if opt is not None else frozenset()
-        value = 0.0
-        for e in range(n):
-            value = max(value, norm_to_id[e] if e in members else norm_to_zero[e])
-        evaluations += 1
-        if value < best_val:
-            best_val, best_cell = value, (opt, opt, None)
-
+    seed_of = cache(lambda e: nearest_binary_idempotent(theta_c[e])[0])
     pruned = 0
-    survivors = []  # (cell_val, counter, F1, F2, P, cost)
-    counter = 0
+    survivors = []  # (cell_val, F1, F2, P, cost)
     for i1, F1 in enumerate(options):
-        m1 = F1.members if F1 is not None else frozenset()
         for i2, F2 in enumerate(options):
             if i1 == i2:
                 continue
-            m2 = F2.members if F2 is not None else frozenset()
-            const = 0.0
-            for e in range(n):
-                if e in m1 and e in m2:
-                    const = max(const, norm_to_id[e])
-                elif e not in m1 and e not in m2:
-                    const = max(const, norm_to_zero[e])
-            if const >= best_val:
+            if const[i1][i2] >= best_val:
                 pruned += 1
                 continue
-            p_only = sorted(m1 - m2)
-            q_only = sorted(m2 - m1)
-            cost = _cell_objective(theta_c, om, p_only, q_only, const, op)
-            candidates = []
-            for e in p_only:
-                candidates.append(nearest_binary_idempotent(theta_c[e])[0])
-            for e in q_only:
-                candidates.append(M2_ID - nearest_binary_idempotent(theta_c[e])[0])
+            p_only = np.flatnonzero(rows[i1] > rows[i2]).tolist()
+            q_only = np.flatnonzero(rows[i2] > rows[i1]).tolist()
+            cost = _cell_objective(theta_c, om, p_only, q_only, const[i1][i2], op)
+            candidates = [seed_of(e) for e in p_only] + [M2_ID - seed_of(e) for e in q_only]
             for _ in range(starts):
                 P = _idempotent_from_params(rng.uniform(0.0, 2.0 * math.pi, size=4).tolist())
                 if P is not None:
                     candidates.append(P)
-            cell_best = None
-            for P in candidates:
-                val = cost(P)
-                evaluations += 1
-                if cell_best is None or val < cell_best[0]:
-                    cell_best = (val, P)
-            if cell_best is None:
-                continue
-            counter += 1
-            survivors.append((cell_best[0], counter, F1, F2, cell_best[1], cost))
-            if cell_best[0] < best_val:
-                best_val = cell_best[0]
-                best_cell = (F1, F2, cell_best[1])
+            vals = [cost(P) for P in candidates]  # never NaN: each starts at const
+            evaluations += len(vals)
+            val = min(vals)
+            P = candidates[vals.index(val)]  # the first of the least
+            survivors.append((val, F1, F2, P, cost))
+            if val < best_val:
+                best_val, best_cell = val, (F1, F2, P)
 
     polish_improved = False
-    if polish and survivors:
-        survivors.sort(key=lambda rec: (rec[0], rec[1]))
-        for val, _, F1, F2, P, cost in survivors[:_POLISH_TOP]:
+    if polish:
+        survivors.sort(key=itemgetter(0))  # stable: the first of equal cells first
+        for val, F1, F2, P, cost in survivors[:_POLISH_TOP]:
             x0 = _params_from_idempotent(P)
             if x0 is None:
                 continue
@@ -491,6 +462,8 @@ def nearest_mult_m2(
                 best_val, best_cell = val, (F1, F2, cand)
                 polish_improved = True
 
+    if best_cell is None:
+        raise ValueError("every multiplicative map is at infinite distance: the norms overflow")
     F1, F2, P = best_cell
     best_map = m2_family_map(S, F1, F2, P if P is not None else M2_ID)
     dr = weighted_sup_distance_report(WS, theta, best_map, norm)

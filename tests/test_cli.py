@@ -321,6 +321,16 @@ def test_oracle_output_is_deterministic(tmp_path, capsys):
     assert out1 == out2
 
 
+def test_oracle_on_norms_past_the_float_range_is_an_input_error(tmp_path, capsys):
+    doc = {
+        "table": [[0, 0], [0, 1]],
+        "map": {"codomain": "m2", "values": [[[1e200, 1e200], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]]},
+    }
+    code, _, err = run(capsys, "oracle", "--json", write_doc(tmp_path, doc))
+    assert code == 3
+    assert "infinite distance" in err
+
+
 def test_oracle_scalar_exhaustive(tmp_path, capsys):
     doc = dict(CHAIN3, map={"codomain": "scalar", "values": [0.1, 0.9, 1.1]})
     code, out, _ = run(capsys, "oracle", "--json", write_doc(tmp_path, doc))

@@ -252,7 +252,7 @@ def _rules_violated(S, label):
 
 
 _P = Mat2(1, 0, 0, 0)
-_LABELLED = {"0": (0, M2_ZERO), "p": (1, _P), "q": (1, M2_ID - _P), "2": (2, M2_ID)}
+_VALUES = {"0": M2_ZERO, "p": _P, "q": M2_ID - _P, "2": M2_ID}
 
 
 @st.composite
@@ -275,13 +275,10 @@ def labelled_semilattices(draw):
 @given(labelled_semilattices())
 def test_m2_battery_fails_exactly_when_a_product_or_closure_rule_does(case):
     S, labels = case
-    classes = [_LABELLED[x][0] for x in labels]
-    vals = [_LABELLED[x][1] for x in labels]
-    s_p = frozenset(e for e, x in enumerate(labels) if x == "p")
-    s_q = frozenset(e for e, x in enumerate(labels) if x == "q")
+    vals = [_VALUES[x] for x in labels]
     violated = _rules_violated(S, labels)
     try:
-        _m2_battery(S, vals, classes, 0.01, s_p, s_q)
+        _m2_battery(S, vals, ["0pq2".index(x) for x in labels], 0.01)
     except ClassificationFailure:
         assert violated
     else:

@@ -529,6 +529,25 @@ def test_an_exact_value_past_the_float_range_has_an_infinite_float_view():
     assert dist.value == x and dist.value_float == math.inf
 
 
+_HUGE_M2 = m2_map([Mat2(1e308 + 0j, 0j, 0j, 0j), Mat2(1.0, 0.0, 0.0, 1.0)])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "theta, norm",
+    [
+        (scalar_map([1e308 + 0j, 1.0]), "abs"),
+        (t2_map([(1e308 + 0j, 0j), (1.0, 0.0)]), "t2"),
+        (_HUGE_M2, "hs"),
+        (_HUGE_M2, "op"),
+    ],
+    ids=["scalar", "t2", "m2-hs", "m2-op"],
+)
+def test_a_float_defect_past_the_float_range_is_inf_without_a_warning(theta, norm):
+    rep = defect(nmin(2), theta, norm)
+    assert rep.defect == math.inf and rep.witness == (0, 0)
+
+
 # ---------------------------------------------------------------------------
 # The integer stacks of the exact scans.
 # ---------------------------------------------------------------------------

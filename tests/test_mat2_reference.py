@@ -217,9 +217,37 @@ def test_fused_kernel_matches_the_generic_reference(A, eps):
 @example(A=Mat2(0j, 0j, 0j, 1.7404779806271032e-158j), eps=0.1)  # the rescale branch
 @example(A=Mat2(complex(math.inf, 0), 0j, 0j, 0j), eps=0.1)  # NaN defect: DefectTooLarge
 @example(A=Mat2(math.nan, 0, 0, 0), eps=0.1)  # DefectTooLarge
-@example(A=Mat2(1.0, 1e300, 0.0, 0.0), eps=0.1)  # OverflowError in the Schur form
 def test_fused_kernel_matches_the_reference_at_the_extremes(A, eps):
-    assert_same(A, eps)
+    # past a part of 2**500 the fused kernel scales the Schur form (tested below),
+    # where the reference's squares overflow to inf or NaN
+    largest = max(max(abs(complex(x).real), abs(complex(x).imag)) for x in A)
+    if not 2.0**500 < largest < math.inf:
+        assert_same(A, eps)
+
+
+finite_extremes = st.builds(Mat2, *[st.one_of(scaled_complex, st.sampled_from([0j, 1 + 0j]))] * 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(A=finite_extremes)
+@example(A=Mat2(1.0, 1e300, 0.0, 0.0))  # was OverflowError from abs(x) ** 2
+@example(A=Mat2(1e200, 1e200, 1e200, 1e200))  # was OverflowError from complex exponentiation
+def test_schur_form_of_finite_entries_past_the_square_range(A):
+    U, T = unitary_triangularize(A)
+    u, t, a = (np.array([[M.a, M.b], [M.c, M.d]], dtype=complex) for M in (U, T, A))
+    assert T.c == 0
+    assert np.abs(u.conj().T @ u - np.eye(2)).max() <= 1e-15
+    # the kernel's own tolerance is relative to 1 + ||A||: compare at that scale
+    s = 2.0 ** -max(math.frexp(np.abs(a).max())[1], 1)
+    assert np.abs(u @ (t * s) @ u.conj().T - a * s).max() <= 1e-14
+
+
+def test_key_estimates_of_an_idempotent_past_the_square_range():
+    A = Mat2(1.0, 1e300, 0.0, 0.0)
+    report = key_estimates(A, 0.1)
+    assert report.nearby_idempotent == A
+    assert report.achieved_distance == 0.0
+    assert report.trace_class == 1
 
 
 def test_fused_kernel_matches_the_reference_on_the_sampler_stream():

@@ -126,6 +126,37 @@ def test_m2_enumeration_is_complete_for_exact_assignments():
         assert brute == enumerated
 
 
+def _first_seen_family_maps(S, P):
+    """The reference listing: every (F1, F2) cell in order, a map kept the
+    first time its values are seen."""
+    options = [None] + list(enumerate_filters(S))
+    seen = set()
+    out = []
+    for F1 in options:
+        for F2 in options:
+            m = m2_family_map(S, F1, F2, P)
+            if m.values not in seen:
+                seen.add(m.values)
+                out.append(m)
+    return out
+
+
+def test_m2_enumeration_lists_maps_in_first_seen_order(semilattice_pool):
+    rng = np.random.default_rng(15)
+    for S in semilattice_pool:
+        t = Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 4)))
+        for P in (
+            Mat2(Fraction(1), t, Fraction(0), Fraction(0)),
+            Mat2(Fraction(0), Fraction(0), t, Fraction(1)),
+            M2_ZERO,
+            M2_ID,
+        ):
+            got = enumerate_mult_m2_with(S, P)
+            assert repr([m.values for m in got]) == repr(
+                [m.values for m in _first_seen_family_maps(S, P)]
+            )
+
+
 # ---------------------------------------------------------------------------
 # Nearest-map searches.
 # ---------------------------------------------------------------------------
@@ -210,6 +241,30 @@ def test_nearest_m2_beats_or_matches_the_diagonal_cells(rng):
     for F in filters:
         phi = m2_family_map(S, F, F, Mat2(1.0, 0.0, 0.0, 0.0))
         assert rep.value <= float(weighted_sup_distance(S, theta, phi, "hs")) + 1e-12
+
+
+def test_nearest_m2_forms_each_seed_idempotent_at_most_once(rng, monkeypatch):
+    calls = []
+    seed = amnm.oracle.nearest_binary_idempotent
+
+    def counted(A):
+        calls.append(A)
+        return seed(A)
+
+    monkeypatch.setattr(amnm.oracle, "nearest_binary_idempotent", counted)
+    for _ in range(20):
+        S = random_semilattice(rng)
+        theta = random_m2_instance(rng, S)
+        calls.clear()
+        nearest_mult_m2(S, theta, starts=2, seed=0, polish=False)
+        assert 0 < len(calls) <= S.n
+        assert len({id(A) for A in calls}) == len(calls)
+
+
+def test_nearest_m2_raises_when_every_map_is_at_infinite_distance():
+    theta = m2_map([Mat2(1e200, 1e200, 0.0, 0.0), M2_ID])
+    with pytest.raises(ValueError, match="infinite distance"):
+        nearest_mult_m2(nmin(2), theta, starts=2)
 
 
 def _report_record(rep) -> bytes:
