@@ -267,42 +267,65 @@ def test_nearest_m2_raises_when_every_map_is_at_infinite_distance():
         nearest_mult_m2(nmin(2), theta, starts=2)
 
 
-def _report_record(rep) -> bytes:
+def _complex_bits(x) -> tuple:
+    z = complex(x)
+    return z.real.hex(), z.imag.hex()
+
+
+def _report_record(rep, evaluations: bool = True) -> bytes:
     d = rep.details
     P = d["P"]
-    entries = None if P is None else [complex(x) for row in P for x in row]
     return repr((
         rep.value.hex(),
         rep.witness,
-        None if P is None else [(z.real.hex(), z.imag.hex()) for z in entries],
-        d["evaluations"],
+        None if P is None else [_complex_bits(x) for row in P for x in row],
+        d["evaluations"] if evaluations else None,
         d["pruned"],
         d["polish_improved"],
         d["internal_value"].hex(),
     )).encode()
 
 
-def test_m2_oracle_output_stream_is_pinned():
-    """SHA-256 over the oracle's reports: the first 150 criterion-7 instances
-    (HS, 8 starts), the next 50 in the operator norm with 2 starts, and
-    criterion 8's two 64-start chain searches.  Value, witness, ``P``,
-    evaluation and pruning counts, whether the polish helped and the internal
-    value must all keep their bits."""
-    h = hashlib.sha256()
+def _map_record(rep) -> bytes:
+    return repr([_complex_bits(x) for v in rep.best_map.values for x in v]).encode()
+
+
+def _pinned_oracle_stream():
+    """The oracle's reports on the first 150 criterion-7 instances (HS, 8
+    starts), the next 50 in the operator norm with 2 starts, and criterion 8's
+    two 64-start chain searches."""
     rng = np.random.default_rng(707)
     for k in range(200):
         S = random_semilattice(rng)
         theta = random_m2_instance(rng, S)
         if k < 150:
-            rep = nearest_mult_m2(S, theta, starts=8, seed=11)
+            yield nearest_mult_m2(S, theta, starts=8, seed=11)
         else:
-            rep = nearest_mult_m2(S, theta, norm="op", starts=2, seed=11)
-        h.update(_report_record(rep))
+            yield nearest_mult_m2(S, theta, norm="op", starts=2, seed=11)
     for ws, chain in (
         (geometric_weight(12), lambda ws: theta_m2_chain(ws, 0.05)),
         (spiked_weight(9, 4, 400), lambda ws: theta_m2_chain_nonuniform(ws, 0.02)),
     ):
-        rep = nearest_mult_m2(ws, chain(ws).theta, norm="op", starts=64, seed=8)
+        yield nearest_mult_m2(ws, chain(ws).theta, norm="op", starts=64, seed=8)
+
+
+def test_m2_oracle_results_are_pinned_apart_from_the_evaluation_count():
+    """SHA-256 over the pinned stream's results: value, witness, ``P``, the
+    pruning count, whether the polish helped, the internal value and every
+    entry of the best map keep their bits.  The evaluation count is left out,
+    so work the search skips without changing its result does not move it."""
+    h = hashlib.sha256()
+    for rep in _pinned_oracle_stream():
+        h.update(_report_record(rep, evaluations=False))
+        h.update(_map_record(rep))
+    assert h.hexdigest() == "9be2526ff8dfe2593e050cac08d770e06d73123f790760f2c38e4593f5f39b96"
+
+
+def test_m2_oracle_output_stream_is_pinned():
+    """SHA-256 over the pinned stream's reports, the evaluation count
+    included."""
+    h = hashlib.sha256()
+    for rep in _pinned_oracle_stream():
         h.update(_report_record(rep))
     assert h.hexdigest() == "0eaa3279eb1d32ad1807f82f2e7000dbdeead4358240a73dc87ad9cfb164ad13"
 
