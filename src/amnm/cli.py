@@ -273,7 +273,9 @@ def _nearest(target, theta, norm, starts, seed, polish=True):
 
 def _corroborate(WS, report, norm, starts, seed):
     near = _nearest(WS, report.theta, norm, starts, seed)
-    if near.value < report.distance_lower_bound - 0.01:
+    # the search's value is attained by a multiplicative map, and the floor is
+    # proved for every one: a value below the floor is a contradiction
+    if near.value < report.distance_lower_bound:
         raise ClassificationFailure(
             f"search found a multiplicative map at {near.value!r}, inside the "
             f"certified lower bound {report.distance_lower_bound!r}"

@@ -23,6 +23,7 @@ The analytical core:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -183,13 +184,29 @@ def hs_norm_sq(A: Mat2):
     return abs2(a) + abs2(b) + abs2(c) + abs2(d)
 
 
+def _rescaled(f, t, det_sq=0) -> float:
+    """``f(t, det_sq)`` for an exact ``t`` too large for ``float()`` or ``t * t``,
+    run on ``t / 4**k`` and ``det_sq / 16**k`` and scaled back by ``2**k``: the
+    same bits where the direct path is finite, and inf past the float range."""
+    k = (t.numerator.bit_length() - t.denominator.bit_length()) // 2
+    r = f(float(t / 4**k), float(det_sq / 16**k))
+    return r * 2.0**k if k < 1024 else math.inf
+
+
 def hs_norm(A: Mat2) -> float:
-    return math.sqrt(float(hs_norm_sq(A)))
+    s = hs_norm_sq(A)
+    try:
+        return math.sqrt(s)
+    except OverflowError:  # an exact s past about 1.8e308
+        return _rescaled(lambda t, _: math.sqrt(t), s)
 
 
 def op_norm(A: Mat2) -> float:
     """Largest singular value, from the closed form on the 2x2 Gram trace."""
-    return _op_from_gram(float(hs_norm_sq(A)), float(abs2(A.det)))
+    t, det_sq = hs_norm_sq(A), abs2(A.det)
+    if isinstance(t, float) or t <= 2**500:
+        return _op_from_gram(float(t), float(det_sq))
+    return _rescaled(_op_from_gram, t, det_sq)
 
 
 def t2_norm(x: T2Element):
@@ -293,11 +310,14 @@ def _schur(A, a: complex, b: complex, c: complex, d: complex) -> tuple:
 
     Past ``2**500`` the squares below could overflow, so the body runs on the
     entries scaled by the power of two that brings the largest part to at most
-    ``2**500``: U is the same, and T is scaled back."""
+    ``2**500``: U is the same, and T is scaled back.  An inf or NaN entry
+    raises ``ValueError``."""
     scale = 1.0 + hs_norm(A)
-    if scale > 2.0**500:
+    if not scale <= 2.0**500:  # past 2**500, inf or NaN
+        if not all(map(cmath.isfinite, (a, b, c, d))):
+            raise ValueError(f"cannot triangularize a matrix with a non-finite entry: {A!r}")
         k = math.frexp(max(max(abs(x.real), abs(x.imag)) for x in (a, b, c, d)))[1] - 500
-        if k > 0:  # not when the largest part is within 2**500 or infinite (exponent 0)
+        if k > 0:  # not when the largest part is within 2**500
             down, up = 2.0**-k, 2.0**k
             B = tuple(complex(x.real * down, x.imag * down) for x in (a, b, c, d))
             v1, v2, *T = _schur(B, *B)

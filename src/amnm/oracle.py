@@ -22,17 +22,26 @@ The descent is this module's own Nelder-Mead (:func:`minimize`), run on one
 scalar cell objective over the map's ``complex`` entries, so the search
 needs nothing beyond numpy.  The result is an upper bound on the true
 distance that is certified to be attained by an exactly multiplicative map.
+
+With ``c_e = theta(e)`` on label 1 and ``I - theta(e)`` on label 2, a cell's
+cost ``max(const, max_e ||c_e - P|| / omega_e)`` is at least ``|tr c_e - 1| /
+(kappa omega_e)`` for rank-one ``P`` (kappa is sqrt 2 for HS, 2 for op) and
+``||c_e - c_f|| / (omega_e + omega_f)`` (the triangle inequality).  A leader
+whose bound is not below the best cost found cannot win: its descent is
+skipped.  The bounds, with the pruned and diagonal cells' ``const``, give
+``details["lower"]``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import chain, product
-from operator import add, itemgetter
+from operator import add, itemgetter, sub
 
 import numpy as np
 
@@ -54,6 +63,7 @@ from .mat2 import (
     M2_ID,
     Mat2,
     T2Element,
+    _SQRT2,
     _complex_norm,
     _rank_one,
     is_idempotent_within,
@@ -81,7 +91,10 @@ class NearestReport:
 
     ``value`` is an exact minimum for ``method == "exhaustive"`` and a
     certified upper bound (the map is exactly multiplicative, the distance
-    is recomputed independently) for ``method == "cell-scan"``.
+    is recomputed independently) for ``method == "cell-scan"``, where
+    ``details["lower"]`` is a float-computed lower bound on the distance to the
+    family, by the per-cell trace and triangle-inequality bounds, deflated for
+    rounding so that ``lower <= value`` holds as floats.
     """
 
     codomain: str
@@ -340,6 +353,43 @@ def minimize(fun, x0) -> list[float]:
     return sim[0]
 
 
+def _bound(theta_c, om, op: bool):
+    """``bound(a, b)``, the per-cell bound's terms over the 2n points ``c``:
+    ``theta(e)`` (label 1), then ``I - theta(e)`` (label 2).  Off the diagonal
+    ``||c_a - c_b|| / (omega_a + omega_b)``, on it ``|tr c_a - 1| / (kappa omega_a)``."""
+    points, w2 = [*theta_c, *(M2_ID - t for t in theta_c)], om + om
+    kappa = 2.0 if op else _SQRT2
+
+    @cache
+    def bound(a: int, b: int) -> float:
+        if a == b:
+            tr = points[a][0] + points[a][3] - 1.0
+            return math.hypot(tr.real, tr.imag) / (kappa * w2[a])
+        return _complex_norm(*map(sub, points[a], points[b]), op) / (w2[a] + w2[b])
+
+    return bound
+
+
+def _deflate(x: float, slack: float) -> float:
+    """A float-computed lower bound made safe to compare with float costs.
+
+    Their differences are of numbers of modulus at most ``slack / 1e-12``: 1,
+    the entries of ``theta`` and those of a chart idempotent, at most 1e3 as
+    ``|u| = |v| = 1`` and ``|u* v| >= 1e-3``.  A difference and its norm err by
+    under ``8 * 2**-53`` of that, weights are at least 1, and ``tr P`` is 1 to
+    about ``1e3 * 2**-50``.  The relative 1e-6 covers the norms' rounding, up
+    to about 2e-8 where the op norm's discriminant cancels.  Past ``2**250``
+    squares could overflow: ``slack`` is inf and the bound 0.0 (0.0 comes
+    first, so ``max`` also gives it for a NaN)."""
+    return max(0.0, x * (1.0 - 1e-6) - slack)
+
+
+def _cannot_win(const: float, term: float, slack: float, best: float) -> bool:
+    """Whether no ``P`` brings a cell's cost below ``best``: the float cost starts
+    at ``const``, and is at least the :func:`_bound` term up to rounding."""
+    return max(const, _deflate(term, slack)) >= best
+
+
 def _cell_objective(theta_c, om, p_only, q_only, const, op: bool):
     """The cost of ``P`` in one (F1, F2) cell: the largest of ``const`` and
     ``||theta(e) - P|| / omega(e)`` over ``p_only``, ``||theta(e) - (I - P)||
@@ -390,6 +440,11 @@ def nearest_mult_m2(
         raise ValueError(f"norm must be 'hs' or 'op', got {norm!r}")
     op = norm == "op"
     theta_c = [Mat2(*(complex(x) for x in v)) for v in theta.values]
+    for e, v in enumerate(theta_c):
+        if not all(map(cmath.isfinite, v)):
+            raise ValueError(f"theta({e}) has a non-finite entry: {theta.values[e]!r}")
+    big = max(max(abs(x.real), abs(x.imag)) for v in theta_c for x in v)  # |x| <= 2 big
+    slack = 1e-12 * (1001.0 + 2.0 * big) if big < 2.0**250 else math.inf  # see _deflate
     om = [float(x) for x in WS.omega_float]
     rng = np.random.default_rng(seed)
     options: list[Filter | None] = [None, *enumerate_filters(S)]
@@ -411,19 +466,25 @@ def nearest_mult_m2(
     for i, opt in enumerate(options):
         if const[i][i] < best_val:
             best_val, best_cell = const[i][i], (opt, opt, None)
+    lower = min(const[i][i] for i in range(len(options)))
 
     seed_of = cache(lambda e: nearest_binary_idempotent(theta_c[e])[0])
+    bound = _bound(theta_c, om, op)
     pruned = 0
-    survivors = []  # (cell_val, F1, F2, P, cost)
+    survivors = []  # (cell_val, F1, F2, P, cost, const, bound term)
     for i1, F1 in enumerate(options):
         for i2, F2 in enumerate(options):
             if i1 == i2:
                 continue
             if const[i1][i2] >= best_val:
                 pruned += 1
+                lower = min(lower, const[i1][i2])
                 continue
             p_only = np.flatnonzero(rows[i1] > rows[i2]).tolist()
             q_only = np.flatnonzero(rows[i2] > rows[i1]).tolist()
+            idx = p_only + [S.n + e for e in q_only]
+            term = max(bound(a, b) for i, a in enumerate(idx) for b in idx[i:])
+            lower = min(lower, max(const[i1][i2], term))
             cost = _cell_objective(theta_c, om, p_only, q_only, const[i1][i2], op)
             candidates = [seed_of(e) for e in p_only] + [M2_ID - seed_of(e) for e in q_only]
             for _ in range(starts):
@@ -434,14 +495,18 @@ def nearest_mult_m2(
             evaluations += len(vals)
             val = min(vals)
             P = candidates[vals.index(val)]  # the first of the least
-            survivors.append((val, F1, F2, P, cost))
+            survivors.append((val, F1, F2, P, cost, const[i1][i2], term))
             if val < best_val:
                 best_val, best_cell = val, (F1, F2, P)
 
     polish_improved = False
+    skipped = 0
     if polish:
         survivors.sort(key=itemgetter(0))  # stable: the first of equal cells first
-        for val, F1, F2, P, cost in survivors[:_POLISH_TOP]:
+        for val, F1, F2, P, cost, c, term in survivors[:_POLISH_TOP]:
+            if _cannot_win(c, term, slack, best_val):
+                skipped += 1
+                continue
             x0 = _params_from_idempotent(P)
             if x0 is None:
                 continue
@@ -482,7 +547,9 @@ def nearest_mult_m2(
             "cells": len(options) ** 2,
             "pruned": pruned,
             "evaluations": evaluations,
+            "polish_skipped": skipped,
             "polish_improved": polish_improved,
             "internal_value": best_val,
+            "lower": _deflate(lower, slack),
         },
     )

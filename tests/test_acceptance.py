@@ -214,6 +214,7 @@ def test_criterion_7_m2_correction_batch_with_oracle():
         assert cert.details["assertions_checked"] > 0
         near = nearest_mult_m2(S, theta, starts=8, seed=11)
         assert near.value <= distance + 1e-6
+        assert 0.0 <= near.details["lower"] <= near.value
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"matrix batch took {elapsed:.2f}s (budget 60s)"
 

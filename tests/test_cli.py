@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, document parsing, exit codes, determinism."""
 
+import dataclasses
 import importlib
 import json
 import os
@@ -266,6 +267,21 @@ def test_counterexample_m2_chain_with_corroboration(capsys):
     assert rep["defect"]["defect"] == "3/128"
     assert rep["distance_lower_bound"] == 0.5
     assert doc["corroborations"][0]["value"] >= 0.49
+
+
+def test_corroboration_refuses_any_search_value_below_the_floor(capsys, monkeypatch):
+    # the search's value bounds the distance from above: 0.499 under the floor
+    # 0.5 is a contradiction, however small the gap
+    real = amnm.cli._nearest
+
+    def below_floor(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), value=0.499)
+
+    monkeypatch.setattr(amnm.cli, "_nearest", below_floor)
+    argv = ["counterexample", "--family", "m2-chain", "--length", "6", "--delta", "0.1"]
+    code, _, err = run(capsys, *argv, "--corroborate", "--starts", "1")
+    assert code == 1
+    assert "inside the certified lower bound 0.5" in err
 
 
 def test_counterexample_nonuniform_needs_a_spiked_weight(capsys, tmp_path):

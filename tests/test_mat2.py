@@ -31,7 +31,7 @@ from amnm import (
     t2_norm,
     unitary_triangularize,
 )
-from amnm.mat2 import abs2, commute_within, inv2, is_idempotent_within
+from amnm.mat2 import _op_from_gram, abs2, commute_within, inv2, is_idempotent_within
 
 finite_complex = st.builds(
     complex,
@@ -136,6 +136,42 @@ def test_triangularize_round_trip(A):
     assert hs_norm(U @ U.adjoint() - M2_ID) < 1e-9
     assert abs(T.c) < 1e-9 * (1.0 + hs_norm(A))
     assert hs_norm(U @ T @ U.adjoint() - A) < 1e-9 * (1.0 + hs_norm(A))
+
+
+@pytest.mark.parametrize(
+    "A, hs, op",
+    [
+        (Mat2(10**200, 0, 0, 0), 1e200, 1e200),
+        (Mat2(Fraction(10**400, 3), 0, 0, 10**400), math.inf, math.inf),
+        (Mat2(3 * 10**160, 0, 0, -4 * 10**160), 5e160, 4e160),
+    ],
+)
+def test_norms_of_exact_entries_past_the_float_range(A, hs, op):
+    # float() of the exact square would overflow: the norms scale it first
+    assert hs_norm(A) == pytest.approx(hs, rel=1e-15)
+    assert op_norm(A) == pytest.approx(op, rel=1e-15)
+
+
+def test_exact_norms_keep_their_bits_below_the_float_range():
+    for k in range(1, 640, 3):
+        for x in (3**k, Fraction(5**k, 7)):
+            A = Mat2(x, 2 * x, x, 1)
+            t = abs2(A.a) + abs2(A.b) + abs2(A.c) + abs2(A.d)
+            if t < 2**1000:
+                assert hs_norm(A) == math.sqrt(float(t))
+            if t < 2**510:  # the direct t * t is finite
+                assert op_norm(A) == _op_from_gram(float(t), float(abs2(A.det)))
+
+
+def test_triangularize_huge_exact_entries():
+    U, T = unitary_triangularize(Mat2(10**200, 0, 0, 0))
+    assert U == M2_ID and T == Mat2(1e200, 0, 0, 0)
+
+
+@pytest.mark.parametrize("A", [Mat2(math.inf, 1e200, 0, 0), Mat2(math.nan, 0, 0, 0)])
+def test_triangularize_refuses_a_non_finite_entry(A):
+    with pytest.raises(ValueError, match="non-finite entry"):
+        unitary_triangularize(A)
 
 
 # ---------------------------------------------------------------------------

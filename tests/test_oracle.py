@@ -33,6 +33,8 @@ from amnm import (
     nmin,
     random_m2_instance,
     random_semilattice,
+    random_submultiplicative_weight,
+    unit_weight,
     scalar_map,
     spiked_weight,
     t2_map,
@@ -267,6 +269,73 @@ def test_nearest_m2_raises_when_every_map_is_at_infinite_distance():
         nearest_mult_m2(nmin(2), theta, starts=2)
 
 
+@pytest.mark.parametrize("x", [math.inf, math.nan])
+def test_nearest_m2_refuses_a_non_finite_entry(x):
+    theta = m2_map([M2_ID, Mat2(0.5, x, 0.0, 0.5)])
+    with pytest.raises(ValueError, match=r"theta\(1\) has a non-finite entry"):
+        nearest_mult_m2(nmin(2), theta, starts=2)
+
+
+def _random_cell(rng, S):
+    """Two distinct options' member rows and the cell's elements labelled 1 and 2."""
+    rows = np.vstack([np.zeros(S.n, dtype=bool), S.leq])
+    i1, i2 = rng.choice(len(rows), size=2, replace=False)
+    return rows[i1], rows[i2]
+
+
+@pytest.mark.parametrize("norm", ["hs", "op"])
+def test_cell_cost_is_at_least_its_lower_bound(rng, norm):
+    """For random cells and random rank-one idempotents, the cost of ``P``
+    (without the P-independent part) is at least the largest bound term over
+    the cell's elements: the trace and triangle-inequality terms."""
+    op = norm == "op"
+    positive = 0
+    for _ in range(150):
+        S = random_semilattice(rng)
+        if S.n < 2:
+            continue
+        ws = random_submultiplicative_weight(rng, S) if rng.random() < 0.5 else unit_weight(S)
+        theta = random_m2_instance(rng, S, amp=float(rng.choice([0.0, 0.05, 1.0])))
+        theta_c = [Mat2(*map(complex, v)) for v in theta.values]
+        om = [float(w) for w in ws.omega_float]
+        bound = amnm.oracle._bound(theta_c, om, op)
+        in1, in2 = _random_cell(rng, S)
+        p_only, q_only = np.flatnonzero(in1 > in2).tolist(), np.flatnonzero(in2 > in1).tolist()
+        idx = p_only + [S.n + e for e in q_only]
+        term = max(bound(a, b) for a in idx for b in idx)
+        positive += term > 0.0
+        cost = amnm.oracle._cell_objective(theta_c, om, p_only, q_only, 0.0, op)
+        for _ in range(20):
+            P = amnm.oracle._idempotent_from_params(rng.uniform(0.0, 2.0 * math.pi, size=4))
+            if P is not None:
+                assert cost(P) >= term * (1.0 - 1e-9)
+    assert positive > 50
+
+
+@pytest.mark.parametrize("norm", ["hs", "op"])
+@pytest.mark.parametrize("labels", [(1, 1, 1), (2, 2, 2), (2, 1, 2)])
+def test_cell_bound_terms_are_attained(norm, labels):
+    """Both terms are tight: ``c = P0 + s I`` costs exactly the trace term at
+    ``P0``, and ``c_e = P0 + X``, ``c_f = P0 - (omega_f / omega_e) X`` cost
+    exactly the pair term there, whichever labels carry them."""
+    op = norm == "op"
+    P0 = Mat2(1.0, 2.0, 0.0, 0.0)
+    X = Mat2(0.1, -0.2j, 0.3, 0.05)
+    om = [1.5, 2.0, 3.0]
+    c = [P0 + M2_ID * 0.25, P0 + X, P0 - X * (om[2] / om[1])]
+    theta_c = [Mat2(*map(complex, ce if k == 1 else M2_ID - ce)) for ce, k in zip(c, labels)]
+    bound = amnm.oracle._bound(theta_c, om, op)
+    point = [e if k == 1 else 3 + e for e, k in enumerate(labels)]
+
+    def cost(cell):
+        p_only = [e for e in cell if labels[e] == 1]
+        q_only = [e for e in cell if labels[e] == 2]
+        return amnm.oracle._cell_objective(theta_c, om, p_only, q_only, 0.0, op)(P0)
+
+    assert bound(point[0], point[0]) == pytest.approx(cost([0]), rel=1e-12)
+    assert bound(point[1], point[2]) == pytest.approx(cost([1, 2]), rel=1e-12)
+
+
 def _complex_bits(x) -> tuple:
     z = complex(x)
     return z.real.hex(), z.imag.hex()
@@ -321,13 +390,49 @@ def test_m2_oracle_results_are_pinned_apart_from_the_evaluation_count():
     assert h.hexdigest() == "9be2526ff8dfe2593e050cac08d770e06d73123f790760f2c38e4593f5f39b96"
 
 
+def test_skipping_a_polish_that_cannot_win_keeps_every_result_bit(monkeypatch):
+    """The skipping search against one that polishes every leader (the skip
+    test forced to False): the same bits apart from the evaluation count and
+    the skip count, on criterion-7 instances in both norms."""
+    rng = np.random.default_rng(707)
+    cases = []
+    for _ in range(40):
+        S = random_semilattice(rng)
+        theta = random_m2_instance(rng, S)
+        cases += [(S, theta, {"starts": 8}), (S, theta, {"norm": "op", "starts": 2})]
+    skipping = [nearest_mult_m2(S, theta, seed=11, **kw) for S, theta, kw in cases]
+    monkeypatch.setattr(amnm.oracle, "_cannot_win", lambda *args: False)
+    forced = [nearest_mult_m2(S, theta, seed=11, **kw) for S, theta, kw in cases]
+    for one, two in zip(skipping, forced):
+        assert _report_record(one, evaluations=False) == _report_record(two, evaluations=False)
+        assert _map_record(one) == _map_record(two)
+        assert one.details["lower"] == two.details["lower"]
+        assert two.details["polish_skipped"] == 0
+        assert one.details["evaluations"] <= two.details["evaluations"]
+    assert sum(r.details["polish_skipped"] for r in skipping) > 0
+
+
+def test_m2_oracle_lower_bound_is_below_its_value_in_both_norms():
+    """``lower <= value`` on the 500 criterion-7 instances in the operator norm
+    (criterion 7 itself checks the HS norm)."""
+    rng = np.random.default_rng(707)
+    gaps = []
+    for _ in range(500):
+        S = random_semilattice(rng)
+        theta = random_m2_instance(rng, S)
+        rep = nearest_mult_m2(S, theta, norm="op", starts=2, seed=11)
+        assert 0.0 <= rep.details["lower"] <= rep.value
+        gaps.append(rep.value - rep.details["lower"])
+    assert min(gaps) < 1e-5  # the bracket closes on some instances
+
+
 def test_m2_oracle_output_stream_is_pinned():
     """SHA-256 over the pinned stream's reports, the evaluation count
     included."""
     h = hashlib.sha256()
     for rep in _pinned_oracle_stream():
         h.update(_report_record(rep))
-    assert h.hexdigest() == "0eaa3279eb1d32ad1807f82f2e7000dbdeead4358240a73dc87ad9cfb164ad13"
+    assert h.hexdigest() == "95f615988280fd50bb5f0d23c275bdf7c39cf4364791c3f4fdb1d7d192677500"
 
 
 # ---------------------------------------------------------------------------
