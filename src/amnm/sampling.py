@@ -15,7 +15,7 @@ import numpy as np
 
 from .defects import AlgebraMap, defect, m2_map, scalar_map, t2_map
 from .filters import enumerate_filters, filter_indicator, zero_map
-from .mat2 import M2_ID, M2_ZERO, Mat2, _idempotent_defect, _rank_one, _tuple_new
+from .mat2 import M2_ID, M2_ZERO, Mat2, _complex_hs_sq, _idempotent_defect, _rank_one, _tuple_new
 from .oracle import m2_family_map
 from .semilattice import Semilattice
 from .weights import WeightedSemilattice, flighty_report
@@ -48,8 +48,9 @@ def random_multiplicative_scalar(rng: np.random.Generator, S: Semilattice) -> Al
 
 
 def _complex_noise(rng: np.random.Generator, amp: float) -> complex:
-    r = amp * math.sqrt(rng.uniform())
-    phi = rng.uniform(0.0, 2.0 * math.pi)
+    # rng.random() is rng.uniform()'s draw, and 2 pi times it is uniform(0, 2 pi)'s
+    r = amp * math.sqrt(rng.random())
+    phi = 2.0 * math.pi * rng.random()
     return complex(r * math.cos(phi), r * math.sin(phi))
 
 
@@ -91,33 +92,34 @@ def random_t2_instance(
 def random_bounded_idempotent(rng: np.random.Generator) -> Mat2:
     """A rank-one idempotent ``v u* / (u* v)`` with HS norm at most ``1/_MIN_PAIRING``.
 
-    Entries are Python ``complex``: numpy scalars would slow every later
-    ``Mat2`` operation on the result.
+    The arithmetic after the draw is on Python floats and ``complex``, one
+    IEEE operation at a time, so the result has the same bits under every BLAS
+    and SIMD dispatch; its entries are Python ``complex``, as every later
+    ``Mat2`` operation on it is fastest on those.
     """
     while True:
         x0, x1, x2, x3, x4, x5, x6, x7 = rng.normal(size=8).tolist()  # four normal(size=2) draws
-        u = np.array((complex(x0, x2), complex(x1, x3)))  # x[0:2] + 1j * x[2:4], bit for bit
-        v = np.array((complex(x4, x6), complex(x5, x7)))
-        nu = math.sqrt(float(np.vdot(u, u).real))
-        nv = math.sqrt(float(np.vdot(v, v).real))
+        # u = (x0 + i x2, x1 + i x3) and v = (x4 + i x6, x5 + i x7); each norm is
+        # the fixed sum (re0**2 + im0**2) + (re1**2 + im1**2), with no fused step
+        nu = math.sqrt((x0 * x0 + x2 * x2) + (x1 * x1 + x3 * x3))
+        nv = math.sqrt((x4 * x4 + x6 * x6) + (x5 * x5 + x7 * x7))
         if nu < 1e-6 or nv < 1e-6:
             continue
-        u, v = u / nu, v / nv
-        pairing = complex(np.vdot(u, v))
+        cu = (complex(x0 / nu, -x2 / nu), complex(x1 / nu, -x3 / nu))  # conj(u) / nu
+        v = (complex(x4 / nv, x6 / nv), complex(x5 / nv, x7 / nv))
+        pairing = cu[0] * v[0] + cu[1] * v[1]  # u* v
         if abs(pairing) < _MIN_PAIRING:
             continue
-        return _tuple_new(Mat2, map(complex, _rank_one(v, u.conj(), pairing)))
+        return _rank_one(v, cu, pairing)
 
 
 def _random_mat2_ball(rng: np.random.Generator, radius: float) -> Mat2:
     x0, x1, x2, x3, x4, x5, x6, x7 = rng.normal(size=8).tolist()  # two normal(size=4) draws
     z0, z1, z2, z3 = complex(x0, x4), complex(x1, x5), complex(x2, x6), complex(x3, x7)
-    raw = np.array((z0, z1, z2, z3))  # x[0:4] + 1j * x[4:8], bit for bit
-    nrm = math.sqrt(float(np.vdot(raw, raw).real))
+    nrm = math.sqrt(_complex_hs_sq(z0, z1, z2, z3))  # hs_norm's sum, in its order
     if nrm == 0.0:
         return Mat2(0.0j, 0.0j, 0.0j, 0.0j)
-    # rng.random() is the same draw as rng.uniform(), at a third of the cost; z * f has
-    # the bits of numpy's raw * f, as each part adds a product with zero, fused or not
+    # z * f rounds each part once: f's zero imaginary part adds only signed zeros
     f = radius * rng.random() / nrm
     return _tuple_new(Mat2, (z0 * f, z1 * f, z2 * f, z3 * f))
 

@@ -387,7 +387,7 @@ def test_m2_oracle_results_are_pinned_apart_from_the_evaluation_count():
     for rep in _pinned_oracle_stream():
         h.update(_report_record(rep, evaluations=False))
         h.update(_map_record(rep))
-    assert h.hexdigest() == "9be2526ff8dfe2593e050cac08d770e06d73123f790760f2c38e4593f5f39b96"
+    assert h.hexdigest() == "a854928a4caec8d24c1aa0c778e69baf2391984b9d48bdd938f88c7764d1219d"
 
 
 def test_skipping_a_polish_that_cannot_win_keeps_every_result_bit(monkeypatch):
@@ -432,7 +432,7 @@ def test_m2_oracle_output_stream_is_pinned():
     h = hashlib.sha256()
     for rep in _pinned_oracle_stream():
         h.update(_report_record(rep))
-    assert h.hexdigest() == "95f615988280fd50bb5f0d23c275bdf7c39cf4364791c3f4fdb1d7d192677500"
+    assert h.hexdigest() == "a5d9e29bd4bf338c2b3a1fa3854ce99a3445a6fccceeeae547c94d5fbe711598"
 
 
 # ---------------------------------------------------------------------------
