@@ -249,10 +249,23 @@ _INV_SQRT2_DOWN = 0.7071067811865  # below 1/sqrt(2), even after rounding a prod
 _UNSCALED_RANGE = 2.0**250  # the float kernels rescale past this entry or weight
 
 
-def _stack(theta: AlgebraMap) -> np.ndarray:
-    """The :meth:`AlgebraMap.as_m2` values as an ``(n, 2, 2)`` complex array."""
-    entries = chain.from_iterable(theta.as_m2().values)
-    return np.fromiter(entries, complex, 4 * theta.n).reshape(-1, 2, 2)
+def _stack(theta: AlgebraMap, *more: AlgebraMap) -> np.ndarray:
+    """The :meth:`AlgebraMap.as_m2` values, of ``theta`` and then of each map
+    in ``more``, as an ``(n, 2, 2)`` complex array."""
+    values = theta.as_m2().values
+    for m in more:
+        values += m.as_m2().values
+    return np.fromiter(chain.from_iterable(values), complex, 4 * len(values)).reshape(-1, 2, 2)
+
+
+def _refuse_non_finite(finite: np.ndarray, *maps: AlgebraMap) -> None:
+    """Raise ``ValueError`` naming the first value of ``theta`` (then ``phi``)
+    with an inf or NaN entry; ``finite`` flags each value of the maps, one map
+    after the other."""
+    i = int(np.argmin(finite))
+    m, e = divmod(i, maps[0].n)
+    name = ("theta", "phi")[m]
+    raise ValueError(f"{name}({e}) has a non-finite entry: {maps[m].values[e]!r}")
 
 
 def _scaled(D: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -377,7 +390,10 @@ def _defect_float(WS: WeightedSemilattice, theta: AlgebraMap, norm: str) -> Defe
     w, table = WS.omega_float, WS.S.table
     V = _stack(theta)
     big = np.abs(V).max(axis=(1, 2))
-    if big.max() > _UNSCALED_RANGE:
+    top = big.max()
+    if not top <= _UNSCALED_RANGE:
+        if not top < np.inf:  # an inf or NaN entry
+            _refuse_non_finite(big < np.inf, theta)
         # the products could overflow: scale each value down to its largest entry,
         # each difference to its own and the weights to their mantissas, by powers of two
         k = np.maximum(np.frexp(big)[1], 0)
@@ -445,7 +461,10 @@ def _element_ratios(WS: WeightedSemilattice, theta: AlgebraMap, phi: AlgebraMap,
             Fraction(_norm_sq_exact(Mat2(*d), norm) * K * K, (L * w) ** 2)
             for d, w in zip(D, W.tolist())
         ]
-    return _norms(_stack(theta) - _stack(phi), norm) / WS.omega_float
+    V = _stack(theta, phi)
+    if not np.isfinite(V).all():
+        _refuse_non_finite(np.isfinite(V).all(axis=(1, 2)), theta, phi)
+    return _norms(V[: WS.n] - V[WS.n :], norm) / WS.omega_float
 
 
 def weighted_sup_distance_report(

@@ -193,8 +193,26 @@ def _rescaled(f, t, det_sq=0) -> float:
     return r * 2.0**k if k < 1024 else math.inf
 
 
+def _float_rescaled(A: Mat2, op: bool) -> float:
+    """The float norm of an ``A`` whose squares overflow, run on ``A / 2**k``
+    for the ``2**k`` at its largest part and scaled back, which is exact; inf
+    past the float range.  An inf or NaN entry gives the unscaled norm."""
+    z = [complex(x) for x in A]
+    big = max(max(abs(x.real), abs(x.imag)) for x in z)
+    if not big < math.inf:
+        return _complex_norm(*z, op)
+    k = math.frexp(big)[1]
+    down = 2.0**-k
+    try:
+        return math.ldexp(_complex_norm(*(x * down for x in z), op), k)
+    except OverflowError:
+        return math.inf
+
+
 def hs_norm(A: Mat2) -> float:
     s = hs_norm_sq(A)
+    if not s < math.inf:  # a float s that overflowed, or an inf or NaN entry
+        return _float_rescaled(A, False)
     try:
         return math.sqrt(s)
     except OverflowError:  # an exact s past about 1.8e308
@@ -205,7 +223,9 @@ def op_norm(A: Mat2) -> float:
     """Largest singular value, from the closed form on the 2x2 Gram trace."""
     t, det_sq = hs_norm_sq(A), abs2(A.det)
     if isinstance(t, float) or t <= 2**500:
-        return _op_from_gram(float(t), float(det_sq))
+        r = _op_from_gram(float(t), float(det_sq))
+        # t * t overflowed (then r is inf or NaN), or an entry is inf or NaN
+        return r if r < math.inf else _float_rescaled(A, True)
     return _rescaled(_op_from_gram, t, det_sq)
 
 

@@ -80,17 +80,28 @@ def check_submultiplicative(S: Semilattice, omega: Sequence) -> tuple[int, int] 
             raise NonPositiveWeight(f"omega[{i}] = {w!r} is not a real number", i)
         if not w > 0:
             raise NonPositiveWeight(f"omega[{i}] = {w!r} is not strictly positive", i)
-    if max(omega, default=1) <= min(omega, default=1) * min(omega, default=1):
+    low = min(omega, default=1)
+    if max(omega, default=1) <= low * low:
         return None  # then omega(x*y) <= max <= min**2 <= omega(x) * omega(y)
+    # with omega >= 1 a comparable pair passes, as x*y = x gives omega(x) <=
+    # omega(x) omega(y) (rounding is monotone): only incomparable pairs are compared
+    incomparable = low >= 1
     exact = all(map(_is_exact, omega))
     W, L = _over_common_denominator(omega) if exact else (np.array(omega, dtype=float), 1)
     step = max(1, _BLOCK_CELLS // S.n)
+    index = np.arange(S.n)
     with np.errstate(over="ignore"):  # an overflowing float product is inf, as in Python
         for i0 in range(0, S.n, step):
-            bad = W[S.table[i0 : i0 + step]] * L > W[i0 : i0 + step, None] * W
+            T = S.table[i0 : i0 + step]
+            if incomparable:
+                cells = (T != index[i0 : i0 + step, None]) & (T != index)
+            else:
+                cells = np.ones(T.shape, bool)
+            I, J = np.nonzero(cells)
+            bad = W[T[I, J]] * L > W[i0 + I] * W[J]
             if bad.any():
-                i, j = divmod(int(np.argmax(bad)), S.n)
-                return (i0 + i, j)
+                k = int(np.argmax(bad))
+                return (i0 + int(I[k]), int(J[k]))
     return None
 
 

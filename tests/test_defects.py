@@ -604,3 +604,44 @@ def test_scaled_float_m2_defects_keep_the_unscaled_bits_where_nothing_overflows(
             i, j = divmod(int(np.argmax(ratios)), S.n)
             rep = defect(WS, theta, norm)
             assert rep.defect_float == ratios[i, j] and rep.witness == (i, j)
+
+
+# ---------------------------------------------------------------------------
+# Non-finite entries.
+# ---------------------------------------------------------------------------
+
+_I = Mat2(1.0, 0.0, 0.0, 1.0)
+_INF_M2 = m2_map([Mat2(math.inf, 1, 0, 0), _I])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "theta, norm, bad",
+    [
+        (_INF_M2, "op", 0),
+        (_INF_M2, "hs", 0),
+        (m2_map([_I, Mat2(0.0, complex(0.0, math.nan), 0.0, 0.0)]), "op", 1),
+        (scalar_map([1.0, -math.inf]), "abs", 1),
+        (t2_map([(1.0, 0.0), (0.0, math.nan)]), "t2", 1),
+    ],
+    ids=["m2-op", "m2-hs", "m2-nan", "scalar", "t2"],
+)
+def test_defect_refuses_a_non_finite_entry(theta, norm, bad):
+    # the op norm's t * t - 4 |det|**2 on an inf entry used to warn
+    with pytest.raises(ValueError, match=rf"theta\({bad}\) has a non-finite entry"):
+        defect(nmin(2), theta, norm)
+    with pytest.raises(ValueError, match=rf"theta\({bad}\) has a non-finite entry"):
+        defect(weighted(nmin(2), [1.0, 2.0]), theta, norm)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("norm", ["hs", "op"])
+def test_distances_refuse_a_non_finite_entry(norm):
+    S, ones = nmin(2), m2_map([_I, _I])
+    for theta, phi, name in ((_INF_M2, ones, "theta"), (ones, _INF_M2, "phi"), (_INF_M2, _INF_M2, "theta")):
+        with pytest.raises(ValueError, match=rf"{name}\(0\) has a non-finite entry"):
+            weighted_sup_distance(S, theta, phi, norm)
+        with pytest.raises(ValueError, match=rf"{name}\(0\) has a non-finite entry"):
+            weighted_sup_distance_report(S, theta, phi, norm)
+    with pytest.raises(ValueError, match=r"phi\(1\) has a non-finite entry"):
+        weighted_sup_distance(S, scalar_map([1.0, 0.0]), scalar_map([1.0, complex(0.0, math.inf)]))

@@ -163,6 +163,46 @@ def test_exact_norms_keep_their_bits_below_the_float_range():
                 assert op_norm(A) == _op_from_gram(float(t), float(abs2(A.det)))
 
 
+@pytest.mark.parametrize(
+    "A, hs, op",
+    [
+        (Mat2(1e160, 0.0, 0.0, 0.0), 1e160, 1e160),
+        (Mat2(1e200, 0.0, 0.0, 1e200), math.sqrt(2.0) * 1e200, 1e200),
+        (Mat2(1e100, 0.0, 0.0, 1e100), math.sqrt(2.0) * 1e100, 1e100),  # only t * t overflows
+        (Mat2(3e200, 4e200, 0.0, 0.0), 5e200, 5e200),
+        (Mat2(complex(1.5e308, 1.5e308), 0j, 0j, 0j), math.inf, math.inf),  # the norm overflows
+    ],
+)
+def test_norms_of_float_entries_whose_squares_overflow(A, hs, op):
+    assert hs_norm(A) == pytest.approx(hs, rel=1e-15)
+    assert op_norm(A) == pytest.approx(op, rel=1e-15)
+
+
+def test_float_norms_keep_their_bits_where_the_squares_are_finite():
+    for k in range(0, 646, 3):
+        for x in (3.0**k, complex(3.0**k, -(2.0 ** (k / 2)))):
+            A = Mat2(x, 2 * x, x, 1.0)
+            t = abs2(A.a) + abs2(A.b) + abs2(A.c) + abs2(A.d)
+            if t < math.inf:
+                assert hs_norm(A) == math.sqrt(t)
+            direct = _op_from_gram(t, abs2(A.det))
+            if direct < math.inf:
+                assert op_norm(A) == direct
+
+
+def test_obstruction_check_on_entries_whose_squares_overflow():
+    # the op norms of P - A and P - 2C square entries near 1e200: unscaled,
+    # both read NaN and the dichotomy was reported not to hold
+    P = Mat2(0.5, 0.5, 0.5, 0.5)
+    rep = obstruction_check(P, P, "pair", a=1e200, b=1e200)
+    assert rep.holds
+    assert rep.lhs_first == pytest.approx(1e200, rel=1e-15)
+    rep = obstruction_check(P, P, "double", d=1e200)
+    assert rep.holds
+    assert rep.lhs_first == pytest.approx(2e200, rel=1e-15)
+    assert rep.lhs_second == pytest.approx(1e200, rel=1e-15)
+
+
 def test_triangularize_huge_exact_entries():
     U, T = unitary_triangularize(Mat2(10**200, 0, 0, 0))
     assert U == M2_ID and T == Mat2(1e200, 0, 0, 0)

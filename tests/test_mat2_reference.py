@@ -49,7 +49,17 @@ def ref_hs_norm_sq(A):
 
 
 def ref_hs_norm(A):
-    return math.sqrt(float(ref_hs_norm_sq(A)))
+    s = float(ref_hs_norm_sq(A))
+    parts = [p for x in A for p in (complex(x).real, complex(x).imag)]
+    if s < math.inf or not all(map(math.isfinite, parts)):
+        return math.sqrt(s)
+    # finite entries whose squares overflow: the norm of A over the power of two
+    # at its largest part, scaled back
+    k = math.frexp(max(map(abs, parts)))[1]
+    try:
+        return math.ldexp(ref_hs_norm(Mat2(*(complex(x) * 2.0**-k for x in A))), k)
+    except OverflowError:
+        return math.inf
 
 
 def ref_unitary_triangularize(A):
@@ -219,6 +229,7 @@ def test_fused_kernel_matches_the_generic_reference(A, eps):
 @example(A=Mat2(0j, 0j, 0j, 1.7404779806271032e-158j), eps=0.1)  # the rescale branch
 @example(A=Mat2(complex(math.inf, 0), 0j, 0j, 0j), eps=0.1)  # NaN defect: DefectTooLarge
 @example(A=Mat2(math.nan, 0, 0, 0), eps=0.1)  # DefectTooLarge
+@example(A=Mat2(1e150j, 0j, 0j, 0j), eps=0.01)  # the squares of A @ A - A overflow
 def test_fused_kernel_matches_the_reference_at_the_extremes(A, eps):
     # past a part of 2**500 the fused kernel scales the Schur form (tested below),
     # where the reference's squares overflow to inf or NaN; the Schur form

@@ -177,11 +177,20 @@ _EXACT_WEIGHT = st.one_of(
 _FLOAT_WEIGHT = st.one_of(st.floats(1.0, 4.0), st.floats(1e150, 1e300))
 
 
+_SEMILATTICES = st.one_of(
+    st.sampled_from(_WEIGHT_POOL),
+    st.builds(random_semilattice, st.builds(np.random.default_rng, st.integers(0, 2**32 - 1))),
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_check_submultiplicative_matches_the_all_pairs_loop(data):
-    S = data.draw(st.sampled_from(_WEIGHT_POOL))
-    draw_weight = _EXACT_WEIGHT if data.draw(st.booleans()) else _FLOAT_WEIGHT
+    # with every weight >= 1 the check compares incomparable pairs only; one
+    # weight below 1 sends it back to all pairs
+    S = data.draw(_SEMILATTICES)
+    exact = data.draw(st.booleans())
+    draw_weight = _EXACT_WEIGHT if exact else _FLOAT_WEIGHT
     omega = [data.draw(draw_weight) for _ in range(S.n)]
     if data.draw(st.booleans()):
         # monotone weights >= 1 are submultiplicative: omega(xy) <= omega(x)
@@ -190,6 +199,8 @@ def test_check_submultiplicative_matches_the_all_pairs_loop(data):
         if data.draw(st.booleans()):  # plant a violation at a drawn pair
             i, j = data.draw(st.integers(0, S.n - 1)), data.draw(st.integers(0, S.n - 1))
             omega[int(S.table[i, j])] = 2 * omega[i] * omega[j]
+    if data.draw(st.booleans()):
+        omega[data.draw(st.integers(0, S.n - 1))] = Fraction(1, 2) if exact else 0.5
     assert check_submultiplicative(S, omega) == _all_pairs_check(S, omega)
 
 
