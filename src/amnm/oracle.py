@@ -395,7 +395,8 @@ def _cell_objective(theta_c, om, p_only, q_only, const, op: bool):
     ``||theta(e) - P|| / omega(e)`` over ``p_only``, ``||theta(e) - (I - P)||
     / omega(e)`` over ``q_only``.  ``theta_c`` holds the values with
     ``complex`` entries; the differences and norms are those of ``Mat2``
-    arithmetic with :func:`hs_norm` or :func:`op_norm`, bit for bit."""
+    arithmetic with :func:`hs_norm` or :func:`op_norm`, bit for bit where
+    their squares do not overflow (past that, those two rescale)."""
     p_terms = [(*theta_c[e], om[e]) for e in p_only]
     q_terms = [(*theta_c[e], om[e]) for e in q_only]
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .defects import AlgebraMap, defect, m2_map, scalar_map, t2_map
 from .filters import enumerate_filters, filter_indicator, zero_map
-from .mat2 import M2_ID, M2_ZERO, Mat2, _complex_hs_sq, _idempotent_defect, _rank_one, _tuple_new
+from .mat2 import M2_ID, M2_ZERO, Mat2, _idempotent_defect, _rank_one, _tuple_new
 from .oracle import m2_family_map
 from .semilattice import Semilattice
 from .weights import WeightedSemilattice, flighty_report
@@ -36,6 +36,8 @@ _MIN_PAIRING = 0.35  # |u* v| of a sampled rank-one idempotent, so its HS norm i
 # random_near_idempotent's chances 0.2, 0.6, 0.2 of a base at 0, a rank-one P
 # and I, as the normalised cumulative sum that Generator.choice inverts
 _RANK_CDF = (0.2, 0.8, 1.0)
+_ZERO = Mat2(0.0j, 0.0j, 0.0j, 0.0j)  # 0 and I with complex entries
+_IDENTITY = Mat2(1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
 
 
 def random_multiplicative_scalar(rng: np.random.Generator, S: Semilattice) -> AlgebraMap:
@@ -115,13 +117,17 @@ def random_bounded_idempotent(rng: np.random.Generator) -> Mat2:
 
 def _random_mat2_ball(rng: np.random.Generator, radius: float) -> Mat2:
     x0, x1, x2, x3, x4, x5, x6, x7 = rng.normal(size=8).tolist()  # two normal(size=4) draws
-    z0, z1, z2, z3 = complex(x0, x4), complex(x1, x5), complex(x2, x6), complex(x3, x7)
-    nrm = math.sqrt(_complex_hs_sq(z0, z1, z2, z3))  # hs_norm's sum, in its order
+    # the entries are x0 + i x4, ..., x3 + i x7; the squares are summed in
+    # hs_norm's order, (re0**2 + im0**2) + ... + (re3**2 + im3**2)
+    nrm = math.sqrt(
+        (x0 * x0 + x4 * x4) + (x1 * x1 + x5 * x5) + (x2 * x2 + x6 * x6) + (x3 * x3 + x7 * x7)
+    )
     if nrm == 0.0:
-        return Mat2(0.0j, 0.0j, 0.0j, 0.0j)
+        return _ZERO
     # z * f rounds each part once: f's zero imaginary part adds only signed zeros
     f = radius * rng.random() / nrm
-    return _tuple_new(Mat2, (z0 * f, z1 * f, z2 * f, z3 * f))
+    z = (complex(x0, x4) * f, complex(x1, x5) * f, complex(x2, x6) * f, complex(x3, x7) * f)
+    return _tuple_new(Mat2, z)
 
 
 def random_m2_instance(
@@ -182,12 +188,7 @@ def random_near_idempotent(rng: np.random.Generator, eps: float) -> Mat2:
     # int(rng.choice(3, p=(0.2, 0.6, 0.2))), draw for draw, without choice's
     # validation of p, which costs several microseconds
     kind = bisect.bisect_right(_RANK_CDF, rng.random())
-    if kind == 0:
-        base = Mat2(0.0j, 0.0j, 0.0j, 0.0j)
-    elif kind == 2:
-        base = Mat2(1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
-    else:
-        base = random_bounded_idempotent(rng)
+    base = _ZERO if kind == 0 else _IDENTITY if kind == 2 else random_bounded_idempotent(rng)
     b0, b1, b2, b3 = base
     n0, n1, n2, n3 = _random_mat2_ball(rng, 1.0)
     scale = 0.45 * eps  # first guess: the defect map is roughly 2-Lipschitz here

@@ -65,7 +65,10 @@ def _baseline_dispatch() -> str:
     """numpy's baseline SIMD dispatch, as ``NPY_DISABLE_CPU_FEATURES``: the
     features of the X86_V3 and X86_V4 kernels that this machine has (numpy
     refuses to disable one that it lacks)."""
-    from numpy._core._multiarray_umath import __cpu_features__
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1
+        from numpy.core._multiarray_umath import __cpu_features__
 
     wanted = ("X86_V4", "X86_V3", "AVX512_ICL", "AVX512_SPR")
     return " ".join(f for f in wanted if __cpu_features__.get(f))
@@ -86,7 +89,7 @@ def test_sample_streams_hold_under_other_blas_kernels_and_dispatch(setting):
     equal the pinned values: no step of the samplers rounds by the host's
     BLAS or SIMD kernels."""
     here = Path(__file__).parent
-    path = [str(here), str(here.parent / "src"), *os.environ.get("PYTHONPATH", "").split(os.pathsep)]
+    path = [str(here), str(here.parent / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, **setting, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     code = (
         "from test_mat2 import criterion_6_digest\n"
