@@ -83,25 +83,26 @@ def check_submultiplicative(S: Semilattice, omega: Sequence) -> tuple[int, int] 
     low = min(omega, default=1)
     if max(omega, default=1) <= low * low:
         return None  # then omega(x*y) <= max <= min**2 <= omega(x) * omega(y)
-    # with omega >= 1 a comparable pair passes, as x*y = x gives omega(x) <=
-    # omega(x) omega(y) (rounding is monotone): only incomparable pairs are compared
-    incomparable = low >= 1
     exact = all(map(_is_exact, omega))
     W, L = _over_common_denominator(omega) if exact else (np.array(omega, dtype=float), 1)
+    # with omega >= 1 a comparable pair passes, as x*y = x gives omega(x) <=
+    # omega(x) omega(y): where the products are Python ints, only the incomparable
+    # pairs are compared (in int64 or float64 the full block costs less than picking)
+    sparse = low >= 1 and W.dtype == object
     step = max(1, _BLOCK_CELLS // S.n)
     index = np.arange(S.n)
     with np.errstate(over="ignore"):  # an overflowing float product is inf, as in Python
         for i0 in range(0, S.n, step):
             T = S.table[i0 : i0 + step]
-            if incomparable:
-                cells = (T != index[i0 : i0 + step, None]) & (T != index)
+            if sparse:
+                bad = np.zeros(T.shape, bool)
+                I, J = np.nonzero((T != index[i0 : i0 + step, None]) & (T != index))
+                bad[I, J] = W[T[I, J]] * L > W[i0 + I] * W[J]
             else:
-                cells = np.ones(T.shape, bool)
-            I, J = np.nonzero(cells)
-            bad = W[T[I, J]] * L > W[i0 + I] * W[J]
+                bad = W[T] * L > W[i0 : i0 + step, None] * W
             if bad.any():
-                k = int(np.argmax(bad))
-                return (i0 + int(I[k]), int(J[k]))
+                i, j = divmod(int(np.argmax(bad)), S.n)
+                return (i0 + i, j)
     return None
 
 
