@@ -116,10 +116,15 @@ def _weighted(doc: dict, S: Semilattice) -> WeightedSemilattice | None:
     return weighted(S, [_parse_weight_entry(x) for x in w])
 
 
-def _map(doc: dict):
+def _map_document(path: str):
+    """The semilattice of the document at ``path``, its weight (None without a
+    ``weights`` field) and its map."""
+    doc = _load_document(path)
+    S = semilattice_from_json(doc)
+    WS = _weighted(doc, S)
     if "map" not in doc:
         raise ParseError('this command needs a "map" field in the document')
-    return map_from_json(doc["map"])
+    return S, WS, map_from_json(doc["map"])
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -158,7 +163,7 @@ def cmd_validate(args):
             + (" (exact)" if WS.is_exact else "")
         )
     if "map" in doc:
-        m = _map(doc)
+        m = map_from_json(doc["map"])
         if m.n != S.n:
             raise ParseError("map length does not match the semilattice")
         out["map_codomain"] = m.codomain
@@ -201,10 +206,7 @@ def cmd_filters(args):
 
 
 def cmd_defect(args):
-    doc = _load_document(args.input)
-    S = semilattice_from_json(doc)
-    WS = _weighted(doc, S)
-    m = _map(doc)
+    S, WS, m = _map_document(args.input)
     rep = defect(WS if WS is not None else S, m, args.norm)
     out = {  # a float view past the float range is null, beside the exact value
         "defect": rep.defect_float if rep.defect_float < math.inf else None,
@@ -236,10 +238,7 @@ def _certificate_text(cert) -> str:
 
 
 def cmd_correct(args):
-    doc = _load_document(args.input)
-    S = semilattice_from_json(doc)
-    WS = _weighted(doc, S)
-    m = _map(doc)
+    S, WS, m = _map_document(args.input)
     if args.target == "weighted":
         if WS is None:
             raise ParseError('--target weighted needs a "weights" field')
@@ -348,10 +347,7 @@ def cmd_counterexample(args):
 
 
 def cmd_oracle(args):
-    doc = _load_document(args.input)
-    S = semilattice_from_json(doc)
-    WS = _weighted(doc, S)
-    m = _map(doc)
+    S, WS, m = _map_document(args.input)
     target = WS if WS is not None else S
     rep = _nearest(target, m, args.norm, args.starts, args.seed, polish=not args.no_polish)
     text = (
@@ -369,38 +365,34 @@ def cmd_oracle(args):
 
 def _scalar_case(rng, i):
     S = random_semilattice(rng, max_n=8)
-    cert = correct_scalar(S, random_scalar_instance(rng, S))
-    return cert.achieved_distance <= 1.4 * cert.input_defect + 1e-9
+    correct_scalar(S, random_scalar_instance(rng, S))
+    return True
 
 
 def _t2_case(rng, i):
     S = random_semilattice(rng, max_n=8)
-    cert = correct_t2(S, random_t2_instance(rng, S))
-    return cert.achieved_distance <= (25.0 / 11.0) * cert.input_defect + 1e-9
+    correct_t2(S, random_t2_instance(rng, S))
+    return True
 
 
 def _weighted_case(rng, i):
     S = random_semilattice(rng, max_n=8)
     WS = random_submultiplicative_weight(rng, S)
     epsilon = float(rng.choice([0.5, 1.0, 2.0]))
-    psi = random_binary_weighted_instance(rng, WS, epsilon)
-    cert = correct_weighted(WS, psi, epsilon)
-    return cert.achieved_distance <= epsilon + 1e-9
+    correct_weighted(WS, random_binary_weighted_instance(rng, WS, epsilon), epsilon)
+    return True
 
 
 def _m2_case(rng, i):
     S = random_semilattice(rng, max_n=6)
     theta = random_m2_instance(rng, S)
     cert = correct_m2(S, theta)
-    near = nearest_mult_m2(S, theta, starts=2, seed=i)
-    return (
-        cert.achieved_distance <= 12.0 * cert.input_defect + 1e-9
-        and near.value <= cert.achieved_distance + 1e-6
-    )
+    return nearest_mult_m2(S, theta, starts=2, seed=i).value <= cert.achieved_distance + 1e-6
 
 
 # (section name, stream k, instances with --fast and without, check of
-# instance i drawn from default_rng((seed, k, i)))
+# instance i drawn from default_rng((seed, k, i))): a Certificate raises past
+# its bound, so only the matrix check, against the search, can return False
 _SUITE_SECTIONS = (
     ("scalar corrections", 1, (40, 200), _scalar_case),
     ("upper-triangular corrections", 2, (40, 200), _t2_case),
@@ -410,23 +402,15 @@ _SUITE_SECTIONS = (
 
 
 def _suite_families():
-    ok = True
-    n_checked = 0
-    for rep in psi_n_family(2, (2, 3, 4)):
-        ok = ok and rep.distance_exact == Fraction(1, 2)
-        n_checked += 1
+    # each constructor raises unless its family's defect and distance are as stated
     ws = geometric_weight(10)
-    for m in range(1, 6):
-        rep = theta_m_t2(ws, m)
-        ok = ok and rep.distance_exact == Fraction(1)
-        n_checked += 1
-    rep = theta_m2_chain(ws, 0.05)
-    ok = ok and rep.defect.defect_float <= 0.05 and rep.distance_lower_bound == 0.5
-    n_checked += 1
-    rep = theta_m2_chain_nonuniform(spiked_weight(9, 4, 200), 0.05)
-    ok = ok and rep.defect.defect_float <= 0.05 and rep.distance_lower_bound == 0.5
-    n_checked += 1
-    return ["counterexample families", n_checked, n_checked if ok else 0, ok]
+    reports = [
+        *psi_n_family(2, (2, 3, 4)),
+        *(theta_m_t2(ws, m) for m in range(1, 6)),
+        theta_m2_chain(ws, 0.05),
+        theta_m2_chain_nonuniform(spiked_weight(9, 4, 200), 0.05),
+    ]
+    return ["counterexample families", len(reports), len(reports), True]
 
 
 def cmd_suite(args):

@@ -72,7 +72,6 @@ from .errors import ClassificationFailure, ParseError
 from .mat2 import Mat2, T2Element, abs2, hs_norm_sq
 from .semilattice import Semilattice
 from .weights import _BLOCK_CELLS, WeightedSemilattice, _is_exact, _over_common_denominator
-from .weights import unit_weight
 
 __all__ = [
     "AlgebraMap",
@@ -160,7 +159,7 @@ def _resolve(ws_or_s) -> WeightedSemilattice:
     if isinstance(ws_or_s, WeightedSemilattice):
         return ws_or_s
     if isinstance(ws_or_s, Semilattice):
-        return unit_weight(ws_or_s)
+        return ws_or_s._unit_weight
     raise TypeError(f"expected Semilattice or WeightedSemilattice, got {type(ws_or_s)!r}")
 
 
@@ -258,20 +257,24 @@ def _stack(theta: AlgebraMap, *more: AlgebraMap) -> np.ndarray:
     return np.fromiter(chain.from_iterable(values), complex, 4 * len(values)).reshape(-1, 2, 2)
 
 
-def _refuse_non_finite(finite: np.ndarray, *maps: AlgebraMap) -> None:
+def _refuse_non_finite(V: np.ndarray, *maps: AlgebraMap) -> None:
     """Raise ``ValueError`` naming the first value of ``theta`` (then ``phi``)
-    with an inf or NaN entry; ``finite`` flags each value of the maps, one map
-    after the other."""
-    i = int(np.argmin(finite))
-    m, e = divmod(i, maps[0].n)
-    name = ("theta", "phi")[m]
-    raise ValueError(f"{name}({e}) has a non-finite entry: {maps[m].values[e]!r}")
+    with an inf or NaN entry in ``V``, the :func:`_stack` of the maps."""
+    if not np.isfinite(V).all():
+        m, e = divmod(int(np.argmin(np.isfinite(V).all(axis=(1, 2)))), maps[0].n)
+        name = ("theta", "phi")[m]
+        raise ValueError(f"{name}({e}) has a non-finite entry: {maps[m].values[e]!r}")
 
 
 def _scaled(D: np.ndarray, k: np.ndarray) -> np.ndarray:
     """``2**k D`` per matrix of a complex ``(..., 2, 2)`` stack, on the float
     parts: a complex product would turn inf into nan."""
     return np.ldexp(D.view(float), k[..., None, None]).view(D.dtype)
+
+
+def _largest_parts(D: np.ndarray) -> np.ndarray:
+    """The largest ``|real|`` or ``|imag|`` per matrix: a modulus overflows near 1.8e308."""
+    return np.abs(D.view(float)).max(axis=(-2, -1))
 
 
 def _norms(D: np.ndarray, norm: str) -> np.ndarray:
@@ -281,7 +284,7 @@ def _norms(D: np.ndarray, norm: str) -> np.ndarray:
     scalar and T2 values that :meth:`AlgebraMap.as_m2` embeds.  For ``hs`` and
     ``op``, past ``_UNSCALED_RANGE`` the squares, or the operator norm's
     ``t * t``, could overflow: then each matrix is scaled by the power of two
-    at its largest entry, which is exact, and its norm scaled back.
+    at its largest part, which is exact, and its norm scaled back.
     """
     if norm == "abs":
         return np.abs(D[..., 0, 0])
@@ -289,8 +292,8 @@ def _norms(D: np.ndarray, norm: str) -> np.ndarray:
         return np.abs(D[..., 0, 0]) + np.abs(D[..., 0, 1])
     A = np.abs(D)
     k = None
-    if A.max(initial=0.0) > _UNSCALED_RANGE:
-        k = np.frexp(A.max(axis=(-2, -1)))[1]
+    if A.max(initial=0.0) > _UNSCALED_RANGE:  # inf where a modulus overflows
+        k = np.frexp(_largest_parts(D))[1]
         D = _scaled(D, -k)
         A = np.abs(D)
     t = np.sum(A**2, axis=(-2, -1))
@@ -300,7 +303,8 @@ def _norms(D: np.ndarray, norm: str) -> np.ndarray:
         det = D[..., 0, 0] * D[..., 1, 1] - D[..., 0, 1] * D[..., 1, 0]
         disc = np.maximum(t * t - 4.0 * np.abs(det) ** 2, 0.0)
         out = np.sqrt((t + np.sqrt(disc)) / 2.0)
-    return out if k is None else np.ldexp(out, k)
+    with np.errstate(over="ignore"):  # a norm past the float range is inf
+        return out if k is None else np.ldexp(out, k)
 
 
 def _integers(*maps: AlgebraMap):
@@ -389,18 +393,16 @@ def _defect_exact(WS: WeightedSemilattice, theta: AlgebraMap, norm: str) -> Defe
 def _defect_float(WS: WeightedSemilattice, theta: AlgebraMap, norm: str) -> DefectReport:
     w, table = WS.omega_float, WS.S.table
     V = _stack(theta)
-    big = np.abs(V).max(axis=(1, 2))
-    top = big.max()
-    if not top <= _UNSCALED_RANGE:
-        if not top < np.inf:  # an inf or NaN entry
-            _refuse_non_finite(big < np.inf, theta)
-        # the products could overflow: scale each value down to its largest entry,
+    big = _largest_parts(V)
+    if not big.max() <= _UNSCALED_RANGE:  # past the range, or an inf or NaN entry
+        _refuse_non_finite(V, theta)
+        # the products could overflow: scale each value down to its largest part,
         # each difference to its own and the weights to their mantissas, by powers of two
         k = np.maximum(np.frexp(big)[1], 0)
         K = k[:, None] + k[None, :]
         U = _scaled(V, -k)
         D = np.einsum("iab,jbc->ijac", U, U) - _scaled(V[table], -K)
-        j = np.frexp(np.abs(D).max(axis=(-2, -1)))[1]
+        j = np.frexp(_largest_parts(D))[1]
         mant, e = np.frexp(w)
         norms = _norms(_scaled(D, -j), norm) / (mant[:, None] * mant[None, :])
         with np.errstate(over="ignore"):  # a defect past the float range is inf
@@ -462,8 +464,7 @@ def _element_ratios(WS: WeightedSemilattice, theta: AlgebraMap, phi: AlgebraMap,
             for d, w in zip(D, W.tolist())
         ]
     V = _stack(theta, phi)
-    if not np.isfinite(V).all():
-        _refuse_non_finite(np.isfinite(V).all(axis=(1, 2)), theta, phi)
+    _refuse_non_finite(V, theta, phi)
     return _norms(V[: WS.n] - V[WS.n :], norm) / WS.omega_float
 
 

@@ -157,13 +157,25 @@ def _op_from_gram(t: float, det_sq: float) -> float:
 
 def _complex_norm(a: complex, b: complex, c: complex, d: complex, op: bool) -> float:
     """HS norm, or operator norm when ``op``, of the matrix with the four
-    ``complex`` entries: :func:`hs_norm` and :func:`op_norm` without the
-    ``Mat2``, for the scalar float kernels."""
+    ``complex`` entries: the float kernel of :func:`hs_norm`, :func:`op_norm`
+    and the oracle's costs.  Where the squares, or the operator norm's ``t * t``,
+    overflow, it is the norm of the entries over the power of two at their
+    largest part, which is exact, scaled back: inf only past the float range.
+    An inf or NaN entry gives the unscaled norm."""
     t = _complex_hs_sq(a, b, c, d)
-    if not op:
-        return math.sqrt(t)
-    det = a * d - b * c
-    return _op_from_gram(t, det.real * det.real + det.imag * det.imag)
+    if op:
+        det = a * d - b * c
+        r = _op_from_gram(t, det.real * det.real + det.imag * det.imag)
+    else:
+        r = math.sqrt(t)
+    if r < math.inf or not all(map(cmath.isfinite, (a, b, c, d))):
+        return r
+    k = math.frexp(max(max(abs(x.real), abs(x.imag)) for x in (a, b, c, d)))[1]
+    down = 2.0**-k
+    try:  # the scaled parts are below 1: no square overflows
+        return math.ldexp(_complex_norm(a * down, b * down, c * down, d * down, op), k)
+    except OverflowError:
+        return math.inf
 
 
 def _idempotent_defect(a, b, c, d) -> float:
@@ -193,26 +205,10 @@ def _rescaled(f, t, det_sq=0) -> float:
     return r * 2.0**k if k < 1024 else math.inf
 
 
-def _float_rescaled(A: Mat2, op: bool) -> float:
-    """The float norm of an ``A`` whose squares overflow, run on ``A / 2**k``
-    for the ``2**k`` at its largest part and scaled back, which is exact; inf
-    past the float range.  An inf or NaN entry gives the unscaled norm."""
-    z = [complex(x) for x in A]
-    big = max(max(abs(x.real), abs(x.imag)) for x in z)
-    if not big < math.inf:
-        return _complex_norm(*z, op)
-    k = math.frexp(big)[1]
-    down = 2.0**-k
-    try:
-        return math.ldexp(_complex_norm(*(x * down for x in z), op), k)
-    except OverflowError:
-        return math.inf
-
-
 def hs_norm(A: Mat2) -> float:
     s = hs_norm_sq(A)
     if not s < math.inf:  # a float s that overflowed, or an inf or NaN entry
-        return _float_rescaled(A, False)
+        return _complex_norm(*map(complex, A), False)
     try:
         return math.sqrt(s)
     except OverflowError:  # an exact s past about 1.8e308
@@ -225,7 +221,7 @@ def op_norm(A: Mat2) -> float:
     if isinstance(t, float) or t <= 2**500:
         r = _op_from_gram(float(t), float(det_sq))
         # t * t overflowed (then r is inf or NaN), or an entry is inf or NaN
-        return r if r < math.inf else _float_rescaled(A, True)
+        return r if r < math.inf else _complex_norm(*map(complex, A), True)
     return _rescaled(_op_from_gram, t, det_sq)
 
 

@@ -378,9 +378,9 @@ def _deflate(x: float, slack: float) -> float:
     ``|u| = |v| = 1`` and ``|u* v| >= 1e-3``.  A difference and its norm err by
     under ``8 * 2**-53`` of that, weights are at least 1, and ``tr P`` is 1 to
     about ``1e3 * 2**-50``.  The relative 1e-6 covers the norms' rounding, up
-    to about 2e-8 where the op norm's discriminant cancels.  Past ``2**250``
-    squares could overflow: ``slack`` is inf and the bound 0.0 (0.0 comes
-    first, so ``max`` also gives it for a NaN)."""
+    to about 2e-8 where the op norm's discriminant cancels.  Past ``2**250``,
+    where the norms rescale, no bound is claimed: ``slack`` is inf and the
+    bound 0.0 (0.0 comes first, so ``max`` also gives it for ``inf - inf``)."""
     return max(0.0, x * (1.0 - 1e-6) - slack)
 
 
@@ -395,8 +395,7 @@ def _cell_objective(theta_c, om, p_only, q_only, const, op: bool):
     ``||theta(e) - P|| / omega(e)`` over ``p_only``, ``||theta(e) - (I - P)||
     / omega(e)`` over ``q_only``.  ``theta_c`` holds the values with
     ``complex`` entries; the differences and norms are those of ``Mat2``
-    arithmetic with :func:`hs_norm` or :func:`op_norm`, bit for bit where
-    their squares do not overflow (past that, those two rescale)."""
+    arithmetic with :func:`hs_norm` or :func:`op_norm`, bit for bit."""
     p_terms = [(*theta_c[e], om[e]) for e in p_only]
     q_terms = [(*theta_c[e], om[e]) for e in q_only]
 
@@ -454,11 +453,11 @@ def nearest_mult_m2(
     norm_to_id = [_complex_norm(a - 1, b, c, d - 1, op) / w for (a, b, c, d), w in zip(theta_c, om)]
     norm_to_zero = [_complex_norm(*t, op) / w for t, w in zip(theta_c, om)]
     # const[i1][i2]: the P-independent part of cell (i1, i2)'s cost, the largest
-    # norm over its elements labelled 3 (to I) and 0 (to 0); fmax skips a NaN norm
+    # norm over its elements labelled 3 (to I) and 0 (to 0)
     both = rows[:, None, :] & rows[None, :, :]
     neither = ~(rows[:, None, :] | rows[None, :, :])
     terms = np.where(both, norm_to_id, np.where(neither, norm_to_zero, 0.0))
-    const = np.fmax.reduce(terms, axis=2, initial=0.0).tolist()
+    const = terms.max(axis=2, initial=0.0).tolist()
 
     # the P-independent maps chi_F * I (including the zero map) first: the diagonal
     evaluations = len(options)

@@ -56,19 +56,29 @@ def _complex_noise(rng: np.random.Generator, amp: float) -> complex:
     return complex(r * math.cos(phi), r * math.sin(phi))
 
 
+def _shrunk(S: Semilattice, perturbed, threshold: float, what: str) -> AlgebraMap:
+    """The first of ``perturbed(1)``, ``perturbed(1/2)``, ... whose defect, in
+    the default norm, is below ``0.95 * threshold``."""
+    scale = 1.0
+    for _ in range(_MAX_SHRINKS):
+        theta = perturbed(scale)
+        if defect(S, theta).defect_float < 0.95 * threshold:
+            return theta
+        scale *= 0.5
+    raise RuntimeError(f"could not shrink {what} noise below the defect threshold")
+
+
 def random_scalar_instance(
     rng: np.random.Generator, S: Semilattice, *, threshold: float = 0.2, amp: float = 0.06
 ) -> AlgebraMap:
     """A perturbed multiplicative scalar map with defect strictly below ``threshold``."""
     base = random_multiplicative_scalar(rng, S)
     noise = [_complex_noise(rng, amp) for _ in range(S.n)]
-    scale = 1.0
-    for _ in range(_MAX_SHRINKS):
-        psi = scalar_map([complex(v) + scale * z for v, z in zip(base.values, noise)])
-        if defect(S, psi).defect_float < 0.95 * threshold:
-            return psi
-        scale *= 0.5
-    raise RuntimeError("could not shrink scalar noise below the defect threshold")
+
+    def perturbed(scale):
+        return scalar_map([complex(v) + scale * z for v, z in zip(base.values, noise)])
+
+    return _shrunk(S, perturbed, threshold, "scalar")
 
 
 def random_t2_instance(
@@ -77,18 +87,12 @@ def random_t2_instance(
     """A perturbed multiplicative upper-triangular map with defect below ``threshold``."""
     base = random_multiplicative_scalar(rng, S)
     noise = [(_complex_noise(rng, amp), _complex_noise(rng, amp)) for _ in range(S.n)]
-    scale = 1.0
-    for _ in range(_MAX_SHRINKS):
-        theta = t2_map(
-            [
-                (complex(v) + scale * za, scale * zb)
-                for v, (za, zb) in zip(base.values, noise)
-            ]
-        )
-        if defect(S, theta).defect_float < 0.95 * threshold:
-            return theta
-        scale *= 0.5
-    raise RuntimeError("could not shrink T2 noise below the defect threshold")
+
+    def perturbed(scale):
+        pairs = zip(base.values, noise)
+        return t2_map([(complex(v) + scale * za, scale * zb) for v, (za, zb) in pairs])
+
+    return _shrunk(S, perturbed, threshold, "T2")
 
 
 def random_bounded_idempotent(rng: np.random.Generator) -> Mat2:
@@ -148,13 +152,11 @@ def random_m2_instance(
     F2 = options[int(rng.integers(0, len(options)))]
     base = m2_family_map(S, F1, F2, random_bounded_idempotent(rng)).values
     noise = [_random_mat2_ball(rng, amp) for _ in range(S.n)]
-    scale = 1.0
-    for _ in range(_MAX_SHRINKS):
-        theta = m2_map([b + scale * z for b, z in zip(base, noise)])
-        if defect(S, theta, "hs").defect_float < 0.95 * threshold:
-            return theta
-        scale *= 0.5
-    raise RuntimeError("could not shrink matrix noise below the defect threshold")
+
+    def perturbed(scale):
+        return m2_map([b + scale * z for b, z in zip(base, noise)])
+
+    return _shrunk(S, perturbed, threshold, "matrix")
 
 
 def random_binary_weighted_instance(

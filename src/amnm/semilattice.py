@@ -87,6 +87,12 @@ class Semilattice:
         mat.setflags(write=False)
         return mat
 
+    @cached_property
+    def _unit_weight(self):
+        """The constant weight 1 that a bare semilattice stands for, built once."""
+        from .weights import unit_weight  # weights imports this module
+        return unit_weight(self)
+
     def upset(self, i: int) -> frozenset[int]:
         """All elements above ``i`` in the induced order (including ``i``)."""
         return frozenset(int(j) for j in np.flatnonzero(self.leq[i]))

@@ -340,7 +340,7 @@ def test_oracle_output_is_deterministic(tmp_path, capsys):
 def test_oracle_on_norms_past_the_float_range_is_an_input_error(tmp_path, capsys):
     doc = {
         "table": [[0, 0], [0, 1]],
-        "map": {"codomain": "m2", "values": [[[1e200, 1e200], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]]},
+        "map": {"codomain": "m2", "values": [[[1.5e308, 1.5e308], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]]},
     }
     code, _, err = run(capsys, "oracle", "--json", write_doc(tmp_path, doc))
     assert code == 3

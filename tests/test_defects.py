@@ -530,6 +530,8 @@ def test_an_exact_value_past_the_float_range_has_an_infinite_float_view():
 
 
 _HUGE_M2 = m2_map([Mat2(1e308 + 0j, 0j, 0j, 0j), Mat2(1.0, 0.0, 0.0, 1.0)])
+# finite parts whose modulus, about 2.1e308, is past the float range
+_HUGE_PARTS = m2_map([Mat2(complex(1.5e308, 1.5e308), 0j, 0j, 0j), Mat2(1.0, 0.0, 0.0, 1.0)])
 
 
 @pytest.mark.filterwarnings("error")
@@ -540,12 +542,27 @@ _HUGE_M2 = m2_map([Mat2(1e308 + 0j, 0j, 0j, 0j), Mat2(1.0, 0.0, 0.0, 1.0)])
         (t2_map([(1e308 + 0j, 0j), (1.0, 0.0)]), "t2"),
         (_HUGE_M2, "hs"),
         (_HUGE_M2, "op"),
+        (_HUGE_PARTS, "hs"),
+        (_HUGE_PARTS, "op"),
     ],
-    ids=["scalar", "t2", "m2-hs", "m2-op"],
+    ids=["scalar", "t2", "m2-hs", "m2-op", "m2-parts-hs", "m2-parts-op"],
 )
 def test_a_float_defect_past_the_float_range_is_inf_without_a_warning(theta, norm):
     rep = defect(nmin(2), theta, norm)
     assert rep.defect == math.inf and rep.witness == (0, 0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("norm", ["hs", "op"])
+@pytest.mark.parametrize(
+    "theta",
+    [_HUGE_PARTS, m2_map([Mat2(1.5e308, 1.5e308, 0.0, 0.0), Mat2(1.0, 0.0, 0.0, 1.0)])],
+    ids=["parts", "real"],
+)
+def test_a_float_distance_past_the_float_range_is_inf_without_a_warning(theta, norm):
+    ident = Mat2(1.0, 0.0, 0.0, 1.0)
+    for phi in (m2_map([ident, ident]), m2_map([Mat2(0, 0, 0, 0), ident])):
+        assert weighted_sup_distance(nmin(2), theta, phi, norm) == math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from amnm import (
     t2_norm,
     unitary_triangularize,
 )
-from amnm.mat2 import _op_from_gram, abs2, commute_within, inv2, is_idempotent_within
+from amnm.mat2 import _complex_norm, _op_from_gram, abs2, commute_within, inv2, is_idempotent_within
 
 finite_complex = st.builds(
     complex,
@@ -188,6 +188,22 @@ def test_float_norms_keep_their_bits_where_the_squares_are_finite():
             direct = _op_from_gram(t, abs2(A.det))
             if direct < math.inf:
                 assert op_norm(A) == direct
+
+
+any_part = st.floats(allow_nan=False, allow_infinity=False)
+any_complex = st.builds(complex, any_part, any_part)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=400, deadline=None)
+@given(A=st.builds(Mat2, any_complex, any_complex, any_complex, any_complex))
+@example(A=Mat2(1e200 + 0j, 1e200 + 0j, 0j, 0j))  # the oracle's norm read inf here
+@example(A=Mat2(1e100 + 0j, 0j, 0j, 1e100 + 0j))  # only t * t overflows
+@example(A=Mat2(complex(1.5e308, 1.5e308), 0j, 0j, 0j))  # past the float range
+def test_the_scalar_kernel_is_the_norms_bit_for_bit(A):
+    # the oracle's costs and hs_norm / op_norm share one float kernel
+    for op, norm in ((False, hs_norm), (True, op_norm)):
+        assert struct.pack("<d", _complex_norm(*A, op)) == struct.pack("<d", norm(A))
 
 
 def test_obstruction_check_on_entries_whose_squares_overflow():

@@ -264,9 +264,21 @@ def test_nearest_m2_forms_each_seed_idempotent_at_most_once(rng, monkeypatch):
 
 
 def test_nearest_m2_raises_when_every_map_is_at_infinite_distance():
-    theta = m2_map([Mat2(1e200, 1e200, 0.0, 0.0), M2_ID])
+    theta = m2_map([Mat2(1.5e308, 1.5e308, 0.0, 0.0), M2_ID])
     with pytest.raises(ValueError, match="infinite distance"):
         nearest_mult_m2(nmin(2), theta, starts=2)
+    with pytest.raises(ValueError, match="infinite distance"):
+        nearest_mult_m2(nmin(2), theta, norm="op", starts=2)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("norm", ["hs", "op"])
+def test_nearest_m2_past_the_square_range_agrees_with_its_distance(norm):
+    # the squares of 1e200 overflow: the search's own costs rescale as the
+    # distance does, so both read sqrt(2) * 1e200
+    theta = m2_map([Mat2(1e200, 1e200, 0.0, 0.0), M2_ID])
+    rep = nearest_mult_m2(nmin(2), theta, norm=norm, starts=2)
+    assert rep.value == rep.details["internal_value"] == 1.414213562373095e200
 
 
 @pytest.mark.parametrize("x", [math.inf, math.nan])
