@@ -16,8 +16,9 @@ maxima through exact squared ratios so that defects of the certified
 counterexample families are reported as exact rationals whenever the square
 root is rational, and as an exact rational square otherwise (``_root``).
 This module is the only one that decides between the two (``_can_run_exact``):
-the oracle's exhaustive scan costs its candidates with ``_element_ratios``,
-and callers read the path off a report's ``defect_sq`` or ``value_sq``.
+the oracle's exhaustive scan costs all its candidate values in one call of
+``_element_ratios``, the distance report's kernel, and callers read the path
+off a report's ``defect_sq`` or ``value_sq``.
 
 The float path reads every codomain through :meth:`AlgebraMap.as_m2`, as the
 exact filter below does: scalars embed diagonally and T2 values as
@@ -25,7 +26,9 @@ exact filter below does: scalars embed diagonally and T2 values as
 (``_norms``, also the filter's) serve all three; past ``2**250`` the products
 are formed on values scaled by powers of two.  The exact scans use the same
 embedding on integers, ``N = L theta`` over the common denominator ``L`` of
-the entries (``_integers``), and build a ``Fraction`` only for a ratio.
+the entries, and build a ``Fraction`` only for a ratio.  Each integer form is
+made once, a map's on its embedding and a weight's ``omega = W / K`` on the
+weight; ``_integers`` combines several maps' over the lcm of their ``L``.
 
 For matrix codomains the scan covers all ordered pairs — matrix values need
 not commute, and there are natural maps whose defect is attained at (e, f)
@@ -122,14 +125,25 @@ class AlgebraMap:
         return all(map(_is_exact, dict(zip(map(type, flat), flat)).values()))
 
     def as_m2(self) -> "AlgebraMap":
-        """Embed into 2x2 matrices (scalars diagonally, T2 upper-triangularly)."""
-        if self.codomain == "m2":
-            return self
+        """Embed into 2x2 matrices (scalars diagonally, T2 upper-triangularly): a
+        matrix map is its own embedding, and another map makes its embedding once."""
+        return self if self.codomain == "m2" else self._embedding
+
+    @cached_property
+    def _embedding(self) -> "AlgebraMap":
+        # never read on a matrix map: caching self in self would make a cycle
         if self.codomain == "scalar":
             vals = tuple(Mat2(v, v * 0, v * 0, v) for v in self.values)
         else:
             vals = tuple(x.as_mat2() for x in self.values)
         return AlgebraMap("m2", vals)
+
+    @cached_property
+    def _integer_stack(self) -> tuple[np.ndarray, int]:
+        """An exact matrix map's values as a read-only ``(n, 2, 2)`` stack of
+        integers ``N = L theta`` and their common denominator ``L``."""
+        N, L = _over_common_denominator(list(chain.from_iterable(self.values)))
+        return N.reshape(-1, 2, 2), L
 
 
 def scalar_map(values) -> AlgebraMap:
@@ -258,11 +272,11 @@ def _stack(theta: AlgebraMap, *more: AlgebraMap) -> np.ndarray:
 
 
 def _refuse_non_finite(V: np.ndarray, *maps: AlgebraMap) -> None:
-    """Raise ``ValueError`` naming the first value of ``theta`` (then ``phi``)
-    with an inf or NaN entry in ``V``, the :func:`_stack` of the maps."""
+    """Raise ``ValueError`` naming the first value of ``theta`` (then of each
+    ``phi``) with an inf or NaN entry in ``V``, the :func:`_stack` of the maps."""
     if not np.isfinite(V).all():
         m, e = divmod(int(np.argmin(np.isfinite(V).all(axis=(1, 2)))), maps[0].n)
-        name = ("theta", "phi")[m]
+        name = "phi" if m else "theta"
         raise ValueError(f"{name}({e}) has a non-finite entry: {maps[m].values[e]!r}")
 
 
@@ -309,10 +323,17 @@ def _norms(D: np.ndarray, norm: str) -> np.ndarray:
 
 def _integers(*maps: AlgebraMap):
     """The :meth:`AlgebraMap.as_m2` values of exact maps, one after the other,
-    as an ``(n, 2, 2)`` stack of integers ``N = L theta`` and their ``L``."""
-    entries = chain.from_iterable(chain.from_iterable(m.as_m2().values for m in maps))
-    N, L = _over_common_denominator(list(entries))
-    return N.reshape(-1, 2, 2), L
+    as an ``(n, 2, 2)`` stack of integers ``N = L theta`` and their ``L``: one
+    map's own read-only stack, made once, or several over the lcm of their
+    ``L``, in ``int64`` only if the rescaled integers meet the bound of
+    :func:`weights._over_common_denominator` themselves (``int64`` wraps)."""
+    stacks = [m.as_m2()._integer_stack for m in maps]
+    if len(stacks) == 1:
+        return stacks[0]
+    L = math.lcm(*(Li for _, Li in stacks))
+    big = max(int(np.abs(N).max(initial=0)) * (L // Li) for N, Li in stacks)
+    dtype = np.int64 if 2 * big * big + L * big < 2**63 else object
+    return np.concatenate([N.astype(dtype) * (L // Li) for N, Li in stacks]), L
 
 
 def _pair_bounds(P, ww, norm: str):
@@ -334,7 +355,7 @@ def _candidate_pairs(WS: WeightedSemilattice, W, N, L: int, norm: str):
     """The pairs ``(e, f)`` whose difference is nonzero and that the float filter
     keeps, in lexicographic order (ordered pairs for matrix norms), each with
     the entries of ``N_e N_f - L N_ef = L**2 (theta(e) theta(f) - theta(ef))``
-    for ``N, L = _integers(theta)`` and ``W`` the weight integers as a list."""
+    for ``N, L = _integers(theta)`` and ``W`` the weight integers as a sequence."""
     n, table = WS.n, WS.S.table
     step = max(1, _BLOCK_CELLS // n)
     # the weights over a common power of two, below 2**500 and correctly rounded;
@@ -361,8 +382,8 @@ def _candidate_pairs(WS: WeightedSemilattice, W, N, L: int, norm: str):
 
 def _defect_exact(WS: WeightedSemilattice, theta: AlgebraMap, norm: str) -> DefectReport:
     N, L = _integers(theta)
-    W, K = _over_common_denominator(WS.omega)  # omega(e) = W_e / K
-    W, K4 = W.tolist(), K**4
+    W, K = WS._omega_integers  # omega(e) = W_e / K
+    K4 = K**4
     best_sq = Fraction(0)
     witness = (0, 0)
     # the largest HS ratio square among pairs with an irrational operator norm
@@ -451,21 +472,37 @@ class DistanceReport:
         return _float(self.value)
 
 
-def _element_ratios(WS: WeightedSemilattice, theta: AlgebraMap, phi: AlgebraMap, norm: str):
-    """``||theta(e) - phi(e)|| / omega(e)`` per element: the exact squared ratios
-    as a list when the weight and both maps are exact, else a numpy array of
-    the float ratios."""
-    if _can_run_exact(WS, theta, phi):
-        N, L = _integers(theta, phi)  # theta(e) - phi(e) = (N_e - N_{n+e}) / L
-        W, K = _over_common_denominator(WS.omega)  # omega(e) = W_e / K
-        D = (N[: WS.n] - N[WS.n :]).reshape(-1, 4).tolist()
-        return [
-            Fraction(_norm_sq_exact(Mat2(*d), norm) * K * K, (L * w) ** 2)
-            for d, w in zip(D, W.tolist())
+def _element_ratios(WS: WeightedSemilattice, theta: AlgebraMap, phis, norm: str):
+    """``||theta(e) - phi(e)|| / omega(e)``, a row per map ``phi`` of ``phis`` and
+    a column per element: lists of exact squared ratios, from the maps' and the
+    weight's integer forms, when the weight and every map are exact, else a
+    float array from one :func:`_norms` call.  Where a part of ``theta(e)`` or
+    ``phi(e)`` passes ``2**1021``, their difference, its modulus or ``|a| + |b|``
+    could overflow: that pair is costed on its values over the power of two at
+    their largest part, and scaled back, to inf past the float range; the other
+    pairs keep the direct formula's bits."""
+    n = WS.n
+    if _can_run_exact(WS, theta, *phis):
+        N, L = _integers(theta, *phis)  # theta(e) - phi_v(e) = (N_e - N_{(v+1)n+e}) / L
+        W, K = WS._omega_integers  # omega(e) = W_e / K
+        K2, den, zero = K * K, [(L * w) ** 2 for w in W], Fraction(0)
+        D = (N[:n] - N[n:].reshape(-1, n, 2, 2)).reshape(len(phis), n, 4).tolist()
+        return [  # a zero difference, common where the maps agree, needs no norm
+            [
+                Fraction(_norm_sq_exact(Mat2(*d), norm) * K2, q) if any(d) else zero
+                for d, q in zip(row, den)
+            ]
+            for row in D
         ]
-    V = _stack(theta, phi)
-    _refuse_non_finite(V, theta, phi)
-    return _norms(V[: WS.n] - V[WS.n :], norm) / WS.omega_float
+    V = _stack(theta, *phis)
+    T, P = V[:n], V[n:].reshape(-1, n, 2, 2)
+    if np.abs(V.view(float)).max() <= 2.0**1021:  # _norms costs less on fewer axes
+        return _norms((T - P).reshape(-1, 2, 2), norm).reshape(-1, n) / WS.omega_float
+    _refuse_non_finite(V, theta, *phis)  # past 2**1021, or an inf or NaN entry
+    big = np.maximum(_largest_parts(T), _largest_parts(P))
+    k = np.where(big > 2.0**1021, np.frexp(big)[1], 0)
+    with np.errstate(over="ignore"):  # a ratio past the float range is inf
+        return np.ldexp(_norms(_scaled(T, -k) - _scaled(P, -k), norm) / WS.omega_float, k)
 
 
 def weighted_sup_distance_report(
@@ -480,7 +517,7 @@ def weighted_sup_distance_report(
     if theta.n != WS.n or phi.n != WS.n:
         raise ParseError("map length does not match the semilattice")
     norm = _check_norm(theta.codomain, norm)
-    ratios = _element_ratios(WS, theta, phi, norm)
+    ratios = _element_ratios(WS, theta, [phi], norm)[0]
     if isinstance(ratios, np.ndarray):
         e = int(np.argmax(ratios))
         return DistanceReport(float(ratios[e]), e, norm)

@@ -3,7 +3,7 @@
 For scalar and upper-triangular codomains the multiplicative maps form a
 finite, explicitly enumerable set (the zero map plus one map per filter),
 so the nearest one is found exhaustively — exactly, when the inputs are
-rational.  The scan costs each candidate value once with the defects
+rational.  The scan costs every candidate value in one call of the defects
 module's per-element kernel, which decides between exact and float costs,
 and ranks the float costs as it ranks the exact ones.  For the 2x2-matrix
 codomain the multiplicative maps form the finite-dimensional family
@@ -118,9 +118,9 @@ def _mult_scalar_maps(S) -> list[AlgebraMap]:
 
 
 def _diagonal_t2(maps) -> list[AlgebraMap]:
-    # the values are the ints 0 and 1; each gets one shared T2 element
-    embed = {v: T2Element(v, v * 0) for m in maps for v in set(m.values)}
-    return [AlgebraMap("t2", tuple(map(embed.__getitem__, m.values))) for m in maps]
+    # the values are the ints 0 and 1, which index their shared T2 elements
+    embed = (T2Element(0, 0), T2Element(1, 0)).__getitem__
+    return [AlgebraMap("t2", tuple(map(embed, m.values))) for m in maps]
 
 
 def _checked(S, maps: list[AlgebraMap], what: str) -> list[AlgebraMap]:
@@ -149,27 +149,31 @@ def enumerate_mult_t2(S) -> list[AlgebraMap]:
 def _exhaustive_nearest(WS, theta, maps, norm=None) -> NearestReport:
     """The map of ``maps`` nearest ``theta``; the first one on ties.
 
-    Each distinct candidate value is costed once, against every element, by
-    :func:`defects._element_ratios`, which also decides the number type: exact
-    squared costs when the weight and ``theta`` are exact (the candidates are
-    0/1 maps), float costs otherwise.  The maps are then compared by the
-    integer ranks of the sorted costs, on both paths.
+    Every distinct candidate value is costed against every element in one
+    call of :func:`defects._element_ratios`, on one stack of ``theta`` and
+    the constant maps: exact squared costs from ``theta``'s integer stack and
+    the weight's integers, made once per map and weight, when both are exact
+    (the candidates are 0/1 maps), float costs otherwise.  The maps are then
+    compared by the integer ranks of the sorted costs, on both paths.
     """
     if theta.n != WS.n:
         raise ParseError("map length does not match the semilattice")
     norm = _check_norm(theta.codomain, norm)
     index = defaultdict()
     index.default_factory = index.__len__  # a new value gets the next id
-    ids = np.array([list(map(index.__getitem__, m.values)) for m in maps])
-    constant = (AlgebraMap(theta.codomain, (c,) * WS.n) for c in index)
-    costs = [_element_ratios(WS, theta, phi, norm) for phi in constant]
-    flat = list(chain.from_iterable(costs))
-    exact_costs = isinstance(costs[0], list)  # exact squared costs, not floats
+    values = chain.from_iterable(m.values for m in maps)
+    ids = np.fromiter(map(index.__getitem__, values), np.intp).reshape(len(maps), WS.n)
+    constant = [AlgebraMap(theta.codomain, (c,) * WS.n) for c in index]
+    costs = _element_ratios(WS, theta, constant, norm)  # costs[v][e]: value v at element e
+    exact_costs = isinstance(costs, list)  # exact squared costs, not floats
+    flat = list(chain.from_iterable(costs)) if exact_costs else costs.ravel().tolist()
     # an exact cost is keyed by its (numerator, denominator): a Fraction's own
     # hash takes a modular inverse
     keys = [(q.numerator, q.denominator) for q in flat] if exact_costs else flat
     first = dict(zip(reversed(keys), reversed(flat)))  # each distinct cost, first seen
-    levels = sorted(first, key=first.__getitem__)
+    if exact_costs:  # over the lcm of their denominators, exact costs sort as integers
+        M = math.lcm(*(den for _, den in first))
+    levels = sorted(first, key=(lambda k: k[0] * (M // k[1])) if exact_costs else None)
     rank = {k: i for i, k in enumerate(levels)}
     # scan[k, e] is the rank of map k's cost at element e
     ranks = np.array(list(map(rank.__getitem__, keys))).reshape(len(costs), WS.n)

@@ -53,13 +53,15 @@ def _is_exact(value) -> bool:
 
 
 def _over_common_denominator(values) -> tuple[np.ndarray, int]:
-    """Exact rationals as integers ``N = L * values`` over their least common
-    denominator ``L``: ``int64`` when ``2 max|N|**2 + L max|N| < 2**63`` proves
-    that no ``N_a N_b + N_c N_d - L N_e`` overflows, else Python ints."""
-    L = math.lcm(*(x.denominator for x in values))
+    """Exact rationals as read-only integers ``N = L * values`` over their least
+    common denominator ``L``: ``int64`` when ``2 max|N|**2 + L max|N| < 2**63``
+    proves that no ``N_a N_b + N_c N_d - L N_e`` overflows, else Python ints."""
+    L = math.lcm(*{x.denominator for x in values})
     N = [x.numerator * (L // x.denominator) for x in values]
     big = max(map(abs, N))
-    return np.array(N, dtype=np.int64 if 2 * big * big + L * big < 2**63 else object), L
+    N = np.array(N, dtype=np.int64 if 2 * big * big + L * big < 2**63 else object)
+    N.setflags(write=False)
+    return N, L
 
 
 _BLOCK_CELLS = 1 << 14  # pairs per row block of the vectorised pair scans
@@ -138,6 +140,13 @@ class WeightedSemilattice:
     @cached_property
     def is_exact(self) -> bool:
         return all(_is_exact(w) for w in self.omega)
+
+    @cached_property
+    def _omega_integers(self) -> tuple[tuple, int]:
+        """``(W, K)`` with ``omega(e) = W_e / K``: an exact weight's integers, as a
+        tuple of ints, over their common denominator; made once per weight."""
+        W, K = _over_common_denominator(self.omega)
+        return tuple(W.tolist()), K
 
 
 def weighted(S: Semilattice, omega: Sequence) -> WeightedSemilattice:

@@ -1,13 +1,15 @@
 """Defect and distance reports: exact arithmetic, witnesses, scan order, rounding."""
 
+import gc
 import json
 import math
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amnm import (
@@ -38,7 +40,7 @@ from amnm import (
     weighted_sup_distance,
     weighted_sup_distance_report,
 )
-from amnm.defects import _candidate_pairs, _integers, _norms, _stack
+from amnm.defects import _candidate_pairs, _element_ratios, _integers, _norms, _stack
 from amnm.weights import _over_common_denominator
 
 
@@ -226,6 +228,10 @@ def rational_maps(draw):
     codomain = draw(st.sampled_from(["scalar", "t2", "m2"]))
     width = {"scalar": 1, "t2": 2, "m2": 4}[codomain]
     rows = draw(st.lists(st.tuples(*[_RATIONALS] * width), min_size=1, max_size=6))
+    return _exact_map(codomain, rows)
+
+
+def _exact_map(codomain: str, rows) -> AlgebraMap:
     if codomain == "scalar":
         return scalar_map([r[0] for r in rows])
     if codomain == "t2":
@@ -565,6 +571,61 @@ def test_a_float_distance_past_the_float_range_is_inf_without_a_warning(theta, n
         assert weighted_sup_distance(nmin(2), theta, phi, norm) == math.inf
 
 
+_X = 1.5e308  # its double, and the modulus of complex(x, x), are past the float range
+# theta, phi and the norm: every difference theta(0) - phi(0) has a part or a
+# modulus past the float range, and so has its norm
+_OPPOSITES = [
+    (m2_map([Mat2(_X, 0.0, 0.0, 0.0)]), m2_map([Mat2(-_X, 0.0, 0.0, 0.0)]), "hs"),
+    (m2_map([Mat2(_X, 0.0, 0.0, 0.0)]), m2_map([Mat2(-_X, 0.0, 0.0, 0.0)]), "op"),
+    (m2_map([Mat2(_X, _X, -_X, _X)]), m2_map([Mat2(-_X, -_X, _X, -_X)]), "hs"),
+    (m2_map([Mat2(_X, _X, -_X, _X)]), m2_map([Mat2(-_X, -_X, _X, -_X)]), "op"),
+    (scalar_map([_X]), scalar_map([-_X]), "abs"),
+    (scalar_map([complex(_X, -_X)]), scalar_map([complex(-_X, _X)]), "abs"),
+    (t2_map([(_X, 0.0)]), t2_map([(-_X, 0.0)]), "t2"),
+    (t2_map([(_X, -_X)]), t2_map([(0.0, 0.0)]), "t2"),
+]
+_OPPOSITE_IDS = ["m2-hs", "m2-op", "m2-rank2-hs", "m2-rank2-op", "scalar", "scalar-parts", "t2", "t2-sum"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("theta, phi, norm", _OPPOSITES, ids=_OPPOSITE_IDS)
+def test_a_float_difference_past_the_float_range_is_inf_without_a_warning(theta, phi, norm):
+    rep = weighted_sup_distance_report(nmin(1), theta, phi, norm)
+    assert rep.value == math.inf and rep.witness == 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "theta, phi, norm",
+    _OPPOSITES[:2] + _OPPOSITES[4:5] + _OPPOSITES[6:7],
+    ids=["m2-hs", "m2-op", "scalar", "t2"],
+)
+def test_a_float_difference_past_the_float_range_over_a_weight_is_scaled_back(theta, phi, norm):
+    # ||2x|| / 4 = x / 2: the scaled difference, its norm and both scalings are exact
+    assert weighted_sup_distance(weighted(nmin(1), [4.0]), theta, phi, norm) == _X / 2
+
+
+@pytest.mark.filterwarnings("error")
+def test_float_distances_below_the_difference_range_keep_the_direct_bits():
+    # parts below 2**1021 take no scaling: the ratios are the direct formula's
+    gen = np.random.default_rng(1921)
+    for _ in range(40):
+        S = random_semilattice(gen)
+        WS = random_submultiplicative_weight(gen, S)
+        scale = 2.0 ** gen.uniform(-1000, 1020, (2, S.n, 1))
+        parts = gen.uniform(-1.0, 1.0, (2, S.n, 4)) * scale
+        for maps, norm in (
+            ([scalar_map(p[:, 0]) for p in parts], "abs"),
+            ([t2_map(p[:, :2]) for p in parts], "t2"),
+            ([m2_map(Mat2(*row) for row in p) for p in parts], "hs"),
+            ([m2_map(Mat2(*map(complex, row[:2], row[2:]), 0.0, 1.0) for row in p) for p in parts], "op"),
+        ):
+            V = _stack(*maps)
+            direct = _norms(V[: S.n] - V[S.n :], norm) / WS.omega_float
+            got = _element_ratios(WS, *maps[:1], maps[1:], norm)[0]
+            assert [x.hex() for x in got] == [x.hex() for x in direct]
+
+
 # ---------------------------------------------------------------------------
 # The integer stacks of the exact scans.
 # ---------------------------------------------------------------------------
@@ -585,6 +646,90 @@ def test_integer_stacks_switch_to_python_ints_past_the_int64_bound():
     for theta in (small, wide):
         rep = defect(S, theta)
         assert rep.defect == theta.values[0] and rep.witness == (0, 1)
+
+
+# numerators up to 2**32 over denominators up to 2**62: a map's own stack can be
+# int64 while the stacks of several, over the lcm of their L, need Python ints
+_WIDE = st.one_of(
+    st.integers(-(2**32), 2**32),
+    st.builds(Fraction, st.integers(-(2**32), 2**32), st.integers(1, 2**62)),
+    _SMALL,
+)
+
+
+@st.composite
+def exact_map_lists(draw):
+    codomain = draw(st.sampled_from(["scalar", "t2", "m2"]))
+    width = {"scalar": 1, "t2": 2, "m2": 4}[codomain]
+    n = draw(st.integers(1, 3))
+    rows = st.lists(st.tuples(*[_WIDE] * width), min_size=n, max_size=n)
+    return [_exact_map(codomain, draw(rows)) for _ in range(draw(st.integers(1, 3)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_map_lists())
+# each stack is int64 on its own; over the lcm 2**62 - 1, 3 becomes 3 * (2**62 - 1),
+# which int64 wraps
+@example([scalar_map([Fraction(1, 2**62 - 1)]), scalar_map([3])])
+# each stack is int64 on its own; over the lcm the bound fails though nothing wraps
+@example([t2_map([(Fraction(1, 2**40 + 1), 0)]), t2_map([(0, 2**20)]), t2_map([(1, 1)])])
+def test_combined_integer_stacks_are_the_single_pass_stack(maps):
+    entries = [x for m in maps for v in m.as_m2().values for x in v]
+    N0, L0 = _over_common_denominator(entries)
+    N, L = _integers(*maps)
+    assert L == L0 and N.dtype == N0.dtype and N.shape == (len(entries) // 4, 2, 2)
+    assert N.ravel().tolist() == N0.tolist()
+    assert [Fraction(x, L) for x in N.ravel().tolist()] == entries
+
+
+def test_a_matrix_map_is_its_own_embedding_and_caches_no_embedding():
+    theta = m2_map([Mat2(1, Fraction(1, 2), 0, 1), Mat2(0, 0, 0, 1)])
+    assert theta.as_m2() is theta
+    defect(nmin(2), theta)
+    weighted_sup_distance(nmin(2), theta, theta)
+    assert theta.as_m2() is theta and "_embedding" not in vars(theta)
+    scalar = scalar_map([1, Fraction(1, 3)])
+    assert scalar.as_m2() is scalar.as_m2()  # made once
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: scalar_map([1, Fraction(1, 3)]),
+        lambda: t2_map([(1, 2), (0, Fraction(1, 3))]),
+        lambda: m2_map([Mat2(1, Fraction(1, 2), 0, 1), Mat2(0, 0, 0, 1)]),
+        lambda: scalar_map([0.5, 1.0]),
+        lambda: t2_map([(0.5, 1.0), (1.0, 0.0)]),
+        lambda: m2_map([Mat2(0.5, 1.0, 0.0, 1.0), Mat2(1.0, 0.0, 0.0, 1.0)]),
+    ],
+    ids=["scalar", "t2", "m2", "scalar-float", "t2-float", "m2-float"],
+)
+def test_maps_and_their_cached_forms_are_freed_without_the_collector(make):
+    S = nmin(2)
+    gc.disable()
+    try:
+        theta, phi = make(), make()
+        defect(S, theta)
+        weighted_sup_distance_report(S, theta, phi)
+        refs = [weakref.ref(m) for m in (theta, theta.as_m2(), phi, phi.as_m2())]
+        del theta, phi
+        assert [r() for r in refs] == [None] * 4
+    finally:
+        gc.enable()
+
+
+def test_cached_integer_forms_are_read_only_and_made_once():
+    theta = t2_map([(1, Fraction(1, 3)), (0, 2)])
+    N, L = _integers(theta)
+    assert L == 3 and _integers(theta)[0] is N
+    with pytest.raises(ValueError):
+        N[0, 0, 0] = 5
+    for WS in (weighted(nmin(2), [Fraction(3, 2), 2]), unit_weight(free_semilattice(2))):
+        W, K = WS._omega_integers
+        N0, K0 = _over_common_denominator(WS.omega)
+        assert (W, K) == (tuple(N0.tolist()), K0) and WS._omega_integers[0] is W
+        with pytest.raises(TypeError):
+            W[0] = 1
 
 
 # ---------------------------------------------------------------------------

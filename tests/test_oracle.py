@@ -15,9 +15,11 @@ import pytest
 import amnm
 from amnm import (
     M2_ID,
+    AlgebraMap,
     M2_ZERO,
     Mat2,
     canonical_json,
+    default_norm,
     defect,
     enumerate_filters,
     enumerate_mult_m2_with,
@@ -37,6 +39,7 @@ from amnm import (
     unit_weight,
     scalar_map,
     spiked_weight,
+    T2Element,
     t2_map,
     theta_m2_chain,
     theta_m2_chain_nonuniform,
@@ -45,6 +48,7 @@ from amnm import (
     weighted_sup_distance,
 )
 from amnm.filters import filter_indicator
+from amnm.defects import _element_ratios
 from amnm.oracle import _mult_scalar_maps
 
 
@@ -188,6 +192,59 @@ def test_nearest_scalar_past_the_float_range_has_an_infinite_float_view():
     rep = nearest_mult_scalar(nmin(1), scalar_map([2**1100]))
     assert rep.value_exact == 2**1100 - 1 and rep.value == math.inf
     assert rep.best_map.values == (1,) and rep.witness == 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_t2_scan_past_the_float_range_is_inf_without_a_warning():
+    # |a| + |b| of theta(0) minus either candidate value is past the float range
+    rep = nearest_mult_t2(nmin(2), t2_map([(1.5e308, -1.5e308), (0.0, 1.0)]))
+    assert rep.value == math.inf and rep.value_exact is None
+    assert rep.best_map.values == ((0, 0), (0, 0)) and rep.witness == 0
+
+
+_DRAWS = {
+    "rational": lambda g: Fraction(int(g.integers(-9, 10)), int(g.integers(1, 7))),
+    "float": lambda g: float(g.normal()),
+    "complex": lambda g: complex(*g.normal(size=2)),
+}
+
+
+def _test_weight(S, kind: str, gen):
+    if kind == "unit":
+        return unit_weight(S)
+    # monotone weights >= 1 are submultiplicative, in floats too
+    c = [Fraction(int(k), 4) for k in gen.integers(0, 9, S.n)]
+    omega = [1 + sum(c[y] for y in range(S.n) if S.table[x, y] == y) for x in range(S.n)]
+    return weighted(S, omega if kind == "rational" else [float(w) for w in omega])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("weight", ["unit", "rational", "float"])
+@pytest.mark.parametrize("kind", ["rational", "float", "complex"])
+@pytest.mark.parametrize("codomain", ["scalar", "t2"])
+def test_the_one_pass_cost_table_is_the_per_value_costs(codomain, kind, weight):
+    gen = np.random.default_rng(1919)
+    draw, norm = _DRAWS[kind], default_norm(codomain)
+
+    def value():
+        return draw(gen) if codomain == "scalar" else T2Element(draw(gen), draw(gen))
+
+    zero, one = (0, 1) if codomain == "scalar" else (T2Element(0, 0), T2Element(1, 0))
+    for _ in range(10):
+        S = random_semilattice(gen)
+        WS = _test_weight(S, weight, gen)
+        theta = AlgebraMap(codomain, tuple(value() for _ in range(S.n)))
+        # the scan's two values, and two more of theta's kind
+        phis = [AlgebraMap(codomain, (c,) * S.n) for c in (zero, one, value(), value())]
+        table = _element_ratios(WS, theta, phis, norm)
+        exact = weight != "float" and kind == "rational"
+        assert isinstance(table, list) == exact and len(table) == len(phis)
+        for row, phi in zip(table, phis):
+            alone = _element_ratios(WS, theta, [phi], norm)[0]
+            if exact:
+                assert all(isinstance(q, Fraction) for q in row) and row == alone
+            else:
+                assert [x.hex() for x in row] == [x.hex() for x in alone]
 
 
 def test_nearest_rejects_a_non_semilattice_carrier():
