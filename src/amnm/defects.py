@@ -476,11 +476,11 @@ def _element_ratios(WS: WeightedSemilattice, theta: AlgebraMap, phis, norm: str)
     """``||theta(e) - phi(e)|| / omega(e)``, a row per map ``phi`` of ``phis`` and
     a column per element: lists of exact squared ratios, from the maps' and the
     weight's integer forms, when the weight and every map are exact, else a
-    float array from one :func:`_norms` call.  Where a part of ``theta(e)`` or
-    ``phi(e)`` passes ``2**1021``, their difference, its modulus or ``|a| + |b|``
-    could overflow: that pair is costed on its values over the power of two at
-    their largest part, and scaled back, to inf past the float range; the other
-    pairs keep the direct formula's bits."""
+    float array from one :func:`_norms` call on their stack of differences.
+    Where a difference has a part past ``2**1021``, its modulus, ``|a| + |b|``
+    or its norm could overflow: that pair is costed on its values over ``2**3``,
+    exactly, and its ratio scaled back, to inf past the float range; every
+    other pair keeps the direct formula's bits."""
     n = WS.n
     if _can_run_exact(WS, theta, *phis):
         N, L = _integers(theta, *phis)  # theta(e) - phi_v(e) = (N_e - N_{(v+1)n+e}) / L
@@ -496,13 +496,18 @@ def _element_ratios(WS: WeightedSemilattice, theta: AlgebraMap, phis, norm: str)
         ]
     V = _stack(theta, *phis)
     T, P = V[:n], V[n:].reshape(-1, n, 2, 2)
-    if np.abs(V.view(float)).max() <= 2.0**1021:  # _norms costs less on fewer axes
-        return _norms((T - P).reshape(-1, 2, 2), norm).reshape(-1, n) / WS.omega_float
-    _refuse_non_finite(V, theta, *phis)  # past 2**1021, or an inf or NaN entry
-    big = np.maximum(_largest_parts(T), _largest_parts(P))
-    k = np.where(big > 2.0**1021, np.frexp(big)[1], 0)
+    with np.errstate(over="ignore", invalid="ignore"):  # both show in the check below
+        D = T - P
+    k = None
+    if not np.abs(D.view(float)).max(initial=0.0) <= 2.0**1021:  # or an inf or NaN entry
+        _refuse_non_finite(V, theta, *phis)
+        k = np.where(_largest_parts(D) > 2.0**1021, 3, 0)
+        D = _scaled(T, -k) - _scaled(P, -k)
+    ratios = _norms(D, norm) / WS.omega_float
+    if k is None:
+        return ratios
     with np.errstate(over="ignore"):  # a ratio past the float range is inf
-        return np.ldexp(_norms(_scaled(T, -k) - _scaled(P, -k), norm) / WS.omega_float, k)
+        return np.ldexp(ratios, k)
 
 
 def weighted_sup_distance_report(

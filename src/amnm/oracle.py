@@ -118,9 +118,9 @@ def _mult_scalar_maps(S) -> list[AlgebraMap]:
 
 
 def _diagonal_t2(maps) -> list[AlgebraMap]:
-    # the values are the ints 0 and 1, which index their shared T2 elements
-    embed = (T2Element(0, 0), T2Element(1, 0)).__getitem__
-    return [AlgebraMap("t2", tuple(map(embed, m.values))) for m in maps]
+    # the values are the ints 0 and 1; each gets one shared T2 element
+    embed = {v: T2Element(v, v * 0) for m in maps for v in set(m.values)}
+    return [AlgebraMap("t2", tuple(map(embed.__getitem__, m.values))) for m in maps]
 
 
 def _checked(S, maps: list[AlgebraMap], what: str) -> list[AlgebraMap]:
@@ -171,9 +171,7 @@ def _exhaustive_nearest(WS, theta, maps, norm=None) -> NearestReport:
     # hash takes a modular inverse
     keys = [(q.numerator, q.denominator) for q in flat] if exact_costs else flat
     first = dict(zip(reversed(keys), reversed(flat)))  # each distinct cost, first seen
-    if exact_costs:  # over the lcm of their denominators, exact costs sort as integers
-        M = math.lcm(*(den for _, den in first))
-    levels = sorted(first, key=(lambda k: k[0] * (M // k[1])) if exact_costs else None)
+    levels = sorted(first, key=first.__getitem__)
     rank = {k: i for i, k in enumerate(levels)}
     # scan[k, e] is the rank of map k's cost at element e
     ranks = np.array(list(map(rank.__getitem__, keys))).reshape(len(costs), WS.n)

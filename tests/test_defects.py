@@ -607,13 +607,16 @@ def test_a_float_difference_past_the_float_range_over_a_weight_is_scaled_back(th
 
 @pytest.mark.filterwarnings("error")
 def test_float_distances_below_the_difference_range_keep_the_direct_bits():
-    # parts below 2**1021 take no scaling: the ratios are the direct formula's
+    # differences below 2**1021 take no scaling: the ratios are the direct
+    # formula's, also where both maps share a part up to the float max
     gen = np.random.default_rng(1921)
     for _ in range(40):
         S = random_semilattice(gen)
         WS = random_submultiplicative_weight(gen, S)
         scale = 2.0 ** gen.uniform(-1000, 1020, (2, S.n, 1))
         parts = gen.uniform(-1.0, 1.0, (2, S.n, 4)) * scale
+        shared = gen.uniform(-1.0, 1.0, (S.n, 4)) * 2.0 ** gen.uniform(1000, 1024, (S.n, 4))
+        parts = np.where(gen.random((S.n, 4)) < 0.25, shared, parts)
         for maps, norm in (
             ([scalar_map(p[:, 0]) for p in parts], "abs"),
             ([t2_map(p[:, :2]) for p in parts], "t2"),
@@ -624,6 +627,40 @@ def test_float_distances_below_the_difference_range_keep_the_direct_bits():
             direct = _norms(V[: S.n] - V[S.n :], norm) / WS.omega_float
             got = _element_ratios(WS, *maps[:1], maps[1:], norm)[0]
             assert [x.hex() for x in got] == [x.hex() for x in direct]
+
+
+_MAX = 1.7976931348623157e308
+# theta, phi, the norm and the distance over nmin(1) (the direct formula's,
+# as bits): parts past 2**1021 that cancel leave a small difference, which
+# takes no scaling, down to a subnormal part
+_CANCELLING = [
+    (m2_map([Mat2(2.0**1022, 1.0, 0, 0)]), m2_map([Mat2(2.0**1022, 0, 0, 0)]), "hs", 1.0),
+    (m2_map([Mat2(2.0**1022, 1.0, 0, 0)]), m2_map([Mat2(2.0**1022, 0, 0, 0)]), "op", 1.0),
+    (m2_map([Mat2(_MAX, complex(-_MAX, 3.0), 1e-300, 0)]), m2_map([Mat2(_MAX, -_MAX, 0, 0)]), "hs", 3.0),
+    (
+        m2_map([Mat2(_MAX, complex(-_MAX, 3.0), 1e-300, 2.0)]),
+        m2_map([Mat2(_MAX, -_MAX, 0, 0)]),
+        "op",
+        float.fromhex("0x1.cd82b446159f3p+1"),
+    ),
+    (scalar_map([complex(2.0**1022, 1e-10)]), scalar_map([complex(2.0**1022, 0)]), "abs", 1e-10),
+    (scalar_map([complex(-_MAX, 5e-324)]), scalar_map([complex(-_MAX, 0)]), "abs", 5e-324),
+    (t2_map([(2.0**1022, 1.0)]), t2_map([(2.0**1022, 0.0)]), "t2", 1.0),
+    (t2_map([(_MAX, complex(-_MAX, 0.5))]), t2_map([(_MAX, -_MAX)]), "t2", 0.5),
+    (t2_map([(complex(_MAX, 2.0), 5e-324)]), t2_map([(_MAX, 0.0)]), "t2", 2.0),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "theta, phi, norm, expected",
+    _CANCELLING,
+    ids=["m2-hs", "m2-op", "m2-max-hs", "m2-max-op", "scalar", "scalar-subnormal", "t2", "t2-max", "t2-subnormal"],
+)
+def test_a_small_difference_of_parts_past_the_difference_range_keeps_its_bits(theta, phi, norm, expected):
+    rep = weighted_sup_distance_report(nmin(1), theta, phi, norm)
+    assert rep.value.hex() == expected.hex() and rep.witness == 0
+    assert weighted_sup_distance(weighted(nmin(1), [1.5]), theta, phi, norm).hex() == (expected / 1.5).hex()
 
 
 # ---------------------------------------------------------------------------
