@@ -49,7 +49,7 @@ from .defects import (
 from .errors import ClassificationFailure, NoEligibleIndex, StructureMismatch
 from .filters import _is_nmin_table
 from .mat2 import Mat2
-from .oracle import _diagonal_t2, _exhaustive_nearest, _mult_scalar_maps
+from .oracle import _exhaustive_nearest
 from .semilattice import (
     OrthogonalSum,
     Semilattice,
@@ -151,7 +151,6 @@ def psi_n_family(base=2, sizes=(2, 3, 4, 5)) -> list[CounterexampleReport]:
         raise ValueError("blocks need at least 2 generators to break multiplicativity")
     T = orthogonal_free_sum(sizes)
     WS = weighted(T, counterexample_weight(T, base))
-    mult_maps = _mult_scalar_maps(T)
     reports = []
     for n, (start, stop) in enumerate(T.blocks):
         k = sizes[n]
@@ -165,7 +164,7 @@ def psi_n_family(base=2, sizes=(2, 3, 4, 5)) -> list[CounterexampleReport]:
             raise ClassificationFailure(
                 f"block {n}: defect^2 is {rep.defect_sq!r}, expected {expected_sq!r}"
             )
-        near = _exhaustive_nearest(WS, psi, mult_maps)
+        near, row = _exhaustive_nearest(WS, psi)
         dist = 1 / base
         if near.value_exact != dist:
             raise ClassificationFailure(
@@ -184,8 +183,8 @@ def psi_n_family(base=2, sizes=(2, 3, 4, 5)) -> list[CounterexampleReport]:
                 details={
                     "block_range": (start, stop),
                     "block_zero": block_zero,
-                    "maps_scanned": len(mult_maps),
-                    "nearest_map_index": mult_maps.index(near.best_map),
+                    "maps_scanned": near.details["maps_scanned"],
+                    "nearest_map_index": row,
                 },
             )
         )
@@ -251,8 +250,7 @@ def theta_m_t2(WS: WeightedSemilattice, m: int) -> CounterexampleReport:
     inv_sq = (1 / Fraction(om[m])) ** 2
     _check_closed_form(rep.defect_float, rep.defect_sq, inv_sq, "defect 1/omega(m)")
 
-    mult_maps = _diagonal_t2(_mult_scalar_maps(S))
-    near = _exhaustive_nearest(WS, theta, mult_maps)
+    near = _exhaustive_nearest(WS, theta)[0]
     exact = near.value_exact
     _check_closed_form(
         near.value, None if exact is None else exact**2, 1, "nearest upper-triangular distance"
@@ -286,7 +284,7 @@ def theta_m_t2(WS: WeightedSemilattice, m: int) -> CounterexampleReport:
         distance_exact=exact,
         method="exhaustive",
         details={
-            "maps_scanned": len(mult_maps),
+            "maps_scanned": near.details["maps_scanned"],
             "companion": companion,
             "companion_defect": companion_defect,
             "companion_distance": companion_distance,

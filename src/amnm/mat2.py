@@ -402,6 +402,15 @@ class KeyEstimateReport:
     measured: float
 
 
+def _rounded(z: complex) -> int:
+    """0 if ``|z| <= |z - 1|``, else 1; where a modulus overflows, by the same
+    test written as ``Re z <= 1/2``."""
+    try:
+        return 0 if abs(z) <= abs(z - 1.0) else 1
+    except OverflowError:
+        return 0 if z.real <= 0.5 else 1
+
+
 def nearest_binary_idempotent(A: Mat2) -> tuple[Mat2, int]:
     """Idempotent from rounding the triangularized diagonal of ``A`` to {0, 1}.
 
@@ -412,8 +421,7 @@ def nearest_binary_idempotent(A: Mat2) -> tuple[Mat2, int]:
     is assumed — :func:`key_estimates` adds the certified bounds.
     """
     v1, v2, ta, tb, td = _schur(A, *map(complex, A))
-    na = 0 if abs(ta) <= abs(ta - 1.0) else 1  # T's diagonal, rounded to {0, 1}
-    nd = 0 if abs(td) <= abs(td - 1.0) else 1
+    na, nd = _rounded(ta), _rounded(td)  # T's diagonal, rounded to {0, 1}
     e, f, g, h = (complex(na), tb, 0.0j, complex(nd)) if na != nd else (M2_ID if na else M2_ZERO)
     p, q = v1.conjugate(), v2.conjugate()  # P = U P_T U*, with U = (v1, -q / v2, p)
     return _tuple_new(Mat2, _mul(*_mul(v1, -q, v2, p, e, f, g, h), p, q, -v2, v1)), na + nd

@@ -1,16 +1,17 @@
 """Independent nearest-multiplicative-map search.
 
-For scalar and upper-triangular codomains the multiplicative maps form a
-finite, explicitly enumerable set (the zero map plus one map per filter),
-so the nearest one is found exhaustively — exactly, when the inputs are
-rational.  The scan costs every candidate value in one call of the defects
-module's per-element kernel, which decides between exact and float costs,
-and ranks the float costs as it ranks the exact ones.  For the 2x2-matrix
-codomain the multiplicative maps form the finite-dimensional family
+For scalar and upper-triangular codomains the multiplicative maps are the
+0/1 maps that the rows of one boolean table name (:func:`_mult_rows`: row 0
+the zero map, row ``m + 1`` the up-set of ``m``, one row per filter), so the
+nearest one is found exhaustively — exactly, when the inputs are rational.
+The scan costs the codomain's 0 and 1 at every element in one call of the
+defects module's per-element kernel, which decides between exact and float
+costs, and reads each row's cost off those two.  For the 2x2-matrix codomain
+the multiplicative maps form the finite-dimensional family
 
     phi = chi_F1 * P + chi_F2 * (I - P)
 
-over pairs of empty-or-filter index sets and idempotents ``P``.  Element
+over pairs of rows of the same table and idempotents ``P``.  Element
 ``e`` carries the label ``[e in F1] + 2 [e in F2]``, which names its value
 in ``(0, P, I - P, I)``.  The search tabulates the P-independent part of
 every (F1, F2) cell's cost (the elements labelled 0 or 3) in one numpy
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
@@ -47,18 +47,18 @@ import numpy as np
 
 from .defects import (
     AlgebraMap,
-    _check_norm,
     _element_ratios,
     _float,
     _resolve,
     _root,
+    default_norm,
     defect,
     m2_map,
     t2_map,
     weighted_sup_distance_report,
 )
 from .errors import ClassificationFailure, ParseError
-from .filters import Filter, characters, enumerate_filters, zero_map
+from .filters import Filter, enumerate_filters
 from .mat2 import (
     M2_ID,
     Mat2,
@@ -112,27 +112,29 @@ class NearestReport:
 # ---------------------------------------------------------------------------
 
 
-def _mult_scalar_maps(S) -> list[AlgebraMap]:
-    """The zero map and one indicator per filter, without the defect check."""
-    return [zero_map(S), *characters(S)]
+def _mult_rows(S) -> np.ndarray:
+    """The multiplicative 0/1 maps of ``S`` as the rows of one boolean table:
+    row 0 is the zero map, row ``m + 1`` the up-set of ``m`` (the filter whose
+    principal element is ``m``)."""
+    return np.vstack([np.zeros(S.n, dtype=bool), S.leq])
 
 
-def _diagonal_t2(maps) -> list[AlgebraMap]:
-    # the values are the ints 0 and 1; each gets one shared T2 element
-    embed = {v: T2Element(v, v * 0) for m in maps for v in set(m.values)}
-    return [AlgebraMap("t2", tuple(map(embed.__getitem__, m.values))) for m in maps]
+_ZERO_ONE = {"scalar": (0, 1), "t2": (T2Element(0, 0), T2Element(1, 0))}  # a codomain's 0, 1
 
 
-def _checked(S, maps: list[AlgebraMap], what: str) -> list[AlgebraMap]:
+def _enumerated(S, codomain: str) -> list[AlgebraMap]:
+    zero_one = _ZERO_ONE[codomain]
+    rows = _mult_rows(S).tolist()
+    maps = [AlgebraMap(codomain, tuple(map(zero_one.__getitem__, row))) for row in rows]
     for m in maps:
         if defect(S, m).defect_float != 0.0:
-            raise ClassificationFailure(f"enumerated {what} map is not multiplicative")
+            raise ClassificationFailure(f"enumerated {codomain} map is not multiplicative")
     return maps
 
 
 def enumerate_mult_scalar(S) -> list[AlgebraMap]:
     """All multiplicative scalar maps: the zero map and one per filter."""
-    return _checked(S, _mult_scalar_maps(S), "scalar")
+    return _enumerated(S, "scalar")
 
 
 def enumerate_mult_t2(S) -> list[AlgebraMap]:
@@ -140,30 +142,27 @@ def enumerate_mult_t2(S) -> list[AlgebraMap]:
 
     The off-diagonal part of a multiplicative map vanishes (evaluate at an
     idempotent argument: b = 2ab forces b = 0 for a in {0,1}), so the list
-    is exactly the scalar one embedded on the diagonal.  A diagonal map is
-    multiplicative iff its scalar map is, so only the T2 maps are checked.
+    is exactly the scalar one embedded on the diagonal.
     """
-    return _checked(S, _diagonal_t2(_mult_scalar_maps(S)), "T2")
+    return _enumerated(S, "t2")
 
 
-def _exhaustive_nearest(WS, theta, maps, norm=None) -> NearestReport:
-    """The map of ``maps`` nearest ``theta``; the first one on ties.
+def _exhaustive_nearest(WS, theta) -> tuple[NearestReport, int]:
+    """The 0/1 map nearest ``theta`` (the first on ties) and its row of :func:`_mult_rows`.
 
-    Every distinct candidate value is costed against every element in one
-    call of :func:`defects._element_ratios`, on one stack of ``theta`` and
-    the constant maps: exact squared costs from ``theta``'s integer stack and
-    the weight's integers, made once per map and weight, when both are exact
-    (the candidates are 0/1 maps), float costs otherwise.  The maps are then
-    compared by the integer ranks of the sorted costs, on both paths.
+    The codomain's 0 and 1 are costed against every element in one call of
+    :func:`defects._element_ratios`: exact squared costs from ``theta``'s
+    integer stack and the weight's integers when both are exact, float costs
+    otherwise.  The ``2n`` costs are ranked as integers on both paths; row
+    ``k`` reads, at element ``e``, the rank of the value it takes there, the
+    row whose largest rank is least wins, and only its map is built.
     """
     if theta.n != WS.n:
         raise ParseError("map length does not match the semilattice")
-    norm = _check_norm(theta.codomain, norm)
-    index = defaultdict()
-    index.default_factory = index.__len__  # a new value gets the next id
-    values = chain.from_iterable(m.values for m in maps)
-    ids = np.fromiter(map(index.__getitem__, values), np.intp).reshape(len(maps), WS.n)
-    constant = [AlgebraMap(theta.codomain, (c,) * WS.n) for c in index]
+    norm = default_norm(theta.codomain)
+    rows = _mult_rows(WS.S)
+    zero_one = _ZERO_ONE[theta.codomain]
+    constant = [AlgebraMap(theta.codomain, (c,) * WS.n) for c in zero_one]
     costs = _element_ratios(WS, theta, constant, norm)  # costs[v][e]: value v at element e
     exact_costs = isinstance(costs, list)  # exact squared costs, not floats
     flat = list(chain.from_iterable(costs)) if exact_costs else costs.ravel().tolist()
@@ -173,9 +172,8 @@ def _exhaustive_nearest(WS, theta, maps, norm=None) -> NearestReport:
     first = dict(zip(reversed(keys), reversed(flat)))  # each distinct cost, first seen
     levels = sorted(first, key=first.__getitem__)
     rank = {k: i for i, k in enumerate(levels)}
-    # scan[k, e] is the rank of map k's cost at element e
-    ranks = np.array(list(map(rank.__getitem__, keys))).reshape(len(costs), WS.n)
-    scan = ranks[ids, np.arange(WS.n)]
+    ranks = np.array(list(map(rank.__getitem__, keys))).reshape(2, WS.n)
+    scan = np.where(rows, ranks[1], ranks[0])  # scan[k, e]: the rank of row k's cost at e
     best = int(np.argmin(scan.max(axis=1)))
     top = int(scan[best].max())
     value, exact = _root(first[levels[top]]) if exact_costs else (first[levels[top]], False)
@@ -183,12 +181,12 @@ def _exhaustive_nearest(WS, theta, maps, norm=None) -> NearestReport:
         codomain=theta.codomain,
         value=_float(value),
         value_exact=value if exact else None,
-        best_map=maps[best],
+        best_map=AlgebraMap(theta.codomain, tuple(map(zero_one.__getitem__, rows[best].tolist()))),
         witness=int(np.argmax(scan[best] == top)),
         norm=norm,
         method="exhaustive",
-        details={"maps_scanned": len(maps)},
-    )
+        details={"maps_scanned": len(rows)},
+    ), best
 
 
 def nearest_mult_scalar(ws_or_s, theta: AlgebraMap) -> NearestReport:
@@ -196,7 +194,8 @@ def nearest_mult_scalar(ws_or_s, theta: AlgebraMap) -> NearestReport:
     WS = _resolve(ws_or_s)
     if theta.codomain != "scalar":
         raise ValueError("nearest_mult_scalar expects a scalar map")
-    return _exhaustive_nearest(WS, theta, enumerate_mult_scalar(WS.S))
+    enumerate_mult_scalar(WS.S)  # checks every candidate's defect
+    return _exhaustive_nearest(WS, theta)[0]
 
 
 def nearest_mult_t2(ws_or_s, theta: AlgebraMap) -> NearestReport:
@@ -204,7 +203,8 @@ def nearest_mult_t2(ws_or_s, theta: AlgebraMap) -> NearestReport:
     WS = _resolve(ws_or_s)
     if theta.codomain != "t2":
         raise ValueError("nearest_mult_t2 expects an upper-triangular map")
-    return _exhaustive_nearest(WS, theta, enumerate_mult_t2(WS.S))
+    enumerate_mult_t2(WS.S)  # checks every candidate's defect
+    return _exhaustive_nearest(WS, theta)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -248,20 +248,24 @@ def _params_from_idempotent(P: Mat2):
     """Back-solve (alpha, phi1, beta, phi2) with P = v u* / (u* v).
 
     Returns None for matrices that are not cleanly rank one (trace far from
-    1 or negligible entries), which the caller treats as unseedable.
+    1 or negligible entries), or whose squares or norms overflow, which the
+    caller treats as unseedable.
     """
     entries = [complex(x) for x in P]
     a, b, c, d = entries
     if abs(a + d - 1.0) > 1e-6:
         return None
-    col = (a, c) if abs(a) ** 2 + abs(c) ** 2 >= abs(b) ** 2 + abs(d) ** 2 else (b, d)
-    row = (a, b) if abs(a) ** 2 + abs(b) ** 2 >= abs(c) ** 2 + abs(d) ** 2 else (c, d)
+    try:
+        col = (a, c) if abs(a) ** 2 + abs(c) ** 2 >= abs(b) ** 2 + abs(d) ** 2 else (b, d)
+        row = (a, b) if abs(a) ** 2 + abs(b) ** 2 >= abs(c) ** 2 + abs(d) ** 2 else (c, d)
+    except OverflowError:
+        return None
     v = col
     u = (row[0].conjugate(), row[1].conjugate())
 
     def angles(w):
-        nw = math.sqrt(abs(w[0]) ** 2 + abs(w[1]) ** 2)
-        if nw < 1e-12:
+        nw = math.sqrt(abs(w[0]) ** 2 + abs(w[1]) ** 2)  # inf where the sum overflows
+        if not 1e-12 <= nw < math.inf:
             return None
         w0, w1 = w[0] / nw, w[1] / nw
         anchor = w0 if abs(w0) >= abs(w1) else w1
@@ -450,7 +454,7 @@ def nearest_mult_m2(
     om = [float(x) for x in WS.omega_float]
     rng = np.random.default_rng(seed)
     options: list[Filter | None] = [None, *enumerate_filters(S)]
-    rows = np.vstack([np.zeros(S.n, dtype=bool), S.leq])  # row i: option i's members
+    rows = _mult_rows(S)  # row i: option i's members
 
     norm_to_id = [_complex_norm(a - 1, b, c, d - 1, op) / w for (a, b, c, d), w in zip(theta_c, om)]
     norm_to_zero = [_complex_norm(*t, op) / w for t, w in zip(theta_c, om)]

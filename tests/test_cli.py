@@ -347,6 +347,20 @@ def test_oracle_on_norms_past_the_float_range_is_an_input_error(tmp_path, capsys
     assert "infinite distance" in err
 
 
+def test_oracle_on_seeds_past_the_square_range_reports_its_map_distance(tmp_path, capsys):
+    # the seed idempotents' squares overflow, so the polish cannot start from them
+    doc = {
+        "table": [[0, 0], [0, 1]],
+        "map": {"codomain": "m2", "values": [[[1.0, 1e247], [0.0, 0.0]], [[0.0, 0.0], [1e207, 1.0]]]},
+    }
+    code, out, _ = run(capsys, "oracle", "--json", write_doc(tmp_path, doc))
+    assert code == 0
+    parsed = json.loads(out)
+    theta, best = amnm.map_from_json(doc["map"]), amnm.map_from_json(parsed["best_map"])
+    distance = amnm.weighted_sup_distance(amnm.validate(doc["table"]), theta, best, "hs")
+    assert parsed["value"] == distance == 1e207
+
+
 def test_oracle_scalar_exhaustive(tmp_path, capsys):
     doc = dict(CHAIN3, map={"codomain": "scalar", "values": [0.1, 0.9, 1.1]})
     code, out, _ = run(capsys, "oracle", "--json", write_doc(tmp_path, doc))

@@ -36,6 +36,7 @@ from amnm import (
 )
 from amnm.counterexamples import _check_closed_form
 from amnm.defects import _candidate_pairs, _integers
+from amnm.oracle import _exhaustive_nearest
 from amnm.weights import _over_common_denominator
 
 
@@ -303,3 +304,4 @@ def test_nearest_scan_matches_a_scan_of_every_map(data):
     if dr.value_sq is None:  # the float path
         assert near.value_exact is None
     assert near.details["maps_scanned"] == len(maps)
+    assert maps[_exhaustive_nearest(WS, theta)[1]].values == near.best_map.values

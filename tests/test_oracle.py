@@ -49,7 +49,7 @@ from amnm import (
 )
 from amnm.filters import filter_indicator
 from amnm.defects import _element_ratios
-from amnm.oracle import _mult_scalar_maps
+from amnm.oracle import _mult_rows
 
 
 # ---------------------------------------------------------------------------
@@ -67,10 +67,14 @@ def test_scalar_enumeration_counts_zero_plus_filters(semilattice_pool):
 
 def test_scalar_maps_from_the_order_match_the_filter_indicators(semilattice_pool):
     for S in semilattice_pool:
-        got = _mult_scalar_maps(S)
+        rows = _mult_rows(S)
         want = [filter_indicator(S, f) for f in (None, *enumerate_filters(S))]
-        assert [m.values for m in got] == [m.values for m in want]
-        assert all(m.codomain == "scalar" and {type(v) for v in m.values} == {int} for m in got)
+        assert rows.dtype == bool and rows.astype(int).tolist() == [list(m.values) for m in want]
+        scalar, t2 = enumerate_mult_scalar(S), enumerate_mult_t2(S)
+        assert [m.values for m in scalar] == [m.values for m in want]
+        assert all(m.codomain == "scalar" and {type(v) for v in m.values} == {int} for m in scalar)
+        assert [m.values for m in t2] == [tuple((v, 0) for v in m.values) for m in want]
+        assert all(m.codomain == "t2" and {type(v.a) for v in m.values} == {int} for m in t2)
 
 
 def test_t2_enumeration_is_diagonal(semilattice_pool):
@@ -321,11 +325,13 @@ def test_nearest_m2_forms_each_seed_idempotent_at_most_once(rng, monkeypatch):
 
 
 def test_nearest_m2_raises_when_every_map_is_at_infinite_distance():
-    theta = m2_map([Mat2(1.5e308, 1.5e308, 0.0, 0.0), M2_ID])
-    with pytest.raises(ValueError, match="infinite distance"):
-        nearest_mult_m2(nmin(2), theta, starts=2)
-    with pytest.raises(ValueError, match="infinite distance"):
-        nearest_mult_m2(nmin(2), theta, norm="op", starts=2)
+    # in the second theta, a diagonal entry's modulus is past the float range
+    for big in (Mat2(1.5e308, 1.5e308, 0.0, 0.0), Mat2(complex(1.5e308, 1.5e308), 0, 0, 0)):
+        theta = m2_map([big, M2_ID])
+        with pytest.raises(ValueError, match="infinite distance"):
+            nearest_mult_m2(nmin(2), theta, starts=2)
+        with pytest.raises(ValueError, match="infinite distance"):
+            nearest_mult_m2(nmin(2), theta, norm="op", starts=2)
 
 
 @pytest.mark.filterwarnings("error")
