@@ -52,7 +52,7 @@ from .defects import (
     weighted_sup_distance_report,
 )
 from .errors import ClassificationFailure, DefectTooLarge, PreconditionGap
-from .filters import Filter, filter_generated, filter_indicator, is_filter, zero_map
+from .filters import Filter, filter_generated, filter_indicator
 from .mat2 import (
     M2_ID,
     M2_ZERO,
@@ -149,7 +149,7 @@ def correct_scalar(S: Semilattice, psi: AlgebraMap) -> Certificate:
         raise DefectTooLarge(delta, 0.2)
     values = [complex(v) for v in psi.values]
     s1 = frozenset(e for e, v in enumerate(values) if abs(v - 1.0) < 7.0 / 25.0)
-    if s1 and not is_filter(S, s1):
+    if s1 and filter_generated(S, s1).members != s1:
         raise ClassificationFailure("the near-one level set is neither empty nor a filter")
     chi = scalar_map([1 if e in s1 else 0 for e in range(S.n)])
     for e, v in enumerate(values):
@@ -206,10 +206,10 @@ def correct_weighted(WS: WeightedSemilattice, psi: AlgebraMap, epsilon: float) -
     s_fix = sublevel_set(WS, level)
     ones = frozenset(y for y in s_fix if binary[y] == 1)
     S = WS.S
+    filt: Filter | None = None
     if ones:
-        filt: Filter | None = filter_generated(S, ones)
-        closure = generated(S, ones)
-        for x in closure:
+        filt = filter_generated(S, ones)
+        for x in generated(S, ones):
             if binary[x] != 1:
                 raise ClassificationFailure(
                     f"psi is not identically 1 on the set generated by E (fails at {x})"
@@ -218,10 +218,7 @@ def correct_weighted(WS: WeightedSemilattice, psi: AlgebraMap, epsilon: float) -
             raise ClassificationFailure(
                 "generated filter meets the sublevel set outside E"
             )
-        chi = filter_indicator(S, filt)
-    else:
-        filt = None
-        chi = zero_map(S)
+    chi = filter_indicator(S, filt)
     details = {
         "delta": delta,
         "flighty_constant": c_val,

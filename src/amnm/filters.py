@@ -3,13 +3,12 @@
 A *filter* in a semilattice is a nonempty subset that is closed under the
 product and upward closed in the induced order.  In the finite case every
 filter is the up-set of its least element (the product of all its members),
-so there are exactly ``n`` of them; :func:`enumerate_filters` lists them by
-principal element while :func:`brute_force_filters` re-derives the same list
-definition-first over all subsets (the independent cross-check used by the
-test-bench).
-
-The nonzero multiplicative scalar maps are exactly the filter indicator
-functions (:func:`characters`).
+so there are exactly ``n`` of them; with the zero map, their indicators are
+the characters of ``l1(S)`` (Hewitt and Zuckerman, 1956): the rows of the
+table ``S._mult_rows``, proved multiplicative once per semilattice, from which
+:func:`enumerate_filters`, :func:`filter_generated` and :func:`characters`
+read.  :func:`brute_force_filters` re-derives the list definition-first over
+all subsets with :func:`is_filter` (the test-bench's independent cross-check).
 
 :func:`gelfand_nmin` implements the summing transform on a weighted finite
 chain: ``a -> f`` with ``f_j = sum_{m >= j} a_m``, with the target norm
@@ -29,7 +28,7 @@ import numpy as np
 
 from .defects import AlgebraMap, scalar_map
 from .errors import ClassificationFailure, StructureMismatch
-from .semilattice import Semilattice
+from .semilattice import Semilattice, _elements
 from .weights import WeightedSemilattice
 
 __all__ = [
@@ -57,7 +56,7 @@ class Filter:
 def is_filter(S: Semilattice, E) -> bool:
     """Literal check of the three defining clauses: nonempty, closed under
     the product, and upward closed in the induced order."""
-    members = frozenset(int(x) for x in E)
+    members = _elements(S, E)
     if not members:
         return False
     table = S.table
@@ -75,25 +74,28 @@ def is_filter(S: Semilattice, E) -> bool:
 
 def filter_generated(S: Semilattice, E) -> Filter:
     """Smallest filter containing ``E``: the up-set of the product of all of
-    ``E``.  Raises ``ValueError`` on an empty generating set."""
-    members = sorted(frozenset(int(x) for x in E))
+    ``E``, a row of the proved table.  Raises ``ValueError`` on an empty
+    generating set or an index outside ``0..n-1``."""
+    members = sorted(_elements(S, E))
     if not members:
         raise ValueError("cannot generate a filter from an empty set")
     principal = reduce(lambda x, y: int(S.table[x, y]), members)
-    filt = Filter(S.upset(principal), principal)
-    if not is_filter(S, filt.members):
-        raise ClassificationFailure("principal up-set failed the filter check")
-    return filt
+    return Filter(S.upset(principal), principal)
 
 
 def enumerate_filters(S: Semilattice) -> list[Filter]:
     """All filters, ordered by principal element index.
 
     In a finite semilattice every filter is principal (its members' product
-    is a least member, and upward closure gives the whole up-set), so the
-    up-sets of the ``n`` elements are a complete, duplicate-free listing.
+    is a least member, and upward closure gives the whole up-set), so rows
+    ``1..n`` of the proved table are a complete, duplicate-free listing.
     """
-    return [Filter(S.upset(m), m) for m in range(S.n)]
+    return [_row_filter(S, k) for k in range(1, S.n + 1)]
+
+
+def _row_filter(S: Semilattice, k: int) -> Filter | None:
+    """Row ``k`` of the proved table as a filter: ``None`` for the zero row 0."""
+    return None if k == 0 else Filter(S.upset(k - 1), k - 1)
 
 
 def brute_force_filters(S: Semilattice) -> list[frozenset[int]]:
@@ -110,9 +112,8 @@ def brute_force_filters(S: Semilattice) -> list[frozenset[int]]:
 
 def filter_indicator(S: Semilattice, filt: Filter | None) -> AlgebraMap:
     """The 0/1 scalar map of a filter (or the zero map for ``None``)."""
-    if filt is None:
-        return scalar_map([0] * S.n)
-    return scalar_map([1 if e in filt.members else 0 for e in range(S.n)])
+    members = filt.members if filt is not None else ()
+    return scalar_map([1 if e in members else 0 for e in range(S.n)])
 
 
 def zero_map(S: Semilattice) -> AlgebraMap:
@@ -121,9 +122,9 @@ def zero_map(S: Semilattice) -> AlgebraMap:
 
 def characters(S: Semilattice) -> list[AlgebraMap]:
     """All nonzero multiplicative scalar maps: the filter indicators, in
-    :func:`enumerate_filters` order.  Row m of ``S.leq`` is the up-set of m,
-    the filter with principal m."""
-    return [scalar_map(row) for row in S.leq.astype(int).tolist()]
+    :func:`enumerate_filters` order.  Row ``m + 1`` of the proved table is the
+    up-set of m, the filter with principal m."""
+    return [scalar_map(row) for row in S._mult_rows[1:].astype(int).tolist()]
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Independent nearest-multiplicative-map search.
 
 For scalar and upper-triangular codomains the multiplicative maps are the
-0/1 maps that the rows of one boolean table name (:func:`_mult_rows`: row 0
-the zero map, row ``m + 1`` the up-set of ``m``, one row per filter), so the
-nearest one is found exhaustively — exactly, when the inputs are rational.
+0/1 maps that the rows of one boolean table name (``S._mult_rows``, proved
+once per semilattice: row 0 the zero map, row ``m + 1`` the up-set of ``m``),
+so the nearest one is found exhaustively — exactly, when the inputs are rational.
 The scan costs the codomain's 0 and 1 at every element in one call of the
 defects module's per-element kernel, which decides between exact and float
 costs, and reads each row's cost off those two.  For the 2x2-matrix codomain
@@ -52,13 +52,12 @@ from .defects import (
     _resolve,
     _root,
     default_norm,
-    defect,
     m2_map,
     t2_map,
     weighted_sup_distance_report,
 )
-from .errors import ClassificationFailure, ParseError
-from .filters import Filter, enumerate_filters
+from .errors import ParseError
+from .filters import Filter, _row_filter
 from .mat2 import (
     M2_ID,
     Mat2,
@@ -112,29 +111,17 @@ class NearestReport:
 # ---------------------------------------------------------------------------
 
 
-def _mult_rows(S) -> np.ndarray:
-    """The multiplicative 0/1 maps of ``S`` as the rows of one boolean table:
-    row 0 is the zero map, row ``m + 1`` the up-set of ``m`` (the filter whose
-    principal element is ``m``)."""
-    return np.vstack([np.zeros(S.n, dtype=bool), S.leq])
-
-
 _ZERO_ONE = {"scalar": (0, 1), "t2": (T2Element(0, 0), T2Element(1, 0))}  # a codomain's 0, 1
 
 
-def _enumerated(S, codomain: str) -> list[AlgebraMap]:
-    zero_one = _ZERO_ONE[codomain]
-    rows = _mult_rows(S).tolist()
-    maps = [AlgebraMap(codomain, tuple(map(zero_one.__getitem__, row))) for row in rows]
-    for m in maps:
-        if defect(S, m).defect_float != 0.0:
-            raise ClassificationFailure(f"enumerated {codomain} map is not multiplicative")
-    return maps
+def _row_map(codomain: str, row) -> AlgebraMap:
+    """The 0/1 map in ``codomain`` that a row of ``S._mult_rows`` names."""
+    return AlgebraMap(codomain, tuple(map(_ZERO_ONE[codomain].__getitem__, row)))
 
 
 def enumerate_mult_scalar(S) -> list[AlgebraMap]:
     """All multiplicative scalar maps: the zero map and one per filter."""
-    return _enumerated(S, "scalar")
+    return [_row_map("scalar", row) for row in S._mult_rows.tolist()]
 
 
 def enumerate_mult_t2(S) -> list[AlgebraMap]:
@@ -144,11 +131,11 @@ def enumerate_mult_t2(S) -> list[AlgebraMap]:
     idempotent argument: b = 2ab forces b = 0 for a in {0,1}), so the list
     is exactly the scalar one embedded on the diagonal.
     """
-    return _enumerated(S, "t2")
+    return [_row_map("t2", row) for row in S._mult_rows.tolist()]
 
 
 def _exhaustive_nearest(WS, theta) -> tuple[NearestReport, int]:
-    """The 0/1 map nearest ``theta`` (the first on ties) and its row of :func:`_mult_rows`.
+    """The 0/1 map nearest ``theta`` (the first on ties) and its row of ``S._mult_rows``.
 
     The codomain's 0 and 1 are costed against every element in one call of
     :func:`defects._element_ratios`: exact squared costs from ``theta``'s
@@ -160,9 +147,8 @@ def _exhaustive_nearest(WS, theta) -> tuple[NearestReport, int]:
     if theta.n != WS.n:
         raise ParseError("map length does not match the semilattice")
     norm = default_norm(theta.codomain)
-    rows = _mult_rows(WS.S)
-    zero_one = _ZERO_ONE[theta.codomain]
-    constant = [AlgebraMap(theta.codomain, (c,) * WS.n) for c in zero_one]
+    rows = WS.S._mult_rows
+    constant = [AlgebraMap(theta.codomain, (c,) * WS.n) for c in _ZERO_ONE[theta.codomain]]
     costs = _element_ratios(WS, theta, constant, norm)  # costs[v][e]: value v at element e
     exact_costs = isinstance(costs, list)  # exact squared costs, not floats
     flat = list(chain.from_iterable(costs)) if exact_costs else costs.ravel().tolist()
@@ -181,7 +167,7 @@ def _exhaustive_nearest(WS, theta) -> tuple[NearestReport, int]:
         codomain=theta.codomain,
         value=_float(value),
         value_exact=value if exact else None,
-        best_map=AlgebraMap(theta.codomain, tuple(map(zero_one.__getitem__, rows[best].tolist()))),
+        best_map=_row_map(theta.codomain, rows[best].tolist()),
         witness=int(np.argmax(scan[best] == top)),
         norm=norm,
         method="exhaustive",
@@ -194,7 +180,6 @@ def nearest_mult_scalar(ws_or_s, theta: AlgebraMap) -> NearestReport:
     WS = _resolve(ws_or_s)
     if theta.codomain != "scalar":
         raise ValueError("nearest_mult_scalar expects a scalar map")
-    enumerate_mult_scalar(WS.S)  # checks every candidate's defect
     return _exhaustive_nearest(WS, theta)[0]
 
 
@@ -203,7 +188,6 @@ def nearest_mult_t2(ws_or_s, theta: AlgebraMap) -> NearestReport:
     WS = _resolve(ws_or_s)
     if theta.codomain != "t2":
         raise ValueError("nearest_mult_t2 expects an upper-triangular map")
-    enumerate_mult_t2(WS.S)  # checks every candidate's defect
     return _exhaustive_nearest(WS, theta)[0]
 
 
@@ -236,10 +220,9 @@ def enumerate_mult_m2_with(S, P: Mat2) -> list[AlgebraMap]:
     ``P != I - P`` this is the complete list of multiplicative maps taking
     values in ``{0, P, I - P, I}``.
     """
-    options: list[Filter | None] = [None, *enumerate_filters(S)]
     maps: dict = {}
-    for F1, F2 in product(options, repeat=2):
-        m = m2_family_map(S, F1, F2, P)
+    for i1, i2 in product(range(S.n + 1), repeat=2):
+        m = m2_family_map(S, _row_filter(S, i1), _row_filter(S, i2), P)
         maps.setdefault(m.values, m)
     return list(maps.values())
 
@@ -453,8 +436,8 @@ def nearest_mult_m2(
     slack = 1e-12 * (1001.0 + 2.0 * big) if big < 2.0**250 else math.inf  # see _deflate
     om = [float(x) for x in WS.omega_float]
     rng = np.random.default_rng(seed)
-    options: list[Filter | None] = [None, *enumerate_filters(S)]
-    rows = _mult_rows(S)  # row i: option i's members
+    rows = S._mult_rows  # cell (i1, i2): F1 and F2 are rows i1 and i2
+    k = len(rows)
 
     norm_to_id = [_complex_norm(a - 1, b, c, d - 1, op) / w for (a, b, c, d), w in zip(theta_c, om)]
     norm_to_zero = [_complex_norm(*t, op) / w for t, w in zip(theta_c, om)]
@@ -466,50 +449,47 @@ def nearest_mult_m2(
     const = terms.max(axis=2, initial=0.0).tolist()
 
     # the P-independent maps chi_F * I (including the zero map) first: the diagonal
-    evaluations = len(options)
-    best_val = math.inf
-    best_cell = None  # (F1, F2, P or None)
-    for i, opt in enumerate(options):
-        if const[i][i] < best_val:
-            best_val, best_cell = const[i][i], (opt, opt, None)
-    lower = min(const[i][i] for i in range(len(options)))
+    evaluations = k
+    diagonal = [const[i][i] for i in range(k)]
+    lower = best_val = min(diagonal)  # the first least, as no cost is NaN
+    i = diagonal.index(lower)
+    best_cell = (i, i, None) if lower < math.inf else None  # (i1, i2, P or None)
 
     seed_of = cache(lambda e: nearest_binary_idempotent(theta_c[e])[0])
     bound = _bound(theta_c, om, op)
     pruned = 0
-    survivors = []  # (cell_val, F1, F2, P, cost, const, bound term)
-    for i1, F1 in enumerate(options):
-        for i2, F2 in enumerate(options):
-            if i1 == i2:
-                continue
-            if const[i1][i2] >= best_val:
-                pruned += 1
-                lower = min(lower, const[i1][i2])
-                continue
-            p_only = np.flatnonzero(rows[i1] > rows[i2]).tolist()
-            q_only = np.flatnonzero(rows[i2] > rows[i1]).tolist()
-            idx = p_only + [S.n + e for e in q_only]
-            term = max(bound(a, b) for i, a in enumerate(idx) for b in idx[i:])
-            lower = min(lower, max(const[i1][i2], term))
-            cost = _cell_objective(theta_c, om, p_only, q_only, const[i1][i2], op)
-            candidates = [seed_of(e) for e in p_only] + [M2_ID - seed_of(e) for e in q_only]
-            for _ in range(starts):
-                P = _idempotent_from_params(rng.uniform(0.0, 2.0 * math.pi, size=4).tolist())
-                if P is not None:
-                    candidates.append(P)
-            vals = [cost(P) for P in candidates]  # never NaN: each starts at const
-            evaluations += len(vals)
-            val = min(vals)
-            P = candidates[vals.index(val)]  # the first of the least
-            survivors.append((val, F1, F2, P, cost, const[i1][i2], term))
-            if val < best_val:
-                best_val, best_cell = val, (F1, F2, P)
+    survivors = []  # (cell_val, i1, i2, P, cost, const, bound term)
+    for i1, i2 in product(range(k), repeat=2):
+        if i1 == i2:
+            continue
+        if const[i1][i2] >= best_val:
+            pruned += 1
+            lower = min(lower, const[i1][i2])
+            continue
+        p_only = np.flatnonzero(rows[i1] > rows[i2]).tolist()
+        q_only = np.flatnonzero(rows[i2] > rows[i1]).tolist()
+        idx = p_only + [S.n + e for e in q_only]
+        term = max(bound(a, b) for i, a in enumerate(idx) for b in idx[i:])
+        lower = min(lower, max(const[i1][i2], term))
+        cost = _cell_objective(theta_c, om, p_only, q_only, const[i1][i2], op)
+        candidates = [seed_of(e) for e in p_only] + [M2_ID - seed_of(e) for e in q_only]
+        for _ in range(starts):
+            P = _idempotent_from_params(rng.uniform(0.0, 2.0 * math.pi, size=4).tolist())
+            if P is not None:
+                candidates.append(P)
+        vals = [cost(P) for P in candidates]  # never NaN: each starts at const
+        evaluations += len(vals)
+        val = min(vals)
+        P = candidates[vals.index(val)]  # the first of the least
+        survivors.append((val, i1, i2, P, cost, const[i1][i2], term))
+        if val < best_val:
+            best_val, best_cell = val, (i1, i2, P)
 
     polish_improved = False
     skipped = 0
     if polish:
         survivors.sort(key=itemgetter(0))  # stable: the first of equal cells first
-        for val, F1, F2, P, cost, c, term in survivors[:_POLISH_TOP]:
+        for val, i1, i2, P, cost, c, term in survivors[:_POLISH_TOP]:
             if _cannot_win(c, term, slack, best_val):
                 skipped += 1
                 continue
@@ -530,12 +510,13 @@ def nearest_mult_m2(
                 continue
             val = cost(cand)
             if val < best_val:
-                best_val, best_cell = val, (F1, F2, cand)
+                best_val, best_cell = val, (i1, i2, cand)
                 polish_improved = True
 
     if best_cell is None:
         raise ValueError("every multiplicative map is at infinite distance: the norms overflow")
-    F1, F2, P = best_cell
+    i1, i2, P = best_cell
+    F1, F2 = _row_filter(S, i1), _row_filter(S, i2)
     best_map = m2_family_map(S, F1, F2, P if P is not None else M2_ID)
     dr = weighted_sup_distance_report(WS, theta, best_map, norm)
     return NearestReport(
@@ -550,7 +531,7 @@ def nearest_mult_m2(
             "F1": F1.principal if F1 is not None else None,
             "F2": F2.principal if F2 is not None else None,
             "P": None if P is None else [[P.a, P.b], [P.c, P.d]],
-            "cells": len(options) ** 2,
+            "cells": k**2,
             "pruned": pruned,
             "evaluations": evaluations,
             "polish_skipped": skipped,

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .defects import AlgebraMap, defect, m2_map, scalar_map, t2_map
-from .filters import enumerate_filters, filter_indicator, zero_map
+from .filters import _row_filter, characters, zero_map
 from .mat2 import M2_ID, M2_ZERO, Mat2, _idempotent_defect, _rank_one, _tuple_new
 from .oracle import m2_family_map
 from .semilattice import Semilattice
@@ -42,11 +42,8 @@ _IDENTITY = Mat2(1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
 
 def random_multiplicative_scalar(rng: np.random.Generator, S: Semilattice) -> AlgebraMap:
     """A uniformly chosen multiplicative scalar map (zero or a filter indicator)."""
-    filters = enumerate_filters(S)
-    k = int(rng.integers(0, len(filters) + 1))
-    if k == len(filters):
-        return zero_map(S)
-    return filter_indicator(S, filters[k])
+    maps = [*characters(S), zero_map(S)]
+    return maps[int(rng.integers(0, len(maps)))]
 
 
 def _complex_noise(rng: np.random.Generator, amp: float) -> complex:
@@ -147,9 +144,7 @@ def random_m2_instance(
     sets and a norm-bounded random rank-one ``P``; each value then receives
     an independent perturbation of HS norm at most ``amp``.
     """
-    options = [None, *enumerate_filters(S)]
-    F1 = options[int(rng.integers(0, len(options)))]
-    F2 = options[int(rng.integers(0, len(options)))]
+    F1, F2 = (_row_filter(S, int(rng.integers(0, S.n + 1))) for _ in range(2))
     base = m2_family_map(S, F1, F2, random_bounded_idempotent(rng)).values
     noise = [_random_mat2_ball(rng, amp) for _ in range(S.n)]
 

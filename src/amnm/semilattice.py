@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    ClassificationFailure,
     NotAssociative,
     NotClosed,
     NotCommutative,
@@ -51,6 +52,8 @@ __all__ = [
     "semilattice_to_json",
     "semilattice_from_json",
 ]
+
+_PROOF_SLAB_BYTES = 1 << 22  # packed order bits compared per step of the table's proof
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,9 +96,30 @@ class Semilattice:
         from .weights import unit_weight  # weights imports this module
         return unit_weight(self)
 
+    @cached_property
+    def _mult_rows(self) -> np.ndarray:
+        """The characters of ``l1(S)`` as one read-only boolean table: row 0 is
+        the zero map, row ``m + 1`` the up-set of ``m``.  Proved on first read,
+        else :class:`ClassificationFailure`: ``m`` is in its up-set, and
+        ``below(x*y) == below(x) & below(y)`` for all x, y, where ``below(x)`` is
+        the packed column ``x`` of ``leq``.  So every row is multiplicative."""
+        if not self.leq.diagonal().all():
+            raise ClassificationFailure("an element is not in its own up-set")
+        below = np.packbits(self.leq.T, axis=1)  # below[x]: the bits of {m : m <= x}
+        step = max(1, _PROOF_SLAB_BYTES // below.size)
+        for lo in range(0, self.n, step):
+            bad = below[self.table[lo : lo + step]] != below[lo : lo + step, None] & below
+            if bad.any():
+                x, y, _ = np.argwhere(bad)[0]
+                raise ClassificationFailure(f"a row is not multiplicative at x{lo + x}*x{y}")
+        rows = np.vstack([np.zeros(self.n, dtype=bool), self.leq])
+        rows.setflags(write=False)
+        return rows
+
     def upset(self, i: int) -> frozenset[int]:
-        """All elements above ``i`` in the induced order (including ``i``)."""
-        return frozenset(int(j) for j in np.flatnonzero(self.leq[i]))
+        """All elements above ``i`` (including ``i``): row ``i + 1`` of :attr:`_mult_rows`."""
+        (i,) = _elements(self, (i,))
+        return frozenset(np.flatnonzero(self._mult_rows[i + 1]).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,10 +256,9 @@ def orthogonal_direct_sum(parts: Sequence[Semilattice]) -> OrthogonalSum:
     return OrthogonalSum(table=table, labels=tuple(labels), blocks=tuple(blocks), zero=0)
 
 
-def _check_subset(S: Semilattice, E: Iterable[int]) -> frozenset[int]:
+def _elements(S: Semilattice, E: Iterable[int]) -> frozenset[int]:
+    """``E`` as a set of element indices; ``ValueError`` on one outside ``0..n-1``."""
     elems = frozenset(int(x) for x in E)
-    if not elems:
-        raise ValueError("element set must be nonempty")
     for x in elems:
         if not 0 <= x < S.n:
             raise ValueError(f"element index {x} out of range 0..{S.n - 1}")
@@ -245,7 +268,9 @@ def _check_subset(S: Semilattice, E: Iterable[int]) -> frozenset[int]:
 def _closure(S: Semilattice, E: Iterable[int], depth: int | None) -> tuple[set[int], int]:
     """Products of at most ``depth`` factors from ``E`` (all if None), and the
     factor count ``level`` at which the scan stopped."""
-    elems = _check_subset(S, E)
+    elems = _elements(S, E)
+    if not elems:
+        raise ValueError("element set must be nonempty")
     if depth is not None and depth < 1:
         raise ValueError("depth must be >= 1")
     table = S.table

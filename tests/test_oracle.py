@@ -49,7 +49,6 @@ from amnm import (
 )
 from amnm.filters import filter_indicator
 from amnm.defects import _element_ratios
-from amnm.oracle import _mult_rows
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +66,11 @@ def test_scalar_enumeration_counts_zero_plus_filters(semilattice_pool):
 
 def test_scalar_maps_from_the_order_match_the_filter_indicators(semilattice_pool):
     for S in semilattice_pool:
-        rows = _mult_rows(S)
+        rows = S._mult_rows
+        assert rows is S._mult_rows  # proved once, then cached
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = True
         want = [filter_indicator(S, f) for f in (None, *enumerate_filters(S))]
         assert rows.dtype == bool and rows.astype(int).tolist() == [list(m.values) for m in want]
         scalar, t2 = enumerate_mult_scalar(S), enumerate_mult_t2(S)
