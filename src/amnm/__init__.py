@@ -11,9 +11,11 @@ Quick tour::
     cert = correct_scalar(S, psi)    # nearby filter indicator + certificate
 
 The library works with explicit multiplication tables (commutative,
-idempotent, associative — validated on construction), weights that are
-strictly positive and submultiplicative (checked exactly), and maps into
-the scalars, the upper-triangular 2x2 algebra, or full 2x2 matrices.
+idempotent, associative), weights that are strictly positive and
+submultiplicative (checked exactly), and maps into the scalars, the
+upper-triangular 2x2 algebra, or full 2x2 matrices.  :func:`validate` and
+:func:`semilattice_from_json` check a table's axioms; ``Semilattice(...)``
+checks nothing, and proves its character table the first time it is read.
 """
 
 from .correction import (

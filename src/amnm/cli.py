@@ -35,7 +35,7 @@ from .counterexamples import (
     theta_m2_chain_nonuniform,
     theta_m_t2,
 )
-from .defects import defect, map_from_json, round_to_binary
+from .defects import _carrier, _json_number, defect, map_from_json, round_to_binary
 from .errors import (
     AxiomViolation,
     ClassificationFailure,
@@ -92,28 +92,13 @@ def _load_document(path: str) -> dict:
     return doc
 
 
-def _parse_weight_entry(x):
-    if isinstance(x, bool):
-        raise ParseError(f"weight {x!r} is not a number")
-    if isinstance(x, float) and not math.isfinite(x):
-        raise ParseError(f"weight {x!r} is not finite")
-    if isinstance(x, (int, float)):
-        return x
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad weight entry {x!r}: {exc}") from exc
-    raise ParseError(f"weight {x!r} is not a number")
-
-
 def _weighted(doc: dict, S: Semilattice) -> WeightedSemilattice | None:
     if "weights" not in doc:
         return None
     w = doc["weights"]
     if not isinstance(w, list) or len(w) != S.n:
         raise ParseError('"weights" must be a list with one entry per element')
-    return weighted(S, [_parse_weight_entry(x) for x in w])
+    return weighted(S, [_json_number(x) for x in w])
 
 
 def _map_document(path: str):
@@ -125,13 +110,6 @@ def _map_document(path: str):
     if "map" not in doc:
         raise ParseError('this command needs a "map" field in the document')
     return S, WS, map_from_json(doc["map"])
-
-
-def _parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad number {text!r}: {exc}") from exc
 
 
 def _fmt(x) -> str:
@@ -164,8 +142,7 @@ def cmd_validate(args):
         )
     if "map" in doc:
         m = map_from_json(doc["map"])
-        if m.n != S.n:
-            raise ParseError("map length does not match the semilattice")
+        _carrier(S, None, m)
         out["map_codomain"] = m.codomain
         lines.append(f"map with codomain {m.codomain} and {m.n} values")
     return out, "\n".join(lines)
@@ -284,7 +261,7 @@ def _corroborate(WS, report, norm, starts, seed):
 
 def cmd_counterexample(args):
     if args.family == "psi-blocks":
-        base = _parse_rational(args.base)
+        base = _json_number(args.base)
         sizes = tuple(int(s) for s in args.sizes.split(","))
         reports = psi_n_family(base, sizes)
         ws = None
@@ -301,7 +278,7 @@ def cmd_counterexample(args):
             spike = max(2, math.ceil(6.0 / args.delta))
             ws = spiked_weight(args.length, args.length // 2, spike)
         else:
-            ws = geometric_weight(args.length, _parse_rational(args.base))
+            ws = geometric_weight(args.length, _json_number(args.base))
         if args.family == "t2-chain":
             if args.m_range is not None:
                 lo, hi = (int(x) for x in args.m_range.split(":"))

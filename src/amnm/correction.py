@@ -45,6 +45,7 @@ from fractions import Fraction
 
 from .defects import (
     AlgebraMap,
+    _carrier,
     defect,
     m2_map,
     scalar_map,
@@ -142,8 +143,7 @@ def correct_scalar(S: Semilattice, psi: AlgebraMap) -> Certificate:
     ``sup |psi - chi| <= (7/5) defect(psi)``.
     """
     S = _require_semilattice(S)
-    if psi.codomain != "scalar":
-        raise ValueError("correct_scalar expects a scalar map")
+    _carrier(S, "scalar", psi)
     delta = defect(S, psi).defect_float
     if not delta < 0.2:
         raise DefectTooLarge(delta, 0.2)
@@ -191,8 +191,7 @@ def correct_weighted(WS: WeightedSemilattice, psi: AlgebraMap, epsilon: float) -
     """
     if not isinstance(WS, WeightedSemilattice):
         raise TypeError("correct_weighted needs a WeightedSemilattice")
-    if psi.codomain != "scalar":
-        raise ValueError("correct_weighted expects a scalar map")
+    _carrier(WS, "scalar", psi)
     epsilon = float(epsilon)
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
@@ -240,8 +239,7 @@ def correct_t2(S: Semilattice, theta: AlgebraMap) -> Certificate:
     ``|2a(e) - 1| >= 11/25`` which is asserted en route.
     """
     S = _require_semilattice(S)
-    if theta.codomain != "t2":
-        raise ValueError("correct_t2 expects a T2-valued map")
+    _carrier(S, "t2", theta)
     delta = defect(S, theta).defect_float
     if not delta < 0.2:
         raise DefectTooLarge(delta, 0.2)
@@ -380,8 +378,7 @@ def correct_m2(S: Semilattice, theta: AlgebraMap, delta: float | None = None) ->
     claim used by the proof of correctness is asserted at runtime.
     """
     S = _require_semilattice(S)
-    if theta.codomain != "m2":
-        raise ValueError("correct_m2 expects a 2x2-matrix-valued map")
+    _carrier(S, "m2", theta)
     measured = defect(S, theta, "hs").defect_float
     if delta is None:
         delta = measured

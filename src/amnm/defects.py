@@ -177,6 +177,21 @@ def _resolve(ws_or_s) -> WeightedSemilattice:
     raise TypeError(f"expected Semilattice or WeightedSemilattice, got {type(ws_or_s)!r}")
 
 
+def _carrier(ws_or_s, codomain: str | None, *maps: AlgebraMap) -> WeightedSemilattice:
+    """The weighted semilattice of ``ws_or_s``, once every map of ``maps`` fits
+    it: ``ValueError`` unless all take values in ``codomain`` (the first
+    map's when None), then ``ParseError`` unless each has one value per element."""
+    WS = _resolve(ws_or_s)
+    codomain = codomain or maps[0].codomain
+    for m in maps:
+        if m.codomain != codomain:
+            raise ValueError(f"expected a map into {codomain!r}, got one into {m.codomain!r}")
+    for m in maps:
+        if m.n != WS.n:
+            raise ParseError(f"map has {m.n} values for a {WS.n}-element semilattice")
+    return WS
+
+
 def _check_norm(codomain: str, norm: str | None) -> str:
     if norm is None:
         return _DEFAULT_NORMS[codomain]
@@ -448,9 +463,7 @@ def defect(ws_or_s, theta: AlgebraMap, norm: str | None = None) -> DefectReport:
     exact path automatically when both the weight and the map are
     rational-valued.
     """
-    WS = _resolve(ws_or_s)
-    if theta.n != WS.n:
-        raise ParseError(f"map has {theta.n} values for a {WS.n}-element semilattice")
+    WS = _carrier(ws_or_s, None, theta)
     norm = _check_norm(theta.codomain, norm)
     if _can_run_exact(WS, theta):
         return _defect_exact(WS, theta, norm)
@@ -514,13 +527,7 @@ def weighted_sup_distance_report(
     ws_or_s, theta: AlgebraMap, phi: AlgebraMap, norm: str | None = None
 ) -> DistanceReport:
     """``max_e ||theta(e) - phi(e)|| / omega(e)`` with witness and exactness info."""
-    WS = _resolve(ws_or_s)
-    if theta.codomain != phi.codomain:
-        raise ValueError(
-            f"maps have different codomains: {theta.codomain!r} vs {phi.codomain!r}"
-        )
-    if theta.n != WS.n or phi.n != WS.n:
-        raise ParseError("map length does not match the semilattice")
+    WS = _carrier(ws_or_s, None, theta, phi)
     norm = _check_norm(theta.codomain, norm)
     ratios = _element_ratios(WS, theta, [phi], norm)[0]
     if isinstance(ratios, np.ndarray):
@@ -550,9 +557,7 @@ def round_to_binary(ws_or_s, psi: AlgebraMap) -> AlgebraMap:
     rounding's own defect is at most 3 sqrt(delta) + 2 delta (this last uses
     omega >= 1, which submultiplicativity guarantees).
     """
-    WS = _resolve(ws_or_s)
-    if psi.codomain != "scalar":
-        raise ValueError("round_to_binary expects a scalar map")
+    WS = _carrier(ws_or_s, "scalar", psi)
     rounded = []
     for v in psi.values:
         d0 = abs2(v)
@@ -602,12 +607,10 @@ def map_to_json(theta: AlgebraMap) -> dict:
     return {"codomain": theta.codomain, "values": values}
 
 
-def _num_from_json(x):
-    # integers and "p/q" strings stay exact so rational certificates survive
-    # the wire format; floats and [re, im] pairs take the numeric path
-    if isinstance(x, bool):
-        raise ParseError(f"expected a number, got {x!r}")
-    if isinstance(x, int):
+def _json_number(x):
+    """A number of a JSON document: an int (not a bool) as it is, a ``"p/q"``
+    string as a :class:`Fraction`, a finite float; else :class:`ParseError`."""
+    if isinstance(x, int) and not isinstance(x, bool):
         return x
     if isinstance(x, str):
         try:
@@ -615,14 +618,25 @@ def _num_from_json(x):
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational literal {x!r}") from exc
     if isinstance(x, float):
-        z = complex(x)
-    elif isinstance(x, list) and len(x) == 2:
-        z = complex(float(x[0]), float(x[1]))
+        if not math.isfinite(x):
+            raise ParseError(f"value {x!r} is not finite")
+        return x
+    raise ParseError(f"expected a number or 'p/q' string, got {x!r}")
+
+
+def _num_from_json(x):
+    # integers and "p/q" strings stay exact so rational certificates survive
+    # the wire format; floats and [re, im] pairs take the numeric path
+    if isinstance(x, list) and len(x) == 2:
+        parts = (_json_number(x[0]), _json_number(x[1]))
     else:
-        raise ParseError(f"expected a number, 'p/q' string or [re, im] pair, got {x!r}")
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ParseError(f"map value {x!r} is not finite")
-    return z
+        parts = (_json_number(x),)
+        if not isinstance(parts[0], float):
+            return parts[0]
+    try:  # a part past the float range
+        return complex(*parts)
+    except OverflowError:
+        raise ParseError(f"map value {x!r} is not finite") from None
 
 
 def map_from_json(doc: dict) -> AlgebraMap:

@@ -47,16 +47,16 @@ import numpy as np
 
 from .defects import (
     AlgebraMap,
+    _carrier,
+    _check_norm,
     _element_ratios,
     _float,
-    _resolve,
     _root,
     default_norm,
     m2_map,
     t2_map,
     weighted_sup_distance_report,
 )
-from .errors import ParseError
 from .filters import Filter, _row_filter
 from .mat2 import (
     M2_ID,
@@ -144,8 +144,6 @@ def _exhaustive_nearest(WS, theta) -> tuple[NearestReport, int]:
     ``k`` reads, at element ``e``, the rank of the value it takes there, the
     row whose largest rank is least wins, and only its map is built.
     """
-    if theta.n != WS.n:
-        raise ParseError("map length does not match the semilattice")
     norm = default_norm(theta.codomain)
     rows = WS.S._mult_rows
     constant = [AlgebraMap(theta.codomain, (c,) * WS.n) for c in _ZERO_ONE[theta.codomain]]
@@ -177,18 +175,12 @@ def _exhaustive_nearest(WS, theta) -> tuple[NearestReport, int]:
 
 def nearest_mult_scalar(ws_or_s, theta: AlgebraMap) -> NearestReport:
     """Exact nearest multiplicative scalar map, by exhaustive scan."""
-    WS = _resolve(ws_or_s)
-    if theta.codomain != "scalar":
-        raise ValueError("nearest_mult_scalar expects a scalar map")
-    return _exhaustive_nearest(WS, theta)[0]
+    return _exhaustive_nearest(_carrier(ws_or_s, "scalar", theta), theta)[0]
 
 
 def nearest_mult_t2(ws_or_s, theta: AlgebraMap) -> NearestReport:
     """Exact nearest multiplicative upper-triangular map, by exhaustive scan."""
-    WS = _resolve(ws_or_s)
-    if theta.codomain != "t2":
-        raise ValueError("nearest_mult_t2 expects an upper-triangular map")
-    return _exhaustive_nearest(WS, theta)[0]
+    return _exhaustive_nearest(_carrier(ws_or_s, "t2", theta), theta)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -421,12 +413,9 @@ def nearest_mult_m2(
     cells get a simplex descent over the rank-one parametrization.  Raises
     ``ValueError`` when every family map is at infinite distance.
     """
-    WS = _resolve(ws_or_s)
+    WS = _carrier(ws_or_s, "m2", theta)
     S = WS.S
-    if theta.codomain != "m2":
-        raise ValueError("nearest_mult_m2 expects a 2x2-matrix-valued map")
-    if norm not in ("hs", "op"):
-        raise ValueError(f"norm must be 'hs' or 'op', got {norm!r}")
+    norm = _check_norm("m2", norm)
     op = norm == "op"
     theta_c = [Mat2(*(complex(x) for x in v)) for v in theta.values]
     for e, v in enumerate(theta_c):

@@ -157,23 +157,32 @@ class OrthogonalSum(Semilattice):
 def validate(table, labels: Sequence[str] | None = None) -> Semilattice:
     """Check the semilattice axioms and return the validated structure.
 
-    Raises :class:`NotClosed`, :class:`NotIdempotent`, :class:`NotCommutative`
-    or :class:`NotAssociative` with the lexicographically first witnessing
-    indices attached.
+    Raises :class:`ParseError` on entries that are not integers (booleans,
+    strings, fractional or non-finite floats), else :class:`NotClosed`,
+    :class:`NotIdempotent`, :class:`NotCommutative` or :class:`NotAssociative`
+    with the lexicographically first witnessing indices attached.  The
+    returned structure's character table is already proved.
     """
     arr = np.asarray(table)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise ParseError(f"Cayley table must be a nonempty square matrix, got shape {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        if np.any(arr != np.floor(arr)):
-            raise ParseError("Cayley table entries must be integers")
-    arr = arr.astype(np.intp)
+    # booleans and strings are not indices, a float must be whole, and an object
+    # table may hold only ints (those past int64 make one, and are out of range)
+    kind = arr.dtype.kind
+    integral = (
+        kind in "iu"
+        or (kind == "f" and (np.isfinite(arr) & (arr == np.floor(arr))).all())
+        or (kind == "O" and all(type(x) is int for x in arr.flat))
+    )
+    if not integral:
+        raise ParseError("Cayley table entries must be integers")
     n = arr.shape[0]
 
-    out_of_range = (arr < 0) | (arr >= n)
+    out_of_range = (arr < 0) | (arr >= n)  # before the cast, which would wrap
     if np.any(out_of_range):
         i, j = map(int, np.argwhere(out_of_range)[0])
         raise NotClosed(f"table[{i}][{j}] = {int(arr[i, j])} is out of range 0..{n - 1}", (i, j))
+    arr = arr.astype(np.intp)
 
     diag = np.diagonal(arr)
     bad = np.flatnonzero(diag != np.arange(n))
@@ -188,18 +197,24 @@ def validate(table, labels: Sequence[str] | None = None) -> Semilattice:
             f"table[{i}][{j}] = {int(arr[i, j])} but table[{j}][{i}] = {int(arr[j, i])}", (i, j)
         )
 
-    # (ij)k vs i(jk), both shaped (n, n, n) and compared entrywise.
-    left = arr[arr]  # left[i, j, k] = table[table[i, j], k]
-    right = arr[:, arr]  # right[i, j, k] = table[i, table[j, k]]
-    mismatch = left != right
-    if np.any(mismatch):
-        i, j, k = map(int, np.argwhere(mismatch)[0])
-        raise NotAssociative(
-            f"(x{i}*x{j})*x{k} = {int(left[i, j, k])} but x{i}*(x{j}*x{k}) = {int(right[i, j, k])}",
-            (i, j, k),
-        )
-
-    return Semilattice(arr, tuple(labels) if labels is not None else None)
+    # closed, idempotent and commutative: associative iff the character table's
+    # identity holds (it makes <= a partial order with x*y the meet), which
+    # stays proved on S; a failure is located one (n, n) slab of (ij)k vs i(jk) per i
+    S = Semilattice(arr, tuple(labels) if labels is not None else None)
+    try:
+        S._mult_rows
+    except ClassificationFailure:
+        for i in range(n):
+            left, right = arr[arr[i]], arr[i][arr]  # [j, k]: (x_i x_j) x_k and x_i (x_j x_k)
+            mismatch = left != right
+            if mismatch.any():
+                j, k = map(int, np.argwhere(mismatch)[0])
+                lhs, rhs = int(left[j, k]), int(right[j, k])
+                raise NotAssociative(
+                    f"(x{i}*x{j})*x{k} = {lhs} but x{i}*(x{j}*x{k}) = {rhs}", (i, j, k)
+                ) from None
+        raise
+    return S
 
 
 def free_semilattice(k: int) -> FreeSemilattice:
@@ -570,6 +585,8 @@ def semilattice_from_json(doc: dict) -> Semilattice:
         raise ParseError(f'"n" = {doc["n"]} does not match table size {n}')
     if any(len(r) != n for r in table):
         raise ParseError('"table" must be square')
+    if any(isinstance(x, bool) for r in table for x in r):  # numpy would read them as 0 and 1
+        raise ParseError("Cayley table entries must be integers, not booleans")
     labels = doc.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != n:

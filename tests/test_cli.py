@@ -91,6 +91,55 @@ def test_filters_lists_principal_up_sets(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
+def _scalar_doc(values):
+    return dict(CHAIN3, map={"codomain": "scalar", "values": values})
+
+
+# (id, argv before the document, the document or None for no document argument)
+_INPUT_ERRORS = [
+    ("document-not-an-object", ["validate"], [CHAIN3]),
+    ("weights-of-the-wrong-length", ["validate"], dict(CHAIN3, weights=[1, 2])),
+    ("a-null-weight", ["validate"], dict(CHAIN3, weights=[1, None, 2])),
+    ("a-pair-weight", ["validate"], dict(CHAIN3, weights=[1, [1, 2], 2])),
+    ("a-boolean-weight", ["validate"], dict(CHAIN3, weights=[1, True, 2])),
+    ("a-map-of-the-wrong-length", ["validate"], _scalar_doc([0, 1])),
+    ("a-boolean-pair-part", ["defect"], _scalar_doc([[True, False], 1, 1])),
+    ("a-string-pair-part", ["defect"], _scalar_doc([["half", 0], 1, 1])),
+    ("a-boolean-table", ["validate"], {"table": [[False, False], [False, True]]}),
+    ("a-boolean-in-an-integer-table", ["validate"], {"table": [[0, 0], [0, True]]}),
+    ("a-null-table-entry", ["validate"], {"table": [[None]]}),
+    ("a-string-table-entry", ["validate"], {"table": [["a"]]}),
+    ("chain-doc-without-weights", ["counterexample", "--family", "t2-chain", "--m", 1], CHAIN3),
+    ("a-bad-base", ["counterexample", "--family", "psi-blocks", "--base", "x"], None),
+    ("a-chain-family-without-delta", ["counterexample", "--family", "m2-chain"], None),
+    ("t2-chain-without-m", ["counterexample", "--family", "t2-chain"], None),
+]
+_IDS = [c[0] for c in _INPUT_ERRORS]
+
+
+@pytest.mark.parametrize("argv, doc", [c[1:] for c in _INPUT_ERRORS], ids=_IDS)
+def test_input_errors_exit_3(tmp_path, capsys, argv, doc):
+    argv = argv if doc is None else [*argv, write_doc(tmp_path, doc)]
+    code, out, err = run(capsys, "--json", *map(str, argv))
+    assert (code, out) == (3, "")
+    assert err.startswith("amnm: ")
+
+
+def test_a_table_entry_past_the_index_range_is_named_unwrapped(tmp_path, capsys):
+    code, out, err = run(capsys, "validate", write_doc(tmp_path, {"table": [[1e30]]}))
+    assert (code, out) == (2, "")
+    assert "table[0][0] = 1000000000000000019884624838656 is out of range 0..0" in err
+
+
+def test_a_rational_pair_part_reads_as_its_value(tmp_path, capsys):
+    rational = write_doc(tmp_path, _scalar_doc([["1/2", 0], 1, 1]))
+    floats = write_doc(tmp_path, _scalar_doc([[0.5, 0.0], 1, 1]), "floats.json")
+    code, out, _ = run(capsys, "--json", "defect", rational)
+    assert code == 0 and out == run(capsys, "--json", "defect", floats)[1]
+
+
+
+
 def test_defect_exact_rational_output(tmp_path, capsys):
     doc = dict(CHAIN3, weights=["2", "4", "8"], map={"codomain": "scalar", "values": [1, 0, 1]})
     code, out, _ = run(capsys, "defect", "--json", write_doc(tmp_path, doc))

@@ -13,9 +13,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amnm import (
+    M2_ID,
     AlgebraMap,
     Mat2,
+    ParseError,
     characters,
+    correct_m2,
+    correct_scalar,
+    correct_t2,
+    correct_weighted,
     defect,
     default_norm,
     enumerate_filters,
@@ -26,6 +32,9 @@ from amnm import (
     m2_map,
     map_from_json,
     map_to_json,
+    nearest_mult_m2,
+    nearest_mult_scalar,
+    nearest_mult_t2,
     nmin,
     orthogonal_free_sum,
     random_scalar_instance,
@@ -844,3 +853,90 @@ def test_distances_refuse_a_non_finite_entry(norm):
             weighted_sup_distance_report(S, theta, phi, norm)
     with pytest.raises(ValueError, match=r"phi\(1\) has a non-finite entry"):
         weighted_sup_distance(S, scalar_map([1.0, 0.0]), scalar_map([1.0, complex(0.0, math.inf)]))
+
+
+# ---------------------------------------------------------------------------
+# Every entry point checks a map against its carrier in one place.
+# ---------------------------------------------------------------------------
+
+_S3 = nmin(3)
+
+
+def _maps(codomain: str, n: int) -> AlgebraMap:
+    """The identity of ``codomain`` at each of ``n`` elements."""
+    return {"scalar": scalar_map, "t2": t2_map, "m2": m2_map}[codomain](
+        [{"scalar": 1, "t2": (1, 0), "m2": M2_ID}[codomain]] * n
+    )
+
+
+_SCALAR, _T2 = _maps("scalar", 3), _maps("t2", 3)
+
+# (name, call on the map under test, the codomain it takes, or None for any)
+_ENTRY_POINTS = [
+    ("defect", lambda m: defect(_S3, m), None),
+    ("weighted_sup_distance", lambda m: weighted_sup_distance(_S3, m, _SCALAR), "scalar"),
+    ("weighted_sup_distance_report", lambda m: weighted_sup_distance_report(_S3, _T2, m), "t2"),
+    ("nearest_mult_scalar", lambda m: nearest_mult_scalar(_S3, m), "scalar"),
+    ("nearest_mult_t2", lambda m: nearest_mult_t2(_S3, m), "t2"),
+    ("nearest_mult_m2", lambda m: nearest_mult_m2(_S3, m), "m2"),
+    ("round_to_binary", lambda m: round_to_binary(_S3, m), "scalar"),
+    ("correct_scalar", lambda m: correct_scalar(_S3, m), "scalar"),
+    ("correct_weighted", lambda m: correct_weighted(unit_weight(_S3), m, 1.0), "scalar"),
+    ("correct_t2", lambda m: correct_t2(_S3, m), "t2"),
+    ("correct_m2", lambda m: correct_m2(_S3, m), "m2"),
+]
+
+
+@pytest.mark.parametrize("name, call, codomain", _ENTRY_POINTS, ids=[e[0] for e in _ENTRY_POINTS])
+def test_every_entry_point_rejects_a_map_that_does_not_fit_its_carrier(name, call, codomain):
+    for target in [codomain] if codomain else ["scalar", "t2", "m2"]:
+        call(_maps(target, 3))  # the identity map fits, and every entry point accepts it
+        for n in (1, 2, 4):
+            with pytest.raises(ParseError, match=f"map has {n} values for a 3-element"):
+                call(_maps(target, n))
+    for other in {"scalar", "t2", "m2"} - {codomain} if codomain else ():
+        for n in (2, 3):  # the codomain is checked before the length
+            with pytest.raises(ValueError, match=f"expected a map into .*'{other}'"):
+                call(_maps(other, n))
+
+
+def test_a_short_matrix_map_fails_before_the_search():
+    # it used to run the whole search on nmin(2) and fail only in the final distance
+    with pytest.raises(ParseError):
+        nearest_mult_m2(nmin(2), m2_map([M2_ID]))
+    with pytest.raises(ParseError):
+        nearest_mult_m2(nmin(3), m2_map([M2_ID, M2_ID]))
+
+
+def test_a_distance_checks_both_maps():
+    with pytest.raises(ParseError):
+        weighted_sup_distance(_S3, _maps("m2", 3), _maps("m2", 2))
+    with pytest.raises(ValueError, match="got one into 'scalar'"):
+        weighted_sup_distance_report(_S3, _maps("m2", 3), _maps("scalar", 3))
+
+
+@pytest.mark.parametrize(
+    "value, read",
+    [
+        (3, 3),
+        (2**1100, 2**1100),  # past the float range, still an exact int
+        ("1/3", Fraction(1, 3)),
+        (0.25, complex(0.25)),
+        ([0.5, -1], complex(0.5, -1)),
+        (["1/2", 0], complex(0.5, 0)),  # each part read as a scalar entry
+        ([2, 3], complex(2, 3)),
+    ],
+)
+def test_map_entries_read_exact_or_as_complex(value, read):
+    (got,) = map_from_json({"codomain": "scalar", "values": [value]}).values
+    assert got == read and type(got) is type(read)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, None, "half", "1/0", float("nan"), [True, False], [0, None], ["x", 0], [0, float("inf")],
+     [2**1100, 0], ["1/1", "10**400"], [1, 2, 3], {"re": 1}],
+)
+def test_map_entries_that_are_not_numbers_are_input_errors(value):
+    with pytest.raises(ParseError):
+        map_from_json({"codomain": "scalar", "values": [value]})

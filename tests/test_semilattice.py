@@ -1,17 +1,22 @@
 """Cayley-table structures: axioms, constructions, order invariants, breadth."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import amnm.semilattice
 from amnm import (
+    ClassificationFailure,
     FreeSemilattice,
     NotAssociative,
     NotClosed,
     NotCommutative,
     NotIdempotent,
     OrthogonalSum,
+    ParseError,
     b_loc,
     breadth,
     free_semilattice,
@@ -72,6 +77,116 @@ def test_validate_rejects_non_associative_table():
     x, y, z = exc.value.witness
     t = np.asarray(table)
     assert t[t[x, y], z] != t[x, t[y, z]]
+
+
+def _first_non_associative_triple(table):
+    """The lexicographically first (i, j, k) with (ij)k != i(jk), by a plain triple loop."""
+    t = [list(map(int, row)) for row in table]
+    n = len(t)
+    for i in range(n):
+        ti = t[i]
+        for j in range(n):
+            tij = t[ti[j]]
+            tj = t[j]
+            for k in range(n):
+                if tij[k] != ti[tj[k]]:
+                    return i, j, k
+    return None
+
+
+def test_validate_finds_a_late_first_witness_on_a_large_table():
+    # the chain min(i, j) on 200 elements with x150 * x170 = x120: commutative and
+    # idempotent, and (x121 x150) x170 = x121 but x121 (x150 x170) = x120
+    table = np.minimum.outer(np.arange(200), np.arange(200))
+    table[150, 170] = table[170, 150] = 120
+    witness = _first_non_associative_triple(table)
+    assert witness[0] >= 100
+    with pytest.raises(NotAssociative) as exc:
+        validate(table)
+    assert exc.value.witness == witness
+    i, j, k = witness
+    assert str(exc.value) == (
+        f"(x{i}*x{j})*x{k} = {table[table[i, j], k]} but x{i}*(x{j}*x{k}) = {table[i, table[j, k]]}"
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n)
+    )
+)
+def test_validate_accepts_a_commutative_idempotent_table_iff_it_is_associative(entries):
+    # the character-table proof decides associativity; the witness is the triple loop's
+    n = int(len(entries) ** 0.5)
+    table = np.array(entries).reshape(n, n)
+    table = np.where(np.arange(n)[:, None] <= np.arange(n), table, table.T)  # symmetric
+    np.fill_diagonal(table, np.arange(n))
+    witness = _first_non_associative_triple(table)
+    if witness is None:
+        assert validate(table).leq.shape == (n, n)
+    else:
+        with pytest.raises(NotAssociative) as exc:
+            validate(table)
+        assert exc.value.witness == witness
+
+
+def test_validate_keeps_its_proof_and_allocates_no_cube():
+    table = nmin(256).table.copy()
+    tracemalloc.start()
+    try:
+        S = validate(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20  # an (n, n, n) index cube is 128 MiB here
+    assert "_mult_rows" in vars(S)  # proved while validating, cached for later readers
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        [[False, False], [False, True]],
+        np.array([[True]]),
+        [["a"]],
+        [[None]],
+        [[0.5]],
+        [[float("nan")]],
+        [[float("inf")]],
+        [[0j]],
+    ],
+)
+def test_validate_rejects_entries_that_are_not_integers(table):
+    with pytest.raises(ParseError):
+        validate(table)
+
+
+@pytest.mark.parametrize("big, dtype", [(1e30, float), (2**70, object), (2**63 + 5, np.uint64)])
+def test_validate_names_an_out_of_range_entry_unwrapped(big, dtype):
+    # the range check runs before the cast to intp, which would wrap these
+    with pytest.raises(NotClosed, match=f"= {int(big)} is out of range 0..1"):
+        validate(np.array([[0, big], [big, 1]], dtype=dtype))
+
+
+def test_a_float_table_of_whole_numbers_is_accepted():
+    assert validate([[0.0, 0.0], [0.0, 1.0]]).table.dtype == np.intp
+
+
+@pytest.mark.parametrize("table", [[[True, 0], [0, 1]], [[0, 0], [0, True]], [[None, 0], [0, 1]]])
+def test_a_document_table_of_non_integers_is_an_input_error(table):
+    with pytest.raises(ParseError):
+        semilattice_from_json({"table": table})
+
+
+def test_a_failed_proof_without_a_witness_is_reraised(monkeypatch):
+    # unreachable for a closed, idempotent, commutative table (the proof holds
+    # iff it is associative), so fake the proof's failure
+    def fail(S):
+        raise ClassificationFailure("a row is not multiplicative")
+
+    monkeypatch.setattr(amnm.semilattice.Semilattice, "_mult_rows", property(fail))
+    with pytest.raises(ClassificationFailure, match="not multiplicative"):
+        validate(nmin(3).table)
 
 
 # ---------------------------------------------------------------------------
