@@ -27,6 +27,7 @@ import numpy as np
 
 from .correction import correct_m2, correct_scalar, correct_t2, correct_weighted
 from .counterexamples import (
+    _positive_delta,
     geometric_weight,
     orthogonal_free_sum,
     psi_n_family,
@@ -266,8 +267,10 @@ def cmd_counterexample(args):
         reports = psi_n_family(base, sizes)
         ws = None
     else:
-        if args.family != "t2-chain" and args.delta is None:
-            raise ParseError(f"{args.family} needs --delta")
+        if args.family != "t2-chain":
+            if args.delta is None:
+                raise ParseError(f"{args.family} needs --delta")
+            delta = _positive_delta(args.delta)
         if args.input is not None:
             doc = _load_document(args.input)
             S = semilattice_from_json(doc)
@@ -275,8 +278,10 @@ def cmd_counterexample(args):
             if ws is None:
                 raise ParseError("chain families need weights (or use --length)")
         elif args.family == "m2-chain-nonuniform":
-            spike = max(2, math.ceil(6.0 / args.delta))
-            ws = spiked_weight(args.length, args.length // 2, spike)
+            spike = 6.0 / delta
+            if spike == math.inf:
+                raise ValueError(f"delta {delta!r} is too small: 6/delta is past the float range")
+            ws = spiked_weight(args.length, args.length // 2, max(2, math.ceil(spike)))
         else:
             ws = geometric_weight(args.length, _json_number(args.base))
         if args.family == "t2-chain":
@@ -289,9 +294,9 @@ def cmd_counterexample(args):
                 raise ParseError("t2-chain needs --m or --m-range")
             reports = [theta_m_t2(ws, m) for m in indices]
         elif args.family == "m2-chain":
-            reports = [theta_m2_chain(ws, args.delta)]
+            reports = [theta_m2_chain(ws, delta)]
         else:
-            reports = [theta_m2_chain_nonuniform(ws, args.delta)]
+            reports = [theta_m2_chain_nonuniform(ws, delta)]
 
     corroborations = []
     if args.corroborate:

@@ -5,8 +5,10 @@ below the method's threshold, constructs an exactly multiplicative map
 nearby, *verifies every intermediate claim of the construction at runtime*,
 and returns a :class:`Certificate` recording the input defect, the claimed
 distance bound, the achieved distance, and the classification data.  All four
-end in :func:`_certify`, which measures the achieved distance and the
-corrected map's defect and builds the certificate.
+end in :func:`_certify`, which measures the achieved distance, takes the
+corrected map's defect from :func:`amnm.defects.defect` (a character's exact 0
+is read off the proved character table, with no scan) and builds the
+certificate.
 
 The four procedures and their guarantees (defect delta measured in the
 stated norm):
@@ -118,8 +120,9 @@ def _require_semilattice(S) -> Semilattice:
 def _certify(target: str, ws_or_s, theta: AlgebraMap, phi: AlgebraMap, input_defect: float,
              claimed_bound: float, norm: str, details: dict) -> Certificate:
     """The ending every correction shares: measure how far the corrected map
-    ``phi`` lies from ``theta`` and its own defect, both in ``norm``, and let
-    :class:`Certificate` check them against the claimed bound."""
+    ``phi`` lies from ``theta`` in ``norm``, take ``phi``'s own defect from
+    :func:`defect` (exactly 0 off the character table when ``phi`` is a
+    character, else a scan), and let :class:`Certificate` check both."""
     dist = weighted_sup_distance_report(ws_or_s, theta, phi, norm)
     details["distance_witness"] = dist.witness
     return Certificate(

@@ -308,6 +308,14 @@ def _eligible_index(pred, n: int, what: str) -> int:
     )
 
 
+def _positive_delta(delta) -> float:
+    """``delta`` as a float once it is positive and finite, else ``ValueError``."""
+    delta = float(delta)
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+    return delta
+
+
 def theta_m2_chain(WS: WeightedSemilattice, delta: float) -> CounterexampleReport:
     """The 2x2-matrix chain map with defect at most ``delta``, distance >= 1/2.
 
@@ -323,9 +331,7 @@ def theta_m2_chain(WS: WeightedSemilattice, delta: float) -> CounterexampleRepor
     Hilbert-Schmidt norm.
     """
     S = _require_chain(WS)
-    delta = float(delta)
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta!r}")
+    delta = _positive_delta(delta)
     om, one = _weights_and_unit(WS)
     level = 2.0 / delta
     i = _eligible_index(lambda j: om[j] >= level and om[j + 1] >= level, S.n, "m2-chain")
@@ -374,9 +380,7 @@ def theta_m2_chain_nonuniform(WS: WeightedSemilattice, delta: float) -> Countere
     ``omega(i) >= 2 omega(i+1)``.
     """
     S = _require_chain(WS)
-    delta = float(delta)
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta!r}")
+    delta = _positive_delta(delta)
     om, one = _weights_and_unit(WS)
     c = max(min(om[j], om[j + 1]) for j in range(S.n - 1)) if S.n > 1 else None
     if c is None:

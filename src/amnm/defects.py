@@ -18,7 +18,9 @@ root is rational, and as an exact rational square otherwise (``_root``).
 This module is the only one that decides between the two (``_can_run_exact``):
 the oracle's exhaustive scan costs all its candidate values in one call of
 ``_element_ratios``, the distance report's kernel, and callers read the path
-off a report's ``defect_sq`` or ``value_sq``.
+off a report's ``defect_sq`` or ``value_sq``.  Before either path, ``defect``
+recognises a character of ``l1(S)`` (:func:`_is_character`) and reads its
+exact 0 off the semilattice's proved character table instead of scanning.
 
 The float path reads every codomain through :meth:`AlgebraMap.as_m2`, as the
 exact filter below does: scalars embed diagonally and T2 values as
@@ -72,7 +74,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ClassificationFailure, ParseError
-from .mat2 import Mat2, T2Element, abs2, hs_norm_sq
+from .mat2 import M2_ID, M2_ZERO, Mat2, T2Element, abs2, hs_norm_sq
 from .semilattice import Semilattice
 from .weights import _BLOCK_CELLS, WeightedSemilattice, _is_exact, _over_common_denominator
 
@@ -332,8 +334,10 @@ def _norms(D: np.ndarray, norm: str) -> np.ndarray:
         det = D[..., 0, 0] * D[..., 1, 1] - D[..., 0, 1] * D[..., 1, 0]
         disc = np.maximum(t * t - 4.0 * np.abs(det) ** 2, 0.0)
         out = np.sqrt((t + np.sqrt(disc)) / 2.0)
+    if k is None:
+        return out
     with np.errstate(over="ignore"):  # a norm past the float range is inf
-        return out if k is None else np.ldexp(out, k)
+        return np.ldexp(out, k)
 
 
 def _integers(*maps: AlgebraMap):
@@ -429,12 +433,11 @@ def _defect_exact(WS: WeightedSemilattice, theta: AlgebraMap, norm: str) -> Defe
 def _defect_float(WS: WeightedSemilattice, theta: AlgebraMap, norm: str) -> DefectReport:
     w, table = WS.omega_float, WS.S.table
     V = _stack(theta)
-    big = _largest_parts(V)
-    if not big.max() <= _UNSCALED_RANGE:  # past the range, or an inf or NaN entry
+    if not np.abs(V.view(float)).max() <= _UNSCALED_RANGE:  # or an inf or NaN entry
         _refuse_non_finite(V, theta)
         # the products could overflow: scale each value down to its largest part,
         # each difference to its own and the weights to their mantissas, by powers of two
-        k = np.maximum(np.frexp(big)[1], 0)
+        k = np.maximum(np.frexp(_largest_parts(V))[1], 0)
         K = k[:, None] + k[None, :]
         U = _scaled(V, -k)
         D = np.einsum("iab,jbc->ijac", U, U) - _scaled(V[table], -K)
@@ -450,10 +453,30 @@ def _defect_float(WS: WeightedSemilattice, theta: AlgebraMap, norm: str) -> Defe
     if theta.codomain != "m2":
         # symmetric defect function: restrict to i <= j (keeps the same
         # maximum and the same lexicographically-first witness)
-        ratios = np.triu(ratios) - np.tril(np.ones_like(ratios), -1)
+        np.putmask(ratios, np.tri(WS.n, k=-1, dtype=bool), -1.0)
     flat = int(np.argmax(ratios))
     i, j = divmod(flat, WS.n)
     return DefectReport(float(ratios[i, j]), (i, j), norm)
+
+
+_EXACT_ZERO = Fraction(0)
+
+
+def _is_character(S: Semilattice, theta: AlgebraMap) -> bool:
+    """Whether ``theta`` is a character of ``l1(S)``, a row of the proved table
+    ``S._mult_rows``: every :meth:`AlgebraMap.as_m2` value is ``I`` or ``0``
+    (the test stops at the first other value), and the set of ``I``s is
+    empty (row 0) or the up-set of the product ``m`` of its elements (row
+    ``m + 1``).  The zero map is multiplicative on any table; reading a row
+    proves the table, else :class:`ClassificationFailure`."""
+    ones, m = bytearray(S.n), None  # the set's bytes, as a boolean row's, and its product
+    for e, v in enumerate(theta.as_m2().values):
+        if v == M2_ID:
+            ones[e] = 1
+            m = e if m is None else S.table.item(m, e)
+        elif v != M2_ZERO:
+            return False
+    return m is None or S._mult_rows[m + 1].tobytes() == ones
 
 
 def defect(ws_or_s, theta: AlgebraMap, norm: str | None = None) -> DefectReport:
@@ -461,11 +484,18 @@ def defect(ws_or_s, theta: AlgebraMap, norm: str | None = None) -> DefectReport:
 
     The unweighted form is obtained by passing a bare semilattice.  Runs the
     exact path automatically when both the weight and the map are
-    rational-valued.
+    rational-valued.  A character (:func:`_is_character`) is not scanned: its
+    defect is read off the proved table as exactly 0 at ``(0, 0)``, the value
+    and witness the scan would report.
     """
     WS = _carrier(ws_or_s, None, theta)
     norm = _check_norm(theta.codomain, norm)
-    if _can_run_exact(WS, theta):
+    exact = _can_run_exact(WS, theta)
+    if _is_character(WS.S, theta):
+        if exact:
+            return DefectReport(_EXACT_ZERO, (0, 0), norm, _EXACT_ZERO, exact_value=True)
+        return DefectReport(0.0, (0, 0), norm)
+    if exact:
         return _defect_exact(WS, theta, norm)
     return _defect_float(WS, theta, norm)
 

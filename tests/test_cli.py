@@ -367,6 +367,21 @@ def test_counterexample_nonuniform_default_weight(capsys):
     assert doc["reports"][0]["details"]["lemma_scenario"] == "double"
 
 
+@pytest.mark.parametrize("family", ["m2-chain", "m2-chain-nonuniform"])
+@pytest.mark.parametrize("delta", ["0", "1e-320", "nan", "inf"])
+def test_a_chain_family_delta_out_of_range_exits_with_its_reason(capsys, family, delta):
+    code, out, err = run(capsys, "--json", "counterexample", "--family", family, "--delta", delta)
+    if delta != "1e-320":
+        want = (3, f"delta must be positive and finite, got {float(delta)!r}")
+    elif family == "m2-chain":  # positive and finite, but no weight reaches 2/delta
+        want = (5, "no adjacent pair")
+    else:  # nor can a float spike reach 6/delta
+        want = (3, "6/delta is past the float range")
+    assert out == ""
+    assert code == want[0]
+    assert want[1] in err
+
+
 def test_oracle_output_is_deterministic(tmp_path, capsys):
     doc = dict(
         CHAIN3,

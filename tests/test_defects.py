@@ -17,7 +17,6 @@ from amnm import (
     AlgebraMap,
     Mat2,
     ParseError,
-    characters,
     correct_m2,
     correct_scalar,
     correct_t2,
@@ -49,7 +48,15 @@ from amnm import (
     weighted_sup_distance,
     weighted_sup_distance_report,
 )
-from amnm.defects import _candidate_pairs, _element_ratios, _integers, _norms, _stack
+from amnm.defects import (
+    _candidate_pairs,
+    _defect_exact,
+    _defect_float,
+    _element_ratios,
+    _integers,
+    _norms,
+    _stack,
+)
 from amnm.weights import _over_common_denominator
 
 
@@ -59,12 +66,73 @@ def test_default_norm_per_codomain():
     assert default_norm("m2") == "hs"
 
 
-def test_characters_have_zero_defect_exactly():
-    S = free_semilattice(3)
-    for chi in characters(S):
-        rep = defect(S, chi)
-        assert rep.defect == 0
-        assert rep.exact_value
+def _binary_maps(row, one):
+    """The 0/1 map a boolean row names, with ``one`` and ``one * 0`` as its values,
+    in every codomain and norm: ``(map, norm)`` pairs."""
+    zero = one * 0
+    vals = [one if bit else zero for bit in row]
+    yield scalar_map(vals), "abs"
+    yield t2_map([(v, zero) for v in vals]), "t2"
+    m2 = m2_map([Mat2(v, zero, zero, v) for v in vals])
+    yield m2, "hs"
+    yield m2, "op"
+
+
+def _scanned(WS, theta, norm):
+    """The report of the scan ``defect`` dispatches to, called directly."""
+    scan = _defect_exact if WS.is_exact and theta.is_exact else _defect_float
+    return scan(WS, theta, norm)
+
+
+def _weights(S):
+    """A unit, an exact and a float weight on ``S``: ``(3/2)**|down(x)|`` is
+    submultiplicative, as ``down(xy)`` is ``down(x) & down(y)``."""
+    down = S.leq.sum(axis=0).tolist()
+    return (
+        unit_weight(S),
+        weighted(S, [Fraction(3, 2) ** k for k in down]),
+        weighted(S, [1.5**k for k in down]),
+    )
+
+
+_CHARACTER_POOL = [
+    nmin(5),
+    free_semilattice(3),
+    orthogonal_free_sum((2, 3)),
+    *(random_semilattice(np.random.default_rng(seed)) for seed in range(3)),
+]
+
+
+def test_characters_have_zero_defect_exactly(monkeypatch):
+    # every row of the proved table is read off as 0 at (0, 0), the scan's
+    # report, and no scan runs for it
+    for name in ("_defect_exact", "_defect_float"):
+        monkeypatch.setattr(f"amnm.defects.{name}", lambda *args: pytest.fail("scanned"))
+    for S in _CHARACTER_POOL:
+        for WS in _weights(S):
+            for row in S._mult_rows:
+                for one in (1, 1.0, 1 + 0j, Fraction(1)):
+                    for chi, norm in _binary_maps(row, one):
+                        rep, scan = defect(WS, chi, norm), _scanned(WS, chi, norm)
+                        assert rep == scan
+                        assert type(rep.defect) is type(scan.defect)
+                        assert rep.defect == 0
+                        assert rep.exact_value == (WS.is_exact and chi.is_exact)
+
+
+def test_a_binary_map_off_the_character_table_is_scanned():
+    # {0} is no filter of the chain 0 < 1 < 2: theta(0) theta(1) - theta(0) = -1
+    rep = defect(nmin(3), scalar_map([1, 0, 0]))
+    assert (rep.defect, rep.witness) == (1, (0, 1))
+    for S in _CHARACTER_POOL[:2]:
+        rows = {tuple(row) for row in S._mult_rows.tolist()}
+        for WS in _weights(S):
+            for bits in range(2**S.n):
+                row = [bool(bits >> e & 1) for e in range(S.n)]
+                for theta, norm in _binary_maps(row, 1):
+                    rep = defect(WS, theta, norm)
+                    assert rep == _scanned(WS, theta, norm)
+                    assert (rep.defect > 0) == (tuple(row) not in rows)
 
 
 def test_exact_rational_defect_with_weights():
@@ -96,9 +164,10 @@ def test_float_defect_matches_direct_computation(rng):
 
 
 def _python_product_defect(WS, theta):
-    """The float defect from Python products, one ``np.abs`` per complex part."""
+    """The float defect from Python products, one ``np.abs`` per complex part,
+    and the first pair ``(i <= j)`` at it."""
     w, table, vals = WS.omega_float, WS.S.table, theta.values
-    best = 0.0
+    best, witness = 0.0, (0, 0)
     for i in range(WS.n):
         for j in range(i, WS.n):
             if theta.codomain == "scalar":
@@ -106,8 +175,10 @@ def _python_product_defect(WS, theta):
             else:
                 d = vals[i] @ vals[j] - vals[table[i, j]]
                 norm = np.abs(np.complex128(d.a)) + np.abs(np.complex128(d.b))
-            best = max(best, norm / (w[i] * w[j]))
-    return best
+            ratio = norm / (w[i] * w[j])
+            if ratio > best:
+                best, witness = ratio, (i, j)
+    return best, witness
 
 
 @pytest.mark.parametrize("draw", [random_scalar_instance, random_t2_instance])
@@ -119,7 +190,8 @@ def test_float_defect_rounds_like_python_products(draw):
         S = random_semilattice(gen)
         theta = draw(gen, S)
         for WS in (unit_weight(S), random_submultiplicative_weight(gen, S)):
-            assert defect(WS, theta).defect_float == _python_product_defect(WS, theta)
+            rep = defect(WS, theta)
+            assert (rep.defect_float, rep.witness) == _python_product_defect(WS, theta)
 
 
 def test_t2_defect_uses_the_dual_number_norm():

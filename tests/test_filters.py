@@ -91,6 +91,8 @@ def test_a_table_that_is_not_a_semilattice_fails_the_character_proof():
     S = Semilattice([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
     with pytest.raises(ClassificationFailure):
         nearest_mult_scalar(S, scalar_map([0, 1, 0]))
+    with pytest.raises(ClassificationFailure):  # a 0/1 map's defect reads the proved table
+        defect(S, scalar_map([0, 1, 0]))
     with pytest.raises(ClassificationFailure):
         nearest_mult_t2(S, t2_map([(0, 0), (1, 0), (0, 0)]))
     with pytest.raises(ClassificationFailure):
