@@ -27,16 +27,22 @@ import numpy as np
 
 from .correction import correct_m2, correct_scalar, correct_t2, correct_weighted
 from .counterexamples import (
-    _positive_delta,
+    _psi_carrier,
     geometric_weight,
-    orthogonal_free_sum,
     psi_n_family,
     spiked_weight,
     theta_m2_chain,
     theta_m2_chain_nonuniform,
     theta_m_t2,
 )
-from .defects import _carrier, _json_number, defect, map_from_json, round_to_binary
+from .defects import (
+    _carrier,
+    _json_number,
+    _positive_finite,
+    defect,
+    map_from_json,
+    round_to_binary,
+)
 from .errors import (
     AxiomViolation,
     ClassificationFailure,
@@ -65,7 +71,6 @@ from .semilattice import (
 )
 from .weights import (
     WeightedSemilattice,
-    counterexample_weight,
     random_submultiplicative_weight,
     weighted,
 )
@@ -265,12 +270,12 @@ def cmd_counterexample(args):
         base = _json_number(args.base)
         sizes = tuple(int(s) for s in args.sizes.split(","))
         reports = psi_n_family(base, sizes)
-        ws = None
+        ws = _psi_carrier(base, sizes) if args.corroborate else None
     else:
         if args.family != "t2-chain":
             if args.delta is None:
                 raise ParseError(f"{args.family} needs --delta")
-            delta = _positive_delta(args.delta)
+            delta = _positive_finite("delta", args.delta)
         if args.input is not None:
             doc = _load_document(args.input)
             S = semilattice_from_json(doc)
@@ -300,10 +305,6 @@ def cmd_counterexample(args):
 
     corroborations = []
     if args.corroborate:
-        if args.family == "psi-blocks":
-            # the weighted carrier that every block of the family shares
-            T = orthogonal_free_sum(sizes)
-            ws = weighted(T, counterexample_weight(T, base))
         corroborations = [
             _corroborate(ws, rep, args.norm, args.starts, args.seed) for rep in reports
         ]

@@ -48,6 +48,7 @@ from fractions import Fraction
 from .defects import (
     AlgebraMap,
     _carrier,
+    _positive_finite,
     defect,
     m2_map,
     scalar_map,
@@ -195,9 +196,7 @@ def correct_weighted(WS: WeightedSemilattice, psi: AlgebraMap, epsilon: float) -
     if not isinstance(WS, WeightedSemilattice):
         raise TypeError("correct_weighted needs a WeightedSemilattice")
     _carrier(WS, "scalar", psi)
-    epsilon = float(epsilon)
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    epsilon = _positive_finite("epsilon", epsilon)
     binary = _binary_values(psi)
     delta = defect(WS, psi).defect_float
     level = 2.0 / epsilon

@@ -6,7 +6,9 @@ multiplicative map.  The defect claims are certified by exact rational
 arithmetic whenever the weights permit; the distance claims are certified
 either by exhaustive enumeration of the (finitely many) multiplicative maps
 or by the two-element obstruction inequalities of
-:func:`amnm.mat2.obstruction_check`.
+:func:`amnm.mat2.obstruction_check`.  Every family, ``psi_n_family``
+included, also takes float weights: its closed forms are then checked to
+1e-12 relative (:func:`_check_closed_form`).
 
 Families
 ========
@@ -40,6 +42,7 @@ from fractions import Fraction
 from .defects import (
     AlgebraMap,
     DefectReport,
+    _positive_finite,
     defect,
     m2_map,
     scalar_map,
@@ -52,7 +55,6 @@ from .mat2 import Mat2
 from .oracle import _exhaustive_nearest
 from .semilattice import (
     OrthogonalSum,
-    Semilattice,
     free_semilattice,
     nmin,
     orthogonal_direct_sum,
@@ -127,9 +129,36 @@ def orthogonal_free_sum(sizes) -> OrthogonalSum:
     return orthogonal_direct_sum([free_semilattice(k) for k in sizes])
 
 
+_CLOSED_FORM_BAND = ((1 - Fraction(1, 10**12)) ** 2, (1 + Fraction(1, 10**12)) ** 2)
+
+
+def _check_closed_form(value: float, value_sq, expected_sq, what: str) -> None:
+    """Raise unless a reported value is ``sqrt(expected_sq)``: exactly when the
+    report carries its exact square ``value_sq``, to 1e-12 relative otherwise.
+    The float value is squared in ``Fraction``, so no scale underflows the check."""
+    if value_sq is not None:
+        holds = value_sq == expected_sq
+    else:
+        low, high = (band * expected_sq for band in _CLOSED_FORM_BAND)
+        holds = 0 <= value < math.inf and low <= Fraction(value) ** 2 <= high
+    if not holds:
+        raise ClassificationFailure(f"{what} is {value!r}, expected sqrt({expected_sq!r})")
+
+
 # ---------------------------------------------------------------------------
 # Scalar family on orthogonal sums of free blocks.
 # ---------------------------------------------------------------------------
+
+
+def _psi_carrier(base, sizes) -> WeightedSemilattice:
+    """The weighted orthogonal sum that every block of :func:`psi_n_family` shares:
+    free blocks on ``sizes`` generators with :func:`counterexample_weight` at ``base``."""
+    if not base > 1:
+        raise ValueError(f"base must exceed 1, got {base!r}")
+    if any(k < 2 for k in sizes):
+        raise ValueError("blocks need at least 2 generators to break multiplicativity")
+    T = orthogonal_free_sum(sizes)
+    return weighted(T, counterexample_weight(T, base))
 
 
 def psi_n_family(base=2, sizes=(2, 3, 4, 5)) -> list[CounterexampleReport]:
@@ -145,40 +174,30 @@ def psi_n_family(base=2, sizes=(2, 3, 4, 5)) -> list[CounterexampleReport]:
     """
     if isinstance(base, int):
         base = Fraction(base)
-    if base <= 1:
-        raise ValueError(f"base must exceed 1, got {base!r}")
-    if any(k < 2 for k in sizes):
-        raise ValueError("blocks need at least 2 generators to break multiplicativity")
-    T = orthogonal_free_sum(sizes)
-    WS = weighted(T, counterexample_weight(T, base))
+    WS = _psi_carrier(base, sizes)
+    inv_sq = 1 / Fraction(base) ** 2
     reports = []
-    for n, (start, stop) in enumerate(T.blocks):
+    for n, (start, stop) in enumerate(WS.S.blocks):
         k = sizes[n]
         block_zero = stop - 1  # the full-support element of the free block
         psi = scalar_map(
-            [1 if start <= e < stop and e != block_zero else 0 for e in range(T.n)]
+            [1 if start <= e < stop and e != block_zero else 0 for e in range(WS.n)]
         )
         rep = defect(WS, psi)
-        expected_sq = (base ** -k) ** 2
-        if rep.defect_sq != expected_sq:
-            raise ClassificationFailure(
-                f"block {n}: defect^2 is {rep.defect_sq!r}, expected {expected_sq!r}"
-            )
+        _check_closed_form(rep.defect_float, rep.defect_sq, inv_sq**k, f"block {n}: defect")
         near, row = _exhaustive_nearest(WS, psi)
-        dist = 1 / base
-        if near.value_exact != dist:
-            raise ClassificationFailure(
-                f"block {n}: nearest multiplicative map is at distance "
-                f"{near.value!r}, expected {dist!r}"
-            )
+        exact = near.value_exact
+        _check_closed_form(
+            near.value, None if exact is None else exact**2, inv_sq, f"block {n}: distance"
+        )
         reports.append(
             CounterexampleReport(
                 family="psi-blocks",
                 params={"base": base, "sizes": tuple(sizes), "block": n},
                 theta=psi,
                 defect=rep,
-                distance_lower_bound=float(dist),
-                distance_exact=dist,
+                distance_lower_bound=float(1 / base),
+                distance_exact=exact,
                 method="exhaustive",
                 details={
                     "block_range": (start, stop),
@@ -196,32 +215,24 @@ def psi_n_family(base=2, sizes=(2, 3, 4, 5)) -> list[CounterexampleReport]:
 # ---------------------------------------------------------------------------
 
 
-def _require_chain(WS: WeightedSemilattice) -> Semilattice:
-    S = WS.S
-    if not _is_nmin_table(S):
+def _chain_weights(WS: WeightedSemilattice):
+    """A min-chain's weights, one and zero, in the weight's number type (exact
+    weights as given); :class:`StructureMismatch` off a min-chain."""
+    if not _is_nmin_table(WS.S):
         raise StructureMismatch("this family needs a min-chain semilattice")
-    return S
+    if WS.is_exact:
+        return list(WS.omega), 1, 0
+    return [float(x) for x in WS.omega_float], 1.0, 0.0
 
 
-def _weights_and_unit(WS: WeightedSemilattice):
-    """The weights and the unit in the weight's number type (exact weights as given)."""
-    return (list(WS.omega), 1) if WS.is_exact else ([float(x) for x in WS.omega_float], 1.0)
+def _chain(n: int, i: int, below, at_i: list, above) -> list:
+    """A chain map's values: ``below`` under ``i``, ``at_i`` from ``i`` on, ``above`` past them."""
+    return [below] * i + at_i + [above] * (n - i - len(at_i))
 
 
-_CLOSED_FORM_BAND = ((1 - Fraction(1, 10**12)) ** 2, (1 + Fraction(1, 10**12)) ** 2)
-
-
-def _check_closed_form(value: float, value_sq, expected_sq, what: str) -> None:
-    """Raise unless a reported value is ``sqrt(expected_sq)``: exactly when the
-    report carries its exact square ``value_sq``, to 1e-12 relative otherwise.
-    The float value is squared in ``Fraction``, so no scale underflows the check."""
-    if value_sq is not None:
-        holds = value_sq == expected_sq
-    else:
-        low, high = (band * expected_sq for band in _CLOSED_FORM_BAND)
-        holds = 0 <= value < math.inf and low <= Fraction(value) ** 2 <= high
-    if not holds:
-        raise ClassificationFailure(f"{what} is {value!r}, expected sqrt({expected_sq!r})")
+def _m2_chain(n: int, i: int, at_i: list, one, zero) -> AlgebraMap:
+    """The 2x2-matrix chain map: zero under ``i``, ``at_i`` from ``i`` on, identity above."""
+    return m2_map(_chain(n, i, Mat2(zero, zero, zero, zero), at_i, Mat2(one, zero, zero, one)))
 
 
 def theta_m_t2(WS: WeightedSemilattice, m: int) -> CounterexampleReport:
@@ -235,15 +246,11 @@ def theta_m_t2(WS: WeightedSemilattice, m: int) -> CounterexampleReport:
     only ``1/omega(m)`` away, so enlarging the codomain dissolves the
     obstruction.
     """
-    S = _require_chain(WS)
-    n = S.n
+    om, one, zero = _chain_weights(WS)
+    n = len(om)
     if not 0 <= m < n:
         raise NoEligibleIndex(f"index {m} outside 0..{n - 1}")
-    om, one = _weights_and_unit(WS)
-    zero = one * 0
-    theta = t2_map(
-        [(one if k >= m else zero, om[m] if k == m else zero) for k in range(n)]
-    )
+    theta = t2_map(_chain(n, m, (zero, zero), [(one, om[m])], (one, zero)))
     rep = defect(WS, theta)
     if not (rep.witness == (m, m)):
         raise ClassificationFailure(f"defect witness {rep.witness!r} is not ({m},{m})")
@@ -256,17 +263,7 @@ def theta_m_t2(WS: WeightedSemilattice, m: int) -> CounterexampleReport:
         near.value, None if exact is None else exact**2, 1, "nearest upper-triangular distance"
     )
 
-    companion = m2_map(
-        [
-            Mat2(
-                one if k >= m else zero,
-                om[m] if k == m else zero,
-                zero,
-                one if k >= m + 1 else zero,
-            )
-            for k in range(n)
-        ]
-    )
+    companion = _m2_chain(n, m, [Mat2(one, om[m], zero, zero)], one, zero)
     companion_defect = defect(WS, companion, "op")
     if companion_defect.defect_float != 0.0:
         raise ClassificationFailure("companion map is not exactly multiplicative")
@@ -292,28 +289,27 @@ def theta_m_t2(WS: WeightedSemilattice, m: int) -> CounterexampleReport:
     )
 
 
-def _chain_map(n: int, i: int, at_i: Mat2, at_next: Mat2, one) -> AlgebraMap:
-    """Zero below ``i``, ``at_i`` at ``i``, ``at_next`` at ``i + 1``, identity above."""
-    zero = one * 0
-    below, above = Mat2(zero, zero, zero, zero), Mat2(one, zero, zero, one)
-    return m2_map([below] * i + [at_i, at_next] + [above] * (n - i - 2))
-
-
-def _eligible_index(pred, n: int, what: str) -> int:
-    for i in range(n - 1):
-        if pred(i):
+def _eligible_index(pred, om: list, what: str) -> int:
+    """The least ``i`` whose adjacent weights ``om[i], om[i + 1]`` satisfy ``pred``."""
+    for i in range(len(om) - 1):
+        if pred(om[i], om[i + 1]):
             return i
     raise NoEligibleIndex(
         f"no adjacent pair of this chain satisfies the {what} weight conditions"
     )
 
 
-def _positive_delta(delta) -> float:
-    """``delta`` as a float once it is positive and finite, else ``ValueError``."""
-    delta = float(delta)
-    if not 0.0 < delta < math.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta!r}")
-    return delta
+def _m2_chain_report(WS, family, params, theta, witness, expected_sq, what, cap, details):
+    """The ``"analytic-lemma"`` report of an M2 chain map, distance floor 1/2, once its
+    op-norm defect is attained at ``witness``, is ``sqrt(expected_sq)`` (as
+    :func:`_check_closed_form` reads it) and is at most ``cap``."""
+    rep = defect(WS, theta, "op")
+    if rep.witness != witness:
+        raise ClassificationFailure(f"defect witness {rep.witness!r} is not {witness!r}")
+    _check_closed_form(rep.defect_float, rep.defect_sq, expected_sq, what)
+    if rep.defect_float > cap:
+        raise ClassificationFailure(f"defect {rep.defect_float!r} exceeds its cap {cap!r}")
+    return CounterexampleReport(family, params, theta, rep, 0.5, None, "analytic-lemma", details)
 
 
 def theta_m2_chain(WS: WeightedSemilattice, delta: float) -> CounterexampleReport:
@@ -330,32 +326,20 @@ def theta_m2_chain(WS: WeightedSemilattice, delta: float) -> CounterexampleRepor
     distance at least 1/2 — in operator norm, hence also in the larger
     Hilbert-Schmidt norm.
     """
-    S = _require_chain(WS)
-    delta = _positive_delta(delta)
-    om, one = _weights_and_unit(WS)
+    om, one, zero = _chain_weights(WS)
+    delta = _positive_finite("delta", delta)
     level = 2.0 / delta
-    i = _eligible_index(lambda j: om[j] >= level and om[j + 1] >= level, S.n, "m2-chain")
-    zero = one * 0
-    theta = _chain_map(S.n, i, Mat2(one, -om[i], zero, zero), Mat2(one, om[i + 1], zero, zero), one)
-    rep = defect(WS, theta, "op")
-    if rep.witness != (i, i + 1):
-        raise ClassificationFailure(f"defect witness {rep.witness!r} is not ({i},{i + 1})")
-    expected = 1 / Fraction(om[i]) + 1 / Fraction(om[i + 1])
-    _check_closed_form(
-        rep.defect_float, rep.defect_sq, expected**2, "defect 1/omega(i) + 1/omega(i+1)"
-    )
-    if rep.defect_float > delta:
-        raise ClassificationFailure(
-            f"defect {rep.defect_float!r} exceeds the requested delta {delta!r}"
-        )
-    return CounterexampleReport(
+    i = _eligible_index(lambda a, b: a >= level and b >= level, om, "m2-chain")
+    at_i = [Mat2(one, -om[i], zero, zero), Mat2(one, om[i + 1], zero, zero)]
+    return _m2_chain_report(
+        WS,
         family="m2-chain",
         params={"delta": delta, "index": i, "omega_i": om[i], "omega_i1": om[i + 1]},
-        theta=theta,
-        defect=rep,
-        distance_lower_bound=0.5,
-        distance_exact=None,
-        method="analytic-lemma",
+        theta=_m2_chain(len(om), i, at_i, one, zero),
+        witness=(i, i + 1),
+        expected_sq=(1 / Fraction(om[i]) + 1 / Fraction(om[i + 1])) ** 2,
+        what="defect 1/omega(i) + 1/omega(i+1)",
+        cap=delta,
         details={
             "lemma_scenario": "pair",
             "lemma_a": om[i],
@@ -379,50 +363,29 @@ def theta_m2_chain_nonuniform(WS: WeightedSemilattice, delta: float) -> Countere
     multiplicative map at weighted distance at least 1/2, using
     ``omega(i) >= 2 omega(i+1)``.
     """
-    S = _require_chain(WS)
-    delta = _positive_delta(delta)
-    om, one = _weights_and_unit(WS)
-    c = max(min(om[j], om[j + 1]) for j in range(S.n - 1)) if S.n > 1 else None
-    if c is None:
-        raise NoEligibleIndex("the chain has no adjacent pair at all")
-    i = _eligible_index(
-        lambda j: om[j] >= max(6.0 / delta, 2 * c) and om[j + 1] <= c,
-        S.n,
-        "non-uniform m2-chain",
-    )
+    om, one, zero = _chain_weights(WS)
+    delta = _positive_finite("delta", delta)
+    c = max(map(min, om, om[1:]), default=0)  # no index is eligible on a shorter chain
+    heavy = max(6.0 / delta, 2 * c)
+    i = _eligible_index(lambda a, b: a >= heavy and b <= c, om, "non-uniform m2-chain")
     if not om[i] >= 2 * om[i + 1]:
         raise ClassificationFailure("omega(i) >= 2 omega(i+1) failed after selection")
-    zero = one * 0
     base = Mat2(one, om[i], zero, zero)
-    theta = _chain_map(S.n, i, 2 * base, base, one)
-    rep = defect(WS, theta, "op")
-    if rep.witness != (i, i):
-        raise ClassificationFailure(f"defect witness {rep.witness!r} is not ({i},{i})")
     inv = 1 / Fraction(om[i])
-    _check_closed_form(
-        rep.defect_float,
-        rep.defect_sq,
-        4 * (inv**2 + inv**4),
-        "defect 2 sqrt(1 + omega(i)^2) / omega(i)^2",
-    )
-    if rep.defect_float > (2.0 / 3.0) * delta + 1e-15:
-        raise ClassificationFailure(
-            f"defect {rep.defect_float!r} exceeds (2/3) delta = {(2.0 / 3.0) * delta!r}"
-        )
-    norm_ratio = 2.0 * float(om[i]) / float(om[i + 1])
-    return CounterexampleReport(
+    return _m2_chain_report(
+        WS,
         family="m2-chain-nonuniform",
         params={"delta": delta, "index": i, "omega_i": om[i], "omega_i1": om[i + 1]},
-        theta=theta,
-        defect=rep,
-        distance_lower_bound=0.5,
-        distance_exact=None,
-        method="analytic-lemma",
+        theta=_m2_chain(len(om), i, [2 * base, base], one, zero),
+        witness=(i, i),
+        expected_sq=4 * (inv**2 + inv**4),
+        what="defect 2 sqrt(1 + omega(i)^2) / omega(i)^2",
+        cap=(2.0 / 3.0) * delta + 1e-15,
         details={
             "lemma_scenario": "double",
             "lemma_d": om[i],
             "lemma_elements": (i, i + 1),
             "weight_cap": c,
-            "sup_norm_bound": norm_ratio,
+            "sup_norm_bound": 2.0 * float(om[i]) / float(om[i + 1]),
         },
     )

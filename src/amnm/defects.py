@@ -654,6 +654,14 @@ def _json_number(x):
     raise ParseError(f"expected a number or 'p/q' string, got {x!r}")
 
 
+def _positive_finite(name: str, x) -> float:
+    """``x`` as a float once it is positive and finite, else ``ValueError``."""
+    x = float(x)
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {x!r}")
+    return x
+
+
 def _num_from_json(x):
     # integers and "p/q" strings stay exact so rational certificates survive
     # the wire format; floats and [re, im] pairs take the numeric path

@@ -43,7 +43,7 @@ class NotClosed(AxiomViolation):
 
 
 class NonPositiveWeight(AxiomViolation):
-    """A weight value is not a strictly positive real; witness = index."""
+    """A weight value is not a finite, strictly positive real; witness = index."""
 
 
 class NotSubmultiplicative(AxiomViolation):

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .defects import AlgebraMap, map_to_json
-from .mat2 import Mat2, T2Element
+from .mat2 import Mat2
 
 __all__ = ["to_jsonable", "canonical_json", "render_table"]
 
@@ -41,8 +41,6 @@ def to_jsonable(obj):
         return map_to_json(obj)
     if isinstance(obj, Mat2):
         return [[to_jsonable(obj.a), to_jsonable(obj.b)], [to_jsonable(obj.c), to_jsonable(obj.d)]]
-    if isinstance(obj, T2Element):
-        return [to_jsonable(obj.a), to_jsonable(obj.b)]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, (frozenset, set)):

@@ -73,7 +73,9 @@ def check_submultiplicative(S: Semilattice, omega: Sequence) -> tuple[int, int] 
 
     Comparisons are exact (no tolerance): ``W(x*y) L > W(x) W(y)`` on the
     integers ``W = L omega``, or on float64 if any weight is a float.  Raises
-    :class:`NonPositiveWeight` if some value is not a strictly positive real number.
+    :class:`NonPositiveWeight` if some value is not a strictly positive real number
+    (an infinite weight compares as a float here; :class:`WeightedSemilattice`
+    refuses it).
     """
     if len(omega) != S.n:
         raise ValueError(f"weight has {len(omega)} entries for a {S.n}-element semilattice")
@@ -117,6 +119,9 @@ class WeightedSemilattice:
 
     def __post_init__(self):
         object.__setattr__(self, "omega", tuple(self.omega))
+        if math.inf in self.omega:
+            i = self.omega.index(math.inf)
+            raise NonPositiveWeight(f"omega[{i}] = inf is not finite", i)
         witness = check_submultiplicative(self.S, self.omega)
         if witness is not None:
             i, j = witness
@@ -159,22 +164,21 @@ def unit_weight(S: Semilattice) -> WeightedSemilattice:
     return WeightedSemilattice(S, (1,) * S.n)
 
 
+def _building_block(C, gamma, zeros) -> tuple:
+    """``C**gamma(e)`` at each element ``e``, but ``C`` at each element of ``zeros``."""
+    if not C >= 1:
+        raise ValueError(f"building-block base must satisfy C >= 1, got {C!r}")
+    base = Fraction(C) if _is_exact(C) else float(C)
+    return tuple(base if e in zeros else base ** int(g) for e, g in enumerate(gamma))
+
+
 def building_block_weight(F: FreeSemilattice, C) -> tuple:
     """The weight ``C^gamma(e)`` for ``e`` above the zero, and ``C`` at the zero.
 
     ``C >= 1`` is required.  When ``C`` is an int or Fraction the returned
     values are exact Fractions.
     """
-    if not C >= 1:
-        raise ValueError(f"building-block base must satisfy C >= 1, got {C!r}")
-    base = Fraction(C) if _is_exact(C) else float(C)
-    values = []
-    for e in range(F.n):
-        if e == F.zero:
-            values.append(base)
-        else:
-            values.append(base ** int(F.gamma[e]))
-    return tuple(values)
+    return _building_block(C, F.gamma, {F.zero})
 
 
 def _recover_blocks(T: Semilattice) -> tuple[int, list[list[int]]]:
@@ -199,9 +203,9 @@ def _recover_blocks(T: Semilattice) -> tuple[int, list[list[int]]]:
 
 
 def _verify_free_block(T: Semilattice, block: list[int]) -> dict[int, int]:
-    """Check a block is a free semilattice; return the length function on it."""
+    """Check a block is a free semilattice; return the length function on it. Once
+    it is closed and has ``2**k - 1`` elements, distinct generator products exhaust it."""
     table = T.table
-    members = set(block)
     if not np.isin(table[np.ix_(block, block)], block).all():
         raise StructureMismatch("block is not closed under the product")
     generators = [
@@ -219,14 +223,9 @@ def _verify_free_block(T: Semilattice, block: list[int]) -> dict[int, int]:
             if (mask >> b) & 1:
                 g = generators[b]
                 prod = g if prod is None else int(table[prod, g])
-        size = mask.bit_count()
-        if prod in gamma and gamma[prod] != size:
-            raise StructureMismatch("block products do not realize a free semilattice")
         if prod in gamma:
             raise StructureMismatch("two generator subsets share a product; block not free")
-        gamma[prod] = size
-    if set(gamma) != members:
-        raise StructureMismatch("generator products do not exhaust the block")
+        gamma[prod] = mask.bit_count()
     return gamma
 
 
@@ -238,18 +237,14 @@ def counterexample_weight(T: Semilattice, C) -> tuple:
     orthogonal-sum-of-free-blocks shape (raises :class:`StructureMismatch`
     otherwise), so the function can be used on reconstructed inputs.
     """
-    if not C >= 1:
-        raise ValueError(f"building-block base must satisfy C >= 1, got {C!r}")
-    base = Fraction(C) if _is_exact(C) else float(C)
-    zero, blocks = _recover_blocks(T)
-    values: list = [None] * T.n
-    values[zero] = base**0
+    blocks = _recover_blocks(T)[1]
+    gamma, zeros = [0] * T.n, set()
     for block in blocks:
-        gamma = _verify_free_block(T, block)
-        k = max(gamma.values())
-        for e, g in gamma.items():
-            values[e] = base if g == k else base**g
-    return tuple(values)
+        lengths = _verify_free_block(T, block)
+        for e, g in lengths.items():
+            gamma[e] = g
+        zeros.add(max(lengths, key=lengths.get))
+    return _building_block(C, gamma, zeros)
 
 
 def sublevel_set(WS: WeightedSemilattice, K) -> frozenset[int]:

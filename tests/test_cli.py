@@ -382,6 +382,15 @@ def test_a_chain_family_delta_out_of_range_exits_with_its_reason(capsys, family,
     assert want[1] in err
 
 
+@pytest.mark.parametrize("epsilon", ["inf", "nan", "0", "-1"])
+def test_a_weighted_correction_epsilon_out_of_range_exits_3(capsys, epsilon):
+    path = str(Path(__file__).parent / "golden" / "inputs" / "weighted.json")
+    argv = ["--json", "correct", "--target", "weighted", "--epsilon", epsilon, path]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "epsilon must be positive and finite" in err
+
+
 def test_oracle_output_is_deterministic(tmp_path, capsys):
     doc = dict(
         CHAIN3,

@@ -133,6 +133,14 @@ def test_weighted_correction_rejects_non_binary_values():
         correct_weighted(WS, scalar_map([0.9, 1.0, 1.0]), 0.5)
 
 
+@pytest.mark.parametrize("epsilon", [float("inf"), float("nan"), 0.0, -1.0])
+def test_weighted_correction_refuses_an_epsilon_that_is_not_positive_and_finite(epsilon):
+    # an infinite epsilon makes the level 2/epsilon zero and the claimed bound
+    # inf, which no document can carry
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        correct_weighted(geometric_weight(3), scalar_map([1, 1, 1]), epsilon)
+
+
 # ---------------------------------------------------------------------------
 # Upper-triangular (dual-number) target.
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Counterexample families: exact defect formulas and certified distance floors."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from amnm import (
     weighted_sup_distance,
     weighted_sup_distance_report,
 )
+from amnm import counterexamples
 from amnm.counterexamples import _check_closed_form
 from amnm.defects import _candidate_pairs, _integers
 from amnm.oracle import _exhaustive_nearest
@@ -93,6 +95,18 @@ def test_block_family_with_base_three():
     assert [r.defect.defect for r in reports] == [Fraction(1, 9), Fraction(1, 27)]
     for r in reports:
         assert r.distance_exact == Fraction(1, 3)
+
+
+@pytest.mark.parametrize("base, sizes", [(2.0, (2, 3, 4)), (2.5, (2, 3))])
+def test_block_family_with_a_float_base(base, sizes):
+    # the float scans give no exact squares; the closed forms hold to 1e-12 relative
+    reports = psi_n_family(base, sizes)
+    assert len(reports) == len(sizes)
+    for r, k in zip(reports, sizes):
+        assert r.defect.defect_sq is None and r.distance_exact is None
+        assert r.defect.defect_float == pytest.approx(base**-k, rel=1e-12)
+        assert r.distance_lower_bound == pytest.approx(1 / base, rel=1e-12)
+        assert r.method == "exhaustive"
 
 
 def test_block_family_defect_recomputes_independently():
@@ -233,6 +247,38 @@ def test_the_closed_form_check_separates_a_relative_error_at_every_scale(spike):
     _check_closed_form(value, None, expected_sq, "defect")
     with pytest.raises(ClassificationFailure):
         _check_closed_form(value * (1 + 1e-9), None, expected_sq, "defect")
+
+
+_M2_CHAINS = [
+    (theta_m2_chain, lambda: geometric_weight(12), 0.05),
+    (theta_m2_chain_nonuniform, lambda: spiked_weight(9, 4, 400), 0.02),
+]
+
+
+@pytest.mark.parametrize("family, carrier, delta", _M2_CHAINS)
+def test_an_m2_chain_refuses_a_defect_off_its_witness(monkeypatch, family, carrier, delta):
+    real = counterexamples.defect
+    monkeypatch.setattr(
+        counterexamples,
+        "defect",
+        lambda *args: dataclasses.replace(real(*args), witness=(0, 0)),
+    )
+    with pytest.raises(ClassificationFailure, match=r"defect witness \(0, 0\) is not"):
+        family(carrier(), delta)
+
+
+@pytest.mark.parametrize("family, carrier, delta", _M2_CHAINS)
+def test_an_m2_chain_refuses_a_defect_past_its_cap(monkeypatch, family, carrier, delta):
+    # the exact square still matches the closed form, but the value read as
+    # the defect is 1, far past delta
+    real = counterexamples.defect
+    monkeypatch.setattr(
+        counterexamples,
+        "defect",
+        lambda *args: dataclasses.replace(real(*args), defect=Fraction(1)),
+    )
+    with pytest.raises(ClassificationFailure, match="exceeds its cap"):
+        family(carrier(), delta)
 
 
 def test_m2_chain_nonuniform_requires_a_spike():

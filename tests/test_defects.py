@@ -66,6 +66,15 @@ def test_default_norm_per_codomain():
     assert default_norm("m2") == "hs"
 
 
+def test_a_norm_outside_the_codomain_is_refused():
+    S = nmin(2)
+    with pytest.raises(ValueError, match="norm 'op' is not valid for codomain 'scalar'"):
+        defect(S, scalar_map([1, 0]), "op")
+    theta, phi = m2_map([M2_ID, M2_ID]), m2_map([M2_ID, Mat2(0, 0, 0, 0)])
+    with pytest.raises(ValueError, match="norm 'abs' is not valid for codomain 'm2'"):
+        weighted_sup_distance_report(unit_weight(S), theta, phi, "abs")
+
+
 def _binary_maps(row, one):
     """The 0/1 map a boolean row names, with ``one`` and ``one * 0`` as its values,
     in every codomain and norm: ``(map, norm)`` pairs."""

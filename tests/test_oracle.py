@@ -175,6 +175,11 @@ def test_m2_enumeration_lists_maps_in_first_seen_order(semilattice_pool):
 # ---------------------------------------------------------------------------
 
 
+def test_nearest_m2_refuses_a_norm_outside_its_codomain():
+    with pytest.raises(ValueError, match="norm 'abs' is not valid for codomain 'm2'"):
+        nearest_mult_m2(nmin(2), m2_map([M2_ID, M2_ZERO]), norm="abs")
+
+
 def test_nearest_scalar_is_the_exhaustive_minimum(rng):
     for _ in range(20):
         S = random_semilattice(rng)

@@ -40,6 +40,18 @@ def test_weighted_rejects_nonpositive_values():
     assert exc.value.witness == 1
 
 
+def test_weighted_rejects_infinite_values():
+    # inf <= inf * omega(y) holds, so no pair of the weight check objects
+    for omega, index in [([1.0, float("inf")], 1), ([float("inf"), float("inf")], 0)]:
+        with pytest.raises(NonPositiveWeight, match="not finite") as exc:
+            weighted(nmin(2), omega)
+        assert exc.value.witness == index
+    with pytest.raises(NonPositiveWeight):
+        geometric_weight(3, float("inf"))
+    with pytest.raises(NonPositiveWeight):
+        spiked_weight(4, 1, float("inf"))
+
+
 def test_weighted_rejects_supermultiplicative_values():
     S = free_semilattice(2)
     # omega(xy) = 4 > omega(x) * omega(y) = 1 at the two singletons
