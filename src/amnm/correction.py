@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .defects import (
     AlgebraMap,
@@ -58,6 +57,7 @@ from .defects import (
 from .errors import ClassificationFailure, DefectTooLarge, PreconditionGap
 from .filters import Filter, filter_generated, filter_indicator
 from .mat2 import (
+    _SQRT2,
     M2_ID,
     M2_ZERO,
     Mat2,
@@ -73,7 +73,6 @@ from .weights import WeightedSemilattice, flighty_report, sublevel_set
 __all__ = ["Certificate", "correct_scalar", "correct_weighted", "correct_t2", "correct_m2"]
 
 _TOL = 1e-9  # structural tolerance for certified inequalities
-_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,9 +381,7 @@ def correct_m2(S: Semilattice, theta: AlgebraMap, delta: float | None = None) ->
     S = _require_semilattice(S)
     _carrier(S, "m2", theta)
     measured = defect(S, theta, "hs").defect_float
-    if delta is None:
-        delta = measured
-    delta = float(delta)
+    delta = measured if delta is None else _positive_finite("delta", delta, or_zero=True)
     if measured > delta:
         raise DefectTooLarge(measured, delta, what="measured defect (vs supplied delta)")
     if not delta < 0.03:
@@ -422,9 +419,8 @@ def correct_m2(S: Semilattice, theta: AlgebraMap, delta: float | None = None) ->
                     raise ClassificationFailure(
                         f"middle-class relation is not the two-class split at ({e},{f})"
                     )
-        # tiny headroom: the sup-defect scan and the per-element norm follow
-        # different floating-point paths, so the base point's own defect may
-        # exceed the scanned maximum by a last-place unit
+        # tiny headroom for exact input: the scan's defect is then exact, and
+        # the base point's float defect may exceed it by a last-place unit
         ke = key_estimates(vals[p0], delta * (1.0 + 1e-12) + 1e-15)
         if ke.trace_class != 1:
             raise ClassificationFailure("base point's trace class is not 1")

@@ -25,12 +25,13 @@ exact 0 off the semilattice's proved character table instead of scanning.
 The float path reads every codomain through :meth:`AlgebraMap.as_m2`, as the
 exact filter below does: scalars embed diagonally and T2 values as
 ``[[a, b], [0, a]]``, so one ``(n, 2, 2)`` stack and one norm function
-(``_norms``, also the filter's) serve all three; past ``2**250`` the products
-are formed on values scaled by powers of two.  The exact scans use the same
-embedding on integers, ``N = L theta`` over the common denominator ``L`` of
-the entries, and build a ``Fraction`` only for a ratio.  Each integer form is
-made once, a map's on its embedding and a weight's ``omega = W / K`` on the
-weight; ``_integers`` combines several maps' over the lcm of their ``L``.
+(``_norms``, also the filter's: :func:`mat2._complex_norm` on arrays) serve all
+three; past ``2**250`` the products are formed on values scaled by powers of
+two.  The exact scans use the same embedding on integers, ``N = L theta`` over
+the common denominator ``L`` of the entries, and build a ``Fraction`` only for
+a ratio.  Each integer form is made once, a map's on its embedding and a
+weight's ``omega = W / K`` on the weight; ``_integers`` combines several maps'
+over the lcm of their ``L``.
 
 For matrix codomains the scan covers all ordered pairs — matrix values need
 not commute, and there are natural maps whose defect is attained at (e, f)
@@ -74,7 +75,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ClassificationFailure, ParseError
-from .mat2 import M2_ID, M2_ZERO, Mat2, T2Element, abs2, hs_norm_sq
+from .mat2 import _DIRECT_MIN, M2_ID, M2_ZERO, Mat2, T2Element, _op_from_gram, abs2, hs_norm_sq
 from .semilattice import Semilattice
 from .weights import _BLOCK_CELLS, WeightedSemilattice, _is_exact, _over_common_denominator
 
@@ -276,7 +277,7 @@ def _can_run_exact(WS: WeightedSemilattice, *maps: AlgebraMap) -> bool:
 # Filter constants; the module docstring derives the bound they implement.
 _FILTER_REL = 2.0**-40  # the enclosure's relative width
 _INV_SQRT2_DOWN = 0.7071067811865  # below 1/sqrt(2), even after rounding a product
-_UNSCALED_RANGE = 2.0**250  # the float kernels rescale past this entry or weight
+_UNSCALED_RANGE = 2.0**250  # the float defect scales values and weights past this
 
 
 def _stack(theta: AlgebraMap, *more: AlgebraMap) -> np.ndarray:
@@ -308,36 +309,40 @@ def _largest_parts(D: np.ndarray) -> np.ndarray:
     return np.abs(D.view(float)).max(axis=(-2, -1))
 
 
-def _norms(D: np.ndarray, norm: str) -> np.ndarray:
-    """Norms of a ``(..., 2, 2)`` stack of embedded differences.
+# Products of parts (a.re, a.im, ..., d.im) to sum in twos: squares, a*d, b*c (re*re + -im*im)
+_LEFT, _RIGHT = np.array([[*range(8), 0, 1, 0, 1, 2, 3, 2, 3], [*range(8), 6, 7, 7, 6, 4, 5, 5, 4]])
+_SIGN = np.array([1.0] * 9 + [-1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0])
 
-    ``abs`` is ``|d00|`` and ``t2`` is ``|d00| + |d01|``, the norms of the
-    scalar and T2 values that :meth:`AlgebraMap.as_m2` embeds.  For ``hs`` and
-    ``op``, past ``_UNSCALED_RANGE`` the squares, or the operator norm's
-    ``t * t``, could overflow: then each matrix is scaled by the power of two
-    at its largest part, which is exact, and its norm scaled back.
-    """
-    if norm == "abs":
-        return np.abs(D[..., 0, 0])
-    if norm == "t2":
-        return np.abs(D[..., 0, 0]) + np.abs(D[..., 0, 1])
-    A = np.abs(D)
-    k = None
-    if A.max(initial=0.0) > _UNSCALED_RANGE:  # inf where a modulus overflows
-        k = np.frexp(_largest_parts(D))[1]
-        D = _scaled(D, -k)
-        A = np.abs(D)
-    t = np.sum(A**2, axis=(-2, -1))
-    if norm == "hs":
-        out = np.sqrt(t)
-    else:
-        det = D[..., 0, 0] * D[..., 1, 1] - D[..., 0, 1] * D[..., 1, 0]
-        disc = np.maximum(t * t - 4.0 * np.abs(det) ** 2, 0.0)
-        out = np.sqrt((t + np.sqrt(disc)) / 2.0)
-    if k is None:
-        return out
-    with np.errstate(over="ignore"):  # a norm past the float range is inf
-        return np.ldexp(out, k)
+
+def _formula(X: np.ndarray, op: bool) -> np.ndarray:
+    """:func:`mat2._complex_norm`'s direct formula on rows of parts, two per entry."""
+    p = X.take(_LEFT, axis=1) * X.take(_RIGHT, axis=1) * _SIGN if op else X * X
+    u = p[:, 0::2] + p[:, 1::2]  # then t in _complex_hs_sq's order
+    t = u[:, 0] + u[:, 1] + u[:, 2] + u[:, 3] if X.shape[1] > 2 else u[:, 0]
+    if not op:
+        return np.sqrt(t)
+    det = np.square(u[:, 4:6] - u[:, 6:8])
+    return _op_from_gram(t, det[:, 0] + det[:, 1], np.sqrt, np.maximum)
+
+
+def _norms(D: np.ndarray, norm: str) -> np.ndarray:
+    """Norms of a real or complex ``(..., 2, 2)`` stack of embedded differences:
+    :func:`mat2._complex_norm`'s formula and rule on the parts, one ufunc per
+    IEEE operation, so bit for bit under every SIMD dispatch.  ``abs`` is
+    ``|d00|`` and ``t2`` is ``|d00| + |d01|``, as :meth:`AlgebraMap.as_m2` embeds."""
+    shape, parts = D.shape[:-2], 8
+    if norm in ("abs", "t2"):  # each modulus is a one-entry HS norm
+        D, parts = D[..., 0, : 1 if norm == "abs" else 2], 2
+    X = np.ascontiguousarray(D, complex).view(float).reshape(-1, parts)
+    with np.errstate(over="ignore", invalid="ignore"):  # the rule redoes what overflows
+        r = _formula(X, norm == "op")
+        lo, hi = np.minimum.reduce(r, None, initial=np.inf), np.maximum.reduce(r, None, initial=0.0)
+        if not (_DIRECT_MIN <= lo and hi < np.inf):  # also on NaN
+            redo = r < _DIRECT_MIN if hi < np.inf else ~((r >= _DIRECT_MIN) & (r < np.inf))
+            if np.count_nonzero(X[redo]):  # not only exact zeros
+                k = np.frexp(np.abs(X[redo]).max(axis=1))[1]  # 0 for zero, inf and NaN rows
+                r[redo] = np.ldexp(_formula(np.ldexp(X[redo], -k[:, None]), norm == "op"), k)
+        return (r[0::2] + r[1::2] if norm == "t2" else r).reshape(shape)
 
 
 def _integers(*maps: AlgebraMap):
@@ -654,11 +659,12 @@ def _json_number(x):
     raise ParseError(f"expected a number or 'p/q' string, got {x!r}")
 
 
-def _positive_finite(name: str, x) -> float:
-    """``x`` as a float once it is positive and finite, else ``ValueError``."""
+def _positive_finite(name: str, x, or_zero: bool = False) -> float:
+    """``x`` as a float once finite and positive, or zero if ``or_zero``, else ``ValueError``."""
     x = float(x)
-    if not 0.0 < x < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {x!r}")
+    if not (0.0 < x < math.inf or or_zero and x == 0.0):
+        sign = "non-negative" if or_zero else "positive"
+        raise ValueError(f"{name} must be {sign} and finite, got {x!r}")
     return x
 
 

@@ -58,6 +58,7 @@ __all__ = [
 
 
 _tuple_new = tuple.__new__
+_DIRECT_MIN = 2.0**-250  # _complex_norm's least direct norm
 
 
 class Mat2(NamedTuple):
@@ -149,31 +150,35 @@ def _complex_hs_sq(a: complex, b: complex, c: complex, d: complex) -> float:
     )
 
 
-def _op_from_gram(t: float, det_sq: float) -> float:
-    """Largest singular value from ``t = tr(A* A)`` and ``|det A|^2``."""
-    disc = max(t * t - 4.0 * det_sq, 0.0)
-    return math.sqrt((t + math.sqrt(disc)) / 2.0)
+def _op_from_gram(t, det_sq, sqrt=math.sqrt, maximum=max):
+    """Largest singular value from ``t = tr(A* A)`` and ``|det A|^2``; given
+    ``np.sqrt`` and ``np.maximum``, the same formula on arrays."""
+    return sqrt((t + sqrt(maximum(t * t - 4.0 * det_sq, 0.0))) / 2.0)
 
 
 def _complex_norm(a: complex, b: complex, c: complex, d: complex, op: bool) -> float:
-    """HS norm, or operator norm when ``op``, of the matrix with the four
-    ``complex`` entries: the float kernel of :func:`hs_norm`, :func:`op_norm`
-    and the oracle's costs.  Where the squares, or the operator norm's ``t * t``,
-    overflow, it is the norm of the entries over the power of two at their
-    largest part, which is exact, scaled back: inf only past the float range.
-    An inf or NaN entry gives the unscaled norm."""
+    """HS norm, or operator norm when ``op``, of the matrix with the four ``complex``
+    entries: the one float 2x2 norm, of :func:`hs_norm`, :func:`op_norm`, the oracle's
+    costs and, on arrays, ``defects._norms``.  Out of ``[_DIRECT_MIN, inf)`` a square
+    may have underflowed or overflowed (the op norm squares twice): the norm is then
+    that of the entries over the power of two at their largest part, scaled back,
+    inf only past the float range.  An exact zero, or an inf or NaN entry, keeps it."""
     t = _complex_hs_sq(a, b, c, d)
     if op:
         det = a * d - b * c
         r = _op_from_gram(t, det.real * det.real + det.imag * det.imag)
     else:
         r = math.sqrt(t)
-    if r < math.inf or not all(map(cmath.isfinite, (a, b, c, d))):
+    if _DIRECT_MIN <= r < math.inf or not any((a, b, c, d)):
         return r
-    k = math.frexp(max(max(abs(x.real), abs(x.imag)) for x in (a, b, c, d)))[1]
-    down = 2.0**-k
-    try:  # the scaled parts are below 1: no square overflows
-        return math.ldexp(_complex_norm(a * down, b * down, c * down, d * down, op), k)
+    entries = (a, b, c, d)
+    k = math.frexp(max(max(abs(x.real), abs(x.imag)) for x in entries))[1]
+    if not k:  # the largest part is inf or NaN: a finite one in [1/2, 1) is direct
+        return r
+    ks = [-k] * 4  # zipped in, not closed over: a cell variable would slow every call
+    scaled = [complex(math.ldexp(x.real, j), math.ldexp(x.imag, j)) for x, j in zip(entries, ks)]
+    try:
+        return math.ldexp(_complex_norm(*scaled, op), k)
     except OverflowError:
         return math.inf
 
@@ -191,8 +196,6 @@ def _mul(a, b, c, d, e, f, g, h) -> tuple:
 def hs_norm_sq(A: Mat2):
     """Squared Hilbert-Schmidt norm tr(A* A); exact for exact entries."""
     a, b, c, d = A
-    if type(a) is type(b) is type(c) is type(d) is complex:
-        return _complex_hs_sq(a, b, c, d)
     return abs2(a) + abs2(b) + abs2(c) + abs2(d)
 
 
@@ -206,23 +209,26 @@ def _rescaled(f, t, det_sq=0) -> float:
 
 
 def hs_norm(A: Mat2) -> float:
-    s = hs_norm_sq(A)
-    if not s < math.inf:  # a float s that overflowed, or an inf or NaN entry
-        return _complex_norm(*map(complex, A), False)
-    try:
-        return math.sqrt(s)
-    except OverflowError:  # an exact s past about 1.8e308
-        return _rescaled(lambda t, _: math.sqrt(t), s)
+    a, b, c, d = A
+    if type(a) is type(b) is type(c) is type(d) is complex:  # _complex_norm, direct path inlined
+        r = math.sqrt(_complex_hs_sq(a, b, c, d))
+        return r if _DIRECT_MIN <= r < math.inf else _complex_norm(a, b, c, d, False)
+    return _norm(A, False)
 
 
 def op_norm(A: Mat2) -> float:
     """Largest singular value, from the closed form on the 2x2 Gram trace."""
-    t, det_sq = hs_norm_sq(A), abs2(A.det)
-    if isinstance(t, float) or t <= 2**500:
-        r = _op_from_gram(float(t), float(det_sq))
-        # t * t overflowed (then r is inf or NaN), or an entry is inf or NaN
-        return r if r < math.inf else _complex_norm(*map(complex, A), True)
-    return _rescaled(_op_from_gram, t, det_sq)
+    return _norm(A, True)
+
+
+def _norm(A: Mat2, op: bool) -> float:
+    """:func:`op_norm` if ``op``, else :func:`hs_norm`: the float kernel on a float
+    entry, else the closed form on the exact ``tr(A* A)`` and ``|det A|^2``."""
+    t = hs_norm_sq(A)
+    if isinstance(t, float):
+        return _complex_norm(*map(complex, A), op)
+    f, det_sq = (_op_from_gram, abs2(A.det)) if op else (lambda s, _: math.sqrt(s), 0)
+    return f(float(t), float(det_sq)) if t <= 2**500 else _rescaled(f, t, det_sq)
 
 
 def t2_norm(x: T2Element):
@@ -454,7 +460,7 @@ def key_estimates(A: Mat2, eps: float) -> KeyEstimateReport:
             f"trace {complex(a + d)!r} is not within {cap!r} of class {j}"
         )
     bound = rho_eps * eps if j == 1 else kappa(eps) * eps
-    if _idempotent_defect(e, f, g, h) > 1e-12 * (1.0 + hs_norm_sq(P)):
+    if _idempotent_defect(e, f, g, h) > 1e-12 * (1.0 + _complex_hs_sq(e, f, g, h)):
         raise ClassificationFailure("constructed projection failed idempotency check")
     achieved = hs_norm((a - e, b - f, c - g, d - h))
     if achieved > bound + 1e-12 * (1.0 + hs_norm(A)):

@@ -391,6 +391,15 @@ def test_a_weighted_correction_epsilon_out_of_range_exits_3(capsys, epsilon):
     assert "epsilon must be positive and finite" in err
 
 
+@pytest.mark.parametrize("delta", ["nan", "inf", "-1"])
+def test_an_m2_correction_delta_out_of_range_exits_3(capsys, delta):
+    path = str(Path(__file__).parent / "golden" / "inputs" / "m2.json")
+    argv = ["--json", "correct", "--target", "m2", "--delta", delta, path]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "delta must be non-negative and finite" in err
+
+
 def test_oracle_output_is_deterministic(tmp_path, capsys):
     doc = dict(
         CHAIN3,

@@ -24,6 +24,7 @@ from amnm import (
     geometric_weight,
     is_filter,
     generated,
+    m2_map,
     nearest_binary_idempotent,
     nmin,
     random_binary_weighted_instance,
@@ -197,6 +198,18 @@ def test_m2_correction_rejects_stated_delta_above_threshold(rng):
     theta = random_m2_instance(rng, S)
     with pytest.raises(DefectTooLarge):
         correct_m2(S, theta, delta=0.03)
+
+
+@pytest.mark.parametrize("delta", [float("nan"), float("inf"), -1.0])
+def test_m2_correction_refuses_a_delta_that_is_not_finite_and_non_negative(delta):
+    # a bad parameter, not an unmet precondition (DefectTooLarge)
+    with pytest.raises(ValueError, match="delta must be non-negative and finite"):
+        correct_m2(nmin(2), m2_map([M2_ID, M2_ID]), delta=delta)
+
+
+def test_m2_correction_takes_a_zero_delta_for_a_multiplicative_map():
+    cert = correct_m2(nmin(2), m2_map([M2_ID, M2_ID]), delta=0)
+    assert cert.corrected_defect == 0.0 and cert.achieved_distance == 0.0
 
 
 def test_m2_correction_rejects_understated_delta(rng):

@@ -1,5 +1,6 @@
 """Defect and distance reports: exact arithmetic, witnesses, scan order, rounding."""
 
+import decimal
 import gc
 import json
 import math
@@ -57,6 +58,7 @@ from amnm.defects import (
     _norms,
     _stack,
 )
+from amnm.mat2 import _complex_norm, _idempotent_defect
 from amnm.weights import _over_common_denominator
 
 
@@ -172,18 +174,24 @@ def test_float_defect_matches_direct_computation(rng):
     assert math.isclose(at_witness, rep.defect_float, rel_tol=1e-12)
 
 
+def _modulus(z) -> float:
+    """``sqrt(re*re + im*im)`` under the float kernel's rescaling rule: the HS
+    norm of the matrix with ``z`` and three zeros."""
+    return _complex_norm(complex(z), 0j, 0j, 0j, False)
+
+
 def _python_product_defect(WS, theta):
-    """The float defect from Python products, one ``np.abs`` per complex part,
-    and the first pair ``(i <= j)`` at it."""
+    """The float defect from Python products, one :func:`_modulus` per complex
+    part, and the first pair ``(i <= j)`` at it."""
     w, table, vals = WS.omega_float, WS.S.table, theta.values
     best, witness = 0.0, (0, 0)
     for i in range(WS.n):
         for j in range(i, WS.n):
             if theta.codomain == "scalar":
-                norm = np.abs(np.complex128(vals[i] * vals[j] - vals[table[i, j]]))
+                norm = _modulus(vals[i] * vals[j] - vals[table[i, j]])
             else:
                 d = vals[i] @ vals[j] - vals[table[i, j]]
-                norm = np.abs(np.complex128(d.a)) + np.abs(np.complex128(d.b))
+                norm = _modulus(d.a) + _modulus(d.b)
             ratio = norm / (w[i] * w[j])
             if ratio > best:
                 best, witness = ratio, (i, j)
@@ -201,6 +209,90 @@ def test_float_defect_rounds_like_python_products(draw):
         for WS in (unit_weight(S), random_submultiplicative_weight(gen, S)):
             rep = defect(WS, theta)
             assert (rep.defect_float, rep.witness) == _python_product_defect(WS, theta)
+
+
+@st.composite
+def _spread_entries(draw):
+    """Four complex entries whose nonzero parts run from the smallest subnormal
+    to ``2**1023``: around one exponent, within a spread of 0, 4, 60 or 2100
+    binades; about a quarter of the parts are exact zeros."""
+    top, spread = draw(st.integers(-1074, 1023)), draw(st.sampled_from([0, 4, 60, 2100]))
+
+    def part():
+        if draw(st.integers(0, 3)) == 0:
+            return 0.0
+        e = min(max(top - draw(st.integers(0, spread)), -1074), 1023)
+        mantissa = draw(st.floats(0.5, 1.0, exclude_max=True))
+        return draw(st.sampled_from([1.0, -1.0])) * math.ldexp(mantissa, e)
+
+    return [complex(part(), part()) for _ in range(4)]
+
+
+def _exact_sqrt(q: Fraction) -> Fraction:
+    with decimal.localcontext(decimal.Context(prec=80, Emin=-10**6, Emax=10**6)) as ctx:
+        return Fraction(ctx.sqrt(ctx.divide(q.numerator, q.denominator)))
+
+
+def _assert_near_exact(x: float, entries, op: bool):
+    """``x`` within the float formula's error of the exact norm of ``entries``:
+    ``8u`` relative for a modulus or the HS norm; the operator norm adds
+    the cancellation in ``t**2 - 4 |det|**2`` (absolute error at most
+    ``64 u t**2``) at its square root."""
+    u = Fraction(2) ** -53
+    a, b, c, d = ((Fraction(z.real), Fraction(z.imag)) for z in entries)
+    t = sum(re * re + im * im for re, im in (a, b, c, d))
+    if not op:
+        ref, tol = _exact_sqrt(t), 8 * u * _exact_sqrt(t)
+    else:
+        det_re = a[0] * d[0] - a[1] * d[1] - b[0] * c[0] + b[1] * c[1]
+        det_im = a[0] * d[1] + a[1] * d[0] - b[0] * c[1] - b[1] * c[0]
+        disc = t * t - 4 * (det_re**2 + det_im**2)
+        ref = _exact_sqrt((t + _exact_sqrt(disc)) / 2)
+        slack = 64 * u * t * t
+        root_err = _exact_sqrt(slack)
+        if disc:
+            root_err = min(root_err, slack / _exact_sqrt(disc))
+        tol = 8 * u * ref + ((8 * u * t + root_err) / (2 * ref) if ref else 0)
+    tol += Fraction(2) ** -1074  # a subnormal norm rounds once more
+    if ref >= Fraction(_MAX) * (1 - 4 * u):  # at or near the float range's end
+        assert x == math.inf or abs(Fraction(x) - ref) <= tol
+    else:
+        assert x < math.inf and abs(Fraction(x) - ref) <= tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(_spread_entries(), min_size=1, max_size=6))
+@example(rows=[[5e-324j, 0j, 0j, 0j], [0j] * 4, [complex(2.0**-600, 0), 0j, 0j, 2.0**-600 + 0j]])
+@example(rows=[[complex(1.7e308, 1.7e308), 0j, 0j, complex(1.7e308, -1.7e308)], [1e200 + 0j] * 4])
+def test_the_stack_kernel_is_the_scalar_kernel_bit_for_bit(rows):
+    """``defects._norms`` and ``mat2._complex_norm`` round every norm alike,
+    from subnormal parts to ``2**1023``, and both are within the formula's
+    error of the exact norm; the moduli of ``abs`` and ``t2`` are one-entry HS
+    norms.  A real stack, as the exact filter passes, reads as complex."""
+    D = np.array([[[a, b], [c, d]] for a, b, c, d in rows])
+    for norm, op in (("hs", False), ("op", True)):
+        for x, entries in zip(_norms(D, norm).tolist(), rows):
+            assert x.hex() == _complex_norm(*entries, op).hex()
+            _assert_near_exact(x, entries, op)
+        real = [[complex(z.real) for z in entries] for entries in rows]
+        got = _norms(D.real.copy(), norm).tolist()
+        assert [x.hex() for x in got] == [_complex_norm(*e, op).hex() for e in real]
+    for (a, b, _, _), x, y in zip(rows, _norms(D, "abs").tolist(), _norms(D, "t2").tolist()):
+        assert x.hex() == _modulus(a).hex() and y.hex() == (_modulus(a) + _modulus(b)).hex()
+        _assert_near_exact(x, [a, 0j, 0j, 0j], False)
+
+
+# parts whose products stay in the float range, down to where they underflow
+_MODERATE = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-600, 240))
+
+
+@settings(max_examples=200, deadline=None)
+@given(A=st.builds(Mat2, *[st.builds(complex, _MODERATE, _MODERATE)] * 4))
+@example(A=Mat2(1e-160j, 0j, 0j, 0j))  # A @ A - A squares to a subnormal
+def test_the_defect_scan_diagonal_is_the_idempotent_defect(A):
+    """On one element the scan's only pair is ``(0, 0)``: its float defect is
+    ``mat2._idempotent_defect`` bit for bit."""
+    assert defect(nmin(1), m2_map([A]), "hs").defect_float.hex() == _idempotent_defect(*A).hex()
 
 
 def test_t2_defect_uses_the_dual_number_norm():

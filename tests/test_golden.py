@@ -15,12 +15,15 @@ root, and name every rewritten case and its change in ``CHANGES.md``.
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 from amnm.cli import main
+from test_sampling import _baseline_dispatch
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
@@ -43,6 +46,28 @@ def test_golden_cli_output(case):
     code, out = replay(case)
     assert code == case["code"]
     assert out == expected_path(case).read_bytes()
+
+
+def test_golden_corpus_under_the_baseline_simd_dispatch():
+    """Every case, replayed in one fresh process under numpy's baseline SIMD
+    dispatch, prints the recorded bytes, except possibly the two whose
+    ``--corroborate`` runs the polished M2 oracle: the ``argsort`` tie order of
+    its simplex (``oracle._ordered``) still moves with the dispatch."""
+    here = Path(__file__).parent
+    path = [str(here), str(here.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": _baseline_dispatch()}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+    code = (
+        "from test_golden import CASES, expected_path, replay\n"
+        "for case in CASES:\n"
+        "    if replay(case) != (case['code'], expected_path(case).read_bytes()):\n"
+        "        print(case['name'])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
+    assert set(out.stdout.split()) <= {"m2-chain-corroborate", "m2-chain-nonuniform-document"}
 
 
 def write_round_trip_input():

@@ -49,15 +49,19 @@ def ref_hs_norm_sq(A):
 
 
 def ref_hs_norm(A):
-    s = float(ref_hs_norm_sq(A))
+    s = ref_hs_norm_sq(A)
+    r = math.sqrt(float(s))
     parts = [p for x in A for p in (complex(x).real, complex(x).imag)]
-    if s < math.inf or not all(map(math.isfinite, parts)):
-        return math.sqrt(s)
-    # finite entries whose squares overflow: the norm of A over the power of two
-    # at its largest part, scaled back
+    if not isinstance(s, float) or 2.0**-250 <= r < math.inf:
+        return r
+    if not any(parts) or not all(map(math.isfinite, parts)):
+        return r
+    # float entries whose squares overflow or underflow: the norm of A over the
+    # power of two at its largest part, scaled back
     k = math.frexp(max(map(abs, parts)))[1]
+    scaled = [math.ldexp(p, -k) for p in parts]
     try:
-        return math.ldexp(ref_hs_norm(Mat2(*(complex(x) * 2.0**-k for x in A))), k)
+        return math.ldexp(ref_hs_norm(Mat2(*map(complex, scaled[0::2], scaled[1::2]))), k)
     except OverflowError:
         return math.inf
 
