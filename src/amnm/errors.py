@@ -7,6 +7,12 @@ explains *why* the check failed.  The CLI maps these onto stable exit codes.
 
 from __future__ import annotations
 
+__all__ = [
+    "AmnmError", "AxiomViolation", "NotCommutative", "NotIdempotent", "NotAssociative",
+    "NotClosed", "NonPositiveWeight", "NotSubmultiplicative", "StructureMismatch",
+    "DefectTooLarge", "PreconditionGap", "ClassificationFailure", "NoEligibleIndex", "ParseError",
+]
+
 
 class AmnmError(Exception):
     """Base class for all package-specific errors."""

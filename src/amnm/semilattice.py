@@ -352,11 +352,13 @@ def breadth(
 
     ``method="exhaustive"`` scans all ``2^n - 1`` subsets as bitmasks and
     requires ``n <= 16``; past that a ``ValueError`` suggests
-    ``method="sample"``, which evaluates ``samples`` random subsets and
+    ``method="sample"``, which evaluates ``samples >= 1`` random subsets and
     returns a lower-bound estimate.
     """
     n = S.n
     if method == "sample":
+        if samples < 1:
+            raise ValueError(f"breadth sample count must be at least 1 (got {samples!r})")
         rng = np.random.default_rng(0) if rng is None else rng
         best = 1
         for _ in range(samples):

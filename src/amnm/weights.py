@@ -85,6 +85,7 @@ def check_submultiplicative(S: Semilattice, omega: Sequence) -> tuple[int, int] 
         if not w > 0:
             raise NonPositiveWeight(f"omega[{i}] = {w!r} is not strictly positive", i)
     low = min(omega, default=1)
+    low = float(low) if isinstance(low, float) else low  # a numpy float64 square warns on overflow
     if max(omega, default=1) <= low * low:
         return None  # then omega(x*y) <= max <= min**2 <= omega(x) * omega(y)
     exact = all(map(_is_exact, omega))

@@ -113,6 +113,7 @@ _INPUT_ERRORS = [
     ("a-bad-base", ["counterexample", "--family", "psi-blocks", "--base", "x"], None),
     ("a-chain-family-without-delta", ["counterexample", "--family", "m2-chain"], None),
     ("t2-chain-without-m", ["counterexample", "--family", "t2-chain"], None),
+    ("a-sample-count-below-one", ["invariants", "--breadth-method", "sample", "--samples", -5], FREE2),
 ]
 _IDS = [c[0] for c in _INPUT_ERRORS]
 

@@ -958,14 +958,32 @@ def test_cached_integer_forms_are_read_only_and_made_once():
 
 @pytest.mark.parametrize("norm", ["hs", "op"])
 def test_a_float_m2_defect_past_the_square_range_does_not_overflow(norm):
-    # theta^2 - theta = [[4e400 - 2e200, 0], [0, 0]] over the weight 1e400
-    x, w = 2e200, 1e200
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rep = defect(weighted(nmin(1), [w]), m2_map([Mat2(x, 0.0, 0.0, 0.0)]), norm)
-    exact = (Fraction(x) ** 2 - Fraction(x)) / Fraction(w) ** 2
-    assert rep.defect_float == pytest.approx(float(exact), rel=1e-14)
-    assert rep.witness == (0, 0)
+    x, M = 2e200, 2.0**1023
+    cases = [
+        # theta^2 - theta = [[4e400 - 2e200, 0], [0, 0]] over the weight 1e400
+        (
+            nmin(1),
+            [1e200],
+            [Mat2(x, 0.0, 0.0, 0.0)],
+            (0, 0),
+            (Fraction(x) ** 2 - Fraction(x)) / Fraction(1e200) ** 2,
+        ),
+        # at (2, 2), theta^2 - theta = (M^2 - M) [[1, 1], [0, 0]]: its norm
+        # sqrt(2) (M^2 - M) is past the float range, its ratio over 2**1040 is not
+        (
+            free_semilattice(2),
+            [2**260, 2**260, 2**520],
+            [Mat2(0.5, 0, 0, 0), Mat2(0.5, 0, 0, 0), Mat2(M, M, 0, 0)],
+            (2, 2),
+            math.sqrt(2) * ((Fraction(M) ** 2 - Fraction(M)) / 2**1040),
+        ),
+    ]
+    for S, omega, values, witness, exact in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = defect(weighted(S, omega), m2_map(values), norm)
+        assert rep.defect_float == pytest.approx(float(exact), rel=1e-14)
+        assert rep.witness == witness
 
 
 def test_scaled_float_m2_defects_keep_the_unscaled_bits_where_nothing_overflows():

@@ -321,6 +321,12 @@ def test_breadth_rejects_unknown_method():
         breadth(nmin(3), method="guess")
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_breadth_sampling_refuses_a_sample_count_below_one(samples):
+    with pytest.raises(ValueError, match="at least 1"):
+        breadth(nmin(3), method="sample", samples=samples)
+
+
 def test_exhaustive_breadth_stops_at_sixteen_elements():
     assert breadth(nmin(16)) == 1
     with pytest.raises(ValueError, match='method="sample"'):

@@ -11,6 +11,8 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import amnm
+
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 # The mat2 and sampling functions that the traced key-estimates run wraps,
@@ -65,11 +67,17 @@ def test_every_extra_target_resolves():
 
 
 def test_every_name_in_a_traced_layer_resolves():
+    # each name is also the package's own object, apart from the CLI's, which the
+    # package does not import; errors is no traced layer, and lists all its classes
     tracing = load_tracing()
-    for name in tracing.LAYERS:
+    for name in (*tracing.LAYERS, "errors"):
         mod = layer(name)
         for attr in mod.__all__:
             assert hasattr(mod, attr), (name, attr)
+            assert name == "cli" or getattr(amnm, attr, None) is getattr(mod, attr), (name, attr)
+    errors = layer("errors")
+    classes = {k for k, v in vars(errors).items() if inspect.isclass(v) and v.__module__ == errors.__name__}
+    assert sorted(errors.__all__) == sorted(classes)
 
 
 def test_the_wrapped_mat2_and_sampling_functions_still_exist():

@@ -66,6 +66,19 @@ def test_check_submultiplicative_returns_first_violation():
     assert check_submultiplicative(S, (1, 1, 4)) == (0, 1)
 
 
+@pytest.mark.filterwarnings("error")
+def test_numpy_float_weights_past_the_square_range_pass_without_a_warning():
+    # min**2 overflows to inf, as with Python floats, and so bounds every product
+    big = list(np.array([1e200, 1e200]))
+    assert not weighted(nmin(2), big).is_exact
+    assert check_submultiplicative(nmin(2), [1e200, 1e200]) is None
+    assert check_submultiplicative(nmin(2), big) is None
+    assert check_submultiplicative(free_semilattice(2), list(np.array([2.0, 2.0, 5.0]))) == (0, 1)
+    # exact weights keep the exact comparison
+    assert check_submultiplicative(nmin(2), [10**200, 10**200]) is None
+    assert check_submultiplicative(free_semilattice(2), [10**200, 10**200, 10**400 + 1]) == (0, 1)
+
+
 def test_exact_weights_stay_exact_and_floats_do_not():
     S = nmin(3)
     assert weighted(S, (1, 2, Fraction(5, 2))).is_exact
