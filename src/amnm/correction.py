@@ -61,6 +61,7 @@ from .mat2 import (
     M2_ID,
     M2_ZERO,
     Mat2,
+    _rounded,
     hs_norm,
     inv2,
     kappa,
@@ -165,19 +166,13 @@ def correct_scalar(S: Semilattice, psi: AlgebraMap) -> Certificate:
 
 
 def _binary_values(psi: AlgebraMap) -> list[int]:
-    out = []
     for e, v in enumerate(psi.values):
-        z = complex(v)
-        if z == 0:
-            out.append(0)
-        elif z == 1:
-            out.append(1)
-        else:
+        if v != 0 and v != 1:
             raise ValueError(
                 f"correct_weighted expects a {{0,1}}-valued map (round first); "
                 f"value at {e} is {v!r}"
             )
-    return out
+    return [int(v == 1) for v in psi.values]
 
 
 def correct_weighted(WS: WeightedSemilattice, psi: AlgebraMap, epsilon: float) -> Certificate:
@@ -285,7 +280,7 @@ def _trace_classify(vals: list[Mat2], delta: float) -> tuple[list[int], list[flo
     distances: list[float] = []
     for e, v in enumerate(vals):
         tr = complex(v.trace)
-        j = min((0, 1, 2), key=lambda k: abs(tr - k))
+        j = _rounded(tr) + _rounded(tr - 1)  # the nearest of 0, 1, 2, ties down
         td = abs(tr - j)
         if td > radius + _TOL:
             raise ClassificationFailure(

@@ -75,7 +75,18 @@ from itertools import chain
 import numpy as np
 
 from .errors import ClassificationFailure, ParseError
-from .mat2 import _DIRECT_MIN, M2_ID, M2_ZERO, Mat2, T2Element, _op_from_gram, abs2, hs_norm_sq
+from .mat2 import (
+    _DIRECT_MIN,
+    M2_ID,
+    M2_ZERO,
+    Mat2,
+    T2Element,
+    _hs_from_gram,
+    _op_from_gram,
+    _rescaled,
+    _rounded,
+    hs_norm_sq,
+)
 from .semilattice import Semilattice
 from .weights import _BLOCK_CELLS, WeightedSemilattice, _is_exact, _over_common_denominator
 
@@ -237,15 +248,13 @@ def _float(x) -> float:
 
 def _root(q: Fraction) -> tuple:
     """``(sqrt(q), True)`` when ``q >= 0`` has a rational root, else the float
-    root and ``False``; past the float range, the root of ``q``'s integer part."""
+    root, :func:`mat2._rescaled`'s view (0.0 or inf only where the root itself
+    is out of the float range), and ``False``."""
     num, den = q.numerator, q.denominator
     rn, rd = math.isqrt(num), math.isqrt(den)
     if rn * rn == num and rd * rd == den:
         return Fraction(rn, rd), True
-    try:
-        return math.sqrt(float(q)), False
-    except OverflowError:
-        return float(math.isqrt(num // den)), False
+    return _rescaled(_hs_from_gram, q), False
 
 
 def _norm_sq_exact(diff: Mat2, norm: str):
@@ -585,7 +594,8 @@ def weighted_sup_distance(ws_or_s, theta: AlgebraMap, phi: AlgebraMap, norm: str
 
 
 def round_to_binary(ws_or_s, psi: AlgebraMap) -> AlgebraMap:
-    """Round a scalar map pointwise to the nearer of {0, 1} (ties to 0).
+    """Round a scalar map pointwise to the nearer of {0, 1} by
+    :func:`mat2._rounded` (ties to 0, exact at any magnitude).
 
     Valid for any defect delta; certifies the two standard consequences:
     the weighted sup-distance to the rounding is at most sqrt(delta), and the
@@ -593,12 +603,7 @@ def round_to_binary(ws_or_s, psi: AlgebraMap) -> AlgebraMap:
     omega >= 1, which submultiplicativity guarantees).
     """
     WS = _carrier(ws_or_s, "scalar", psi)
-    rounded = []
-    for v in psi.values:
-        d0 = abs2(v)
-        d1 = abs2(v - 1)
-        rounded.append(0 if d0 <= d1 else 1)
-    phi = scalar_map(rounded)
+    phi = scalar_map([_rounded(v) for v in psi.values])
     delta = defect(WS, psi).defect_float
     dist = weighted_sup_distance_report(WS, psi, phi).value_float
     if dist > math.sqrt(delta) + 1e-12:

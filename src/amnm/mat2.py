@@ -26,6 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ClassificationFailure, DefectTooLarge
@@ -156,6 +157,11 @@ def _op_from_gram(t, det_sq, sqrt=math.sqrt, maximum=max):
     return sqrt((t + sqrt(maximum(t * t - 4.0 * det_sq, 0.0))) / 2.0)
 
 
+def _hs_from_gram(t, det_sq):
+    """The HS norm ``sqrt(t)``, in :func:`_op_from_gram`'s signature."""
+    return math.sqrt(t)
+
+
 def _complex_norm(a: complex, b: complex, c: complex, d: complex, op: bool) -> float:
     """HS norm, or operator norm when ``op``, of the matrix with the four ``complex``
     entries: the one float 2x2 norm, of :func:`hs_norm`, :func:`op_norm`, the oracle's
@@ -200,12 +206,19 @@ def hs_norm_sq(A: Mat2):
 
 
 def _rescaled(f, t, det_sq=0) -> float:
-    """``f(t, det_sq)`` for an exact ``t`` too large for ``float()`` or ``t * t``,
-    run on ``t / 4**k`` and ``det_sq / 16**k`` and scaled back by ``2**k``: the
-    same bits where the direct path is finite, and inf past the float range."""
+    """The one float view of a root of exact squares: ``f(t, det_sq)`` for an exact
+    ``t >= 0``, run on ``t / 4**k`` and ``det_sq / 16**k`` (exact) and scaled back
+    by ``2**k`` past ``4**±250``, where ``float(t)`` or ``t * t`` could underflow or
+    overflow: the same bits wherever ``float(t)`` is normal, and 0.0 or inf only
+    where the root itself is out of the float range."""
     k = (t.numerator.bit_length() - t.denominator.bit_length()) // 2
-    r = f(float(t / 4**k), float(det_sq / 16**k))
-    return r * 2.0**k if k < 1024 else math.inf
+    if -250 <= k <= 250:
+        return f(float(t), float(det_sq))
+    q = Fraction(1, 4) ** k
+    try:
+        return math.ldexp(f(float(t * q), float(det_sq * q * q)), k)
+    except OverflowError:
+        return math.inf
 
 
 def hs_norm(A: Mat2) -> float:
@@ -227,8 +240,7 @@ def _norm(A: Mat2, op: bool) -> float:
     t = hs_norm_sq(A)
     if isinstance(t, float):
         return _complex_norm(*map(complex, A), op)
-    f, det_sq = (_op_from_gram, abs2(A.det)) if op else (lambda s, _: math.sqrt(s), 0)
-    return f(float(t), float(det_sq)) if t <= 2**500 else _rescaled(f, t, det_sq)
+    return _rescaled(_op_from_gram, t, abs2(A.det)) if op else _rescaled(_hs_from_gram, t)
 
 
 def t2_norm(x: T2Element):
@@ -299,7 +311,8 @@ class ScalarProjection:
 def scalar_project(z: complex, eps: float) -> ScalarProjection:
     """Project z onto {0, 1} given ``|z^2 - z| <= eps < 1/4``.
 
-    Ties (equidistant z) resolve to 0.  The certified bound
+    The value is :func:`_rounded`'s: ties (``Re z = 1/2``, equidistant z) resolve
+    to 0, and ``distance`` is ``|z - value|``.  The certified bound
     ``distance <= f_key(|z^2 - z|) <= rho(eps) * eps`` is asserted.
     """
     eps = float(eps)
@@ -309,16 +322,14 @@ def scalar_project(z: complex, eps: float) -> ScalarProjection:
     measured = abs(z * z - z)
     if measured > eps:
         raise DefectTooLarge(measured, eps, what="|z^2 - z|")
-    d0 = abs(z)
-    d1 = abs(z - 1.0)
-    value = 0 if d0 <= d1 else 1
-    distance = min(d0, d1)
+    value = _rounded(z)
+    distance = abs(z - value)
     bound = f_key(measured)
     if distance > bound + 1e-12:
         raise ClassificationFailure(
             f"projection distance {distance!r} exceeds certified bound {bound!r}"
         )
-    return ScalarProjection(value, distance, tie=(d0 == d1))
+    return ScalarProjection(value, distance, tie=(z.real == 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -408,23 +419,21 @@ class KeyEstimateReport:
     measured: float
 
 
-def _rounded(z: complex) -> int:
-    """0 if ``|z| <= |z - 1|``, else 1; where a modulus overflows, by the same
-    test written as ``Re z <= 1/2``."""
-    try:
-        return 0 if abs(z) <= abs(z - 1.0) else 1
-    except OverflowError:
-        return 0 if z.real <= 0.5 else 1
+def _rounded(z) -> int:
+    """The nearer of 0 and 1 to ``z``, ties to 0: ``|z| <= |z - 1|`` exactly when
+    ``Re z <= 1/2``, and reading a real part rounds nothing, so the answer is exact
+    at any magnitude, where rounded moduli would see a false tie."""
+    return 0 if z.real <= 0.5 else 1
 
 
 def nearest_binary_idempotent(A: Mat2) -> tuple[Mat2, int]:
     """Idempotent from rounding the triangularized diagonal of ``A`` to {0, 1}.
 
-    Returns ``(P, j)`` where ``j`` in {0, 1, 2} is the rounded trace.  When
-    the rounded diagonal is mixed, ``P`` keeps the triangular
-    super-diagonal entry (making it exactly idempotent in that basis);
-    otherwise ``P`` is 0 or the identity.  No smallness of ``||A - A^2||``
-    is assumed — :func:`key_estimates` adds the certified bounds.
+    Each diagonal entry is rounded by :func:`_rounded`.  Returns ``(P, j)`` where
+    ``j`` in {0, 1, 2} is the rounded trace.  When the rounded diagonal is mixed,
+    ``P`` keeps the triangular super-diagonal entry (making it exactly idempotent
+    in that basis); otherwise ``P`` is 0 or the identity.  No smallness of
+    ``||A - A^2||`` is assumed — :func:`key_estimates` adds the certified bounds.
     """
     v1, v2, ta, tb, td = _schur(A, *map(complex, A))
     na, nd = _rounded(ta), _rounded(td)  # T's diagonal, rounded to {0, 1}

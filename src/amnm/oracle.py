@@ -411,16 +411,24 @@ def nearest_mult_m2(
     Deterministic for fixed ``seed``.  ``starts`` extra random idempotents
     are tried in every cell that survives pruning; the three most promising
     cells get a simplex descent over the rank-one parametrization.  Raises
-    ``ValueError`` when every family map is at infinite distance.
+    ``ValueError`` on a negative ``starts``, on an entry that is not finite as a
+    float, and when every family map is at infinite distance.
     """
     WS = _carrier(ws_or_s, "m2", theta)
     S = WS.S
     norm = _check_norm("m2", norm)
     op = norm == "op"
-    theta_c = [Mat2(*(complex(x) for x in v)) for v in theta.values]
-    for e, v in enumerate(theta_c):
-        if not all(map(cmath.isfinite, v)):
-            raise ValueError(f"theta({e}) has a non-finite entry: {theta.values[e]!r}")
+    if starts < 0:
+        raise ValueError(f"starts must be non-negative, got {starts!r}")
+    theta_c = []
+    for e, v in enumerate(theta.values):
+        try:
+            m = Mat2(*map(complex, v))
+        except OverflowError:  # an exact entry past the float range
+            m = (math.inf,)
+        if not all(map(cmath.isfinite, m)):
+            raise ValueError(f"theta({e}) has a non-finite entry: {v!r}")
+        theta_c.append(m)
     big = max(max(abs(x.real), abs(x.imag)) for v in theta_c for x in v)  # |x| <= 2 big
     slack = 1e-12 * (1001.0 + 2.0 * big) if big < 2.0**250 else math.inf  # see _deflate
     om = [float(x) for x in WS.omega_float]

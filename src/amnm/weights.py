@@ -45,8 +45,6 @@ __all__ = [
     "random_submultiplicative_weight",
 ]
 
-Number = "int | float | Fraction"
-
 
 def _is_exact(value) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)

@@ -95,6 +95,12 @@ def _scalar_doc(values):
     return dict(CHAIN3, map={"codomain": "scalar", "values": values})
 
 
+_M2_UNIT = {"table": [[0, 0], [0, 1]], "map": {"codomain": "m2", "values": [[[1, 0], [0, 1]]] * 2}}
+# an exact entry, written out in full, that no float holds
+_M2_PAST_THE_FLOAT_RANGE = dict(
+    _M2_UNIT, map={"codomain": "m2", "values": [[[10**400, 0], [0, 0]], [[1, 0], [0, 1]]]}
+)
+
 # (id, argv before the document, the document or None for no document argument)
 _INPUT_ERRORS = [
     ("document-not-an-object", ["validate"], [CHAIN3]),
@@ -114,6 +120,28 @@ _INPUT_ERRORS = [
     ("a-chain-family-without-delta", ["counterexample", "--family", "m2-chain"], None),
     ("t2-chain-without-m", ["counterexample", "--family", "t2-chain"], None),
     ("a-sample-count-below-one", ["invariants", "--breadth-method", "sample", "--samples", -5], FREE2),
+    ("a-document-without-a-table", ["validate"], {"n": 3}),
+    ("table-rows-that-are-not-lists", ["validate"], {"table": [0, 1]}),
+    ("an-n-that-does-not-match-the-table", ["validate"], dict(CHAIN3, n=2)),
+    ("a-ragged-table", ["validate"], {"table": [[0, 0], [0]]}),
+    ("labels-of-the-wrong-length", ["validate"], dict(CHAIN3, labels=["a", "b"])),
+    ("a-map-without-values", ["defect"], dict(CHAIN3, map={"codomain": "scalar"})),
+    ("an-unknown-codomain", ["defect"], dict(CHAIN3, map={"codomain": "h", "values": [0, 1, 1]})),
+    ("map-values-that-are-not-a-list", ["defect"], dict(CHAIN3, map={"codomain": "t2", "values": 1})),
+    ("malformed-map-values", ["defect"], dict(CHAIN3, map={"codomain": "t2", "values": [1, 1, 1]})),
+    ("a-document-without-a-map", ["defect"], CHAIN3),
+    ("an-m2-entry-past-the-float-range", ["oracle"], _M2_PAST_THE_FLOAT_RANGE),
+    ("a-negative-oracle-starts", ["oracle", "--starts", -3], _M2_UNIT),
+    (
+        "a-negative-corroborating-starts",
+        ["counterexample", "--family", "m2-chain", "--delta", 0.05, "--corroborate", "--starts", -3],
+        None,
+    ),
+    (
+        "a-weighted-value-past-the-float-range",
+        ["correct", "--target", "weighted", "--epsilon", 1],
+        {"table": [[0]], "weights": [1], "map": {"codomain": "scalar", "values": [10**400]}},
+    ),
 ]
 _IDS = [c[0] for c in _INPUT_ERRORS]
 
@@ -423,7 +451,7 @@ def test_oracle_output_is_deterministic(tmp_path, capsys):
 def test_oracle_on_norms_past_the_float_range_is_an_input_error(tmp_path, capsys):
     doc = {
         "table": [[0, 0], [0, 1]],
-        "map": {"codomain": "m2", "values": [[[1.5e308, 1.5e308], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]]},
+        "map": {"codomain": "m2", "values": [[[[1.5e308, 1.5e308], 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]]},
     }
     code, _, err = run(capsys, "oracle", "--json", write_doc(tmp_path, doc))
     assert code == 3

@@ -134,6 +134,12 @@ def test_weighted_correction_rejects_non_binary_values():
         correct_weighted(WS, scalar_map([0.9, 1.0, 1.0]), 0.5)
 
 
+def test_weighted_correction_refuses_an_exact_value_past_the_float_range():
+    # no float holds 10**400: the value is compared with 0 and 1 as it is
+    with pytest.raises(ValueError, match="value at 0 is 1000"):
+        correct_weighted(weighted(nmin(1), [1]), scalar_map([10**400]), 1.0)
+
+
 @pytest.mark.parametrize("epsilon", [float("inf"), float("nan"), 0.0, -1.0])
 def test_weighted_correction_refuses_an_epsilon_that_is_not_positive_and_finite(epsilon):
     # an infinite epsilon makes the level 2/epsilon zero and the claimed bound

@@ -375,6 +375,12 @@ def test_round_to_binary_controls_the_new_defect(rng):
         assert d2 <= 3.0 * math.sqrt(d) + 2.0 * d + 1e-9
 
 
+@pytest.mark.parametrize("v", [1e300, 2.0**60, 0.6 + 1e8j])
+def test_round_to_binary_sends_a_large_value_nearer_1_to_1(v):
+    # |v| and |v - 1| round to one float: the real part decides
+    assert round_to_binary(nmin(1), scalar_map([v])).values == (1,)
+
+
 # ---------------------------------------------------------------------------
 # Wire format.
 # ---------------------------------------------------------------------------
@@ -706,6 +712,15 @@ def test_an_exact_distance_past_the_float_range_has_a_float_root():
     assert rep.value_sq == 2**1200 + 1
     assert not rep.exact_value and rep.witness == 0
     assert rep.value == 2.0**600
+
+
+def test_an_exact_distance_below_the_square_range_has_a_float_root():
+    # float(value_sq) is 0.0, but the root, sqrt(2) x, is a normal float
+    x = Fraction(1, 3 * 10**200)
+    rep = weighted_sup_distance_report(nmin(1), m2_map([Mat2(x, x, 0, 0)]), m2_map([Mat2(0, 0, 0, 0)]), "hs")
+    assert rep.value_sq == 2 * x * x and not rep.exact_value
+    u = Fraction(math.ulp(rep.value))
+    assert (Fraction(rep.value) - u) ** 2 <= rep.value_sq <= (Fraction(rep.value) + u) ** 2
 
 
 def test_an_exact_value_past_the_float_range_has_an_infinite_float_view():

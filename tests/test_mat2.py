@@ -3,6 +3,7 @@
 import hashlib
 import math
 import struct
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +32,17 @@ from amnm import (
     t2_norm,
     unitary_triangularize,
 )
-from amnm.mat2 import _complex_norm, _op_from_gram, abs2, commute_within, inv2, is_idempotent_within
+from amnm.mat2 import (
+    _complex_norm,
+    _hs_from_gram,
+    _op_from_gram,
+    _rescaled,
+    _rounded,
+    abs2,
+    commute_within,
+    inv2,
+    is_idempotent_within,
+)
 
 finite_complex = st.builds(
     complex,
@@ -178,6 +189,41 @@ def test_norms_of_float_entries_whose_squares_overflow(A, hs, op):
     assert op_norm(A) == pytest.approx(op, rel=1e-15)
 
 
+def _within_one_ulp_of_the_root(r, q):
+    """Whether a float ``r`` is within ``ulp(r)`` of ``sqrt(q)``, decided on squares."""
+    if r == math.inf:
+        return q >= Fraction(sys.float_info.max) ** 2
+    u = Fraction(math.ulp(r))
+    return max(Fraction(r) - u, 0) ** 2 <= q <= (Fraction(r) + u) ** 2
+
+
+def test_exact_norms_below_the_square_range_keep_their_float_view():
+    # float(x) is normal, but float(x * x) is 0.0
+    x = Fraction(1, 3 * 10**200)
+    assert hs_norm(Mat2(x, 0, 0, 0)) == float(x)
+    r = op_norm(Mat2(x, x, 0, 0))
+    assert r > 0.0 and _within_one_ulp_of_the_root(r, 2 * x * x)
+
+
+@settings(max_examples=500, deadline=None)
+@given(num=st.integers(1, 2**64), den=st.integers(1, 2**64), e=st.integers(-2136, 2136))
+@example(num=1, den=9, e=0)
+@example(num=1, den=9 * 10**400, e=0)  # float(q) is 0.0; the root is normal
+@example(num=2**64, den=1, e=2136)  # past the float range
+@example(num=1, den=2**64, e=-2136)  # the root is below the subnormals
+def test_the_float_view_of_an_exact_square(num, den, e):
+    q = Fraction(num, den) * Fraction(2) ** e
+    r = _rescaled(_hs_from_gram, q)
+    try:
+        direct = float(q)
+    except OverflowError:
+        direct = math.inf
+    if sys.float_info.min <= direct < math.inf:
+        assert r == math.sqrt(direct)
+    else:
+        assert _within_one_ulp_of_the_root(r, q)
+
+
 def test_float_norms_keep_their_bits_where_the_squares_are_finite():
     for k in range(0, 646, 3):
         for x in (3.0**k, complex(3.0**k, -(2.0 ** (k / 2)))):
@@ -239,6 +285,47 @@ def test_scalar_project_picks_the_closer_binary_value():
     assert scalar_project(0.9 + 0.05j, 0.2).value == 1
     assert scalar_project(0.1, 0.2).value == 0
     assert not scalar_project(0.1, 0.2).tie
+
+
+def _exact_nearer_of_0_and_1(z):
+    # |z| <= |z - 1|, decided on the exact squared moduli, ties to 0
+    x, y = Fraction(z.real), Fraction(z.imag)
+    return 0 if x * x + y * y <= (x - 1) ** 2 + y * y else 1
+
+
+wide_part = st.one_of(
+    st.floats(-(2.0**1023), 2.0**1023, allow_nan=False),
+    st.sampled_from([0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), 5e-324, 2.0**60]),
+)
+near_half = st.builds(
+    lambda k, s: Fraction(1, 2) + Fraction(s, 2**k), st.integers(0, 1100), st.sampled_from([-1, 0, 1])
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    z=st.one_of(
+        st.integers(-(2**1023), 2**1023),
+        st.fractions(-(2**1023), 2**1023),
+        near_half,
+        wide_part,
+        st.builds(complex, wide_part, wide_part),
+    )
+)
+@example(z=1e300)  # |z| and |z - 1| are one float
+@example(z=2**60)
+@example(z=0.6 + 1e8j)
+@example(z=0.5 + 1e300j)  # a tie, to 0
+def test_the_nearer_of_0_and_1_is_decided_exactly(z):
+    assert _rounded(z) == _exact_nearer_of_0_and_1(z)
+
+
+def test_nearest_binary_idempotent_sees_no_false_tie_at_a_large_eigenvalue():
+    # the eigenvalues are 1e200 and 0: the first is nearer 1, though |1e200| and
+    # |1e200 - 1| are one float
+    P, j = nearest_binary_idempotent(Mat2(1e200, 1e200, 0, 0))
+    assert j == 1
+    assert P @ P == P and P.trace == 1
 
 
 def test_scalar_project_rejects_bad_inputs():

@@ -97,7 +97,9 @@ def ref_unitary_triangularize(A):
 
 
 def _nearest01(z):
-    return 0 if abs(z) <= abs(z - 1.0) else 1
+    # |z| <= |z - 1|, decided exactly: |z|^2 and |z - 1|^2 compared in Fraction
+    x, y = Fraction(z.real), Fraction(z.imag)
+    return 0 if x * x + y * y <= (x - 1) ** 2 + y * y else 1
 
 
 def ref_nearest_binary_idempotent(A):

@@ -333,30 +333,50 @@ def test_nearest_m2_forms_each_seed_idempotent_at_most_once(rng, monkeypatch):
 
 
 def test_nearest_m2_raises_when_every_map_is_at_infinite_distance():
-    # in the second theta, a diagonal entry's modulus is past the float range
-    for big in (Mat2(1.5e308, 1.5e308, 0.0, 0.0), Mat2(complex(1.5e308, 1.5e308), 0, 0, 0)):
-        theta = m2_map([big, M2_ID])
-        with pytest.raises(ValueError, match="infinite distance"):
-            nearest_mult_m2(nmin(2), theta, starts=2)
-        with pytest.raises(ValueError, match="infinite distance"):
-            nearest_mult_m2(nmin(2), theta, norm="op", starts=2)
+    # a diagonal entry's modulus is past the float range
+    theta = m2_map([Mat2(complex(1.5e308, 1.5e308), 0, 0, 0), M2_ID])
+    with pytest.raises(ValueError, match="infinite distance"):
+        nearest_mult_m2(nmin(2), theta, starts=2)
+    with pytest.raises(ValueError, match="infinite distance"):
+        nearest_mult_m2(nmin(2), theta, norm="op", starts=2)
+
+
+@pytest.mark.parametrize("norm", ["hs", "op"])
+def test_nearest_m2_finds_the_idempotent_seed_of_entries_near_the_float_range(norm):
+    # theta(0) = [[x, x], [0, 0]] is x times the idempotent [[1, 1], [0, 0]]; its
+    # eigenvalue x is nearer 1, so its seed is the idempotent P = [[1, x], [0, 0]]
+    # and the map [I - P, I] has defect 0 and distance |theta(0) - (I - P)| = x
+    x = 1.5e308
+    rep = nearest_mult_m2(nmin(2), m2_map([Mat2(x, x, 0.0, 0.0), M2_ID]), norm=norm, starts=2)
+    assert rep.value == x
+    assert defect(nmin(2), rep.best_map, norm).defect == 0.0
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("norm", ["hs", "op"])
 def test_nearest_m2_past_the_square_range_agrees_with_its_distance(norm):
     # the squares of 1e200 overflow: the search's own costs rescale as the
-    # distance does, so both read sqrt(2) * 1e200
+    # distance does, so both read 1e200, the distance to [I - P, I] above
     theta = m2_map([Mat2(1e200, 1e200, 0.0, 0.0), M2_ID])
     rep = nearest_mult_m2(nmin(2), theta, norm=norm, starts=2)
-    assert rep.value == rep.details["internal_value"] == 1.414213562373095e200
+    assert rep.value == rep.details["internal_value"] == 1e200
 
 
-@pytest.mark.parametrize("x", [math.inf, math.nan])
+@pytest.mark.parametrize(
+    "x", [math.inf, math.nan, 10**400, Fraction(10**400, 3)], ids=["inf", "nan", "int", "fraction"]
+)
 def test_nearest_m2_refuses_a_non_finite_entry(x):
+    # an exact entry past the float range is not finite as a float either
     theta = m2_map([M2_ID, Mat2(0.5, x, 0.0, 0.5)])
     with pytest.raises(ValueError, match=r"theta\(1\) has a non-finite entry"):
         nearest_mult_m2(nmin(2), theta, starts=2)
+
+
+def test_nearest_m2_refuses_a_negative_starts():
+    theta = m2_map([M2_ID, Mat2(0.5, 0.0, 0.0, 0.5)])
+    with pytest.raises(ValueError, match="starts must be non-negative, got -3"):
+        nearest_mult_m2(nmin(2), theta, starts=-3)
+    assert nearest_mult_m2(nmin(2), theta, starts=0).value == 0.5 * math.sqrt(2.0)
 
 
 def _random_cell(rng, S):

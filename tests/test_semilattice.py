@@ -168,6 +168,11 @@ def test_validate_names_an_out_of_range_entry_unwrapped(big, dtype):
         validate(np.array([[0, big], [big, 1]], dtype=dtype))
 
 
+def test_validate_rejects_a_table_that_is_not_square():
+    with pytest.raises(ParseError, match=r"nonempty square matrix, got shape \(1, 2\)"):
+        validate([[0, 0]])
+
+
 def test_a_float_table_of_whole_numbers_is_accepted():
     assert validate([[0.0, 0.0], [0.0, 1.0]]).table.dtype == np.intp
 

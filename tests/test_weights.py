@@ -66,6 +66,13 @@ def test_check_submultiplicative_returns_first_violation():
     assert check_submultiplicative(S, (1, 1, 4)) == (0, 1)
 
 
+def test_check_submultiplicative_refuses_a_weight_of_the_wrong_length_or_type():
+    with pytest.raises(ValueError, match="weight has 2 entries for a 3-element semilattice"):
+        check_submultiplicative(free_semilattice(2), (1, 1))
+    with pytest.raises(NonPositiveWeight, match=r"omega\[1\] = 1j is not a real number"):
+        check_submultiplicative(nmin(2), (1, 1j))
+
+
 @pytest.mark.filterwarnings("error")
 def test_numpy_float_weights_past_the_square_range_pass_without_a_warning():
     # min**2 overflows to inf, as with Python floats, and so bounds every product
