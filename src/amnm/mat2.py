@@ -189,6 +189,14 @@ def _complex_norm(a: complex, b: complex, c: complex, d: complex, op: bool) -> f
         return math.inf
 
 
+def _as_complex(x) -> complex:
+    """``complex(x)``, or inf (not finite) for an exact ``x`` past the float range."""
+    try:
+        return complex(x)
+    except OverflowError:
+        return complex(math.inf)
+
+
 def _idempotent_defect(a, b, c, d) -> float:
     """``hs_norm(A @ A - A)`` on A's four entries, operation for operation."""
     return hs_norm((a * a + b * c - a, a * b + b * d - b, c * a + d * c - c, c * b + d * d - d))
@@ -237,9 +245,9 @@ def op_norm(A: Mat2) -> float:
 def _norm(A: Mat2, op: bool) -> float:
     """:func:`op_norm` if ``op``, else :func:`hs_norm`: the float kernel on a float
     entry, else the closed form on the exact ``tr(A* A)`` and ``|det A|^2``."""
+    if any(isinstance(x, (float, complex)) for x in A):  # first: hs_norm_sq could overflow
+        return _complex_norm(*map(_as_complex, A), op)
     t = hs_norm_sq(A)
-    if isinstance(t, float):
-        return _complex_norm(*map(complex, A), op)
     return _rescaled(_op_from_gram, t, abs2(A.det)) if op else _rescaled(_hs_from_gram, t)
 
 
@@ -250,7 +258,7 @@ def t2_norm(x: T2Element):
 
 def inv2(A: Mat2) -> Mat2:
     det = A.det
-    if abs(complex(det)) == 0.0:
+    if det == 0:  # exact on exact entries; on float ones the same as abs(det) == 0.0
         raise ZeroDivisionError("matrix is singular")
     return Mat2(A.d / det, -A.b / det, -A.c / det, A.a / det)
 
@@ -343,8 +351,8 @@ def _schur(A, a: complex, b: complex, c: complex, d: complex) -> tuple:
 
     Past ``2**500`` the squares below could overflow, so the body runs on the
     entries scaled by the power of two that brings the largest part to at most
-    ``2**500``: U is the same, and T is scaled back.  An inf or NaN entry
-    raises ``ValueError``."""
+    ``2**500``: U is the same, and T is scaled back.  An entry that is not finite
+    as a float (inf, NaN, or an exact one past the float range) raises ``ValueError``."""
     scale = 1.0 + hs_norm(A)
     if not scale <= 2.0**500:  # past 2**500, inf or NaN
         if not all(map(cmath.isfinite, (a, b, c, d))):
@@ -391,7 +399,7 @@ def unitary_triangularize(A: Mat2) -> tuple[Mat2, Mat2]:
     orthogonal completion.  The subdiagonal entry is asserted tiny and then
     set to exactly zero.
     """
-    v1, v2, ta, tb, td = _schur(A, *map(complex, A))
+    v1, v2, ta, tb, td = _schur(A, *map(_as_complex, A))
     return Mat2(v1, -v2.conjugate(), v2, v1.conjugate()), Mat2(ta, tb, 0.0j, td)
 
 
@@ -435,7 +443,7 @@ def nearest_binary_idempotent(A: Mat2) -> tuple[Mat2, int]:
     in that basis); otherwise ``P`` is 0 or the identity.  No smallness of
     ``||A - A^2||`` is assumed — :func:`key_estimates` adds the certified bounds.
     """
-    v1, v2, ta, tb, td = _schur(A, *map(complex, A))
+    v1, v2, ta, tb, td = _schur(A, *map(_as_complex, A))
     na, nd = _rounded(ta), _rounded(td)  # T's diagonal, rounded to {0, 1}
     e, f, g, h = (complex(na), tb, 0.0j, complex(nd)) if na != nd else (M2_ID if na else M2_ZERO)
     p, q = v1.conjugate(), v2.conjugate()  # P = U P_T U*, with U = (v1, -q / v2, p)
@@ -472,7 +480,7 @@ def key_estimates(A: Mat2, eps: float) -> KeyEstimateReport:
     if _idempotent_defect(e, f, g, h) > 1e-12 * (1.0 + _complex_hs_sq(e, f, g, h)):
         raise ClassificationFailure("constructed projection failed idempotency check")
     achieved = hs_norm((a - e, b - f, c - g, d - h))
-    if achieved > bound + 1e-12 * (1.0 + hs_norm(A)):
+    if achieved > bound and achieved > bound + 1e-12 * (1.0 + hs_norm(A)):  # norm only if needed
         raise ClassificationFailure(
             f"achieved distance {achieved!r} exceeds certified bound {bound!r}"
         )

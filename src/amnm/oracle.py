@@ -37,11 +37,13 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import chain, product
-from operator import add, itemgetter, sub
+from math import inf, sqrt
+from operator import add, itemgetter, lt, sub
 
 import numpy as np
 
@@ -62,8 +64,11 @@ from .mat2 import (
     M2_ID,
     Mat2,
     T2Element,
+    _DIRECT_MIN,
     _SQRT2,
+    _as_complex,
     _complex_norm,
+    _op_from_gram,
     _rank_one,
     is_idempotent_within,
     nearest_binary_idempotent,
@@ -276,7 +281,12 @@ _FATOL = 1e-12
 
 
 def _ordered(sim, fsim):
-    # np.argsort, not sorted(): equal values keep the reference's tie order
+    """``sim`` and ``fsim`` in argsort's order of ``fsim``; ``sim`` may be reordered in place."""
+    k = bisect_left(fsim, fsim[-1], 0, len(fsim) - 1)  # the last vertex's place among the rest
+    f = [*fsim[:k], fsim[-1], *fsim[k:-1]]
+    if all(map(lt, f, f[1:])):  # strictly increasing (no tie, NaN or ±0): the one order
+        sim.insert(k, sim.pop())
+        return sim, f
     ind = np.array(fsim).argsort().tolist()
     return [sim[i] for i in ind], [fsim[i] for i in ind]
 
@@ -284,12 +294,12 @@ def _ordered(sim, fsim):
 def minimize(fun, x0) -> list[float]:
     """Nelder-Mead descent of ``fun`` from ``x0``; returns the best vertex.
 
-    A port of the widely used reference implementation with the options
-    above: the same initial simplex (each coordinate times 1.05, or 0.00025
-    where it is zero), the same float expressions in the same order
-    (rho = 1, chi = 2, psi = sigma = 1/2), the same vertex order, so the same
-    calls of ``fun`` and the same bits in the result.  ``tests/test_oracle.py``
-    compares the two where the reference is installed.
+    A port of the widely used reference implementation with the options above: the same
+    initial simplex (each coordinate times 1.05, or 0.00025 where it is zero), the same float
+    expressions in the same order (rho = 1, chi = 2, psi = sigma = 1/2), the same vertex order
+    (argsort's, whose tie order :func:`_ordered` reaches only on tied values), so the same calls
+    of ``fun`` and the same bits in the result.  ``tests/test_oracle.py`` compares the two where the
+    reference is installed.
     """
     n = len(x0)
     sim = [list(x0)]
@@ -301,8 +311,8 @@ def minimize(fun, x0) -> list[float]:
     sim, fsim = _ordered(*_ordered(sim, fsim))  # the reference sorts twice here
     for _ in range(_MAXITER - 1):  # the initial simplex counts as iteration 1
         best = sim[0]
-        if all(abs(x - b) <= _XATOL for v in sim[1:] for x, b in zip(v, best)) and all(
-            abs(fsim[0] - f) <= _FATOL for f in fsim[1:]
+        if fsim[-1] - fsim[0] <= _FATOL and all(  # sorted, a NaN last: the largest |f - f0|
+            abs(x - b) <= _XATOL for v in sim[1:] for x, b in zip(v, best)
         ):
             break
         last = sim[-1]
@@ -372,26 +382,38 @@ def _cannot_win(const: float, term: float, slack: float, best: float) -> bool:
 
 
 def _cell_objective(theta_c, om, p_only, q_only, const, op: bool):
-    """The cost of ``P`` in one (F1, F2) cell: the largest of ``const`` and
-    ``||theta(e) - P|| / omega(e)`` over ``p_only``, ``||theta(e) - (I - P)||
-    / omega(e)`` over ``q_only``.  ``theta_c`` holds the values with
-    ``complex`` entries; the differences and norms are those of ``Mat2``
-    arithmetic with :func:`hs_norm` or :func:`op_norm`, bit for bit."""
-    p_terms = [(*theta_c[e], om[e]) for e in p_only]
-    q_terms = [(*theta_c[e], om[e]) for e in q_only]
+    """The cost of ``P`` in one (F1, F2) cell: the largest of ``const`` and ``||theta(e) - P||
+    / omega(e)`` over ``p_only``, ``||theta(e) - (I - P)|| / omega(e)`` over ``q_only``, for
+    ``theta_c`` the values with ``complex`` entries.  It is ``Mat2`` arithmetic with
+    :func:`hs_norm` or :func:`op_norm`, bit for bit: one loop runs :func:`_complex_norm`'s
+    formula on the entries' parts, and its rule only off ``[_DIRECT_MIN, inf)``."""
+    parts = {  # each element's eight real and imaginary parts, then its weight
+        e: (*(y for x in theta_c[e] for y in (x.real, x.imag)), om[e]) for e in p_only + q_only
+    }
+    groups = [([parts[e] for e in es], q) for es, q in ((p_only, False), (q_only, True)) if es]
 
     def cost(P) -> float:
-        pa, pb, pc, pd = P
-        qa, qb, qc, qd = 1 - pa, 0 - pb, 0 - pc, 1 - pd  # M2_ID - P
         val = const
-        for a, b, c, d, w in p_terms:
-            r = _complex_norm(a - pa, b - pb, c - pc, d - pd, op) / w
-            if r > val:  # max(val, r)
-                val = r
-        for a, b, c, d, w in q_terms:
-            r = _complex_norm(a - qa, b - qb, c - qc, d - qd, op) / w
-            if r > val:
-                val = r
+        for terms, q in groups:
+            e, f, g, h = (1 - P[0], 0 - P[1], 0 - P[2], 1 - P[3]) if q else P  # I - P on label 2
+            er, ei, fr, fi = e.real, e.imag, f.real, f.imag
+            gr, gi, hr, hi = g.real, g.imag, h.real, h.imag
+            for ar, ai, br, bi, cr, ci, dr, di, w in terms:
+                ar, ai = ar - er, ai - ei
+                br, bi = br - fr, bi - fi
+                cr, ci = cr - gr, ci - gi
+                dr, di = dr - hr, di - hi
+                t = (ar * ar + ai * ai) + (br * br + bi * bi)
+                t = t + (cr * cr + ci * ci) + (dr * dr + di * di)  # _complex_hs_sq's order
+                if op:  # det = a * d - b * c, as the complex product forms it
+                    xr = (ar * dr - ai * di) - (br * cr - bi * ci)
+                    xi = (ar * di + ai * dr) - (br * ci + bi * cr)
+                r = _op_from_gram(t, xr * xr + xi * xi) if op else sqrt(t)
+                if not _DIRECT_MIN <= r < inf:
+                    r = _complex_norm(*map(complex, (ar, br, cr, dr), (ai, bi, ci, di)), op)
+                r /= w
+                if r > val:  # max(val, r)
+                    val = r
         return val
 
     return cost
@@ -420,15 +442,10 @@ def nearest_mult_m2(
     op = norm == "op"
     if starts < 0:
         raise ValueError(f"starts must be non-negative, got {starts!r}")
-    theta_c = []
-    for e, v in enumerate(theta.values):
-        try:
-            m = Mat2(*map(complex, v))
-        except OverflowError:  # an exact entry past the float range
-            m = (math.inf,)
+    theta_c = [Mat2(*map(_as_complex, v)) for v in theta.values]
+    for e, m in enumerate(theta_c):
         if not all(map(cmath.isfinite, m)):
-            raise ValueError(f"theta({e}) has a non-finite entry: {v!r}")
-        theta_c.append(m)
+            raise ValueError(f"theta({e}) has a non-finite entry: {theta.values[e]!r}")
     big = max(max(abs(x.real), abs(x.imag)) for v in theta_c for x in v)  # |x| <= 2 big
     slack = 1e-12 * (1001.0 + 2.0 * big) if big < 2.0**250 else math.inf  # see _deflate
     om = [float(x) for x in WS.omega_float]

@@ -51,8 +51,9 @@ def test_golden_cli_output(case):
 def test_golden_corpus_under_the_baseline_simd_dispatch():
     """Every case, replayed in one fresh process under numpy's baseline SIMD
     dispatch, prints the recorded bytes, except possibly the two whose
-    ``--corroborate`` runs the polished M2 oracle: the ``argsort`` tie order of
-    its simplex (``oracle._ordered``) still moves with the dispatch."""
+    ``--corroborate`` runs the polished M2 oracle: the ``argsort`` tie order, which
+    its simplex (``oracle._ordered``) reaches only when vertex values tie, still moves
+    with the dispatch."""
     here = Path(__file__).parent
     path = [str(here), str(here.parent / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": _baseline_dispatch()}

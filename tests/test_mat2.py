@@ -81,6 +81,18 @@ def test_inverse_multiplies_to_identity():
         inv2(Mat2(1.0, 1.0, 1.0, 1.0))
 
 
+def test_inverse_decides_singularity_exactly():
+    # det is compared with 0 as it is: no float view of it underflows or overflows
+    x = Fraction(1, 10**400)
+    A = Mat2(x, 0, 0, 1)
+    assert A @ inv2(A) == M2_ID
+    assert inv2(Mat2(10**400, 0, 0, 1)) == Mat2(0.0, 0.0, 0.0, 1.0)
+    with pytest.raises(ZeroDivisionError):
+        inv2(Mat2(10**400, 10**400, 1, 1))
+    with pytest.raises(ZeroDivisionError):
+        inv2(Mat2(0j, 1.0, 0.0, 1.0))
+
+
 def test_dual_number_norm_and_product():
     x = T2Element(2.0, -1.0)
     y = T2Element(0.5, 3.0)
@@ -155,10 +167,12 @@ def test_triangularize_round_trip(A):
         (Mat2(10**200, 0, 0, 0), 1e200, 1e200),
         (Mat2(Fraction(10**400, 3), 0, 0, 10**400), math.inf, math.inf),
         (Mat2(3 * 10**160, 0, 0, -4 * 10**160), 5e160, 4e160),
+        (Mat2(1.0, 10**200, 0, 0), 1e200, 1e200),  # beside a float entry
     ],
 )
 def test_norms_of_exact_entries_past_the_float_range(A, hs, op):
-    # float() of the exact square would overflow: the norms scale it first
+    # float() of the exact square would overflow: the norms scale it first, or,
+    # beside a float entry, run the float kernel on the entries
     assert hs_norm(A) == pytest.approx(hs, rel=1e-15)
     assert op_norm(A) == pytest.approx(op, rel=1e-15)
 
@@ -274,6 +288,22 @@ def test_triangularize_huge_exact_entries():
 def test_triangularize_refuses_a_non_finite_entry(A):
     with pytest.raises(ValueError, match="non-finite entry"):
         unitary_triangularize(A)
+
+
+@pytest.mark.parametrize("kernel", [unitary_triangularize, nearest_binary_idempotent])
+@pytest.mark.parametrize(
+    "A",
+    [
+        Mat2(10**400, 0, 0, 0),
+        Mat2(-(10**400), 0, 0, 0),
+        Mat2(Fraction(10**400, 3), 0, 0, 0),
+        Mat2(1.0, 10**400, 0, 0),
+    ],
+    ids=["int", "negative", "fraction", "beside-a-float"],
+)
+def test_the_kernels_refuse_an_exact_entry_past_the_float_range(kernel, A):
+    with pytest.raises(ValueError, match="non-finite entry"):
+        kernel(A)
 
 
 # ---------------------------------------------------------------------------

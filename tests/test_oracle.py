@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import amnm
 from amnm import (
@@ -27,12 +29,14 @@ from amnm import (
     enumerate_mult_t2,
     free_semilattice,
     geometric_weight,
+    hs_norm,
     m2_family_map,
     m2_map,
     nearest_mult_m2,
     nearest_mult_scalar,
     nearest_mult_t2,
     nmin,
+    op_norm,
     random_m2_instance,
     random_semilattice,
     random_submultiplicative_weight,
@@ -437,6 +441,86 @@ def test_cell_bound_terms_are_attained(norm, labels):
 
     assert bound(point[0], point[0]) == pytest.approx(cost([0]), rel=1e-12)
     assert bound(point[1], point[2]) == pytest.approx(cost([1, 2]), rel=1e-12)
+
+
+# parts of moderate size, and from 0 and the subnormals up to 2**1000: a cell's norms
+# run the direct formula and, below _DIRECT_MIN or past the squares' range, the rule
+_part = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.just(0.0),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1000)),
+)
+_entry = st.builds(complex, _part, _part)
+_matrix = st.builds(Mat2, _entry, _entry, _entry, _entry)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    theta_c=st.lists(_matrix, min_size=1, max_size=4),
+    labels=st.lists(st.sampled_from([0, 1, 2]), min_size=4, max_size=4),
+    om=st.lists(st.floats(1.0, 8.0), min_size=4, max_size=4),
+    P=st.one_of(
+        _matrix,
+        st.lists(st.floats(0.0, 2.0 * math.pi), min_size=4, max_size=4).map(
+            amnm.oracle._idempotent_from_params
+        ).filter(lambda P: P is not None),
+    ),
+    const=st.sampled_from([0.0, 2.0**-600, 0.75, math.inf]),
+    op=st.booleans(),
+)
+@example(  # every difference below _DIRECT_MIN, one exactly zero
+    theta_c=[Mat2(2.0**-600, 0j, 0j, 0j), Mat2(0j, 0j, 0j, 0j)], labels=[1, 1, 0, 0],
+    om=[1.0] * 4, P=Mat2(0j, 0j, 0j, 0j), const=0.0, op=True,
+)
+@example(  # squares past the float range, on both labels
+    theta_c=[Mat2(2.0**1000, 2.0**1000, 0j, 1j), Mat2(1j, 0j, -(2.0**1000), 0j)],
+    labels=[1, 2, 0, 0], om=[1.0] * 4, P=Mat2(0.5, 0.5, 0.5, 0.5), const=0.0, op=False,
+)
+def test_cell_cost_is_mat2_arithmetic_bit_for_bit(theta_c, labels, om, P, const, op):
+    """The parts-based cell cost is ``max(const, ||theta(e) - P|| / omega(e)`` on label 1,
+    ``||theta(e) - (I - P)|| / omega(e)`` on label 2``), on ``Mat2`` arithmetic and
+    :func:`hs_norm` or :func:`op_norm`: empty, p-only, q-only and mixed cells, both norms."""
+    labels = labels[: len(theta_c)]
+    p_only = [e for e, k in enumerate(labels) if k == 1]
+    q_only = [e for e, k in enumerate(labels) if k == 2]
+    norm = op_norm if op else hs_norm
+    terms = [norm(theta_c[e] - P) / om[e] for e in p_only]
+    terms += [norm(theta_c[e] - (M2_ID - P)) / om[e] for e in q_only]
+    cost = amnm.oracle._cell_objective(theta_c, om, p_only, q_only, const, op)
+    assert cost(P).hex() == max([const, *terms]).hex()
+
+
+_values = st.sampled_from([0.0, -0.0, 1.0, 2.0, -3.5, math.inf, -math.inf, math.nan])
+_distinct = st.lists(st.floats(allow_nan=False), min_size=1, max_size=5, unique=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    fsim=st.one_of(
+        st.lists(_values, min_size=1, max_size=6),  # ties, NaN and signed zeros
+        _distinct,
+        # a sorted simplex whose last vertex was replaced, as after each step
+        st.tuples(_distinct.map(sorted), st.one_of(_values, st.floats())).map(
+            lambda t: [*t[0], t[1]]
+        ),
+    )
+)
+@example(fsim=[0.5, 1.0, 2.0, 3.0, 1.5])
+@example(fsim=[0.5, 1.0, 2.0, 3.0, 1.0])
+@example(fsim=[0.5, 1.0, 2.0, 3.0, math.nan])
+@example(fsim=[-0.0, 1.0, 2.0, 0.0])
+@example(fsim=[3.0, 1.0, 2.0, 0.5, 4.0])
+@example(fsim=[1.0, 1.0, 0.5, 1.0, 2.0])
+@example(fsim=[math.nan, 1.0, 0.0, math.nan, -1.0])
+def test_simplex_order_is_argsorts(fsim):
+    """``_ordered`` puts the vertices in ``np.argsort``'s order of their values, whether
+    it moves the last one into place (distinct values) or leaves ties, NaN and ±0 to argsort."""
+    sim = [[float(i)] for i in range(len(fsim))]
+    ind = np.array(fsim).argsort().tolist()
+    expected = [sim[i] for i in ind]
+    got_sim, got_f = amnm.oracle._ordered(sim, fsim)
+    assert got_sim == expected
+    assert [f.hex() for f in got_f] == [fsim[i].hex() for i in ind]
 
 
 def _complex_bits(x) -> tuple:
