@@ -26,12 +26,12 @@ The float path reads every codomain through :meth:`AlgebraMap.as_m2`, as the
 exact filter below does: scalars embed diagonally and T2 values as
 ``[[a, b], [0, a]]``, so one ``(n, 2, 2)`` stack and one norm function
 (``_norms``, also the filter's: :func:`mat2._complex_norm` on arrays) serve all
-three; past ``2**250`` the products are formed on values scaled by powers of
-two.  The exact scans use the same embedding on integers, ``N = L theta`` over
-the common denominator ``L`` of the entries, and build a ``Fraction`` only for
-a ratio.  Each integer form is made once, a map's on its embedding and a
-weight's ``omega = W / K`` on the weight; ``_integers`` combines several maps'
-over the lcm of their ``L``.
+three; past ``2**250`` in a value or a weight, the products are formed on values
+and weights scaled by powers of two (one weight rule, ``norm / (w_e w_f)``).  The
+exact scans use the same embedding on integers, ``N = L theta`` over the common
+denominator ``L`` of the entries, and build a ``Fraction`` only for a ratio.  Each
+integer form is made once, a map's on its embedding and a weight's ``omega = W /
+K`` on the weight; ``_integers`` combines several maps' over the lcm of their ``L``.
 
 For matrix codomains the scan covers all ordered pairs — matrix values need
 not commute, and there are natural maps whose defect is attained at (e, f)
@@ -81,6 +81,7 @@ from .mat2 import (
     M2_ZERO,
     Mat2,
     T2Element,
+    _as_complex,
     _hs_from_gram,
     _op_from_gram,
     _rescaled,
@@ -183,19 +184,14 @@ def default_norm(codomain: str) -> str:
     return _DEFAULT_NORMS[codomain]
 
 
-def _resolve(ws_or_s) -> WeightedSemilattice:
-    if isinstance(ws_or_s, WeightedSemilattice):
-        return ws_or_s
-    if isinstance(ws_or_s, Semilattice):
-        return ws_or_s._unit_weight
-    raise TypeError(f"expected Semilattice or WeightedSemilattice, got {type(ws_or_s)!r}")
-
-
 def _carrier(ws_or_s, codomain: str | None, *maps: AlgebraMap) -> WeightedSemilattice:
     """The weighted semilattice of ``ws_or_s``, once every map of ``maps`` fits
-    it: ``ValueError`` unless all take values in ``codomain`` (the first
-    map's when None), then ``ParseError`` unless each has one value per element."""
-    WS = _resolve(ws_or_s)
+    it (a bare semilattice's is its unit weight): ``ValueError`` unless all take values
+    in ``codomain`` (the first map's when None), then ``ParseError`` unless each has
+    one value per element."""
+    WS = ws_or_s._unit_weight if isinstance(ws_or_s, Semilattice) else ws_or_s
+    if not isinstance(WS, WeightedSemilattice):
+        raise TypeError(f"expected Semilattice or WeightedSemilattice, got {type(ws_or_s)!r}")
     codomain = codomain or maps[0].codomain
     for m in maps:
         if m.codomain != codomain:
@@ -231,19 +227,12 @@ class DefectReport:
 
     @property
     def defect_float(self) -> float:
-        return _float(self.defect)
+        return _as_complex(self.defect).real
 
 
 # ---------------------------------------------------------------------------
 # Exact helpers.
 # ---------------------------------------------------------------------------
-
-
-def _float(x) -> float:
-    try:  # float(x) for a value x >= 0, and inf past the float range
-        return float(x)
-    except OverflowError:
-        return math.inf
 
 
 def _root(q: Fraction) -> tuple:
@@ -286,7 +275,7 @@ def _can_run_exact(WS: WeightedSemilattice, *maps: AlgebraMap) -> bool:
 # Filter constants; the module docstring derives the bound they implement.
 _FILTER_REL = 2.0**-40  # the enclosure's relative width
 _INV_SQRT2_DOWN = 0.7071067811865  # below 1/sqrt(2), even after rounding a product
-_UNSCALED_RANGE = 2.0**250  # the float defect scales values and weights past this
+_UNSCALED_RANGE = 2.0**250  # the float defect scales past a value or weight this large
 
 
 def _stack(theta: AlgebraMap, *more: AlgebraMap) -> np.ndarray:
@@ -349,8 +338,10 @@ def _norms(D: np.ndarray, norm: str) -> np.ndarray:
         if not (_DIRECT_MIN <= lo and hi < np.inf):  # also on NaN
             redo = r < _DIRECT_MIN if hi < np.inf else ~((r >= _DIRECT_MIN) & (r < np.inf))
             if np.count_nonzero(X[redo]):  # not only exact zeros
-                k = np.frexp(np.abs(X[redo]).max(axis=1))[1]  # 0 for zero, inf and NaN rows
-                r[redo] = np.ldexp(_formula(np.ldexp(X[redo], -k[:, None]), norm == "op"), k)
+                top = np.abs(X[redo]).max(axis=1)  # inf: an inf part and no NaN part
+                k = np.frexp(top)[1]  # 0 for zero, inf and NaN rows
+                scaled = np.ldexp(_formula(np.ldexp(X[redo], -k[:, None]), norm == "op"), k)
+                r[redo] = np.where(top == np.inf, np.inf, scaled)
         return (r[0::2] + r[1::2] if norm == "t2" else r).reshape(shape)
 
 
@@ -447,9 +438,9 @@ def _defect_exact(WS: WeightedSemilattice, theta: AlgebraMap, norm: str) -> Defe
 def _defect_float(WS: WeightedSemilattice, theta: AlgebraMap, norm: str) -> DefectReport:
     w, table = WS.omega_float, WS.S.table
     V = _stack(theta)
-    if not np.abs(V.view(float)).max() <= _UNSCALED_RANGE:  # or an inf or NaN entry
+    if not max(np.abs(V.view(float)).max(), w.max()) <= _UNSCALED_RANGE:  # or inf or NaN
         _refuse_non_finite(V, theta)
-        # the products could overflow: scale each value down to its largest part,
+        # a product could overflow: scale each value down to its largest part,
         # each difference to its own and the weights to their mantissas, by powers of two
         k = np.maximum(np.frexp(_largest_parts(V))[1], 0)
         K = k[:, None] + k[None, :]
@@ -461,15 +452,12 @@ def _defect_float(WS: WeightedSemilattice, theta: AlgebraMap, norm: str) -> Defe
         with np.errstate(over="ignore"):  # a defect past the float range is inf
             ratios = np.ldexp(norms, K + j - e[:, None] - e[None, :])
     else:
-        norms = _norms(np.einsum("iab,jbc->ijac", V, V) - V[table], norm)
-        wide = w.max() > _UNSCALED_RANGE  # the product of two weights could overflow
-        ratios = norms / w[:, None] / w[None, :] if wide else norms / (w[:, None] * w[None, :])
+        ratios = _norms(np.einsum("iab,jbc->ijac", V, V) - V[table], norm) / (w[:, None] * w)
     if theta.codomain != "m2":
         # symmetric defect function: restrict to i <= j (keeps the same
         # maximum and the same lexicographically-first witness)
         np.putmask(ratios, np.tri(WS.n, k=-1, dtype=bool), -1.0)
-    flat = int(np.argmax(ratios))
-    i, j = divmod(flat, WS.n)
+    i, j = divmod(int(np.argmax(ratios)), WS.n)
     return DefectReport(float(ratios[i, j]), (i, j), norm)
 
 
@@ -526,7 +514,7 @@ class DistanceReport:
 
     @property
     def value_float(self) -> float:
-        return _float(self.value)
+        return _as_complex(self.value).real
 
 
 def _element_ratios(WS: WeightedSemilattice, theta: AlgebraMap, phis, norm: str):

@@ -167,8 +167,8 @@ def _complex_norm(a: complex, b: complex, c: complex, d: complex, op: bool) -> f
     entries: the one float 2x2 norm, of :func:`hs_norm`, :func:`op_norm`, the oracle's
     costs and, on arrays, ``defects._norms``.  Out of ``[_DIRECT_MIN, inf)`` a square
     may have underflowed or overflowed (the op norm squares twice): the norm is then
-    that of the entries over the power of two at their largest part, scaled back,
-    inf only past the float range.  An exact zero, or an inf or NaN entry, keeps it."""
+    that of the entries over the power of two at their largest part, scaled back, inf
+    only past the float range; an exact zero or NaN part keeps it, an inf part gives inf."""
     t = _complex_hs_sq(a, b, c, d)
     if op:
         det = a * d - b * c
@@ -180,7 +180,7 @@ def _complex_norm(a: complex, b: complex, c: complex, d: complex, op: bool) -> f
     entries = (a, b, c, d)
     k = math.frexp(max(max(abs(x.real), abs(x.imag)) for x in entries))[1]
     if not k:  # the largest part is inf or NaN: a finite one in [1/2, 1) is direct
-        return r
+        return math.inf if t == math.inf else r
     ks = [-k] * 4  # zipped in, not closed over: a cell variable would slow every call
     scaled = [complex(math.ldexp(x.real, j), math.ldexp(x.imag, j)) for x, j in zip(entries, ks)]
     try:
@@ -458,7 +458,9 @@ def key_estimates(A: Mat2, eps: float) -> KeyEstimateReport:
     eps = float(eps)
     if not 0.0 <= eps < 2.0 / 9.0:
         raise ValueError(f"key estimates require 0 <= eps < 2/9, got {eps!r}")
-    a, b, c, d = A
+    a, b, c, d = A  # as _norm reads them: all complex beside a float (float * int overflows)
+    if not type(a) is type(b) is type(c) is type(d) is complex:
+        a, b, c, d = map(_as_complex, A) if any(isinstance(x, (float, complex)) for x in A) else A
     measured = _idempotent_defect(a, b, c, d)
     if not measured <= eps:
         raise DefectTooLarge(measured, eps, what="||A - A^2||_HS")

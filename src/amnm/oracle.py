@@ -52,7 +52,6 @@ from .defects import (
     _carrier,
     _check_norm,
     _element_ratios,
-    _float,
     _root,
     default_norm,
     m2_map,
@@ -168,7 +167,7 @@ def _exhaustive_nearest(WS, theta) -> tuple[NearestReport, int]:
     value, exact = _root(first[levels[top]]) if exact_costs else (first[levels[top]], False)
     return NearestReport(
         codomain=theta.codomain,
-        value=_float(value),
+        value=_as_complex(value).real,
         value_exact=value if exact else None,
         best_map=_row_map(theta.codomain, rows[best].tolist()),
         witness=int(np.argmax(scan[best] == top)),

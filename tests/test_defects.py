@@ -1,5 +1,6 @@
 """Defect and distance reports: exact arithmetic, witnesses, scan order, rounding."""
 
+import cmath
 import decimal
 import gc
 import json
@@ -238,6 +239,9 @@ def _assert_near_exact(x: float, entries, op: bool):
     ``8u`` relative for a modulus or the HS norm; the operator norm adds
     the cancellation in ``t**2 - 4 |det|**2`` (absolute error at most
     ``64 u t**2``) at its square root."""
+    if not all(map(cmath.isfinite, entries)):  # an inf part gives inf, a NaN part NaN
+        assert math.isnan(x) if any(map(cmath.isnan, entries)) else x == math.inf
+        return
     u = Fraction(2) ** -53
     a, b, c, d = ((Fraction(z.real), Fraction(z.imag)) for z in entries)
     t = sum(re * re + im * im for re, im in (a, b, c, d))
@@ -264,6 +268,8 @@ def _assert_near_exact(x: float, entries, op: bool):
 @given(rows=st.lists(_spread_entries(), min_size=1, max_size=6))
 @example(rows=[[5e-324j, 0j, 0j, 0j], [0j] * 4, [complex(2.0**-600, 0), 0j, 0j, 2.0**-600 + 0j]])
 @example(rows=[[complex(1.7e308, 1.7e308), 0j, 0j, complex(1.7e308, -1.7e308)], [1e200 + 0j] * 4])
+@example(rows=[[1 + 0j, complex(0, math.inf), 0j, 0j], [complex(math.inf, 1), 0j, 0j, 1e-300j]])
+@example(rows=[[complex(math.inf, math.nan), 1 + 0j, 0j, 0j], [0j, 0j, math.nan + 0j, 2 + 0j]])
 def test_the_stack_kernel_is_the_scalar_kernel_bit_for_bit(rows):
     """``defects._norms`` and ``mat2._complex_norm`` round every norm alike,
     from subnormal parts to ``2**1023``, and both are within the formula's
@@ -1001,6 +1007,18 @@ def test_a_float_m2_defect_past_the_square_range_does_not_overflow(norm):
         assert rep.witness == witness
 
 
+def _weight_product_defect(WS, theta, norm):
+    """The float defect as ``_norms(V_e V_f - V_ef) / (w_e * w_f)`` and its first
+    argmax (over ``i <= j`` for a symmetric codomain)."""
+    V, w = _stack(theta), WS.omega_float
+    ratios = _norms(np.einsum("iab,jbc->ijac", V, V) - V[WS.S.table], norm)
+    ratios = ratios / (w[:, None] * w[None, :])
+    if theta.codomain != "m2":
+        ratios[np.tri(WS.n, k=-1, dtype=bool)] = -1.0
+    i, j = divmod(int(np.argmax(ratios)), WS.n)
+    return ratios[i, j], (i, j)
+
+
 def test_scaled_float_m2_defects_keep_the_unscaled_bits_where_nothing_overflows():
     # entries between 1e60 and 1e140 take the scaled path; their products stay
     # finite, and scaling by powers of two is exact, so the bits are the same
@@ -1011,13 +1029,28 @@ def test_scaled_float_m2_defects_keep_the_unscaled_bits_where_nothing_overflows(
         entries = [[complex(*gen.normal(size=2)) * k for _ in range(4)] for k in scale]
         theta = m2_map([Mat2(*e) for e in entries])
         WS = random_submultiplicative_weight(gen, S)
-        V, w = _stack(theta), WS.omega_float
         for norm in ("hs", "op"):
-            ratios = _norms(np.einsum("iab,jbc->ijac", V, V) - V[S.table], norm)
-            ratios = ratios / (w[:, None] * w[None, :])
-            i, j = divmod(int(np.argmax(ratios)), S.n)
             rep = defect(WS, theta, norm)
-            assert rep.defect_float == ratios[i, j] and rep.witness == (i, j)
+            assert (rep.defect_float, rep.witness) == _weight_product_defect(WS, theta, norm)
+
+
+def test_a_float_defect_divides_by_the_weight_product_past_the_unscaled_range():
+    # a constant weight c in (2**250, 2**511] sends every map to the scaled
+    # branch, and c * c is finite: its defect is norm / (w_e * w_f), as below it
+    gen = np.random.default_rng(2929)
+    for codomain, norm in (("m2", "hs"), ("m2", "op"), ("scalar", "abs"), ("t2", "t2")):
+        for _ in range(60):
+            S = random_semilattice(gen)
+            WS = weighted(S, [math.ldexp(gen.uniform(0.5, 1.0), int(gen.integers(251, 512)))] * S.n)
+            z = [complex(*gen.normal(size=2)) for _ in range(4 * S.n)]
+            if codomain == "m2":
+                theta = m2_map([Mat2(*z[k : k + 4]) for k in range(0, 4 * S.n, 4)])
+            else:
+                pairs = zip(z[: S.n], z[S.n : 2 * S.n])
+                theta = scalar_map(z[: S.n]) if codomain == "scalar" else t2_map(pairs)
+            value, witness = _weight_product_defect(WS, theta, norm)
+            rep = defect(WS, theta, norm)
+            assert (rep.defect_float.hex(), rep.witness) == (value.hex(), witness)
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,20 @@ def test_exact_norms_below_the_square_range_keep_their_float_view():
     assert r > 0.0 and _within_one_ulp_of_the_root(r, 2 * x * x)
 
 
+@pytest.mark.parametrize(
+    "big", [math.inf, -math.inf, 10**400, complex(0, math.inf)], ids=["inf", "-inf", "10**400", "infj"]
+)
+def test_an_infinite_entry_has_an_infinite_norm_in_both_norms(big):
+    # the op norm's det reads inf * 0 = nan; the norm of an infinite matrix is inf
+    A = Mat2(1.0, big, 0, 0)
+    assert hs_norm(A) == op_norm(A) == math.inf
+
+
+@pytest.mark.parametrize("A", [Mat2(1.0, math.nan, 0, 0), Mat2(math.inf, math.nan, 0, 0)])
+def test_a_nan_entry_has_a_nan_norm_in_both_norms(A):
+    assert math.isnan(hs_norm(A)) and math.isnan(op_norm(A))
+
+
 @settings(max_examples=500, deadline=None)
 @given(num=st.integers(1, 2**64), den=st.integers(1, 2**64), e=st.integers(-2136, 2136))
 @example(num=1, den=9, e=0)
@@ -391,11 +405,16 @@ def test_key_estimates_rejects_bad_epsilon_and_large_defect():
         key_estimates(Mat2(0.5, 0.0, 0.0, 0.5), 0.1)  # ||A - A^2|| = 0.25 sqrt(2)
 
 
-@pytest.mark.parametrize("x", [math.nan, math.inf])
-def test_key_estimates_refuses_a_nan_defect(x):
-    # inf gives inf - inf = nan in A^2 - A; a nan defect meets no threshold
+@pytest.mark.parametrize(
+    "A",
+    [Mat2(math.nan, 0.0, 0.0, 0.0), Mat2(math.inf, 0.0, 0.0, 0.0), Mat2(1.0, 10**400, 0, 0)],
+    ids=["nan", "inf", "exact-past-the-float-range"],
+)
+def test_key_estimates_refuses_a_nan_defect(A):
+    # inf gives inf - inf = nan in A^2 - A, and an exact entry past the float
+    # range reads as inf; a nan defect meets no threshold
     with pytest.raises(DefectTooLarge, match="nan"):
-        key_estimates(Mat2(x, 0.0, 0.0, 0.0), 0.1)
+        key_estimates(A, 0.1)
 
 
 def test_nearest_binary_idempotent_agrees_with_key_estimates(rng):
