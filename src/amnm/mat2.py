@@ -565,15 +565,7 @@ def obstruction_check(
 # ---------------------------------------------------------------------------
 
 
-def _rank_one(v, cu, pairing) -> Mat2:
-    """The rank-one idempotent ``v u* / (u* v)``, given ``v``, ``conj(u)`` and
-    the pairing ``u* v``; each entry is ``v[i] * cu[j] / pairing``."""
-    return _tuple_new(
-        Mat2,
-        (
-            v[0] * cu[0] / pairing,
-            v[0] * cu[1] / pairing,
-            v[1] * cu[0] / pairing,
-            v[1] * cu[1] / pairing,
-        ),
-    )
+def _rank_one(v0, v1, cu0, cu1, pairing) -> tuple:
+    """The entries ``(a, b, c, d)`` of the rank-one idempotent ``v u* / (u* v)``, given
+    ``v = (v0, v1)``, ``conj(u) = (cu0, cu1)`` and the pairing ``u* v``: ``v[i] cu[j] / (u* v)``."""
+    return (v0 * cu0 / pairing, v0 * cu1 / pairing, v1 * cu0 / pairing, v1 * cu1 / pairing)

@@ -19,8 +19,9 @@ table, whose diagonal is the cost of the P-independent maps ``chi_F * I``.
 It prunes the cells by that table, seeds each surviving cell with
 idempotents read off from the map's own values, and polishes the leaders
 with a derivative-free simplex descent over a rank-one parametrization.
-The descent is this module's own Nelder-Mead (:func:`minimize`), run on one
-scalar cell objective over the map's ``complex`` entries, so the search
+The descent is this module's own Nelder-Mead (:func:`minimize`, over the
+chart's four angles, returning the best point and its count of calls), run on
+one scalar cell objective over the map's ``complex`` entries, so the search
 needs nothing beyond numpy.  The result is an upper bound on the true
 distance that is certified to be attained by an exactly multiplicative map.
 
@@ -40,10 +41,10 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache
 from itertools import chain, product
 from math import inf, sqrt
-from operator import add, itemgetter, lt, sub
+from operator import itemgetter, lt, sub
 
 import numpy as np
 
@@ -261,14 +262,16 @@ def _params_from_idempotent(P: Mat2):
     return au[0], au[1], av[0], av[1]
 
 
-def _idempotent_from_params(x) -> Mat2 | None:
+def _idempotent_from_params(x) -> tuple | None:
+    """The chart's idempotent ``v u* / (u* v)`` at ``x``, as entries; None if ``|u* v| < 1e-3``."""
     alpha, phi1, beta, phi2 = x
-    u = (math.cos(alpha), math.sin(alpha) * complex(math.cos(phi1), math.sin(phi1)))
-    v = (math.cos(beta), math.sin(beta) * complex(math.cos(phi2), math.sin(phi2)))
-    pairing = u[0] * v[0] + u[1].conjugate() * v[1]
+    u0, v0 = math.cos(alpha), math.cos(beta)
+    cu1 = (math.sin(alpha) * complex(math.cos(phi1), math.sin(phi1))).conjugate()
+    v1 = math.sin(beta) * complex(math.cos(phi2), math.sin(phi2))
+    pairing = u0 * v0 + cu1 * v1
     if abs(pairing) < 1e-3:
         return None
-    return _rank_one(v, (u[0], u[1].conjugate()), pairing)
+    return _rank_one(v0, v1, u0, cu1, pairing)
 
 
 # The simplex polish: the non-adaptive Nelder-Mead method (Nelder and Mead,
@@ -290,23 +293,24 @@ def _ordered(sim, fsim):
     return [sim[i] for i in ind], [fsim[i] for i in ind]
 
 
-def minimize(fun, x0) -> list[float]:
-    """Nelder-Mead descent of ``fun`` from ``x0``; returns the best vertex.
+def minimize(fun, x0) -> tuple[list[float], int]:
+    """Nelder-Mead descent of ``fun`` over four parameters from ``x0``; returns the best vertex
+    and the number of calls of ``fun`` (the reference result's ``nfev``).
 
     A port of the widely used reference implementation with the options above: the same
     initial simplex (each coordinate times 1.05, or 0.00025 where it is zero), the same float
-    expressions in the same order (rho = 1, chi = 2, psi = sigma = 1/2), the same vertex order
-    (argsort's, whose tie order :func:`_ordered` reaches only on tied values), so the same calls
-    of ``fun`` and the same bits in the result.  ``tests/test_oracle.py`` compares the two where the
-    reference is installed.
+    expressions in the same order (rho = 1, chi = 2, psi = sigma = 1/2; the centroid's sums run
+    left to right), the same vertex order (argsort's, whose tie order :func:`_ordered` reaches
+    only on tied values), so the same calls of ``fun`` and the same bits in the result.  Tests
+    compare it with the reference where that is installed, and with a generic port everywhere.
     """
-    n = len(x0)
     sim = [list(x0)]
-    for k in range(n):
+    for k in range(4):
         y = list(x0)
         y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
         sim.append(y)
     fsim = [fun(x) for x in sim]
+    nfev = 5
     sim, fsim = _ordered(*_ordered(sim, fsim))  # the reference sorts twice here
     for _ in range(_MAXITER - 1):  # the initial simplex counts as iteration 1
         best = sim[0]
@@ -314,33 +318,38 @@ def minimize(fun, x0) -> list[float]:
             abs(x - b) <= _XATOL for v in sim[1:] for x, b in zip(v, best)
         ):
             break
-        last = sim[-1]
-        xbar = [reduce(add, col) / n for col in zip(*sim[:-1])]
-        xr = [2 * c - x for c, x in zip(xbar, last)]
+        # (a, b, c, d): the centroid of the best four p, q, r, s; (e, f, g, h): the last vertex
+        p, q, r, s, (e, f, g, h) = sim
+        a, b = (((p[0] + q[0]) + r[0]) + s[0]) / 4, (((p[1] + q[1]) + r[1]) + s[1]) / 4
+        c, d = (((p[2] + q[2]) + r[2]) + s[2]) / 4, (((p[3] + q[3]) + r[3]) + s[3]) / 4
+        xr = [2 * a - e, 2 * b - f, 2 * c - g, 2 * d - h]
         fxr = fun(xr)
+        nfev += 2  # the reflection and one more point, less one where it stops there
         if fxr < fsim[0]:
-            xe = [3 * c - 2 * x for c, x in zip(xbar, last)]
+            xe = [3 * a - 2 * e, 3 * b - 2 * f, 3 * c - 2 * g, 3 * d - 2 * h]
             fxe = fun(xe)
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
+            nfev -= 1
         else:
             if fxr < fsim[-1]:  # outside contraction
-                xc = [1.5 * c - 0.5 * x for c, x in zip(xbar, last)]
+                xc = [1.5 * a - 0.5 * e, 1.5 * b - 0.5 * f, 1.5 * c - 0.5 * g, 1.5 * d - 0.5 * h]
                 fxc = fun(xc)
                 accept = fxc <= fxr
             else:  # inside contraction
-                xc = [0.5 * c + 0.5 * x for c, x in zip(xbar, last)]
+                xc = [0.5 * a + 0.5 * e, 0.5 * b + 0.5 * f, 0.5 * c + 0.5 * g, 0.5 * d + 0.5 * h]
                 fxc = fun(xc)
                 accept = fxc < fsim[-1]
             if accept:
                 sim[-1], fsim[-1] = xc, fxc
             else:  # shrink towards the best vertex
-                for j in range(1, n + 1):
+                for j in range(1, 5):
                     sim[j] = [b + 0.5 * (x - b) for b, x in zip(best, sim[j])]
                     fsim[j] = fun(sim[j])
+                nfev += 4
         sim, fsim = _ordered(sim, fsim)
-    return sim[0]
+    return sim[0], nfev
 
 
 def _bound(theta_c, om, op: bool):
@@ -383,9 +392,9 @@ def _cannot_win(const: float, term: float, slack: float, best: float) -> bool:
 def _cell_objective(theta_c, om, p_only, q_only, const, op: bool):
     """The cost of ``P`` in one (F1, F2) cell: the largest of ``const`` and ``||theta(e) - P||
     / omega(e)`` over ``p_only``, ``||theta(e) - (I - P)|| / omega(e)`` over ``q_only``, for
-    ``theta_c`` the values with ``complex`` entries.  It is ``Mat2`` arithmetic with
-    :func:`hs_norm` or :func:`op_norm`, bit for bit: one loop runs :func:`_complex_norm`'s
-    formula on the entries' parts, and its rule only off ``[_DIRECT_MIN, inf)``."""
+    ``theta_c`` the values with ``complex`` entries and ``P`` a ``Mat2`` or its four entries.
+    It is ``Mat2`` arithmetic with :func:`hs_norm` or :func:`op_norm`, bit for bit: one loop runs
+    :func:`_complex_norm`'s formula on the parts, and its rule only off ``[_DIRECT_MIN, inf)``."""
     parts = {  # each element's eight real and imaginary parts, then its weight
         e: (*(y for x in theta_c[e] for y in (x.real, x.imag)), om[e]) for e in p_only + q_only
     }
@@ -486,14 +495,14 @@ def nearest_mult_m2(
         lower = min(lower, max(const[i1][i2], term))
         cost = _cell_objective(theta_c, om, p_only, q_only, const[i1][i2], op)
         candidates = [seed_of(e) for e in p_only] + [M2_ID - seed_of(e) for e in q_only]
-        for _ in range(starts):
-            P = _idempotent_from_params(rng.uniform(0.0, 2.0 * math.pi, size=4).tolist())
+        for x in rng.uniform(0.0, 2.0 * math.pi, size=(starts, 4)).tolist():
+            P = _idempotent_from_params(x)  # the chart's entries, not a Mat2
             if P is not None:
                 candidates.append(P)
         vals = [cost(P) for P in candidates]  # never NaN: each starts at const
         evaluations += len(vals)
         val = min(vals)
-        P = candidates[vals.index(val)]  # the first of the least
+        P = Mat2(*candidates[vals.index(val)])  # the first of the least
         survivors.append((val, i1, i2, P, cost, const[i1][i2], term))
         if val < best_val:
             best_val, best_cell = val, (i1, i2, P)
@@ -511,19 +520,17 @@ def nearest_mult_m2(
                 continue
 
             def objective(x):
-                nonlocal evaluations
-                evaluations += 1
-                cand = _idempotent_from_params(x)
-                if cand is None:
-                    return 1e6
-                return cost(cand)
+                P = _idempotent_from_params(x)
+                return 1e6 if P is None else cost(P)
 
-            cand = _idempotent_from_params(minimize(objective, x0))
+            x, nfev = minimize(objective, x0)
+            evaluations += nfev
+            cand = _idempotent_from_params(x)
             if cand is None:
                 continue
             val = cost(cand)
             if val < best_val:
-                best_val, best_cell = val, (i1, i2, cand)
+                best_val, best_cell = val, (i1, i2, Mat2(*cand))
                 polish_improved = True
 
     if best_cell is None:

@@ -108,12 +108,12 @@ def random_bounded_idempotent(rng: np.random.Generator) -> Mat2:
         nv = math.sqrt((x4 * x4 + x6 * x6) + (x5 * x5 + x7 * x7))
         if nu < 1e-6 or nv < 1e-6:
             continue
-        cu = (complex(x0 / nu, -x2 / nu), complex(x1 / nu, -x3 / nu))  # conj(u) / nu
-        v = (complex(x4 / nv, x6 / nv), complex(x5 / nv, x7 / nv))
-        pairing = cu[0] * v[0] + cu[1] * v[1]  # u* v
+        cu0, cu1 = complex(x0 / nu, -x2 / nu), complex(x1 / nu, -x3 / nu)  # conj(u) / nu
+        v0, v1 = complex(x4 / nv, x6 / nv), complex(x5 / nv, x7 / nv)
+        pairing = cu0 * v0 + cu1 * v1  # u* v
         if abs(pairing) < _MIN_PAIRING:
             continue
-        return _rank_one(v, cu, pairing)
+        return _tuple_new(Mat2, _rank_one(v0, v1, cu0, cu1, pairing))
 
 
 def _random_mat2_ball(rng: np.random.Generator, radius: float) -> Mat2:

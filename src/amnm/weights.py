@@ -29,6 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NonPositiveWeight, NotSubmultiplicative, StructureMismatch
+from .mat2 import _as_complex
 from .semilattice import FreeSemilattice, Semilattice, generated
 
 __all__ = [
@@ -137,7 +138,7 @@ class WeightedSemilattice:
 
     @cached_property
     def omega_float(self) -> np.ndarray:
-        arr = np.array([float(w) for w in self.omega])
+        arr = np.array([_as_complex(w).real for w in self.omega])  # inf past the float range
         arr.setflags(write=False)
         return arr
 

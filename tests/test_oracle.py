@@ -676,7 +676,8 @@ def _nan_region(x):
 def test_simplex_polish_matches_scipy_nelder_mead(fun, x0, status):
     """Same result bits and the same number of calls as scipy, on objectives
     that take every step: expansion, reflection, both contractions, shrinks
-    (on the plateau), ties, the wall, NaN values and zero start entries."""
+    (on the plateau), ties, the wall, NaN values and zero start entries; the
+    count ``minimize`` returns is scipy's ``nfev``."""
     scipy_optimize = pytest.importorskip("scipy.optimize")
     calls = {"ours": 0, "scipy": 0}
 
@@ -687,7 +688,7 @@ def test_simplex_polish_matches_scipy_nelder_mead(fun, x0, status):
 
         return f
 
-    ours = amnm.oracle.minimize(counted("ours"), x0)
+    ours, nfev = amnm.oracle.minimize(counted("ours"), x0)
     ref = scipy_optimize.minimize(
         counted("scipy"),
         np.array(x0),
@@ -696,7 +697,7 @@ def test_simplex_polish_matches_scipy_nelder_mead(fun, x0, status):
     )
     assert ref.status == status
     assert [float(v).hex() for v in ours] == [float(v).hex() for v in ref.x]
-    assert calls["ours"] == calls["scipy"] == ref.nfev
+    assert nfev == calls["ours"] == calls["scipy"] == ref.nfev
 
 
 def test_importing_amnm_loads_no_scipy():

@@ -1,5 +1,7 @@
 """Weights: positivity, submultiplicativity, sublevel closures, flighty constants."""
 
+import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,23 +10,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amnm import (
+    Mat2,
     NonPositiveWeight,
     NotSubmultiplicative,
     building_block_weight,
     check_submultiplicative,
     counterexample_weight,
+    defect,
     flighty_constant,
     flighty_report,
     free_semilattice,
     geometric_weight,
+    m2_map,
+    nearest_mult_m2,
+    nearest_mult_scalar,
     nmin,
     orthogonal_free_sum,
     random_semilattice,
     random_submultiplicative_weight,
+    scalar_map,
     spiked_weight,
     sublevel_set,
     unit_weight,
     weighted,
+    weighted_sup_distance_report,
 )
 
 
@@ -169,6 +178,29 @@ def test_spiked_weight_is_submultiplicative_and_non_monotone():
     assert WS.omega[3] == 50
     assert WS.omega[4] == 1
     assert check_submultiplicative(WS.S, WS.omega) is None
+
+
+_HALF_QUARTER, _ZERO_MAP = scalar_map([0.5, 0.25]), scalar_map([0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda WS: defect(WS, _HALF_QUARTER).defect_float,
+        lambda WS: weighted_sup_distance_report(WS, _HALF_QUARTER, _ZERO_MAP).value_float,
+        lambda WS: nearest_mult_scalar(WS, _HALF_QUARTER).value,
+        lambda WS: nearest_mult_m2(WS, m2_map([Mat2(0.5, 0, 0, 0), Mat2(0.25, 0, 0, 0)])).value,
+    ],
+    ids=["defect", "distance", "nearest-scalar", "nearest-m2"],
+)
+def test_an_exact_weight_past_the_float_range_is_inf_beside_a_float_map(call):
+    """The float view of a weight past the float range is inf, as ``mat2._as_complex``
+    reads it, so every float ratio under it is 0.0: no ``OverflowError``, no warning."""
+    WS = weighted(nmin(2), [10**400, 10**400])
+    assert WS.omega_float.tolist() == [math.inf, math.inf]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert call(WS) == 0.0
 
 
 @settings(max_examples=40, deadline=None)
