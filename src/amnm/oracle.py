@@ -19,9 +19,10 @@ table, whose diagonal is the cost of the P-independent maps ``chi_F * I``.
 It prunes the cells by that table, seeds each surviving cell with
 idempotents read off from the map's own values, and polishes the leaders
 with a derivative-free simplex descent over a rank-one parametrization.
-The descent is this module's own Nelder-Mead (:func:`minimize`, over the
-chart's four angles, returning the best point and its count of calls), run on
-one scalar cell objective over the map's ``complex`` entries, so the search
+The descent is this module's own Nelder-Mead (:func:`minimize`, over the four
+real parameters of an affine chart of the rank-one idempotents, with no
+trigonometry, returning the best point and its count of calls), run on one
+scalar cell objective over the map's ``complex`` entries, so the search
 needs nothing beyond numpy.  The result is an upper bound on the true
 distance that is certified to be attained by an exactly multiplicative map.
 
@@ -38,13 +39,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain, product
 from math import inf, sqrt
-from operator import itemgetter, lt, sub
+from operator import itemgetter, le, sub
 
 import numpy as np
 
@@ -56,7 +57,6 @@ from .defects import (
     _root,
     default_norm,
     m2_map,
-    t2_map,
     weighted_sup_distance_report,
 )
 from .filters import Filter, _row_filter
@@ -225,53 +225,39 @@ def enumerate_mult_m2_with(S, P: Mat2) -> list[AlgebraMap]:
 
 
 def _params_from_idempotent(P: Mat2):
-    """Back-solve (alpha, phi1, beta, phi2) with P = v u* / (u* v).
+    """``(x, chart)`` with ``P = v u* / (u* v)`` in :func:`_idempotent_from_params`' chart.
 
-    Returns None for matrices that are not cleanly rank one (trace far from
-    1 or negligible entries), or whose squares or norms overflow, which the
-    caller treats as unseedable.
+    ``v`` is ``P``'s larger column and ``conj(u)`` its larger row, each over its larger
+    entry, so ``|z|, |w| <= 1``.  Returns None for matrices whose trace is not near 1
+    (no rank-one idempotent) or whose squares overflow, which the caller treats as
+    unseedable.
     """
-    entries = [complex(x) for x in P]
-    a, b, c, d = entries
-    if abs(a + d - 1.0) > 1e-6:
+    a, b, c, d = map(complex, P)
+    if not abs(a + d - 1.0) <= 1e-6:
         return None
     try:
         col = (a, c) if abs(a) ** 2 + abs(c) ** 2 >= abs(b) ** 2 + abs(d) ** 2 else (b, d)
         row = (a, b) if abs(a) ** 2 + abs(b) ** 2 >= abs(c) ** 2 + abs(d) ** 2 else (c, d)
     except OverflowError:
         return None
-    v = col
-    u = (row[0].conjugate(), row[1].conjugate())
+    ju, jv = abs(row[1]) > abs(row[0]), abs(col[1]) > abs(col[0])  # the coordinates set to 1
+    z, w = (row[1 - ju] / row[ju]).conjugate(), col[1 - jv] / col[jv]
+    return [z.real, z.imag, w.real, w.imag], ju + 2 * jv
 
-    def angles(w):
-        nw = math.sqrt(abs(w[0]) ** 2 + abs(w[1]) ** 2)  # inf where the sum overflows
-        if not 1e-12 <= nw < math.inf:
-            return None
-        w0, w1 = w[0] / nw, w[1] / nw
-        anchor = w0 if abs(w0) >= abs(w1) else w1
-        phase = anchor / abs(anchor)
-        w0, w1 = w0 / phase, w1 / phase
-        alpha = math.atan2(abs(w1), w0.real)
-        phi = math.atan2(w1.imag, w1.real) if abs(w1) > 1e-12 else 0.0
-        return alpha, phi
 
-    au = angles(u)
-    av = angles(v)
-    if au is None or av is None:
+def _idempotent_from_params(x, chart: int) -> tuple | None:
+    """The affine chart's idempotent ``v u* / (u* v)`` at ``x = (Re z, Im z, Re w, Im w)``, as
+    entries: ``u = (1, z)``, or ``(z, 1)`` where bit 0 of ``chart`` is set, and ``v = (1, w)``,
+    or ``(w, 1)`` where bit 1 is.  None unless ``|u* v|**2 >= 1e-6 |u|**2 |v|**2``, finite."""
+    zr, zi, wr, wi = x
+    cz, w = complex(zr, -zi), complex(wr, wi)  # conj(z) and w
+    cu0, cu1 = (cz, 1.0) if chart & 1 else (1.0, cz)
+    v0, v1 = (w, 1.0) if chart & 2 else (1.0, w)
+    pairing = cu0 * v0 + cu1 * v1
+    cut = 1e-6 * (1.0 + (zr * zr + zi * zi)) * (1.0 + (wr * wr + wi * wi))  # 1e-6 |u|^2 |v|^2
+    if not cut <= pairing.real * pairing.real + pairing.imag * pairing.imag < inf:
         return None
-    return au[0], au[1], av[0], av[1]
-
-
-def _idempotent_from_params(x) -> tuple | None:
-    """The chart's idempotent ``v u* / (u* v)`` at ``x``, as entries; None if ``|u* v| < 1e-3``."""
-    alpha, phi1, beta, phi2 = x
-    u0, v0 = math.cos(alpha), math.cos(beta)
-    cu1 = (math.sin(alpha) * complex(math.cos(phi1), math.sin(phi1))).conjugate()
-    v1 = math.sin(beta) * complex(math.cos(phi2), math.sin(phi2))
-    pairing = u0 * v0 + cu1 * v1
-    if abs(pairing) < 1e-3:
-        return None
-    return _rank_one(v0, v1, u0, cu1, pairing)
+    return _rank_one(v0, v1, cu0, cu1, pairing)
 
 
 # The simplex polish: the non-adaptive Nelder-Mead method (Nelder and Mead,
@@ -283,13 +269,14 @@ _FATOL = 1e-12
 
 
 def _ordered(sim, fsim):
-    """``sim`` and ``fsim`` in argsort's order of ``fsim``; ``sim`` may be reordered in place."""
-    k = bisect_left(fsim, fsim[-1], 0, len(fsim) - 1)  # the last vertex's place among the rest
+    """``sim`` and ``fsim`` in the stable order of ``fsim`` (ties keep their order, NaN last);
+    ``sim`` may be reordered in place."""
+    k = bisect_right(fsim, fsim[-1], 0, len(fsim) - 1)  # its place in the rest, after equals
     f = [*fsim[:k], fsim[-1], *fsim[k:-1]]
-    if all(map(lt, f, f[1:])):  # strictly increasing (no tie, NaN or ±0): the one order
+    if all(map(le, f, f[1:])):  # increasing, with no NaN: the stable order
         sim.insert(k, sim.pop())
         return sim, f
-    ind = np.array(fsim).argsort().tolist()
+    ind = np.array(fsim).argsort(kind="stable").tolist()
     return [sim[i] for i in ind], [fsim[i] for i in ind]
 
 
@@ -300,9 +287,11 @@ def minimize(fun, x0) -> tuple[list[float], int]:
     A port of the widely used reference implementation with the options above: the same
     initial simplex (each coordinate times 1.05, or 0.00025 where it is zero), the same float
     expressions in the same order (rho = 1, chi = 2, psi = sigma = 1/2; the centroid's sums run
-    left to right), the same vertex order (argsort's, whose tie order :func:`_ordered` reaches
-    only on tied values), so the same calls of ``fun`` and the same bits in the result.  Tests
-    compare it with the reference where that is installed, and with a generic port everywhere.
+    left to right), so the same calls of ``fun`` and the same bits in the result wherever vertex
+    values do not tie.  Tied vertices keep their order (:func:`_ordered`), where the reference
+    takes argsort's default tie order, which moves with numpy's SIMD dispatch.  Tests compare it
+    with the reference on tie-free objectives where that is installed, and with a generic port
+    everywhere.
     """
     sim = [list(x0)]
     for k in range(4):
@@ -373,8 +362,8 @@ def _deflate(x: float, slack: float) -> float:
     """A float-computed lower bound made safe to compare with float costs.
 
     Their differences are of numbers of modulus at most ``slack / 1e-12``: 1,
-    the entries of ``theta`` and those of a chart idempotent, at most 1e3 as
-    ``|u| = |v| = 1`` and ``|u* v| >= 1e-3``.  A difference and its norm err by
+    the entries of ``theta`` and those of a chart idempotent, at most
+    ``|u| |v| / |u* v| <= 1e3`` by the chart's cut.  A difference and its norm err by
     under ``8 * 2**-53`` of that, weights are at least 1, and ``tr P`` is 1 to
     about ``1e3 * 2**-50``.  The relative 1e-6 covers the norms' rounding, up
     to about 2e-8 where the op norm's discriminant cancels.  Past ``2**250``,
@@ -495,8 +484,8 @@ def nearest_mult_m2(
         lower = min(lower, max(const[i1][i2], term))
         cost = _cell_objective(theta_c, om, p_only, q_only, const[i1][i2], op)
         candidates = [seed_of(e) for e in p_only] + [M2_ID - seed_of(e) for e in q_only]
-        for x in rng.uniform(0.0, 2.0 * math.pi, size=(starts, 4)).tolist():
-            P = _idempotent_from_params(x)  # the chart's entries, not a Mat2
+        for *x, t in rng.uniform(-1.0, 1.0, size=(starts, 5)).tolist():
+            P = _idempotent_from_params(x, int(2.0 * t + 2.0))  # the entries, not a Mat2
             if P is not None:
                 candidates.append(P)
         vals = [cost(P) for P in candidates]  # never NaN: each starts at const
@@ -515,17 +504,18 @@ def nearest_mult_m2(
             if _cannot_win(c, term, slack, best_val):
                 skipped += 1
                 continue
-            x0 = _params_from_idempotent(P)
-            if x0 is None:
+            seeded = _params_from_idempotent(P)
+            if seeded is None:
                 continue
+            x0, chart = seeded
 
             def objective(x):
-                P = _idempotent_from_params(x)
+                P = _idempotent_from_params(x, chart)
                 return 1e6 if P is None else cost(P)
 
             x, nfev = minimize(objective, x0)
             evaluations += nfev
-            cand = _idempotent_from_params(x)
+            cand = _idempotent_from_params(x, chart)
             if cand is None:
                 continue
             val = cost(cand)

@@ -1,5 +1,6 @@
 """Independent search for nearest multiplicative maps: enumeration and descent."""
 
+import ast
 import hashlib
 import itertools
 import math
@@ -37,6 +38,7 @@ from amnm import (
     nearest_mult_t2,
     nmin,
     op_norm,
+    random_bounded_idempotent,
     random_m2_instance,
     random_semilattice,
     random_submultiplicative_weight,
@@ -53,6 +55,8 @@ from amnm import (
 )
 from amnm.filters import filter_indicator
 from amnm.defects import _element_ratios
+from test_oracle_reference import ref_minimize
+from test_sampling import _baseline_dispatch
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +417,8 @@ def test_cell_cost_is_at_least_its_lower_bound(rng, norm):
         positive += term > 0.0
         cost = amnm.oracle._cell_objective(theta_c, om, p_only, q_only, 0.0, op)
         for _ in range(20):
-            P = amnm.oracle._idempotent_from_params(rng.uniform(0.0, 2.0 * math.pi, size=4))
+            x, chart = rng.uniform(-3.0, 3.0, size=4).tolist(), int(rng.integers(4))
+            P = amnm.oracle._idempotent_from_params(x, chart)
             if P is not None:
                 assert cost(P) >= term * (1.0 - 1e-9)
     assert positive > 50
@@ -461,9 +466,9 @@ _matrix = st.builds(Mat2, _entry, _entry, _entry, _entry)
     om=st.lists(st.floats(1.0, 8.0), min_size=4, max_size=4),
     P=st.one_of(
         _matrix,
-        st.lists(st.floats(0.0, 2.0 * math.pi), min_size=4, max_size=4).map(
-            amnm.oracle._idempotent_from_params
-        ).filter(lambda P: P is not None),
+        st.tuples(st.lists(st.floats(-4.0, 4.0), min_size=4, max_size=4), st.integers(0, 3))
+        .map(lambda t: amnm.oracle._idempotent_from_params(*t))
+        .filter(lambda P: P is not None),
     ),
     const=st.sampled_from([0.0, 2.0**-600, 0.75, math.inf]),
     op=st.booleans(),
@@ -490,6 +495,42 @@ def test_cell_cost_is_mat2_arithmetic_bit_for_bit(theta_c, labels, om, P, const,
     assert cost(P).hex() == max([const, *terms]).hex()
 
 
+def test_chart_round_trips_each_rank_one_idempotent(rng):
+    """``(x, chart)`` read off an idempotent gives it back through the chart, to
+    ``1e-12 (1 + ||P||)``: random bounded draws and the unit cases whose ratios are 0 or 1."""
+    cases = [random_bounded_idempotent(rng) for _ in range(2000)]
+    cases += [Mat2(1.0, 0.0, 0.0, 0.0), Mat2(0.0, 0.0, 0.0, 1.0), Mat2(0.0, 1.0, 0.0, 1.0)]
+    for P in cases:
+        entries = amnm.oracle._idempotent_from_params(*amnm.oracle._params_from_idempotent(P))
+        tol = 1e-12 * (1.0 + hs_norm(P))
+        assert all(abs(got - complex(want)) <= tol for got, want in zip(entries, P))
+
+
+@pytest.mark.parametrize("chart", range(4))
+def test_chart_cuts_at_its_pairing_bound(chart):
+    """With ``z = 1`` every chart has ``u* v = 1 + w``, ``|u|**2 = 2`` and ``|v|**2 =
+    1 + w**2``: a real ``w`` just inside ``|u* v|**2 >= 1e-6 |u|**2 |v|**2`` (decided in
+    exact arithmetic) gives an idempotent, one just outside gives None."""
+    delta = 0.0
+    for _ in range(50):  # the root near 2e-3 of delta**2 = 2e-6 (1 + (1 - delta)**2)
+        delta = math.sqrt(2e-6 * (1.0 + (1.0 - delta) ** 2))
+    for w, inside in ((-1.0 + delta * (1.0 + 1e-6), True), (-1.0 + delta * (1.0 - 1e-6), False)):
+        q = Fraction(w)
+        assert ((1 + q) ** 2 >= Fraction(1, 10**6) * 2 * (1 + q * q)) is inside
+        P = amnm.oracle._idempotent_from_params([1.0, 0.0, w, 0.0], chart)
+        assert (P is not None) is inside
+
+
+def test_oracle_calls_no_trigonometry():
+    """No ``cos``, ``sin`` or ``atan2`` anywhere in the oracle's source, so its bits do not
+    rest on the platform's libm for those."""
+    tree = ast.parse(Path(amnm.oracle.__file__).read_text(encoding="utf-8"))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert not names & {"cos", "sin", "atan2"}
+
+
 _values = st.sampled_from([0.0, -0.0, 1.0, 2.0, -3.5, math.inf, -math.inf, math.nan])
 _distinct = st.lists(st.floats(allow_nan=False), min_size=1, max_size=5, unique=True)
 
@@ -512,11 +553,14 @@ _distinct = st.lists(st.floats(allow_nan=False), min_size=1, max_size=5, unique=
 @example(fsim=[3.0, 1.0, 2.0, 0.5, 4.0])
 @example(fsim=[1.0, 1.0, 0.5, 1.0, 2.0])
 @example(fsim=[math.nan, 1.0, 0.0, math.nan, -1.0])
+@example(fsim=[1.0, 1.0, 1.0, 1.0, 1.0])
+@example(fsim=[0.5, 1.0, 1.0, 3.0, 1.0])
 def test_simplex_order_is_argsorts(fsim):
-    """``_ordered`` puts the vertices in ``np.argsort``'s order of their values, whether
-    it moves the last one into place (distinct values) or leaves ties, NaN and ±0 to argsort."""
+    """``_ordered`` puts the vertices in ``np.argsort``'s stable order of their values (ties,
+    ±0 included, keep their order; NaN last), whether it moves the last one into place or
+    leaves an unsorted simplex or a NaN to argsort."""
     sim = [[float(i)] for i in range(len(fsim))]
-    ind = np.array(fsim).argsort().tolist()
+    ind = np.array(fsim).argsort(kind="stable").tolist()
     expected = [sim[i] for i in ind]
     got_sim, got_f = amnm.oracle._ordered(sim, fsim)
     assert got_sim == expected
@@ -574,7 +618,7 @@ def test_m2_oracle_results_are_pinned_apart_from_the_evaluation_count():
     for rep in _pinned_oracle_stream():
         h.update(_report_record(rep, evaluations=False))
         h.update(_map_record(rep))
-    assert h.hexdigest() == "5027bae8329af0c68352fd494de4a681718eae2c12c3a245b2bc53ef34222028"
+    assert h.hexdigest() == "88cf0bfc1b290ed435296e412de0fccf28bccfd987368f50d0e690648c34ed2d"
 
 
 def test_skipping_a_polish_that_cannot_win_keeps_every_result_bit(monkeypatch):
@@ -627,13 +671,35 @@ def test_m2_oracle_internal_value_is_its_recomputed_value():
             assert rep.details["internal_value"].hex() == rep.value.hex()
 
 
-def test_m2_oracle_output_stream_is_pinned():
-    """SHA-256 over the pinned stream's reports, the evaluation count
-    included."""
+ORACLE_STREAM_SHA256 = "dbc058085b261ac038058ae40b652bc96b9c124dc917949b167ea68d2e0c5cde"
+
+
+def oracle_stream_digest() -> str:
+    """SHA-256 over the pinned stream's reports, the evaluation count included."""
     h = hashlib.sha256()
     for rep in _pinned_oracle_stream():
         h.update(_report_record(rep))
-    assert h.hexdigest() == "81e2a4c92b739369f2dced949da8bb0e2ef9d3b6f1ede1976dd68305c58de58d"
+    return h.hexdigest()
+
+
+def test_m2_oracle_output_stream_is_pinned():
+    assert oracle_stream_digest() == ORACLE_STREAM_SHA256
+
+
+def test_m2_oracle_output_stream_holds_under_the_baseline_simd_dispatch():
+    """The pinned stream's digest, computed in a fresh process under numpy's baseline
+    SIMD dispatch, is the pinned one: the polish's vertex order is stable, so no tie
+    among simplex values is ordered by the host's sort kernels."""
+    here = Path(__file__).parent
+    path = [str(here), str(here.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": _baseline_dispatch()}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+    code = "from test_oracle import oracle_stream_digest\nprint(oracle_stream_digest())\n"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == [ORACLE_STREAM_SHA256]
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +729,10 @@ def _nan_region(x):
     return float(abs(x[0] - 0.3) + abs(x[1] + 0.4) + abs(x[2]) + abs(x[3]))
 
 
+# the starts whose simplex meets tied vertex values
+_TIED = {(_walled, (1.0, 0.5, 0.0, 1.5)), (_plateau, (2.0, 0.0, -1.0, 0.0))}
+
+
 @pytest.mark.parametrize(
     "fun, x0, status",
     [
@@ -677,9 +747,12 @@ def test_simplex_polish_matches_scipy_nelder_mead(fun, x0, status):
     """Same result bits and the same number of calls as scipy, on objectives
     that take every step: expansion, reflection, both contractions, shrinks
     (on the plateau), ties, the wall, NaN values and zero start entries; the
-    count ``minimize`` returns is scipy's ``nfev``."""
-    scipy_optimize = pytest.importorskip("scipy.optimize")
-    calls = {"ours": 0, "scipy": 0}
+    count ``minimize`` returns is scipy's ``nfev``.  Where vertex values tie
+    (the wall and the second plateau start), scipy orders them by argsort's
+    default, which moves with numpy's SIMD dispatch, and ``minimize`` keeps
+    their order: there the reference is the generic port, which orders them as
+    ``minimize`` does."""
+    calls = {"ours": 0, "ref": 0}
 
     def counted(key):
         def f(x):
@@ -689,15 +762,21 @@ def test_simplex_polish_matches_scipy_nelder_mead(fun, x0, status):
         return f
 
     ours, nfev = amnm.oracle.minimize(counted("ours"), x0)
-    ref = scipy_optimize.minimize(
-        counted("scipy"),
-        np.array(x0),
-        method="Nelder-Mead",
-        options={"maxiter": 400, "xatol": 1e-9, "fatol": 1e-12},
-    )
-    assert ref.status == status
-    assert [float(v).hex() for v in ours] == [float(v).hex() for v in ref.x]
-    assert nfev == calls["ours"] == calls["scipy"] == ref.nfev
+    if (fun, x0) in _TIED:
+        ref_x = ref_minimize(counted("ref"), x0)
+    else:
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        ref = scipy_optimize.minimize(
+            counted("ref"),
+            np.array(x0),
+            method="Nelder-Mead",
+            options={"maxiter": 400, "xatol": 1e-9, "fatol": 1e-12},
+        )
+        assert ref.status == status
+        assert ref.nfev == calls["ref"]
+        ref_x = ref.x
+    assert [float(v).hex() for v in ours] == [float(v).hex() for v in ref_x]
+    assert nfev == calls["ours"] == calls["ref"]
 
 
 def test_importing_amnm_loads_no_scipy():

@@ -3,8 +3,8 @@
 ``oracle.minimize`` runs the Nelder-Mead simplex on four parameters with every
 coordinate unpacked, and ``oracle._idempotent_from_params`` hands the cell cost
 the chart's four entries.  The reference bodies below are the list-based
-simplex for any number of parameters and the ``Mat2`` chart they replaced,
-with the same IEEE operations in the same order, so the two must agree bit for
+simplex for any number of parameters and the affine chart on ``Mat2``, with
+the same IEEE operations in the same order, so the two must agree bit for
 bit: every coordinate of the result by ``float.hex``, the number of calls of
 the objective, and every entry of the chart.
 """
@@ -70,15 +70,21 @@ def ref_minimize(fun, x0) -> list[float]:
     return sim[0]
 
 
-def ref_idempotent_from_params(x) -> Mat2 | None:
-    """The ``Mat2`` chart: ``v u* / (u* v)`` from the tuples ``u`` and ``v``."""
-    alpha, phi1, beta, phi2 = x
-    u = (math.cos(alpha), math.sin(alpha) * complex(math.cos(phi1), math.sin(phi1)))
-    v = (math.cos(beta), math.sin(beta) * complex(math.cos(phi2), math.sin(phi2)))
-    pairing = u[0] * v[0] + u[1].conjugate() * v[1]
-    if abs(pairing) < 1e-3:
+def _sq(t) -> float:
+    return t.real * t.real + t.imag * t.imag
+
+
+def ref_idempotent_from_params(x, chart) -> Mat2 | None:
+    """The ``Mat2`` chart: ``v u* / (u* v)`` from the tuples ``u`` and ``v``, each with one
+    coordinate 1 (bit 0 of ``chart`` puts it second in ``u``, bit 1 in ``v``)."""
+    z, w = complex(x[0], x[1]), complex(x[2], x[3])
+    u = (z, 1.0) if chart & 1 else (1.0, z)
+    v = (w, 1.0) if chart & 2 else (1.0, w)
+    cu = (u[0].conjugate(), u[1].conjugate())
+    pairing = cu[0] * v[0] + cu[1] * v[1]
+    nu, nv = _sq(u[0]) + _sq(u[1]), _sq(v[0]) + _sq(v[1])
+    if not 1e-6 * nu * nv <= _sq(pairing) < math.inf:
         return None
-    cu = (u[0], u[1].conjugate())
     return Mat2(*(v[i] * cu[j] / pairing for i in (0, 1) for j in (0, 1)))
 
 
@@ -157,21 +163,23 @@ def _bits(z: complex) -> tuple:
     return z.real.hex(), z.imag.hex()
 
 
-_angle = st.one_of(
+_param = st.one_of(
     st.floats(-10.0, 10.0),
-    st.sampled_from([0.0, -0.0, math.pi / 2, math.pi, 2.0 * math.pi, 3.0 * math.pi / 2]),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e8, -1e160, 1e160]),
 )
 
 
 @settings(max_examples=500, deadline=None)
-@given(x=st.lists(_angle, min_size=4, max_size=4))
-@example(x=[0.0, 0.0, math.pi / 2, 0.0])  # u and v orthogonal: no chart point
-@example(x=[math.pi / 4, 0.0, math.pi / 4, math.pi])  # u* v = 0 up to rounding
-def test_chart_entries_are_the_mat2_charts_bit_for_bit(x):
+@given(x=st.lists(_param, min_size=4, max_size=4), chart=st.integers(0, 3))
+@example(x=[1.0, 0.0, -1.0, 0.0], chart=0)  # u = (1, 1) and v = (1, -1) orthogonal: no point
+@example(x=[1.0, 0.0, -0.998, 0.0], chart=3)  # |u* v|**2 just inside 1e-6 |u|**2 |v|**2
+@example(x=[1.0, 0.0, -0.999, 0.0], chart=1)  # just outside
+@example(x=[1e160, 0.0, 1e160, 0.0], chart=0)  # the squares overflow
+def test_chart_entries_are_the_mat2_charts_bit_for_bit(x, chart):
     """``_idempotent_from_params`` gives the entries of the ``Mat2`` chart, bit
     for bit, and None exactly where that gives None."""
-    ours = amnm.oracle._idempotent_from_params(x)
-    ref = ref_idempotent_from_params(x)
+    ours = amnm.oracle._idempotent_from_params(x, chart)
+    ref = ref_idempotent_from_params(x, chart)
     if ref is None:
         assert ours is None
         return
