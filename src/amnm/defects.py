@@ -16,11 +16,11 @@ maxima through exact squared ratios so that defects of the certified
 counterexample families are reported as exact rationals whenever the square
 root is rational, and as an exact rational square otherwise (``_root``).
 This module is the only one that decides between the two (``_can_run_exact``):
-the oracle's exhaustive scan costs all its candidate values in one call of
-``_element_ratios``, the distance report's kernel, and callers read the path
-off a report's ``defect_sq`` or ``value_sq``.  Before either path, ``defect``
-recognises a character of ``l1(S)`` (:func:`_is_character`) and reads its
-exact 0 off the semilattice's proved character table instead of scanning.
+the oracle's exhaustive scan, like the distance report, ranks the keys of one
+call of ``_element_ratios`` (integers on the exact path, then one ``Fraction``,
+for the winner), and callers read the path off a report's ``defect_sq`` or
+``value_sq``.  Before either path, ``defect`` recognises a character of ``l1(S)``
+(:func:`_is_character`) and reads its exact 0 off the proved character table.
 
 The float path reads every codomain through :meth:`AlgebraMap.as_m2`, as the
 exact filter below does: scalars embed diagonally and T2 values as
@@ -86,7 +86,6 @@ from .mat2 import (
     _op_from_gram,
     _rescaled,
     _rounded,
-    hs_norm_sq,
 )
 from .semilattice import Semilattice
 from .weights import _BLOCK_CELLS, WeightedSemilattice, _is_exact, _over_common_denominator
@@ -246,25 +245,23 @@ def _root(q: Fraction) -> tuple:
     return _rescaled(_hs_from_gram, q), False
 
 
-def _norm_sq_exact(diff: Mat2, norm: str):
-    """Exact squared norm of an embedded difference with integer entries."""
+def _norm_sq_exact(diff, norm: str) -> int | None:
+    """Exact squared norm, an int, of an embedded difference ``(a, b, c, d)``
+    with integer entries; None where the operator norm is irrational."""
+    a, b, c, d = diff
     if norm == "abs":
-        return diff.a**2
+        return a * a
     if norm == "t2":
-        return (abs(diff.a) + abs(diff.b)) ** 2
-    hs_sq = hs_norm_sq(diff)
-    if norm == "hs":
-        return hs_sq
-    det = diff.det
-    if det == 0:
+        return (abs(a) + abs(b)) ** 2
+    hs_sq = a * a + b * b + c * c + d * d
+    det = a * d - b * c
+    if norm == "hs" or det == 0:
         return hs_sq  # rank <= 1: operator and HS norms coincide
-    # General case: op^2 = (T + sqrt(T^2 - 4 |det|^2))/2, exact only when the
-    # discriminant is a perfect square.
+    # op^2 = (T + sqrt(T^2 - 4 det^2))/2, exact only when the discriminant is a
+    # perfect square; T and its root then share a parity, as (T - r)(T + r) = 4 det^2
     disc = hs_sq * hs_sq - 4 * det * det
     root = math.isqrt(disc)
-    if root * root != disc:
-        raise ValueError("exact operator norm needs rank <= 1 or a perfect-square discriminant")
-    return Fraction(hs_sq + root, 2)
+    return (hs_sq + root) // 2 if root * root == disc else None
 
 
 def _can_run_exact(WS: WeightedSemilattice, *maps: AlgebraMap) -> bool:
@@ -272,10 +269,13 @@ def _can_run_exact(WS: WeightedSemilattice, *maps: AlgebraMap) -> bool:
     return WS.is_exact and all(m.is_exact for m in maps)
 
 
-# Filter constants; the module docstring derives the bound they implement.
+# Filter constants; the module docstring derives the bound they implement.  Then
+# the exact scans' one error and the per-element scan's 0 and I.
 _FILTER_REL = 2.0**-40  # the enclosure's relative width
 _INV_SQRT2_DOWN = 0.7071067811865  # below 1/sqrt(2), even after rounding a product
 _UNSCALED_RANGE = 2.0**250  # the float defect scales past a value or weight this large
+_IRRATIONAL_OP = "exact operator norm needs rank <= 1 or a perfect-square discriminant"
+_ZERO_ID = np.array([0, 0, 0, 0, 1, 0, 0, 1], complex).reshape(2, 1, 2, 2)  # 0 and I, for any n
 
 
 def _stack(theta: AlgebraMap, *more: AlgebraMap) -> np.ndarray:
@@ -410,22 +410,19 @@ def _defect_exact(WS: WeightedSemilattice, theta: AlgebraMap, norm: str) -> Defe
     K4 = K**4
     best_sq = Fraction(0)
     witness = (0, 0)
-    # the largest HS ratio square among pairs with an irrational operator norm
-    irrational_sq, irrational = Fraction(0), None
+    irrational_sq = Fraction(0)  # the largest HS ratio square of an irrational operator norm
     for i, j, d in _candidate_pairs(WS, W, N, L, norm):
-        diff = Mat2(*d)  # over L**2 omega(e) omega(f) = L**2 W_e W_f / K**2
-        weight_sq = (L * L * W[i] * W[j]) ** 2
-        try:
-            ratio_sq = Fraction(_norm_sq_exact(diff, norm) * K4, weight_sq)
-        except ValueError as err:  # op <= hs: the pair matters only if hs beats best_sq
-            irrational_sq = max(irrational_sq, Fraction(hs_norm_sq(diff) * K4, weight_sq))
-            irrational = err
+        weight_sq = (L * L * W[i] * W[j]) ** 2  # the ratio is ||d|| K**2 / (L**2 W_e W_f)
+        sq = _norm_sq_exact(d, norm)
+        if sq is None:  # op <= hs: the pair matters only if hs beats best_sq
+            irrational_sq = max(irrational_sq, Fraction(_norm_sq_exact(d, "hs") * K4, weight_sq))
             continue
+        ratio_sq = Fraction(sq * K4, weight_sq)
         if ratio_sq > best_sq:
             best_sq = ratio_sq
             witness = (i, j)
     if irrational_sq > best_sq:
-        raise irrational
+        raise ValueError(_IRRATIONAL_OP)
     value, exact = _root(best_sq)
     return DefectReport(value, witness, norm, best_sq, exact_value=exact)
 
@@ -517,42 +514,63 @@ class DistanceReport:
         return _as_complex(self.value).real
 
 
+def _exact_costs(WS: WeightedSemilattice, D, L: int, norm: str):
+    """Integer keys ordering the exact costs ``||d|| / omega(e)`` of rows ``D`` of
+    differences ``d = L (theta(e) - phi(e))`` (``n`` integer 4-lists a row), and
+    ``cost(v, e)``, row ``v``'s squared cost at ``e`` as one ``Fraction``: with
+    ``omega = W / K``, ``s K**2 / (L W_e)**2`` for ``s = ||d||**2``, whose key
+    ``s (lcm(W) / W_e)**2`` is it times a factor common to every element.  An
+    irrational operator norm is keyed -1 and raises ``ValueError`` unless its HS
+    key, which bounds it, is at most the largest rational key; it is then below
+    the maximum, which it cannot tie."""
+    W, K = WS._omega_integers
+    M = math.lcm(*W)
+    scale = [(M // w) ** 2 for w in W]
+    squares = [[_norm_sq_exact(d, norm) if any(d) else 0 for d in row] for row in D]
+    keys = [[-1 if s is None else s * q for s, q in zip(row, scale)] for row in squares]
+    top = max(map(max, keys))
+    for row, sq in zip(D, squares):
+        if any(_norm_sq_exact(d, "hs") * q > top for d, s, q in zip(row, sq, scale) if s is None):
+            raise ValueError(_IRRATIONAL_OP)
+
+    def cost(v: int, e: int) -> Fraction:
+        return Fraction(squares[v][e] * K * K, (L * W[e]) ** 2)
+
+    return np.array(keys, np.int64 if top < 2**63 else object), cost
+
+
 def _element_ratios(WS: WeightedSemilattice, theta: AlgebraMap, phis, norm: str):
-    """``||theta(e) - phi(e)|| / omega(e)``, a row per map ``phi`` of ``phis`` and
-    a column per element: lists of exact squared ratios, from the maps' and the
-    weight's integer forms, when the weight and every map are exact, else a
-    float array from one :func:`_norms` call on their stack of differences.
-    Where a difference has a part past ``2**1021``, its modulus, ``|a| + |b|``
-    or its norm could overflow: that pair is costed on its values over ``2**3``,
-    exactly, and its ratio scaled back, to inf past the float range; every
-    other pair keeps the direct formula's bits."""
-    n = WS.n
-    if _can_run_exact(WS, theta, *phis):
-        N, L = _integers(theta, *phis)  # theta(e) - phi_v(e) = (N_e - N_{(v+1)n+e}) / L
-        W, K = WS._omega_integers  # omega(e) = W_e / K
-        K2, den, zero = K * K, [(L * w) ** 2 for w in W], Fraction(0)
+    """``||theta(e) - phi(e)|| / omega(e)``, a row per map ``phi`` of ``phis`` (per
+    value 0 and 1 of ``theta``'s codomain, embedded as 0 and ``I``, when ``phis``
+    is None) and a column per element, as ``(keys, cost)``: the
+    :func:`_exact_costs` of the maps' integer forms when the weight and every
+    map are exact, else the float costs, from one :func:`_norms` call on the
+    stack of differences, and None.  Where a float difference has a part past
+    ``2**1021``, its modulus, ``|a| + |b|`` or its norm could overflow: that pair
+    is costed on its values over ``2**3``, exactly, and its ratio scaled back, to
+    inf past the float range; every other pair keeps the direct formula's bits."""
+    n, maps = WS.n, phis or ()
+    if _can_run_exact(WS, theta, *maps):
+        N, L = _integers(theta, *maps)  # theta(e) - phi_v(e) = (N_e - N_{(v+1)n+e}) / L
+        if phis is None:
+            T = N[:n].reshape(n, 4).tolist()
+            return _exact_costs(WS, [T, [[a - L, b, c, d - L] for a, b, c, d in T]], L, norm)
         D = (N[:n] - N[n:].reshape(-1, n, 2, 2)).reshape(len(phis), n, 4).tolist()
-        return [  # a zero difference, common where the maps agree, needs no norm
-            [
-                Fraction(_norm_sq_exact(Mat2(*d), norm) * K2, q) if any(d) else zero
-                for d, q in zip(row, den)
-            ]
-            for row in D
-        ]
-    V = _stack(theta, *phis)
-    T, P = V[:n], V[n:].reshape(-1, n, 2, 2)
+        return _exact_costs(WS, D, L, norm)
+    V = _stack(theta, *maps)
+    T, P = V[:n], _ZERO_ID if phis is None else V[n:].reshape(-1, n, 2, 2)
     with np.errstate(over="ignore", invalid="ignore"):  # both show in the check below
         D = T - P
     k = None
     if not np.abs(D.view(float)).max(initial=0.0) <= 2.0**1021:  # or an inf or NaN entry
-        _refuse_non_finite(V, theta, *phis)
+        _refuse_non_finite(V, theta, *maps)
         k = np.where(_largest_parts(D) > 2.0**1021, 3, 0)
         D = _scaled(T, -k) - _scaled(P, -k)
     ratios = _norms(D, norm) / WS.omega_float
     if k is None:
-        return ratios
+        return ratios, None
     with np.errstate(over="ignore"):  # a ratio past the float range is inf
-        return np.ldexp(ratios, k)
+        return np.ldexp(ratios, k), None
 
 
 def weighted_sup_distance_report(
@@ -561,14 +579,12 @@ def weighted_sup_distance_report(
     """``max_e ||theta(e) - phi(e)|| / omega(e)`` with witness and exactness info."""
     WS = _carrier(ws_or_s, None, theta, phi)
     norm = _check_norm(theta.codomain, norm)
-    ratios = _element_ratios(WS, theta, [phi], norm)[0]
-    if isinstance(ratios, np.ndarray):
-        e = int(np.argmax(ratios))
-        return DistanceReport(float(ratios[e]), e, norm)
-    best_sq = max(ratios)
-    value, exact = _root(best_sq)
-    # the first maximum, as a strict > scan finds it
-    return DistanceReport(value, ratios.index(best_sq), norm, best_sq, exact)
+    keys, cost = _element_ratios(WS, theta, [phi], norm)
+    e = int(np.argmax(keys[0]))  # the first maximum, as a strict > scan finds it
+    if cost is None:
+        return DistanceReport(float(keys[0, e]), e, norm)
+    value, exact = _root(value_sq := cost(0, e))
+    return DistanceReport(value, e, norm, value_sq, exact)
 
 
 def weighted_sup_distance(ws_or_s, theta: AlgebraMap, phi: AlgebraMap, norm: str | None = None):

@@ -6,7 +6,8 @@ once per semilattice: row 0 the zero map, row ``m + 1`` the up-set of ``m``),
 so the nearest one is found exhaustively — exactly, when the inputs are rational.
 The scan costs the codomain's 0 and 1 at every element in one call of the
 defects module's per-element kernel, which decides between exact and float
-costs, and reads each row's cost off those two.  For the 2x2-matrix codomain
+costs and keys them (integers on the exact path), and reads each row's largest
+key off those two.  For the 2x2-matrix codomain
 the multiplicative maps form the finite-dimensional family
 
     phi = chi_F1 * P + chi_F2 * (I - P)
@@ -43,7 +44,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, product
+from itertools import product
 from math import inf, sqrt
 from operator import itemgetter, le, sub
 
@@ -143,35 +144,27 @@ def _exhaustive_nearest(WS, theta) -> tuple[NearestReport, int]:
     """The 0/1 map nearest ``theta`` (the first on ties) and its row of ``S._mult_rows``.
 
     The codomain's 0 and 1 are costed against every element in one call of
-    :func:`defects._element_ratios`: exact squared costs from ``theta``'s
-    integer stack and the weight's integers when both are exact, float costs
-    otherwise.  The ``2n`` costs are ranked as integers on both paths; row
-    ``k`` reads, at element ``e``, the rank of the value it takes there, the
-    row whose largest rank is least wins, and only its map is built.
+    :func:`defects._element_ratios`, from ``theta``'s own values: integer keys
+    that order the exact squared costs, from ``theta``'s integer stack and the
+    weight's integers, when both are exact, else the float costs themselves.
+    Row ``k`` reads, at element ``e``, the key of the value it takes there; the
+    row whose largest key is least wins, and only its map and its cost, one
+    ``Fraction`` on the exact path, are built.
     """
     norm = default_norm(theta.codomain)
     rows = WS.S._mult_rows
-    constant = [AlgebraMap(theta.codomain, (c,) * WS.n) for c in _ZERO_ONE[theta.codomain]]
-    costs = _element_ratios(WS, theta, constant, norm)  # costs[v][e]: value v at element e
-    exact_costs = isinstance(costs, list)  # exact squared costs, not floats
-    flat = list(chain.from_iterable(costs)) if exact_costs else costs.ravel().tolist()
-    # an exact cost is keyed by its (numerator, denominator): a Fraction's own
-    # hash takes a modular inverse
-    keys = [(q.numerator, q.denominator) for q in flat] if exact_costs else flat
-    first = dict(zip(reversed(keys), reversed(flat)))  # each distinct cost, first seen
-    levels = sorted(first, key=first.__getitem__)
-    rank = {k: i for i, k in enumerate(levels)}
-    ranks = np.array(list(map(rank.__getitem__, keys))).reshape(2, WS.n)
-    scan = np.where(rows, ranks[1], ranks[0])  # scan[k, e]: the rank of row k's cost at e
+    keys, cost = _element_ratios(WS, theta, None, norm)  # keys[v, e]: value v at element e
+    scan = np.where(rows, keys[1], keys[0])  # scan[k, e]: row k's key at e
     best = int(np.argmin(scan.max(axis=1)))
-    top = int(scan[best].max())
-    value, exact = _root(first[levels[top]]) if exact_costs else (first[levels[top]], False)
+    witness = int(np.argmax(scan[best]))  # the first at the row's largest key
+    v = int(rows[best, witness])
+    value, exact = _root(cost(v, witness)) if cost else (float(keys[v, witness]), False)
     return NearestReport(
         codomain=theta.codomain,
         value=_as_complex(value).real,
         value_exact=value if exact else None,
         best_map=_row_map(theta.codomain, rows[best].tolist()),
-        witness=int(np.argmax(scan[best] == top)),
+        witness=witness,
         norm=norm,
         method="exhaustive",
         details={"maps_scanned": len(rows)},

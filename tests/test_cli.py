@@ -132,6 +132,12 @@ _INPUT_ERRORS = [
     ("a-document-without-a-map", ["defect"], CHAIN3),
     ("an-m2-entry-past-the-float-range", ["oracle"], _M2_PAST_THE_FLOAT_RANGE),
     ("a-negative-oracle-starts", ["oracle", "--starts", -3], _M2_UNIT),
+    # an exact op-norm distance whose maximum is irrational (HS gives sqrt(6))
+    (
+        "an-irrational-op-distance-at-the-maximum",
+        ["oracle", "--norm", "op"],
+        {"table": [[0]], "map": {"codomain": "m2", "values": [[[2, 1], [0, 3]]]}},
+    ),
     (
         "a-negative-corroborating-starts",
         ["counterexample", "--family", "m2-chain", "--delta", 0.05, "--corroborate", "--starts", -3],

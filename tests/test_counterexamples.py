@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from amnm import (
     ClassificationFailure,
+    Mat2,
     NoEligibleIndex,
     StructureMismatch,
     defect,
@@ -18,6 +19,7 @@ from amnm import (
     enumerate_mult_t2,
     free_semilattice,
     geometric_weight,
+    m2_map,
     nearest_mult_scalar,
     nearest_mult_t2,
     nmin,
@@ -351,3 +353,152 @@ def test_nearest_scan_matches_a_scan_of_every_map(data):
         assert near.value_exact is None
     assert near.details["maps_scanned"] == len(maps)
     assert maps[_exhaustive_nearest(WS, theta)[1]].values == near.best_map.values
+
+
+# ---------------------------------------------------------------------------
+# The exact per-element scans against a plain Fraction reference.
+# ---------------------------------------------------------------------------
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 17)
+# zeros and repeats make zero differences and ties; past 2**63 and below 1/2**64
+_EXACT_VALUES = st.one_of(
+    st.sampled_from([0, 1, -1, Fraction(1, 3), Fraction(-2, 7), 2**64 + 3, Fraction(1, 2**64 + 1), 10**30]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+)
+
+
+def _ref_sq(d, norm):
+    """The squared norm of a difference: a number, a T2 pair or four matrix
+    entries; None for an irrational operator norm."""
+    if norm == "abs":
+        return d * d
+    if norm == "t2":
+        return (abs(d[0]) + abs(d[1])) ** 2
+    a, b, c, e = d
+    t, det = a * a + b * b + c * c + e * e, a * e - b * c
+    if norm == "hs" or det == 0:
+        return t
+    disc = t * t - 4 * det * det  # op**2 = (t + sqrt(disc)) / 2
+    root = _ref_root(disc)
+    return None if root is None else (t + root) / 2
+
+
+def _ref_root(q):
+    q = Fraction(q)
+    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    return Fraction(rn, rd) if rn * rn == q.numerator and rd * rd == q.denominator else None
+
+
+def _ref_distance(omega, theta, phi, norm):
+    """``(value_sq, witness)``: the first maximum of ``||theta(e) - phi(e)||**2 / omega(e)**2``
+    over the elements, each a Fraction; ValueError where an irrational operator norm's HS
+    square tops every rational one."""
+    best_sq, witness, irrational = Fraction(-1), None, Fraction(-1)
+    for e, (t, p, w) in enumerate(zip(theta, phi, omega)):
+        d = t - p if norm == "abs" else [x - y for x, y in zip(t, p)]
+        sq = _ref_sq(d, norm)
+        if sq is None:
+            irrational = max(irrational, Fraction(_ref_sq(d, "hs")) / Fraction(w) ** 2)
+        elif Fraction(sq) / Fraction(w) ** 2 > best_sq:
+            best_sq, witness = Fraction(sq) / Fraction(w) ** 2, e
+    if irrational > best_sq:
+        raise ValueError("an irrational operator norm at the maximum")
+    return best_sq, witness
+
+
+@st.composite
+def _exact_weights(draw, S):
+    """Monotone weights >= 1 over coprime denominators, times a scale up to past the float range."""
+    c = [Fraction(draw(st.integers(0, 4)), p) for p in _PRIMES[: S.n]]
+    scale = draw(st.sampled_from([1, 2**64 + 1, 10**400, Fraction(10**400, 3)]))
+    return weighted(S, [scale * (1 + sum(c[y] for y in range(S.n) if S.table[x, y] == y)) for x in range(S.n)])
+
+
+def _check_value(rep_value, exact_value, value_sq):
+    root = _ref_root(value_sq)
+    if root is not None:
+        assert exact_value == root and rep_value == float(root)
+    else:  # the float view of an irrational root: below the float range it is 0.0
+        root = math.sqrt(value_sq.numerator / value_sq.denominator) if value_sq > Fraction(1, 10**300) else 0.0
+        assert exact_value is None and math.isclose(rep_value, root, rel_tol=1e-14, abs_tol=1e-150)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_exact_scans_match_a_plain_fraction_reference(data):
+    # the distance report and the exhaustive scan on exact input against a
+    # per-element Fraction maximum that shares no code with the defects module
+    S = data.draw(st.sampled_from(_CARRIERS[:3] + [nmin(1)]))
+    WS = data.draw(_exact_weights(S))
+    codomain = data.draw(st.sampled_from(["scalar", "t2", "m2-hs", "m2-op"]))
+    width = {"scalar": 1, "t2": 2}.get(codomain, 4)
+    # diagonal matrices have rational operator norms, which may top irrational ones
+    diagonal = st.tuples(_EXACT_VALUES, st.just(0), st.just(0), _EXACT_VALUES)
+    value = st.one_of(st.tuples(*[_EXACT_VALUES] * width), *[diagonal] * (width == 4))
+    rows = [data.draw(value) for _ in range(S.n)]
+    # phi shares theta's value at some elements: zero differences
+    other = [r if data.draw(st.booleans()) else data.draw(value) for r in rows]
+    if codomain == "scalar":
+        ref_theta, ref_phi = [r[0] for r in rows], [r[0] for r in other]
+        theta, phi, norm = scalar_map(ref_theta), scalar_map(ref_phi), "abs"
+    elif codomain == "t2":
+        theta, phi, norm, ref_theta, ref_phi = t2_map(rows), t2_map(other), "t2", rows, other
+    else:
+        theta, phi = m2_map([Mat2(*r) for r in rows]), m2_map([Mat2(*r) for r in other])
+        norm, ref_theta, ref_phi = codomain[3:], rows, other
+    try:
+        value_sq, witness = _ref_distance(WS.omega, ref_theta, ref_phi, norm)
+    except ValueError:
+        with pytest.raises(ValueError, match="perfect-square discriminant"):
+            weighted_sup_distance_report(WS, theta, phi, norm)
+        return
+    dr = weighted_sup_distance_report(WS, theta, phi, norm)
+    assert (dr.value_sq, dr.witness, dr.exact_value) == (value_sq, witness, _ref_root(value_sq) is not None)
+    _check_value(dr.value_float, dr.value if dr.exact_value else None, value_sq)
+    if codomain not in ("scalar", "t2"):
+        return
+    # the nearest 0/1 map: the first map of least distance, and its first witness
+    maps = enumerate_mult_scalar(S) if codomain == "scalar" else enumerate_mult_t2(S)
+    nearest = nearest_mult_scalar if codomain == "scalar" else nearest_mult_t2
+    one_zero = {1: (1, 0), 0: (0, 0)}
+    per_map = []
+    for m in maps:
+        values = [v if codomain == "scalar" else one_zero[v.a] for v in m.values]
+        per_map.append(_ref_distance(WS.omega, ref_theta, values, norm))
+    best = min(range(len(maps)), key=lambda k: per_map[k][0])
+    near = nearest(WS, theta)
+    assert near.best_map.values == maps[best].values
+    assert near.witness == per_map[best][1]
+    assert near.value_exact is None or near.value_exact**2 == per_map[best][0]
+    _check_value(near.value, near.value_exact, per_map[best][0])
+
+
+def test_exact_scans_build_a_fixed_number_of_fractions(monkeypatch):
+    # every Fraction the defects and oracle modules construct is counted: an
+    # exact scan builds one per report, however long the chain
+    from amnm import defects, oracle
+
+    built = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(cls)
+            return super().__new__(cls, *args, **kwargs)
+
+    def counts(n):
+        WS = geometric_weight(n)
+        m = n // 2
+        theta = t2_map([(0, 0)] * m + [(1, WS.omega[m])] + [(1, 0)] * (n - m - 1))
+        near = nearest_mult_t2(WS, theta)
+        with monkeypatch.context() as patch:
+            patch.setattr(defects, "Fraction", Counted)
+            patch.setattr(oracle, "Fraction", Counted)
+            built.clear()
+            _exhaustive_nearest(WS, theta)
+            scan = len(built)
+            report = weighted_sup_distance_report(WS, theta, near.best_map)
+        assert report.value == 1 and report.exact_value
+        return scan, len(built) - scan
+
+    assert counts(16) == counts(64)
+    assert 0 < counts(64)[0]

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from amnm import (
     M2_ID,
+    M2_ZERO,
     AlgebraMap,
     Mat2,
     ParseError,
@@ -630,6 +631,27 @@ def test_an_irrational_op_norm_pair_at_the_maximum_still_raises():
         defect(nmin(3), _irrational_op_pair_map(), "op")
 
 
+def _irrational_op_element_map(top):
+    # theta(0) = [[2, 1], [0, 3]] / 100 has op^2 = (14 + sqrt(52)) / 20000, irrational, and
+    # HS^2 = 14 / 10000; theta(1) = diag(top, 0) has op = HS = top
+    return m2_map([Mat2(Fraction(2, 100), Fraction(1, 100), 0, Fraction(3, 100)), Mat2(top, 0, 0, 0)])
+
+
+def test_an_irrational_op_norm_element_below_the_maximum_does_not_raise():
+    theta, zero = _irrational_op_element_map(5), m2_map([M2_ZERO] * 2)
+    for norm in ("op", "hs"):
+        rep = weighted_sup_distance_report(nmin(2), theta, zero, norm)
+        assert (rep.value, rep.witness, rep.value_sq, rep.exact_value) == (5, 1, 25, True)
+
+
+# 1/100: the irrational element is the maximum; 36/1000: it is not (op^2 is about
+# 0.00106 against 0.001296), but its HS bound, 0.0014, is above, as in the defect
+@pytest.mark.parametrize("top", [Fraction(1, 100), Fraction(36, 1000)], ids=["op-above", "hs-above"])
+def test_an_irrational_op_norm_element_whose_hs_bound_wins_still_raises(top):
+    with pytest.raises(ValueError, match="perfect-square discriminant"):
+        weighted_sup_distance_report(nmin(2), _irrational_op_element_map(top), m2_map([M2_ZERO] * 2), "op")
+
+
 def test_an_irrational_op_norm_pair_below_the_maximum_does_not_raise():
     # over L = 2**1100 the integer differences pass the float range, so every
     # nonzero pair survives the filter; (1,1) costs [[t^2, t^2 - t], [t^2 - t,
@@ -828,8 +850,8 @@ def test_float_distances_below_the_difference_range_keep_the_direct_bits():
         ):
             V = _stack(*maps)
             direct = _norms(V[: S.n] - V[S.n :], norm) / WS.omega_float
-            got = _element_ratios(WS, *maps[:1], maps[1:], norm)[0]
-            assert [x.hex() for x in got] == [x.hex() for x in direct]
+            got, cost = _element_ratios(WS, *maps[:1], maps[1:], norm)
+            assert cost is None and [x.hex() for x in got[0]] == [x.hex() for x in direct]
 
 
 _MAX = 1.7976931348623157e308

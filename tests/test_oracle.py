@@ -256,15 +256,22 @@ def test_the_one_pass_cost_table_is_the_per_value_costs(codomain, kind, weight):
         theta = AlgebraMap(codomain, tuple(value() for _ in range(S.n)))
         # the scan's two values, and two more of theta's kind
         phis = [AlgebraMap(codomain, (c,) * S.n) for c in (zero, one, value(), value())]
-        table = _element_ratios(WS, theta, phis, norm)
+        keys, cost = _element_ratios(WS, theta, phis, norm)
         exact = weight != "float" and kind == "rational"
-        assert isinstance(table, list) == exact and len(table) == len(phis)
-        for row, phi in zip(table, phis):
-            alone = _element_ratios(WS, theta, [phi], norm)[0]
-            if exact:
-                assert all(isinstance(q, Fraction) for q in row) and row == alone
-            else:
-                assert [x.hex() for x in row] == [x.hex() for x in alone]
+        assert (cost is not None) == exact and len(keys) == len(phis)
+        # phis=None costs the scan's 0 and 1 from theta's own values
+        tables = [(keys, cost), _element_ratios(WS, theta, None, norm)]
+        for v, phi in enumerate(phis):
+            alone, alone_cost = _element_ratios(WS, theta, [phi], norm)
+            for k, c in tables[: 1 + (v < 2)]:
+                if exact:
+                    row = [c(v, e) for e in range(S.n)]
+                    assert all(isinstance(q, Fraction) for q in row)
+                    assert row == [alone_cost(0, e) for e in range(S.n)]
+                    # the keys order the costs as the costs order themselves
+                    assert np.array_equal(np.argsort(k[v], kind="stable"), np.argsort(row, kind="stable"))
+                else:
+                    assert [x.hex() for x in k[v]] == [x.hex() for x in alone[0]]
 
 
 def test_nearest_rejects_a_non_semilattice_carrier():
