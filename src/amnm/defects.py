@@ -444,7 +444,7 @@ def _defect_float(WS: WeightedSemilattice, theta: AlgebraMap, norm: str) -> Defe
         U = _scaled(V, -k)
         D = np.einsum("iab,jbc->ijac", U, U) - _scaled(V[table], -K)
         j = np.frexp(_largest_parts(D))[1]
-        mant, e = np.frexp(w)
+        mant, e = WS._omega_frexp or np.frexp(w)
         norms = _norms(_scaled(D, -j), norm) / (mant[:, None] * mant[None, :])
         with np.errstate(over="ignore"):  # a defect past the float range is inf
             ratios = np.ldexp(norms, K + j - e[:, None] - e[None, :])
@@ -522,7 +522,7 @@ def _exact_costs(WS: WeightedSemilattice, D, L: int, norm: str):
     ``s (lcm(W) / W_e)**2`` is it times a factor common to every element.  An
     irrational operator norm is keyed -1 and raises ``ValueError`` unless its HS
     key, which bounds it, is at most the largest rational key; it is then below
-    the maximum, which it cannot tie."""
+    the maximum, which it cannot tie.  Keys past ``2**63`` are replaced by their ranks."""
     W, K = WS._omega_integers
     M = math.lcm(*W)
     scale = [(M // w) ** 2 for w in W]
@@ -536,7 +536,10 @@ def _exact_costs(WS: WeightedSemilattice, D, L: int, norm: str):
     def cost(v: int, e: int) -> Fraction:
         return Fraction(squares[v][e] * K * K, (L * W[e]) ** 2)
 
-    return np.array(keys, np.int64 if top < 2**63 else object), cost
+    if top >= 2**63:  # ties and order kept: the scans then run on int64, not on objects
+        rank = {key: r for r, key in enumerate(sorted(set(chain.from_iterable(keys))))}
+        keys = [[rank[key] for key in row] for row in keys]
+    return np.array(keys, np.int64), cost
 
 
 def _element_ratios(WS: WeightedSemilattice, theta: AlgebraMap, phis, norm: str):
@@ -548,7 +551,9 @@ def _element_ratios(WS: WeightedSemilattice, theta: AlgebraMap, phis, norm: str)
     stack of differences, and None.  Where a float difference has a part past
     ``2**1021``, its modulus, ``|a| + |b|`` or its norm could overflow: that pair
     is costed on its values over ``2**3``, exactly, and its ratio scaled back, to
-    inf past the float range; every other pair keeps the direct formula's bits."""
+    inf past the float range; every other pair keeps the direct formula's bits.
+    Under a weight past the float range the ratios divide by the weights' mantissas
+    and scale by their powers of two (``WeightedSemilattice._omega_frexp``)."""
     n, maps = WS.n, phis or ()
     if _can_run_exact(WS, theta, *maps):
         N, L = _integers(theta, *maps)  # theta(e) - phi_v(e) = (N_e - N_{(v+1)n+e}) / L
@@ -566,7 +571,10 @@ def _element_ratios(WS: WeightedSemilattice, theta: AlgebraMap, phis, norm: str)
         _refuse_non_finite(V, theta, *maps)
         k = np.where(_largest_parts(D) > 2.0**1021, 3, 0)
         D = _scaled(T, -k) - _scaled(P, -k)
-    ratios = _norms(D, norm) / WS.omega_float
+    w, e = WS._omega_frexp or (WS.omega_float, None)
+    ratios = _norms(D, norm) / w
+    if e is not None:
+        k = -e if k is None else k - e
     if k is None:
         return ratios, None
     with np.errstate(over="ignore"):  # a ratio past the float range is inf

@@ -4,8 +4,9 @@ Everything here is exact-formula work on 2x2 complex matrices — no iterative
 linear algebra.  :class:`Mat2` is a lightweight tuple type whose entries may
 be Python complex/floats or exact ``Fraction`` values (for the certified
 counterexample computations); all arithmetic is entrywise and generic.  The
-per-matrix kernels below share one core on unpacked entries (``_schur``,
-``_idempotent_defect`` and ``_mul``) and build a ``Mat2`` only to return one.
+per-matrix kernels share one core on unpacked entries (``_schur``, ``_binary_idempotent``,
+``_idempotent_defect``, ``_mul``), norm ``complex`` ones with ``_complex_norm`` directly
+and build a ``Mat2`` only to return one.
 
 The analytical core:
 
@@ -162,13 +163,14 @@ def _hs_from_gram(t, det_sq):
     return math.sqrt(t)
 
 
-def _complex_norm(a: complex, b: complex, c: complex, d: complex, op: bool) -> float:
-    """HS norm, or operator norm when ``op``, of the matrix with the four ``complex``
-    entries: the one float 2x2 norm, of :func:`hs_norm`, :func:`op_norm`, the oracle's
-    costs and, on arrays, ``defects._norms``.  Out of ``[_DIRECT_MIN, inf)`` a square
-    may have underflowed or overflowed (the op norm squares twice): the norm is then
-    that of the entries over the power of two at their largest part, scaled back, inf
-    only past the float range; an exact zero or NaN part keeps it, an inf part gives inf."""
+def _complex_norm(a: complex, b: complex, c: complex, d: complex, op: bool = False) -> float:
+    """HS norm (the default), or operator norm when ``op``, of the matrix with the four
+    ``complex`` entries: the one float 2x2 norm, of :func:`hs_norm`, :func:`op_norm`, the
+    kernels on entries, the oracle's costs and, on arrays, ``defects._norms``.  Out of
+    ``[_DIRECT_MIN, inf)`` a square may have underflowed or overflowed (the op norm squares
+    twice): the norm is then that of the entries over the power of two at their largest
+    part, scaled back, inf only past the float range; an exact zero or NaN part keeps it,
+    an inf part gives inf."""
     t = _complex_hs_sq(a, b, c, d)
     if op:
         det = a * d - b * c
@@ -197,9 +199,9 @@ def _as_complex(x) -> complex:
         return complex(math.inf)
 
 
-def _idempotent_defect(a, b, c, d) -> float:
-    """``hs_norm(A @ A - A)`` on A's four entries, operation for operation."""
-    return hs_norm((a * a + b * c - a, a * b + b * d - b, c * a + d * c - c, c * b + d * d - d))
+def _idempotent_defect(a, b, c, d, norm=_complex_norm) -> float:
+    """``hs_norm(A @ A - A)`` on A's four entries, operation for operation, by ``norm``."""
+    return norm(a * a + b * c - a, a * b + b * d - b, c * a + d * c - c, c * b + d * d - d)
 
 
 def _mul(a, b, c, d, e, f, g, h) -> tuple:
@@ -264,7 +266,7 @@ def inv2(A: Mat2) -> Mat2:
 
 
 def is_idempotent_within(A: Mat2, tol: float = 1e-9) -> bool:
-    return _idempotent_defect(*A) <= tol
+    return hs_norm(A @ A - A) <= tol
 
 
 def commute_within(A: Mat2, B: Mat2, tol: float = 1e-9) -> bool:
@@ -443,7 +445,11 @@ def nearest_binary_idempotent(A: Mat2) -> tuple[Mat2, int]:
     in that basis); otherwise ``P`` is 0 or the identity.  No smallness of
     ``||A - A^2||`` is assumed — :func:`key_estimates` adds the certified bounds.
     """
-    v1, v2, ta, tb, td = _schur(A, *map(_as_complex, A))
+    return _binary_idempotent(*_schur(A, *map(_as_complex, A)))
+
+
+def _binary_idempotent(v1, v2, ta, tb, td) -> tuple[Mat2, int]:
+    """:func:`nearest_binary_idempotent` from the :func:`_schur` form ``v1, v2, ta, tb, td``."""
     na, nd = _rounded(ta), _rounded(td)  # T's diagonal, rounded to {0, 1}
     e, f, g, h = (complex(na), tb, 0.0j, complex(nd)) if na != nd else (M2_ID if na else M2_ZERO)
     p, q = v1.conjugate(), v2.conjugate()  # P = U P_T U*, with U = (v1, -q / v2, p)
@@ -458,18 +464,20 @@ def key_estimates(A: Mat2, eps: float) -> KeyEstimateReport:
     eps = float(eps)
     if not 0.0 <= eps < 2.0 / 9.0:
         raise ValueError(f"key estimates require 0 <= eps < 2/9, got {eps!r}")
-    a, b, c, d = A  # as _norm reads them: all complex beside a float (float * int overflows)
+    a, b, c, d = z = A  # as _norm reads them: all complex beside a float (float * int overflows)
     if not type(a) is type(b) is type(c) is type(d) is complex:
-        a, b, c, d = map(_as_complex, A) if any(isinstance(x, (float, complex)) for x in A) else A
-    measured = _idempotent_defect(a, b, c, d)
+        z = tuple(map(_as_complex, A))  # _schur's entries
+        a, b, c, d = z if any(isinstance(x, (float, complex)) for x in A) else A
+    hs = _complex_norm if type(a) is complex else lambda *x: hs_norm(x)  # every check's HS norm
+    measured = _idempotent_defect(a, b, c, d, hs)
     if not measured <= eps:
         raise DefectTooLarge(measured, eps, what="||A - A^2||_HS")
 
     lower = math.sqrt(max(2.0 - 6.0 * measured, 0.0))
-    if hs_norm((a * 2.0 - 1, b * 2.0 - 0, c * 2.0 - 0, d * 2.0 - 1)) < lower - 1e-12:
+    if hs(a * 2.0 - 1, b * 2.0 - 0, c * 2.0 - 0, d * 2.0 - 1) < lower - 1e-12:
         raise ClassificationFailure("||2A - I|| fell below the certified lower bound")
 
-    P, j = nearest_binary_idempotent(A)
+    P, j = _binary_idempotent(*_schur(A, *z))
     e, f, g, h = P
     trace_distance = abs(complex(a + d) - j)
     rho_eps = rho(eps)
@@ -478,10 +486,10 @@ def key_estimates(A: Mat2, eps: float) -> KeyEstimateReport:
         raise ClassificationFailure(
             f"trace {complex(a + d)!r} is not within {cap!r} of class {j}"
         )
-    bound = rho_eps * eps if j == 1 else kappa(eps) * eps
+    bound = rho_eps * eps if j == 1 else 1.0 / (1.0 - rho_eps * eps * _SQRT2) * eps  # kappa(eps)
     if _idempotent_defect(e, f, g, h) > 1e-12 * (1.0 + _complex_hs_sq(e, f, g, h)):
         raise ClassificationFailure("constructed projection failed idempotency check")
-    achieved = hs_norm((a - e, b - f, c - g, d - h))
+    achieved = hs(a - e, b - f, c - g, d - h)
     if achieved > bound and achieved > bound + 1e-12 * (1.0 + hs_norm(A)):  # norm only if needed
         raise ClassificationFailure(
             f"achieved distance {achieved!r} exceeds certified bound {bound!r}"

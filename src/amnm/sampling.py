@@ -1,9 +1,10 @@
 """Random instance generators for exercising the correction procedures.
 
 Each generator guarantees its stated precondition (retrying with shrunken
-noise when a draw lands outside), so downstream correction calls are
-entitled to succeed.  All draws go through a caller-supplied
-``numpy.random.Generator`` — fixed seed, fixed instances.
+noise when a draw lands outside, raising when no shrink meets it), so downstream
+correction calls are entitled to succeed.  All draws go through a caller-supplied
+``numpy.random.Generator`` — fixed seed, fixed instances; ``random_near_idempotent``
+then computes on plain ``complex`` entries and builds a ``Mat2`` only to return one.
 """
 
 from __future__ import annotations
@@ -100,6 +101,11 @@ def random_bounded_idempotent(rng: np.random.Generator) -> Mat2:
     and SIMD dispatch; its entries are Python ``complex``, as every later
     ``Mat2`` operation on it is fastest on those.
     """
+    return _tuple_new(Mat2, _bounded_idempotent(rng))
+
+
+def _bounded_idempotent(rng: np.random.Generator) -> tuple:
+    """The four entries of :func:`random_bounded_idempotent`."""
     while True:
         x0, x1, x2, x3, x4, x5, x6, x7 = rng.normal(size=8).tolist()  # four normal(size=2) draws
         # u = (x0 + i x2, x1 + i x3) and v = (x4 + i x6, x5 + i x7); each norm is
@@ -113,10 +119,14 @@ def random_bounded_idempotent(rng: np.random.Generator) -> Mat2:
         pairing = cu0 * v0 + cu1 * v1  # u* v
         if abs(pairing) < _MIN_PAIRING:
             continue
-        return _tuple_new(Mat2, _rank_one(v0, v1, cu0, cu1, pairing))
+        return _rank_one(v0, v1, cu0, cu1, pairing)
 
 
 def _random_mat2_ball(rng: np.random.Generator, radius: float) -> Mat2:
+    return _tuple_new(Mat2, _ball(rng, radius))
+
+
+def _ball(rng: np.random.Generator, radius: float) -> tuple:
     x0, x1, x2, x3, x4, x5, x6, x7 = rng.normal(size=8).tolist()  # two normal(size=4) draws
     # the entries are x0 + i x4, ..., x3 + i x7; the squares are summed in
     # hs_norm's order, (re0**2 + im0**2) + ... + (re3**2 + im3**2)
@@ -127,8 +137,7 @@ def _random_mat2_ball(rng: np.random.Generator, radius: float) -> Mat2:
         return _ZERO
     # z * f rounds each part once: f's zero imaginary part adds only signed zeros
     f = radius * rng.random() / nrm
-    z = (complex(x0, x4) * f, complex(x1, x5) * f, complex(x2, x6) * f, complex(x3, x7) * f)
-    return _tuple_new(Mat2, z)
+    return complex(x0, x4) * f, complex(x1, x5) * f, complex(x2, x6) * f, complex(x3, x7) * f
 
 
 def random_m2_instance(
@@ -181,20 +190,25 @@ def random_binary_weighted_instance(
 
 
 def random_near_idempotent(rng: np.random.Generator, eps: float) -> Mat2:
-    """A matrix with ``||A - A^2||_HS <= eps``, near a random 0/rank-one/identity."""
+    """A matrix with ``||A - A^2||_HS <= eps``, near a random 0/rank-one/identity.
+
+    An ``eps`` that is not finite and ``>= 0`` raises ``ValueError`` before any draw.
+    ``RuntimeError`` means that no halving of the noise met ``eps``, as happens below
+    the rank-one base's own rounding defect (about 1e-16)."""
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"near-idempotent sampling requires 0 <= eps < inf, got {eps!r}")
     # int(rng.choice(3, p=(0.2, 0.6, 0.2))), draw for draw, without choice's
     # validation of p, which costs several microseconds
     kind = bisect.bisect_right(_RANK_CDF, rng.random())
-    base = _ZERO if kind == 0 else _IDENTITY if kind == 2 else random_bounded_idempotent(rng)
-    b0, b1, b2, b3 = base
-    n0, n1, n2, n3 = _random_mat2_ball(rng, 1.0)
+    b0, b1, b2, b3 = _ZERO if kind == 0 else _IDENTITY if kind == 2 else _bounded_idempotent(rng)
+    n0, n1, n2, n3 = _ball(rng, 1.0)
     scale = 0.45 * eps  # first guess: the defect map is roughly 2-Lipschitz here
     for _ in range(_MAX_SHRINKS):
         a, b, c, d = b0 + n0 * scale, b1 + n1 * scale, b2 + n2 * scale, b3 + n3 * scale
         if _idempotent_defect(a, b, c, d) <= eps:
             return _tuple_new(Mat2, (a, b, c, d))
         scale *= 0.5
-    return base
+    raise RuntimeError(f"could not shrink near-idempotent noise below eps = {eps!r}")
 
 
 def sample_commuting_idempotents(rng: np.random.Generator, count: int) -> list[tuple[Mat2, Mat2]]:

@@ -143,6 +143,18 @@ class WeightedSemilattice:
         return arr
 
     @cached_property
+    def _omega_frexp(self) -> tuple | None:
+        """The weights' mantissas and powers of two, as ``np.frexp``, each read off the exact
+        weight where it is past the float range; None when no weight is (one frexp serves)."""
+        mant, e = np.frexp(self.omega_float)
+        for i in (past := np.flatnonzero(np.isinf(mant))):
+            x = Fraction(self.omega[i])
+            k = x.numerator.bit_length() - x.denominator.bit_length()
+            mant[i], j = math.frexp(x / 2**k)
+            e[i] = k + j
+        return (mant, e) if past.size else None
+
+    @cached_property
     def is_exact(self) -> bool:
         return all(_is_exact(w) for w in self.omega)
 

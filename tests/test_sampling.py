@@ -9,6 +9,7 @@ BLAS kernel and SIMD dispatch; a test below replays both in subprocesses.
 """
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -21,8 +22,10 @@ from amnm import (
     M2_ID,
     M2_ZERO,
     hs_norm,
+    key_estimates,
     random_binary_weighted_instance,
     random_m2_instance,
+    random_near_idempotent,
     random_scalar_instance,
     random_semilattice,
     random_submultiplicative_weight,
@@ -124,3 +127,32 @@ def test_commuting_idempotent_pairs_cover_all_four_cases():
         "equal rank one",
         "complementary",
     }
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-20])
+def test_near_idempotent_draws_below_the_base_rounding_defect_keep_the_contract_or_raise(eps):
+    """Below a rank-one base's own rounding defect (about 1e-16) no halving of the
+    noise meets ``eps``: such a draw raises ``RuntimeError`` (124 of the 200 here),
+    and every draw returned meets the contract, so ``key_estimates`` accepts it at
+    the same ``eps``."""
+    rng = np.random.default_rng(0)
+    raised = 0
+    for _ in range(200):
+        try:
+            A = random_near_idempotent(rng, eps)
+        except RuntimeError as exc:
+            assert "could not shrink" in str(exc)
+            raised += 1
+            continue
+        assert hs_norm(A @ A - A) <= eps
+        assert key_estimates(A, eps).measured <= eps
+    assert raised == 124
+
+
+@pytest.mark.parametrize("eps", [-0.1, math.nan, math.inf], ids=["negative", "nan", "inf"])
+def test_near_idempotent_sampler_refuses_a_bad_eps_before_any_draw(eps):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="0 <= eps < inf"):
+        random_near_idempotent(rng, eps)
+    assert rng.bit_generator.state == state

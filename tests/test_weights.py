@@ -195,12 +195,39 @@ _HALF_QUARTER, _ZERO_MAP = scalar_map([0.5, 0.25]), scalar_map([0.0, 0.0])
 )
 def test_an_exact_weight_past_the_float_range_is_inf_beside_a_float_map(call):
     """The float view of a weight past the float range is inf, as ``mat2._as_complex``
-    reads it, so every float ratio under it is 0.0: no ``OverflowError``, no warning."""
+    reads it: no ``OverflowError``, no warning.  These ratios are below the least
+    subnormal, so each reads 0.0; the M2 oracle reads its weights as that inf."""
     WS = weighted(nmin(2), [10**400, 10**400])
     assert WS.omega_float.tolist() == [math.inf, math.inf]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert call(WS) == 0.0
+
+
+@pytest.mark.parametrize("w", [10**400, Fraction(10**401, 3)], ids=["int", "fraction"])
+def test_a_ratio_under_a_weight_past_the_float_range_is_the_exact_paths(w):
+    """A float ratio under a weight past the float range divides by the weight's
+    mantissa and scales by its power of two, both read off the exact weight: each
+    call is within a few ulps of the exact path on the same values (dividing by
+    the weight's float view, inf, would read 0.0)."""
+    WS = weighted(nmin(2), [w, w])
+    theta, zero = scalar_map([1e300, 0.0]), scalar_map([0.0, 0.0])
+    exact, exact_zero = scalar_map([Fraction(1e300), 0]), scalar_map([0, 0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, want = defect(WS, theta), defect(WS, exact)
+        pairs = [
+            (got.defect, want.defect),
+            (
+                weighted_sup_distance_report(WS, theta, zero).value,
+                weighted_sup_distance_report(WS, exact, exact_zero).value,
+            ),
+            (nearest_mult_scalar(WS, theta).value, nearest_mult_scalar(WS, exact).value),
+        ]
+    assert got.witness == want.witness == (0, 0)
+    for value, reference in pairs:
+        assert value > 0.0
+        assert abs(value - float(reference)) <= 4 * math.ulp(float(reference))
 
 
 @settings(max_examples=40, deadline=None)
