@@ -172,9 +172,13 @@ def psi_n_family(base=2, sizes=(2, 3, 4, 5)) -> list[CounterexampleReport]:
     most ``base``, which the exhaustive scan confirms: the distance is
     exactly ``1/base``, uniformly over blocks.
     """
+    return _psi_reports(_psi_carrier(base, sizes), base, sizes)
+
+
+def _psi_reports(WS: WeightedSemilattice, base, sizes) -> list[CounterexampleReport]:
+    """:func:`psi_n_family`'s reports on its carrier ``WS = _psi_carrier(base, sizes)``."""
     if isinstance(base, int):
         base = Fraction(base)
-    WS = _psi_carrier(base, sizes)
     inv_sq = 1 / Fraction(base) ** 2
     reports = []
     for n, (start, stop) in enumerate(WS.S.blocks):

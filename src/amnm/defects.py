@@ -22,16 +22,16 @@ for the winner), and callers read the path off a report's ``defect_sq`` or
 ``value_sq``.  Before either path, ``defect`` recognises a character of ``l1(S)``
 (:func:`_is_character`) and reads its exact 0 off the proved character table.
 
-The float path reads every codomain through :meth:`AlgebraMap.as_m2`, as the
-exact filter below does: scalars embed diagonally and T2 values as
-``[[a, b], [0, a]]``, so one ``(n, 2, 2)`` stack and one norm function
-(``_norms``, also the filter's: :func:`mat2._complex_norm` on arrays) serve all
-three; past ``2**250`` in a value or a weight, the products are formed on values
-and weights scaled by powers of two (one weight rule, ``norm / (w_e w_f)``).  The
-exact scans use the same embedding on integers, ``N = L theta`` over the common
-denominator ``L`` of the entries, and build a ``Fraction`` only for a ratio.  Each
-integer form is made once, a map's on its embedding and a weight's ``omega = W /
-K`` on the weight; ``_integers`` combines several maps' over the lcm of their ``L``.
+Both paths read every codomain in the layout of :meth:`AlgebraMap.as_m2`, built
+from the values (scalars on the diagonal, T2 values as ``[[a, b], [0, a]]``), so
+one ``(n, 2, 2)`` stack and one norm function (``_norms``, also the filter's:
+:func:`mat2._complex_norm` on arrays) serve all three.  Past ``2**250`` in a value
+or a weight, the float products are formed on values and weights scaled by powers
+of two (one weight rule, ``norm / (w_e w_f)``).  The exact scans read integers
+``N = L theta`` over the common denominator ``L`` of the entries and build a
+``Fraction`` only for a ratio.  Each form is made once: a map's stacks and its
+``defect`` reports (one per carrier object and norm) on the map, a weight's float
+products and ``omega = W / K`` on the weight.
 
 For matrix codomains the scan covers all ordered pairs — matrix values need
 not commute, and there are natural maps whose defect is attained at (e, f)
@@ -109,6 +109,7 @@ __all__ = [
 _CODOMAINS = ("scalar", "t2", "m2")
 _DEFAULT_NORMS = {"scalar": "abs", "t2": "t2", "m2": "hs"}
 _ALLOWED_NORMS = {"scalar": ("abs",), "t2": ("t2",), "m2": ("hs", "op")}
+_LAYOUT = {"scalar": lambda v: (v, 0, 0, v), "t2": lambda v: (v.a, v.b, 0, v.a), "m2": lambda v: v}
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,14 +151,31 @@ class AlgebraMap:
             vals = tuple(Mat2(v, v * 0, v * 0, v) for v in self.values)
         else:
             vals = tuple(x.as_mat2() for x in self.values)
-        return AlgebraMap("m2", vals)
+        embedding = AlgebraMap("m2", vals)
+        if "_integer_stack" in vars(self):  # the same integers: the embedding shares them
+            vars(embedding)["_integer_stack"] = self._integer_stack
+        return embedding
+
+    def _entries(self):
+        """The values' entries as :meth:`as_m2` embeds them (``_LAYOUT``), four a value."""
+        return chain.from_iterable(map(_LAYOUT[self.codomain], self.values))
+
+    @cached_property
+    def _float_stack(self) -> tuple[np.ndarray, float]:
+        """The read-only complex ``(n, 2, 2)`` stack of :meth:`_entries` and its largest part."""
+        V = np.fromiter(self._entries(), complex, 4 * self.n).reshape(-1, 2, 2)
+        V.setflags(write=False)
+        return V, np.abs(V.view(float)).max(initial=0.0)
 
     @cached_property
     def _integer_stack(self) -> tuple[np.ndarray, int]:
-        """An exact matrix map's values as a read-only ``(n, 2, 2)`` stack of
-        integers ``N = L theta`` and their common denominator ``L``."""
-        N, L = _over_common_denominator(list(chain.from_iterable(self.values)))
+        """An exact map's integers ``N = L theta`` as a read-only ``(n, 2, 2)`` stack, and ``L``."""
+        N, L = _over_common_denominator(list(self._entries()))
         return N.reshape(-1, 2, 2), L
+
+    @cached_property
+    def _reports(self) -> dict:  # defect reports by (carrier, norm); a carrier compares by identity
+        return {}
 
 
 def scalar_map(values) -> AlgebraMap:
@@ -279,12 +297,10 @@ _ZERO_ID = np.array([0, 0, 0, 0, 1, 0, 0, 1], complex).reshape(2, 1, 2, 2)  # 0 
 
 
 def _stack(theta: AlgebraMap, *more: AlgebraMap) -> np.ndarray:
-    """The :meth:`AlgebraMap.as_m2` values, of ``theta`` and then of each map
-    in ``more``, as an ``(n, 2, 2)`` complex array."""
-    values = theta.as_m2().values
-    for m in more:
-        values += m.as_m2().values
-    return np.fromiter(chain.from_iterable(values), complex, 4 * len(values)).reshape(-1, 2, 2)
+    """The float stacks of ``theta`` and then of each map in ``more`` as one
+    ``(n, 2, 2)`` complex array: one map's own read-only stack, made once."""
+    stacks = [m._float_stack[0] for m in (theta, *more)]
+    return np.concatenate(stacks) if more else stacks[0]
 
 
 def _refuse_non_finite(V: np.ndarray, *maps: AlgebraMap) -> None:
@@ -351,7 +367,7 @@ def _integers(*maps: AlgebraMap):
     map's own read-only stack, made once, or several over the lcm of their
     ``L``, in ``int64`` only if the rescaled integers meet the bound of
     :func:`weights._over_common_denominator` themselves (``int64`` wraps)."""
-    stacks = [m.as_m2()._integer_stack for m in maps]
+    stacks = [m._integer_stack for m in maps]
     if len(stacks) == 1:
         return stacks[0]
     L = math.lcm(*(Li for _, Li in stacks))
@@ -433,9 +449,8 @@ def _defect_exact(WS: WeightedSemilattice, theta: AlgebraMap, norm: str) -> Defe
 
 
 def _defect_float(WS: WeightedSemilattice, theta: AlgebraMap, norm: str) -> DefectReport:
-    w, table = WS.omega_float, WS.S.table
-    V = _stack(theta)
-    if not max(np.abs(V.view(float)).max(), w.max()) <= _UNSCALED_RANGE:  # or inf or NaN
+    (V, top), (w_top, ww, below), table = theta._float_stack, WS._float_pairs, WS.S.table
+    if not max(top, w_top) <= _UNSCALED_RANGE:  # or inf or NaN
         _refuse_non_finite(V, theta)
         # a product could overflow: scale each value down to its largest part,
         # each difference to its own and the weights to their mantissas, by powers of two
@@ -444,36 +459,38 @@ def _defect_float(WS: WeightedSemilattice, theta: AlgebraMap, norm: str) -> Defe
         U = _scaled(V, -k)
         D = np.einsum("iab,jbc->ijac", U, U) - _scaled(V[table], -K)
         j = np.frexp(_largest_parts(D))[1]
-        mant, e = WS._omega_frexp or np.frexp(w)
+        mant, e = WS._omega_frexp or np.frexp(WS.omega_float)
         norms = _norms(_scaled(D, -j), norm) / (mant[:, None] * mant[None, :])
         with np.errstate(over="ignore"):  # a defect past the float range is inf
             ratios = np.ldexp(norms, K + j - e[:, None] - e[None, :])
     else:
-        ratios = _norms(np.einsum("iab,jbc->ijac", V, V) - V[table], norm) / (w[:, None] * w)
+        ratios = _norms(np.einsum("iab,jbc->ijac", V, V) - V[table], norm) / ww
     if theta.codomain != "m2":
         # symmetric defect function: restrict to i <= j (keeps the same
         # maximum and the same lexicographically-first witness)
-        np.putmask(ratios, np.tri(WS.n, k=-1, dtype=bool), -1.0)
+        np.putmask(ratios, below, -1.0)
     i, j = divmod(int(np.argmax(ratios)), WS.n)
     return DefectReport(float(ratios[i, j]), (i, j), norm)
 
 
 _EXACT_ZERO = Fraction(0)
+_UNITS = {"scalar": (0, 1), "t2": (T2Element(0, 0), T2Element(1, 0)), "m2": (M2_ZERO, M2_ID)}
 
 
 def _is_character(S: Semilattice, theta: AlgebraMap) -> bool:
     """Whether ``theta`` is a character of ``l1(S)``, a row of the proved table
-    ``S._mult_rows``: every :meth:`AlgebraMap.as_m2` value is ``I`` or ``0``
-    (the test stops at the first other value), and the set of ``I``s is
+    ``S._mult_rows``: every value is its codomain's 1 or 0 (``I`` or ``0`` once
+    embedded; the test stops at the first other value), and the set of 1s is
     empty (row 0) or the up-set of the product ``m`` of its elements (row
     ``m + 1``).  The zero map is multiplicative on any table; reading a row
     proves the table, else :class:`ClassificationFailure`."""
+    zero, one = _UNITS[theta.codomain]
     ones, m = bytearray(S.n), None  # the set's bytes, as a boolean row's, and its product
-    for e, v in enumerate(theta.as_m2().values):
-        if v == M2_ID:
+    for e, v in enumerate(theta.values):
+        if v == one:
             ones[e] = 1
             m = e if m is None else S.table.item(m, e)
-        elif v != M2_ZERO:
+        elif v != zero:
             return False
     return m is None or S._mult_rows[m + 1].tobytes() == ones
 
@@ -485,18 +502,19 @@ def defect(ws_or_s, theta: AlgebraMap, norm: str | None = None) -> DefectReport:
     exact path automatically when both the weight and the map are
     rational-valued.  A character (:func:`_is_character`) is not scanned: its
     defect is read off the proved table as exactly 0 at ``(0, 0)``, the value
-    and witness the scan would report.
+    and witness the scan would report.  The report is kept on ``theta`` per
+    carrier and norm, so a second call on the same carrier object scans nothing.
     """
     WS = _carrier(ws_or_s, None, theta)
     norm = _check_norm(theta.codomain, norm)
-    exact = _can_run_exact(WS, theta)
-    if _is_character(WS.S, theta):
-        if exact:
-            return DefectReport(_EXACT_ZERO, (0, 0), norm, _EXACT_ZERO, exact_value=True)
-        return DefectReport(0.0, (0, 0), norm)
-    if exact:
-        return _defect_exact(WS, theta, norm)
-    return _defect_float(WS, theta, norm)
+    if (key := (WS, norm)) not in theta._reports:
+        exact = _can_run_exact(WS, theta)
+        if _is_character(WS.S, theta):
+            zero = _EXACT_ZERO if exact else 0.0
+            theta._reports[key] = DefectReport(zero, (0, 0), norm, zero if exact else None, exact)
+        else:
+            theta._reports[key] = (_defect_exact if exact else _defect_float)(WS, theta, norm)
+    return theta._reports[key]
 
 
 @dataclass(frozen=True)

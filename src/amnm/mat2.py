@@ -474,7 +474,7 @@ def key_estimates(A: Mat2, eps: float) -> KeyEstimateReport:
         raise DefectTooLarge(measured, eps, what="||A - A^2||_HS")
 
     lower = math.sqrt(max(2.0 - 6.0 * measured, 0.0))
-    if hs(a * 2.0 - 1, b * 2.0 - 0, c * 2.0 - 0, d * 2.0 - 1) < lower - 1e-12:
+    if hs(a * 2 - 1, b * 2, c * 2, d * 2 - 1) < lower - 1e-12:  # exact entries stay exact
         raise ClassificationFailure("||2A - I|| fell below the certified lower bound")
 
     P, j = _binary_idempotent(*_schur(A, *z))

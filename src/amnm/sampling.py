@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .defects import AlgebraMap, defect, m2_map, scalar_map, t2_map
-from .filters import _row_filter, characters, zero_map
+from .filters import _row_filter
 from .mat2 import M2_ID, M2_ZERO, Mat2, _idempotent_defect, _rank_one, _tuple_new
 from .oracle import m2_family_map
 from .semilattice import Semilattice
@@ -42,9 +42,9 @@ _IDENTITY = Mat2(1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
 
 
 def random_multiplicative_scalar(rng: np.random.Generator, S: Semilattice) -> AlgebraMap:
-    """A uniformly chosen multiplicative scalar map (zero or a filter indicator)."""
-    maps = [*characters(S), zero_map(S)]
-    return maps[int(rng.integers(0, len(maps)))]
+    """A uniform draw of ``[*characters(S), zero_map(S)]``, building only the map drawn."""
+    k = int(rng.integers(0, S.n + 1))
+    return scalar_map(S._mult_rows[(k + 1) % (S.n + 1)].astype(int).tolist())
 
 
 def _complex_noise(rng: np.random.Generator, amp: float) -> complex:

@@ -540,20 +540,16 @@ def random_poset(rng: np.random.Generator, n: int) -> np.ndarray:
 def random_semilattice(rng: np.random.Generator, max_n: int = 8) -> Semilattice:
     """Random semilattice: an intersection-closed family of bitmask subsets.
 
-    Seeds a few random subsets of a six-element universe, closes under
-    pairwise intersection, and retries until the closure has at most
-    ``max_n`` elements.  The product is intersection, which is automatically
-    commutative, idempotent and associative.
+    Seeds a few random subsets of a six-element universe, closes them under pairwise
+    intersection and retries once the closure passes ``max_n`` elements (a closure
+    only grows).  The product is intersection: commutative, idempotent, associative.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     while True:
         seeds = int(rng.integers(1, max_n + 1))
         family = {int(rng.integers(0, 1 << 6)) for _ in range(seeds)}
-        while True:
-            new = {a & b for a in family for b in family} - family
-            if not new:
-                break
+        while len(family) <= max_n and (new := {a & b for a in family for b in family} - family):
             family |= new
         if len(family) <= max_n:
             elems = sorted(family)

@@ -143,6 +143,13 @@ class WeightedSemilattice:
         return arr
 
     @cached_property
+    def _float_pairs(self) -> tuple:
+        """The float defect's largest weight, products ``w_e w_f`` and pairs below the diagonal."""
+        w = self.omega_float
+        with np.errstate(over="ignore"):
+            return w.max(), w[:, None] * w, np.tri(self.n, k=-1, dtype=bool)
+
+    @cached_property
     def _omega_frexp(self) -> tuple | None:
         """The weights' mantissas and powers of two, as ``np.frexp``, each read off the exact
         weight where it is past the float range; None when no weight is (one frexp serves)."""

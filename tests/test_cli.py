@@ -315,6 +315,22 @@ def test_counterexample_psi_blocks(capsys):
     assert [r["defect"]["defect"] for r in doc["reports"]] == ["1/4", "1/8"]
 
 
+def test_psi_blocks_corroboration_builds_its_carrier_once(capsys, monkeypatch):
+    # the reports and the corroborating search share one carrier
+    built = []
+
+    def counted(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    real = amnm.cli._psi_carrier
+    monkeypatch.setattr(amnm.cli, "_psi_carrier", counted)
+    argv = ["counterexample", "--family", "psi-blocks", "--sizes", "2,3", "--corroborate", "--json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and len(built) == 1
+    assert [r["defect"]["defect"] for r in json.loads(out)["reports"]] == ["1/4", "1/8"]
+
+
 def test_counterexample_t2_chain_range(capsys):
     code, out, _ = run(
         capsys,

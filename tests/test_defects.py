@@ -8,12 +8,14 @@ import math
 import warnings
 import weakref
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import amnm.defects
 from amnm import (
     M2_ID,
     M2_ZERO,
@@ -57,7 +59,9 @@ from amnm.defects import (
     _defect_float,
     _element_ratios,
     _integers,
+    _is_character,
     _norms,
+    _refuse_non_finite,
     _stack,
 )
 from amnm.mat2 import _complex_norm, _idempotent_defect
@@ -992,6 +996,170 @@ def test_cached_integer_forms_are_read_only_and_made_once():
         assert (W, K) == (tuple(N0.tolist()), K0) and WS._omega_integers[0] is W
         with pytest.raises(TypeError):
             W[0] = 1
+
+
+# ---------------------------------------------------------------------------
+# The stacks laid out from the values, against the embedding they replace.
+# ---------------------------------------------------------------------------
+
+
+def _ref_stack(*maps):
+    """Every map through :meth:`AlgebraMap.as_m2`, then one complex stack."""
+    values = sum((m.as_m2().values for m in maps), ())
+    return np.fromiter(chain.from_iterable(values), complex, 4 * len(values)).reshape(-1, 2, 2)
+
+
+def _ref_integers(theta):
+    """One exact map's integers over the embedding's entries."""
+    N, L = _over_common_denominator(list(chain.from_iterable(theta.as_m2().values)))
+    return N.reshape(-1, 2, 2), L
+
+
+def _ref_is_character(S, theta):
+    """The character test on the embedded values, ``I`` and ``0``."""
+    ones, m = bytearray(S.n), None
+    for e, v in enumerate(theta.as_m2().values):
+        if v == M2_ID:
+            ones[e] = 1
+            m = e if m is None else S.table.item(m, e)
+        elif v != M2_ZERO:
+            return False
+    return m is None or S._mult_rows[m + 1].tobytes() == ones
+
+
+_NON_FINITE = [math.inf, -math.inf, math.nan, complex(0.0, math.inf), complex(math.nan, 1.0)]
+
+
+def _random_entry(gen, exact, non_finite):
+    if non_finite and gen.random() < 0.1:
+        return _NON_FINITE[int(gen.integers(len(_NON_FINITE)))]
+    kind = int(gen.integers(4 if exact else 10))
+    if kind < 4:  # exact: 0, 1, a Fraction, an int past 2**250
+        small = Fraction(int(gen.integers(-9, 10)), int(gen.integers(1, 9)))
+        return (0, 1, small, int(gen.integers(-9, 10)) * 2**300)[kind]
+    z = complex(*gen.normal(size=2))
+    return (-0.0, 1.0, z.real, z, z * 2.0**260, z * 2.0**-300)[kind - 4]
+
+
+def _random_map(gen, codomain, n, exact=False, non_finite=False):
+    def entry():
+        return _random_entry(gen, exact, non_finite)
+
+    if codomain == "scalar":
+        return scalar_map([entry() for _ in range(n)])
+    if codomain == "t2":
+        return t2_map([(entry(), entry()) for _ in range(n)])
+    return m2_map([Mat2(entry(), entry(), entry(), entry()) for _ in range(n)])
+
+
+def _entries_equal(A, B):
+    # == on every entry: signed zeros count as equal
+    return A.shape == B.shape and bool((A == B).all())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("codomain", ["scalar", "t2", "m2"])
+def test_stacks_from_the_values_are_the_embedding_stacks(codomain):
+    gen = np.random.default_rng(3401)
+    for _ in range(150):
+        S = random_semilattice(gen)
+        theta, phi = (_random_map(gen, codomain, S.n) for _ in range(2))
+        assert _entries_equal(_stack(theta), _ref_stack(theta))
+        assert _entries_equal(_stack(theta, phi), _ref_stack(theta, phi))
+        V, top = theta._float_stack
+        assert top == np.abs(_ref_stack(theta).view(float)).max()
+        assert _is_character(S, theta) == _ref_is_character(S, theta)
+        exact = _random_map(gen, codomain, S.n, exact=True)
+        N, L = _integers(exact)
+        N0, L0 = _ref_integers(exact)
+        assert L == L0 and N.dtype == N0.dtype and N.tolist() == N0.tolist()
+        assert _integers(exact.as_m2())[0] is N or exact.codomain == "m2"  # the embedding shares them
+        # non-finite entries are refused with the same text on both stacks
+        bad = _random_map(gen, codomain, S.n, non_finite=True)
+        messages = []
+        for V in (_stack(theta, bad), _ref_stack(theta, bad)):
+            with pytest.raises(ValueError) as info:
+                if not np.isfinite(V).all():
+                    _refuse_non_finite(V, theta, bad)
+                raise ValueError("finite")
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        if messages[0] != "finite":
+            with pytest.raises(ValueError, match="non-finite entry") as info:
+                defect(S, bad)
+            assert str(info.value).replace("theta", "phi") == messages[0]
+
+
+@pytest.mark.parametrize("codomain", ["scalar", "t2", "m2"])
+def test_the_character_test_reads_the_codomain_units_off_the_values(codomain):
+    def make(values, off=0):
+        # ``off`` moves the first value off its unit: its scalar, its T2 part b or its entry c
+        if codomain == "scalar":
+            return scalar_map([values[0] + off, *values[1:]])
+        if codomain == "t2":
+            return t2_map([(v, off if e == 0 else v * 0) for e, v in enumerate(values)])
+        return m2_map([Mat2(v, v * 0, off if e == 0 else v * 0, v) for e, v in enumerate(values)])
+
+    gen = np.random.default_rng(3402)
+    for S in _CHARACTER_POOL:
+        for row in S._mult_rows:
+            for one, zero in ((1, 0), (1.0, -0.0), (1 + 0j, 0j), (Fraction(1), Fraction(0))):
+                values = [one if bit else zero for bit in row]
+                assert _is_character(S, make(values)) and _ref_is_character(S, make(values))
+                bent = make(values, 0.25)
+                assert not _is_character(S, bent) and not _ref_is_character(S, bent)
+        theta = _random_map(gen, codomain, S.n)
+        assert _is_character(S, theta) == _ref_is_character(S, theta)
+
+
+# ---------------------------------------------------------------------------
+# Reports kept on the map per carrier and norm.
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The number of float and exact defect scans since the fixture was made."""
+    count = {"float": 0, "exact": 0}
+    for path, name in (("float", "_defect_float"), ("exact", "_defect_exact")):
+        scan = getattr(amnm.defects, name)
+
+        def counted(*args, scan=scan, path=path):
+            count[path] += 1
+            return scan(*args)
+
+        monkeypatch.setattr(amnm.defects, name, counted)
+    return count
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_a_second_defect_on_the_same_carrier_and_norm_scans_nothing(scans, exact):
+    S = free_semilattice(2)
+    one = 1 if exact else 1.0
+    omega = [2, 2, 3] if exact else [2.0, 2.0, 3.0]
+    theta = m2_map([Mat2(one, Fraction(1, 3) if exact else 0.5, 0, one), M2_ZERO, M2_ID])
+    path = "exact" if exact else "float"
+    WS = weighted(S, omega)
+    first = defect(WS, theta)
+    assert scans[path] == 1
+    assert defect(WS, theta) is first and defect(WS, theta, "hs") is first  # None is "hs"
+    assert scans[path] == 1
+    # another carrier, an equal weight on a second object, the other norm: each scans
+    for ws, norm in ((S, "hs"), (weighted(S, omega), "hs"), (WS, "op")):
+        assert defect(ws, theta, norm) == _scanned(weighted(S, getattr(ws, "omega", [1] * 3)), theta, norm)
+    assert scans[path] == 4
+    # a bare semilattice resolves to its unit weight, which keeps the same report
+    assert defect(S._unit_weight, theta) is defect(S, theta)
+    assert scans[path] == 4 and scans["float" if exact else "exact"] == 0
+
+
+def test_a_scan_that_raises_raises_again_on_every_call(scans):
+    theta = _irrational_op_pair_map()
+    for k in range(1, 4):
+        with pytest.raises(ValueError, match="perfect-square discriminant"):
+            defect(nmin(3), theta, "op")
+        assert scans["exact"] == k
+    assert "op" not in {norm for _, norm in theta._reports}
 
 
 # ---------------------------------------------------------------------------

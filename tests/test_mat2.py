@@ -417,6 +417,18 @@ def test_key_estimates_refuses_a_nan_defect(A):
         key_estimates(A, 0.1)
 
 
+def test_key_estimates_on_exact_idempotents_past_the_float_range_ends_in_a_typed_error():
+    # the exact defect reads 0; the ||2A - I|| check keeps the entries exact, and
+    # the Schur step then refuses the entry it cannot hold as a float
+    with pytest.raises(ValueError, match="non-finite entry"):
+        key_estimates(Mat2(1, 10**400, 0, 0), 0.1)
+    rep = key_estimates(Mat2(1, 10**200, 0, 0), 0.1)
+    assert rep.trace_class == 1 and rep.measured == 0.0
+    assert rep.nearby_idempotent == Mat2(1, 10.0**200, 0, 0)
+    with pytest.raises(DefectTooLarge, match="nan"):
+        key_estimates(Mat2(1.0, 10**400, 0, 0), 0.1)
+
+
 def test_nearest_binary_idempotent_agrees_with_key_estimates(rng):
     for _ in range(200):
         A = random_near_idempotent(rng, 0.1)

@@ -21,16 +21,20 @@ import pytest
 from amnm import (
     M2_ID,
     M2_ZERO,
+    Semilattice,
+    characters,
     hs_norm,
     key_estimates,
     random_binary_weighted_instance,
     random_m2_instance,
+    random_multiplicative_scalar,
     random_near_idempotent,
     random_scalar_instance,
     random_semilattice,
     random_submultiplicative_weight,
     random_t2_instance,
     sample_commuting_idempotents,
+    zero_map,
 )
 from test_mat2 import CRITERION_6_STREAM_SHA256
 
@@ -116,6 +120,37 @@ def _structure(P, Q) -> str:
         return "equal rank one"
     assert hs_norm(P + Q - M2_ID) < 1e-12
     return "complementary"
+
+
+def _ref_random_semilattice(rng, max_n):
+    """``random_semilattice``'s draws with every closure run to its end."""
+    while True:
+        seeds = int(rng.integers(1, max_n + 1))
+        family = {int(rng.integers(0, 1 << 6)) for _ in range(seeds)}
+        while new := {a & b for a in family for b in family} - family:
+            family |= new
+        if len(family) <= max_n:
+            elems = sorted(family)
+            index = {m: i for i, m in enumerate(elems)}
+            return Semilattice(np.array([[index[a & b] for b in elems] for a in elems], dtype=np.intp))
+
+
+def _ref_random_multiplicative_scalar(rng, S):
+    """``random_multiplicative_scalar``'s draw out of every multiplicative map built."""
+    maps = [*characters(S), zero_map(S)]
+    return maps[int(rng.integers(0, len(maps)))]
+
+
+@pytest.mark.parametrize("max_n", [1, 3, 8])
+def test_samplers_draw_what_their_reference_bodies_draw(max_n):
+    # the same semilattices, maps and value types, from the same generator states
+    rng, ref = np.random.default_rng(3403), np.random.default_rng(3403)
+    for _ in range(300):
+        S, S0 = random_semilattice(rng, max_n), _ref_random_semilattice(ref, max_n)
+        assert S.table.dtype == S0.table.dtype and S.table.tolist() == S0.table.tolist()
+        theta, theta0 = random_multiplicative_scalar(rng, S), _ref_random_multiplicative_scalar(ref, S0)
+        assert [(type(v), v) for v in theta.values] == [(type(v), v) for v in theta0.values]
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_commuting_idempotent_pairs_cover_all_four_cases():
