@@ -48,6 +48,7 @@ from .defects import (
     AlgebraMap,
     _carrier,
     _positive_finite,
+    _refuse_non_finite,
     defect,
     m2_map,
     scalar_map,
@@ -382,7 +383,9 @@ def correct_m2(S: Semilattice, theta: AlgebraMap, delta: float | None = None) ->
     if not delta < 0.03:
         raise DefectTooLarge(delta, 0.03, what="delta")
 
-    vals = [Mat2(*(complex(x) for x in v)) for v in theta.values]
+    V = theta._float_stack[0]
+    _refuse_non_finite(V, theta)  # an exact entry past the float range
+    vals = [Mat2(*v) for v in V.reshape(-1, 4).tolist()]
     n = S.n
     classes, trace_distances = _trace_classify(vals, delta)
     in_class = [[e for e in range(n) if classes[e] == j] for j in range(3)]

@@ -24,7 +24,7 @@ for the winner), and callers read the path off a report's ``defect_sq`` or
 
 Both paths read every codomain in the layout of :meth:`AlgebraMap.as_m2`, built
 from the values (scalars on the diagonal, T2 values as ``[[a, b], [0, a]]``), so
-one ``(n, 2, 2)`` stack and one norm function (``_norms``, also the filter's:
+one ``(n, 2, 2)`` stack and one norm function (``_norms``, also the oracle's:
 :func:`mat2._complex_norm` on arrays) serve all three.  Past ``2**250`` in a value
 or a weight, the float products are formed on values and weights scaled by powers
 of two (one weight rule, ``norm / (w_e w_f)``).  The exact scans read integers
@@ -38,30 +38,17 @@ not commute, and there are natural maps whose defect is attained at (e, f)
 but not (f, e).  For scalar and T2 codomains the defect function is symmetric
 and the scan covers unordered pairs; witnesses are lexicographically first.
 
-The exact defect is filtered (Shewchuk 1997; Bronnimann, Burnikel and Pion
-1998).  In row blocks of about ``_BLOCK_CELLS`` pairs, each pair's difference
-``P = N_e N_f - L N_ef = L**2 (theta(e) theta(f) - theta(ef))`` is formed on
-the integers, in ``int64`` when ``2 max|N|**2 + L max|N| < 2**63`` proves that
-nothing overflows, else on Python ints; pairs whose terms are all zero are
-skipped and exact zeros dropped.  With ``omega = W / K``, a pair's ratio is ``||P|| / (W_e
-W_f)`` times ``K**2 / L**2``, a factor common to all pairs, so a float pass
-encloses ``||P|| / (w_e w_f)`` in ``[lo, hi]``, for ``w`` the correctly rounded
-``W`` over the power of two that brings it below ``2**500`` (a subnormal ``w``
-counts as 0).  Only pairs whose ``hi`` reaches the largest ``lo`` so far are
-evaluated exactly, in the full scan's order and with its strict ``>``; every
-pair at the maximum is among them, so the value and the first witness are the
-full scan's.  As ``P`` is exact and nonzero, the float ratio carries
-relative roundings alone (the entries, squares, sum, root, weights, their
-product and the quotient: about ``12u``, ``u = 2**-53``) against the width
-``2**-40``: nothing cancels, the quotient is at least ``2**-1000``, and a finite
-one has ``w_e w_f >= 2**-1024``, which keeps even a subnormal product within
-``2**-51``.  The operator norm's closed form cancels badly, so it is enclosed by
-``[hs/sqrt(2), hs]``.  A pair whose quotient is infinite, or in a block where an
-entry of ``P`` does not fit a float, gets ``[0, inf]`` and survives.
-A survivor whose operator norm is irrational raises only when its HS norm,
-which bounds the operator norm, exceeds the maximum of the rational ones; an
-irrational square never ties that rational maximum, so the value and the
-first witness stay the full scan's.
+The exact defect scan works in row blocks of about ``_BLOCK_CELLS`` pairs.
+Each pair's difference ``P = N_e N_f - L N_ef = L**2 (theta(e) theta(f) -
+theta(ef))`` is formed on the integers, in ``int64`` when ``2 max|N|**2 + L
+max|N| < 2**63`` proves that nothing overflows, else on Python ints; pairs
+whose terms are all zero are skipped and exact zeros dropped.  With ``omega = W
+/ K``, a pair's squared ratio is ``||P||**2 / (W_e W_f)**2`` times ``K**4 /
+L**4``, a factor common to all pairs, so the scan ranks the former by
+cross-multiplying integers, with the full scan's strict ``>``, and builds one
+``Fraction`` for the maximum.  A pair whose operator norm is irrational raises
+only when its HS norm, which bounds the operator norm, exceeds the maximum of
+the rational ones; an irrational square never ties that rational maximum.
 """
 
 from __future__ import annotations
@@ -162,10 +149,14 @@ class AlgebraMap:
 
     @cached_property
     def _float_stack(self) -> tuple[np.ndarray, float]:
-        """The read-only complex ``(n, 2, 2)`` stack of :meth:`_entries` and its largest part."""
-        V = np.fromiter(self._entries(), complex, 4 * self.n).reshape(-1, 2, 2)
+        """The read-only complex ``(n, 2, 2)`` stack of :meth:`_entries` and its largest part;
+        an exact entry past the float range reads as inf (:func:`mat2._as_complex`)."""
+        try:
+            V = np.fromiter(self._entries(), complex, 4 * self.n).reshape(-1, 2, 2)
+        except OverflowError:
+            V = np.array(list(map(_as_complex, self._entries()))).reshape(-1, 2, 2)
         V.setflags(write=False)
-        return V, np.abs(V.view(float)).max(initial=0.0)
+        return V, float(np.abs(V.view(float)).max(initial=0.0))
 
     @cached_property
     def _integer_stack(self) -> tuple[np.ndarray, int]:
@@ -287,10 +278,7 @@ def _can_run_exact(WS: WeightedSemilattice, *maps: AlgebraMap) -> bool:
     return WS.is_exact and all(m.is_exact for m in maps)
 
 
-# Filter constants; the module docstring derives the bound they implement.  Then
-# the exact scans' one error and the per-element scan's 0 and I.
-_FILTER_REL = 2.0**-40  # the enclosure's relative width
-_INV_SQRT2_DOWN = 0.7071067811865  # below 1/sqrt(2), even after rounding a product
+# The float defect's range, the exact scans' one error and the per-element scan's 0 and I.
 _UNSCALED_RANGE = 2.0**250  # the float defect scales past a value or weight this large
 _IRRATIONAL_OP = "exact operator norm needs rank <= 1 or a perfect-square discriminant"
 _ZERO_ID = np.array([0, 0, 0, 0, 1, 0, 0, 1], complex).reshape(2, 1, 2, 2)  # 0 and I, for any n
@@ -376,35 +364,13 @@ def _integers(*maps: AlgebraMap):
     return np.concatenate([N.astype(dtype) * (L // Li) for N, Li in stacks]), L
 
 
-def _pair_bounds(P, ww, norm: str):
-    """``(lo, hi)`` around ``||P|| / ww`` for rows ``P`` of nonzero integer
-    differences over weight products ``ww``: ``(0, inf)`` where the quotient is
-    infinite, and for all when an entry of ``P`` is past the float range."""
-    try:
-        D = P.astype(float).reshape(-1, 2, 2)
-    except OverflowError:
-        return np.zeros(len(P)), np.full(len(P), np.inf)
-    with np.errstate(over="ignore", divide="ignore"):  # past the float range: inf
-        ratio = _norms(D, "hs" if norm == "op" else norm) / ww
-    lo, hi = ratio * (1.0 - _FILTER_REL), ratio * (1.0 + _FILTER_REL)
-    lo[ratio == np.inf] = 0.0  # an infinite ratio bounds nothing from below
-    return (lo * _INV_SQRT2_DOWN if norm == "op" else lo), hi
-
-
-def _candidate_pairs(WS: WeightedSemilattice, W, N, L: int, norm: str):
-    """The pairs ``(e, f)`` whose difference is nonzero and that the float filter
-    keeps, in lexicographic order (ordered pairs for matrix norms), each with
-    the entries of ``N_e N_f - L N_ef = L**2 (theta(e) theta(f) - theta(ef))``
-    for ``N, L = _integers(theta)`` and ``W`` the weight integers as a sequence."""
+def _candidate_pairs(WS: WeightedSemilattice, N, L: int, norm: str):
+    """The pairs ``(e, f)`` whose difference is nonzero, in lexicographic order
+    (ordered pairs for matrix norms), each with the entries of ``N_e N_f - L N_ef
+    = L**2 (theta(e) theta(f) - theta(ef))`` for ``N, L = _integers(theta)``."""
     n, table = WS.n, WS.S.table
     step = max(1, _BLOCK_CELLS // n)
-    # the weights over a common power of two, below 2**500 and correctly rounded;
-    # a subnormal one has lost its relative accuracy and counts as 0
-    shift = 1 << max(max(W).bit_length() - 500, 0)
-    w = np.array([x / shift for x in W])
-    w[w < 2.0**-1022] = 0.0
     nonzero = (N.reshape(n, 4) != 0).any(axis=1)
-    best_lo = 0.0
     for i0 in range(0, n, step):
         rows = slice(i0, i0 + step)
         # a pair whose terms are all zero has a zero difference
@@ -413,32 +379,27 @@ def _candidate_pairs(WS: WeightedSemilattice, W, N, L: int, norm: str):
         I += i0
         P = (N[I] @ N[J] - L * N[table[I, J]]).reshape(-1, 4)
         differs = (P != 0).any(axis=1)
-        I, J, P = I[differs], J[differs], P[differs]
-        lo, hi = _pair_bounds(P, w[I] * w[J], norm)
-        best_lo = max(best_lo, lo.max(initial=0.0))
-        keep = hi >= best_lo
-        yield from zip(I[keep].tolist(), J[keep].tolist(), P[keep].tolist())
+        yield from zip(I[differs].tolist(), J[differs].tolist(), P[differs].tolist())
 
 
 def _defect_exact(WS: WeightedSemilattice, theta: AlgebraMap, norm: str) -> DefectReport:
     N, L = _integers(theta)
     W, K = WS._omega_integers  # omega(e) = W_e / K
-    K4 = K**4
-    best_sq = Fraction(0)
-    witness = (0, 0)
-    irrational_sq = Fraction(0)  # the largest HS ratio square of an irrational operator norm
-    for i, j, d in _candidate_pairs(WS, W, N, L, norm):
-        weight_sq = (L * L * W[i] * W[j]) ** 2  # the ratio is ||d|| K**2 / (L**2 W_e W_f)
-        sq = _norm_sq_exact(d, norm)
-        if sq is None:  # op <= hs: the pair matters only if hs beats best_sq
-            irrational_sq = max(irrational_sq, Fraction(_norm_sq_exact(d, "hs") * K4, weight_sq))
-            continue
-        ratio_sq = Fraction(sq * K4, weight_sq)
-        if ratio_sq > best_sq:
-            best_sq = ratio_sq
-            witness = (i, j)
-    if irrational_sq > best_sq:
+    # s / w for s = ||d||**2 and w = (W_e W_f)**2 orders the squared ratios s K**4 / (L**4 w)
+    best, best_w, witness = 0, 1, (0, 0)
+    hs, hs_w = 0, 1  # the largest such HS ratio of an irrational operator norm
+    for i, j, d in _candidate_pairs(WS, N, L, norm):
+        w = (W[i] * W[j]) ** 2
+        s = _norm_sq_exact(d, norm)
+        if s is None:  # op <= hs: the pair matters only if hs beats the maximum
+            s = _norm_sq_exact(d, "hs")
+            if s * hs_w > hs * w:
+                hs, hs_w = s, w
+        elif s * best_w > best * w:
+            best, best_w, witness = s, w, (i, j)
+    if hs * best_w > best * hs_w:
         raise ValueError(_IRRATIONAL_OP)
+    best_sq = Fraction(best * K**4, best_w * L**4)
     value, exact = _root(best_sq)
     return DefectReport(value, witness, norm, best_sq, exact_value=exact)
 

@@ -347,23 +347,23 @@ def scalar_project(z: complex, eps: float) -> ScalarProjection:
 # ---------------------------------------------------------------------------
 
 
-def _schur(A, a: complex, b: complex, c: complex, d: complex) -> tuple:
-    """:func:`unitary_triangularize` on ``A``'s entries as ``complex``, without
+def _schur(a: complex, b: complex, c: complex, d: complex) -> tuple:
+    """:func:`unitary_triangularize` on a matrix's entries as ``complex``, without
     a ``Mat2``: returns U's first column ``v1, v2`` and T's entries ``ta, tb, td``.
 
     Past ``2**500`` the squares below could overflow, so the body runs on the
     entries scaled by the power of two that brings the largest part to at most
     ``2**500``: U is the same, and T is scaled back.  An entry that is not finite
     as a float (inf, NaN, or an exact one past the float range) raises ``ValueError``."""
-    scale = 1.0 + hs_norm(A)
+    scale = 1.0 + _complex_norm(a, b, c, d)
     if not scale <= 2.0**500:  # past 2**500, inf or NaN
         if not all(map(cmath.isfinite, (a, b, c, d))):
-            raise ValueError(f"cannot triangularize a matrix with a non-finite entry: {A!r}")
+            raise ValueError(f"cannot triangularize a matrix with a non-finite entry: {a, b, c, d}")
         k = math.frexp(max(max(abs(x.real), abs(x.imag)) for x in (a, b, c, d)))[1] - 500
         if k > 0:  # not when the largest part is within 2**500
             down, up = 2.0**-k, 2.0**k
             B = tuple(complex(x.real * down, x.imag * down) for x in (a, b, c, d))
-            v1, v2, *T = _schur(B, *B)
+            v1, v2, *T = _schur(*B)
             return v1, v2, *(complex(t.real * up, t.imag * up) for t in T)
     tr = a + d
     disc = (a - d) * (a - d) + 4.0 * b * c
@@ -401,7 +401,7 @@ def unitary_triangularize(A: Mat2) -> tuple[Mat2, Mat2]:
     orthogonal completion.  The subdiagonal entry is asserted tiny and then
     set to exactly zero.
     """
-    v1, v2, ta, tb, td = _schur(A, *map(_as_complex, A))
+    v1, v2, ta, tb, td = _schur(*map(_as_complex, A))
     return Mat2(v1, -v2.conjugate(), v2, v1.conjugate()), Mat2(ta, tb, 0.0j, td)
 
 
@@ -445,7 +445,7 @@ def nearest_binary_idempotent(A: Mat2) -> tuple[Mat2, int]:
     in that basis); otherwise ``P`` is 0 or the identity.  No smallness of
     ``||A - A^2||`` is assumed — :func:`key_estimates` adds the certified bounds.
     """
-    return _binary_idempotent(*_schur(A, *map(_as_complex, A)))
+    return _binary_idempotent(*_schur(*map(_as_complex, A)))
 
 
 def _binary_idempotent(v1, v2, ta, tb, td) -> tuple[Mat2, int]:
@@ -477,7 +477,7 @@ def key_estimates(A: Mat2, eps: float) -> KeyEstimateReport:
     if hs(a * 2 - 1, b * 2, c * 2, d * 2 - 1) < lower - 1e-12:  # exact entries stay exact
         raise ClassificationFailure("||2A - I|| fell below the certified lower bound")
 
-    P, j = _binary_idempotent(*_schur(A, *z))
+    P, j = _binary_idempotent(*_schur(*z))
     e, f, g, h = P
     trace_distance = abs(complex(a + d) - j)
     rho_eps = rho(eps)

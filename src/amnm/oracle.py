@@ -38,7 +38,6 @@ skipped.  The bounds, with the pruned and diagonal cells' ``const``, give
 
 from __future__ import annotations
 
-import cmath
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -51,10 +50,13 @@ from operator import itemgetter, le, sub
 import numpy as np
 
 from .defects import (
+    _ZERO_ID,
     AlgebraMap,
     _carrier,
     _check_norm,
     _element_ratios,
+    _norms,
+    _refuse_non_finite,
     _root,
     default_norm,
     m2_map,
@@ -432,19 +434,17 @@ def nearest_mult_m2(
     op = norm == "op"
     if starts < 0:
         raise ValueError(f"starts must be non-negative, got {starts!r}")
-    theta_c = [Mat2(*map(_as_complex, v)) for v in theta.values]
-    for e, m in enumerate(theta_c):
-        if not all(map(cmath.isfinite, m)):
-            raise ValueError(f"theta({e}) has a non-finite entry: {theta.values[e]!r}")
-    big = max(max(abs(x.real), abs(x.imag)) for v in theta_c for x in v)  # |x| <= 2 big
+    V, big = theta._float_stack  # |x| <= 2 big
+    _refuse_non_finite(V, theta)
+    theta_c = [Mat2(*v) for v in V.reshape(-1, 4).tolist()]
     slack = 1e-12 * (1001.0 + 2.0 * big) if big < 2.0**250 else math.inf  # see _deflate
-    om = [float(x) for x in WS.omega_float]
+    om = WS.omega_float.tolist()
     rng = np.random.default_rng(seed)
     rows = S._mult_rows  # cell (i1, i2): F1 and F2 are rows i1 and i2
     k = len(rows)
 
-    norm_to_id = [_complex_norm(a - 1, b, c, d - 1, op) / w for (a, b, c, d), w in zip(theta_c, om)]
-    norm_to_zero = [_complex_norm(*t, op) / w for t, w in zip(theta_c, om)]
+    with np.errstate(invalid="ignore"):  # omega >= 1; an inf norm over an inf weight is NaN
+        norm_to_zero, norm_to_id = _norms(V - _ZERO_ID, norm) / WS.omega_float
     # const[i1][i2]: the P-independent part of cell (i1, i2)'s cost, the largest
     # norm over its elements labelled 3 (to I) and 0 (to 0)
     both = rows[:, None, :] & rows[None, :, :]

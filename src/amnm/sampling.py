@@ -177,12 +177,14 @@ def random_binary_weighted_instance(
     values = [int(complex(v).real) for v in random_multiplicative_scalar(rng, S).values]
     order = list(rng.permutation(S.n))
     flips = int(rng.integers(0, S.n + 1))
+    psi = scalar_map(values)  # the last map kept, with its defect report
     for e in order[:flips]:
         values[e] = 1 - values[e]
-        delta = defect(WS, scalar_map(values)).defect_float
-        if not 2.0 * delta * c_val / epsilon < 0.95:
+        trial = scalar_map(values)
+        if 2.0 * defect(WS, trial).defect_float * c_val / epsilon < 0.95:
+            psi = trial
+        else:
             values[e] = 1 - values[e]
-    psi = scalar_map(values)
     delta = defect(WS, psi).defect_float
     if not 2.0 * delta * c_val / epsilon < 1.0:
         raise RuntimeError("flip filter failed to preserve the margin")

@@ -100,6 +100,15 @@ _M2_UNIT = {"table": [[0, 0], [0, 1]], "map": {"codomain": "m2", "values": [[[1,
 _M2_PAST_THE_FLOAT_RANGE = dict(
     _M2_UNIT, map={"codomain": "m2", "values": [[[10**400, 0], [0, 0]], [[1, 0], [0, 1]]]}
 )
+# a float beside an exact value that no float holds; an exactly multiplicative
+# map with an exact entry that no float holds
+_MIXED_PAST_THE_FLOAT_RANGE = {
+    "table": [[0, 0], [0, 1]],
+    "map": {"codomain": "scalar", "values": [1.0, 10**400]},
+}
+_M2_IDEMPOTENT_PAST_THE_FLOAT_RANGE = dict(
+    _M2_UNIT, map={"codomain": "m2", "values": [[[1, 10**400], [0, 0]], [[1, 0], [0, 1]]]}
+)
 
 # (id, argv before the document, the document or None for no document argument)
 _INPUT_ERRORS = [
@@ -131,6 +140,18 @@ _INPUT_ERRORS = [
     ("malformed-map-values", ["defect"], dict(CHAIN3, map={"codomain": "t2", "values": [1, 1, 1]})),
     ("a-document-without-a-map", ["defect"], CHAIN3),
     ("an-m2-entry-past-the-float-range", ["oracle"], _M2_PAST_THE_FLOAT_RANGE),
+    ("a-float-beside-a-value-past-the-float-range", ["defect"], _MIXED_PAST_THE_FLOAT_RANGE),
+    ("an-oracle-of-a-float-beside-a-value-past-the-range", ["oracle"], _MIXED_PAST_THE_FLOAT_RANGE),
+    (
+        "a-scalar-correction-of-a-float-beside-a-value-past-the-range",
+        ["correct", "--target", "scalar"],
+        _MIXED_PAST_THE_FLOAT_RANGE,
+    ),
+    (
+        "an-m2-correction-of-an-idempotent-past-the-float-range",
+        ["correct", "--target", "m2"],
+        _M2_IDEMPOTENT_PAST_THE_FLOAT_RANGE,
+    ),
     ("a-negative-oracle-starts", ["oracle", "--starts", -3], _M2_UNIT),
     # an exact op-norm distance whose maximum is irrational (HS gives sqrt(6))
     (

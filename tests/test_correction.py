@@ -134,6 +134,15 @@ def test_weighted_correction_rejects_non_binary_values():
         correct_weighted(WS, scalar_map([0.9, 1.0, 1.0]), 0.5)
 
 
+def test_m2_correction_refuses_an_exact_entry_past_the_float_range():
+    # theta is exactly multiplicative (theta(0) is idempotent), so its exact defect
+    # is 0, but no float holds theta(0)'s corner for the construction
+    theta = m2_map([Mat2(1, 10**400, 0, 0), M2_ID])
+    assert defect(nmin(2), theta, "hs").defect == 0
+    with pytest.raises(ValueError, match=r"theta\(0\) has a non-finite entry"):
+        correct_m2(nmin(2), theta)
+
+
 def test_weighted_correction_refuses_an_exact_value_past_the_float_range():
     # no float holds 10**400: the value is compared with 0 and 1 as it is
     with pytest.raises(ValueError, match="value at 0 is 1000"):

@@ -41,7 +41,6 @@ from amnm import counterexamples
 from amnm.counterexamples import _check_closed_form
 from amnm.defects import _candidate_pairs, _integers
 from amnm.oracle import _exhaustive_nearest
-from amnm.weights import _over_common_denominator
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +150,11 @@ def test_t2_chain_companion_restores_the_distance():
 
 def test_the_companion_leaves_the_exact_defect_scan_no_pair():
     # the companion is exactly multiplicative: the integer zero test drops
-    # every one of its pairs before any float bound is formed
+    # every one of its pairs before any norm is formed
     WS = geometric_weight(64)
-    W = _over_common_denominator(WS.omega)[0].tolist()
     for m in range(64):
         N, L = _integers(theta_m_t2(WS, m).details["companion"])
-        assert list(_candidate_pairs(WS, W, N, L, "op")) == []
+        assert list(_candidate_pairs(WS, N, L, "op")) == []
 
 
 def test_t2_chain_survives_weights_past_the_float_range():

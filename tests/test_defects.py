@@ -279,7 +279,7 @@ def test_the_stack_kernel_is_the_scalar_kernel_bit_for_bit(rows):
     """``defects._norms`` and ``mat2._complex_norm`` round every norm alike,
     from subnormal parts to ``2**1023``, and both are within the formula's
     error of the exact norm; the moduli of ``abs`` and ``t2`` are one-entry HS
-    norms.  A real stack, as the exact filter passes, reads as complex."""
+    norms.  A real stack reads as complex."""
     D = np.array([[[a, b], [c, d]] for a, b, c, d in rows])
     for norm, op in (("hs", False), ("op", True)):
         for x, entries in zip(_norms(D, norm).tolist(), rows):
@@ -456,7 +456,7 @@ def test_algebra_map_rejects_unknown_codomain_and_bad_rows():
 
 
 # ---------------------------------------------------------------------------
-# The filtered exact defect against a plain all-pairs Fraction scan.
+# The integer-ranked exact defect against a plain all-pairs Fraction scan.
 # ---------------------------------------------------------------------------
 
 _POOL = [nmin(1), nmin(4), free_semilattice(2), free_semilattice(3), orthogonal_free_sum((2, 2))]
@@ -465,7 +465,7 @@ _SMALL = st.one_of(
     st.just(0), st.integers(-3, 3), st.fractions(min_value=-5, max_value=5, max_denominator=12)
 )
 # below the float range, and (for codomains whose exact norm is a rational
-# root) past the float filter's range, which takes the full scan
+# root) past it
 _TINY = st.one_of(_SMALL, st.just(Fraction(1, 2**1100)))
 _VALUES = st.one_of(_TINY, st.just(2**300))
 # entries over denominators past 2**40: their common denominator L passes the
@@ -599,8 +599,7 @@ def _assert_full_scan(rep, brackets):
 
 
 def test_filtered_defect_keeps_the_first_of_tied_pairs():
-    # (0,0), (0,1) and (1,1) all cost exactly 4/25: each reaches the others'
-    # lower bounds, so all three survive the filter and the strict > keeps (0,0)
+    # (0,0), (0,1) and (1,1) all cost exactly 4/25: the strict > keeps (0,0)
     S = free_semilattice(2)
     rep = defect(S, scalar_map([Fraction(4, 5), Fraction(1, 5), 0]))
     assert rep.defect == Fraction(4, 25)
@@ -609,8 +608,8 @@ def test_filtered_defect_keeps_the_first_of_tied_pairs():
 
 def test_operator_norm_filter_keeps_a_rank_one_maximum():
     # (0,0) costs diag(2, 0): op = hs = 2, the maximum; (1,1) costs
-    # diag(36/25, 36/25): op 36/25 but hs 36/25 sqrt(2) > 2, so only a lower
-    # bound of hs/sqrt(2) keeps (0,0)
+    # diag(36/25, 36/25): op 36/25 but hs 36/25 sqrt(2) > 2, so ranking by
+    # the HS norm would lose (0,0)
     S = free_semilattice(2)
     theta = m2_map([Mat2(2, 0, 0, 0), Mat2(Fraction(-4, 5), 0, 0, Fraction(-4, 5)), Mat2(0, 0, 0, 0)])
     rep = defect(S, theta, "op")
@@ -657,10 +656,9 @@ def test_an_irrational_op_norm_element_whose_hs_bound_wins_still_raises(top):
 
 
 def test_an_irrational_op_norm_pair_below_the_maximum_does_not_raise():
-    # over L = 2**1100 the integer differences pass the float range, so every
-    # nonzero pair survives the filter; (1,1) costs [[t^2, t^2 - t], [t^2 - t,
-    # 2t^2 - t]], with an irrational operator norm but HS^2 about 3t^2, below
-    # the 20t^2 of the rank-one (0,1)
+    # over L = 2**1100 the integer differences pass the float range; (1,1)
+    # costs [[t^2, t^2 - t], [t^2 - t, 2t^2 - t]], with an irrational operator
+    # norm but HS^2 about 3t^2, below the 20t^2 of the rank-one (0,1)
     t = Fraction(1, 2**1100)
     theta = m2_map([Mat2(0, -3, 0, 1), Mat2(0, t, t, t), Mat2(0, 0, 0, 0)])
     rep = defect(unit_weight(free_semilattice(2)), theta, "op")
@@ -673,8 +671,8 @@ def test_an_irrational_op_norm_pair_below_the_maximum_does_not_raise():
 )
 def test_the_float_filter_passes_on_a_handful_of_a_dense_maps_pairs(weight):
     # a random rational map on a 256-chain: tens of thousands of pairs differ
-    # from zero, and the enclosures pass on only those that can be the maximum,
-    # also under weights up to 2**510, which the filter scales by 2**-11
+    # from zero, and the integer ranking keeps the full scan's maximum among
+    # them, also under weights up to 2**510
     rng = np.random.default_rng(14)
     n = 256
     WS = weighted(nmin(n), [weight(k) for k in range(n)])
@@ -683,20 +681,38 @@ def test_the_float_filter_passes_on_a_handful_of_a_dense_maps_pairs(weight):
     brackets = _reference_brackets(WS, theta, "abs")
     assert sum(hi > 0 for _, _, hi in brackets) > 30_000
     N, L = _integers(theta)
-    W = _over_common_denominator(WS.omega)[0].tolist()
-    survivors = list(_candidate_pairs(WS, W, N, L, "abs"))
-    assert 1 <= len(survivors) <= 5
     rep = defect(WS, theta)
-    assert rep.witness in [(i, j) for i, j, _ in survivors]
+    assert rep.witness in [(i, j) for i, j, _ in _candidate_pairs(WS, N, L, "abs")]
     _assert_full_scan(rep, brackets)
+
+
+@pytest.mark.parametrize(
+    "theta, norm, fractions",
+    [
+        (scalar_map([Fraction(1, 2)] * 4), "abs", 2),  # 1/16, and _root's 1/4
+        (m2_map([Mat2(Fraction(1, 2), 0, 0, Fraction(1, 2))] * 4), "hs", 1),  # 1/8: a float root
+    ],
+    ids=["rational-root", "float-root"],
+)
+def test_the_exact_defect_builds_one_fraction_per_report(monkeypatch, theta, norm, fractions):
+    # every pair of a constant 1/2 map differs from zero and ties at the maximum:
+    # the scan ranks them on integers, keeps the first, and builds one Fraction
+    WS = unit_weight(nmin(4))
+    N, L = _integers(theta)
+    assert len(list(_candidate_pairs(WS, N, L, norm))) >= 10
+    made = []
+    monkeypatch.setattr(amnm.defects, "Fraction", lambda *args: made.append(args) or Fraction(*args))
+    rep = _defect_exact(WS, theta, norm)
+    assert len(made) == fractions
+    assert rep.witness == (0, 0)
 
 
 @pytest.mark.parametrize("norm", ["hs", "op"])
 def test_a_norm_past_the_float_range_does_not_prune_the_maximum(norm):
     # theta(2)^2 - theta(2) has four entries 2**1023 - 2**511: each fits a float
     # but the norm overflows, while the weight 2**499 makes its ratio about
-    # 2**26; the maximum, about 2**28, is at (1,1) under the weight 1, so the
-    # overflowed norm must give no lower bound
+    # 2**26; the maximum, about 2**28, is at (1,1) under the weight 1, where
+    # the exact scan ranks integers, past any float
     x = 2**511
     WS = weighted(nmin(3), (1, 1, 2**499))
     theta = m2_map([Mat2(0, 0, 0, 0), Mat2(2**14, 0, 0, 0), Mat2(x, x, x, x)])
@@ -1260,8 +1276,11 @@ _INF_M2 = m2_map([Mat2(math.inf, 1, 0, 0), _I])
         (m2_map([_I, Mat2(0.0, complex(0.0, math.nan), 0.0, 0.0)]), "op", 1),
         (scalar_map([1.0, -math.inf]), "abs", 1),
         (t2_map([(1.0, 0.0), (0.0, math.nan)]), "t2", 1),
+        # a float beside an exact entry that no float holds: the float path reads it as inf
+        (scalar_map([1.0, 10**400]), "abs", 1),
+        (m2_map([Mat2(Fraction(10**400, 3), 0, 0, 0), _I]), "op", 0),
     ],
-    ids=["m2-op", "m2-hs", "m2-nan", "scalar", "t2"],
+    ids=["m2-op", "m2-hs", "m2-nan", "scalar", "t2", "scalar-past-the-range", "m2-past-the-range"],
 )
 def test_defect_refuses_a_non_finite_entry(theta, norm, bad):
     # the op norm's t * t - 4 |det|**2 on an inf entry used to warn

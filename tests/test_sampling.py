@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import amnm.defects
 from amnm import (
     M2_ID,
     M2_ZERO,
@@ -151,6 +152,27 @@ def test_samplers_draw_what_their_reference_bodies_draw(max_n):
         theta, theta0 = random_multiplicative_scalar(rng, S), _ref_random_multiplicative_scalar(ref, S0)
         assert [(type(v), v) for v in theta.values] == [(type(v), v) for v in theta0.values]
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_the_binary_weighted_sampler_scans_no_values_twice(monkeypatch):
+    # the returned map is the last one the flip loop kept, and keeps its report
+    scanned = []
+    for name in ("_defect_float", "_defect_exact"):
+
+        def recorded(WS, theta, norm, scan=getattr(amnm.defects, name)):
+            scanned.append(theta.values)
+            return scan(WS, theta, norm)
+
+        monkeypatch.setattr(amnm.defects, name, recorded)
+    rng = np.random.default_rng(5)
+    kept = 0
+    for _ in range(20):
+        WS = random_submultiplicative_weight(rng, random_semilattice(rng))
+        scanned.clear()
+        psi = random_binary_weighted_instance(rng, WS, 0.5)
+        assert len(set(scanned)) == len(scanned)
+        kept += psi.values in scanned
+    assert kept > 0
 
 
 def test_commuting_idempotent_pairs_cover_all_four_cases():
