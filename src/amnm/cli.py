@@ -28,7 +28,6 @@ import numpy as np
 from .correction import correct_m2, correct_scalar, correct_t2, correct_weighted
 from .counterexamples import (
     _psi_carrier,
-    _psi_reports,
     geometric_weight,
     psi_n_family,
     spiked_weight,
@@ -270,7 +269,8 @@ def cmd_counterexample(args):
     if args.family == "psi-blocks":
         base = _json_number(args.base)
         sizes = tuple(int(s) for s in args.sizes.split(","))
-        reports = _psi_reports(ws := _psi_carrier(base, sizes), base, sizes)
+        reports = psi_n_family(base, sizes)
+        ws = _psi_carrier(base, *sizes) if args.corroborate else None  # a cache hit
     else:
         if args.family != "t2-chain":
             if args.delta is None:

@@ -35,6 +35,7 @@ Families
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -150,13 +151,11 @@ def _check_closed_form(value: float, value_sq, expected_sq, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _psi_carrier(base, sizes) -> WeightedSemilattice:
-    """The weighted orthogonal sum that every block of :func:`psi_n_family` shares:
-    free blocks on ``sizes`` generators with :func:`counterexample_weight` at ``base``."""
-    if not base > 1:
-        raise ValueError(f"base must exceed 1, got {base!r}")
-    if any(k < 2 for k in sizes):
-        raise ValueError("blocks need at least 2 generators to break multiplicativity")
+@functools.lru_cache(maxsize=8, typed=True)
+def _psi_carrier(base, *sizes) -> WeightedSemilattice:
+    """:func:`psi_n_family`'s carrier: free blocks on ``sizes`` generators weighted by
+    :func:`counterexample_weight` at ``base``. Cached on the type of every argument as well
+    as its value, since ``2 == 2.0`` but a float base must give a float carrier."""
     T = orthogonal_free_sum(sizes)
     return weighted(T, counterexample_weight(T, base))
 
@@ -170,13 +169,14 @@ def psi_n_family(base=2, sizes=(2, 3, 4, 5)) -> list[CounterexampleReport]:
     so the defect is exactly ``base**(-k)``.  Yet every multiplicative map
     must disagree with the indicator somewhere on the block at weight at
     most ``base``, which the exhaustive scan confirms: the distance is
-    exactly ``1/base``, uniformly over blocks.
+    exactly ``1/base``, uniformly over blocks.  Each call scans its maps afresh.
     """
-    return _psi_reports(_psi_carrier(base, sizes), base, sizes)
-
-
-def _psi_reports(WS: WeightedSemilattice, base, sizes) -> list[CounterexampleReport]:
-    """:func:`psi_n_family`'s reports on its carrier ``WS = _psi_carrier(base, sizes)``."""
+    sizes = tuple(sizes)
+    if not base > 1:
+        raise ValueError(f"base must exceed 1, got {base!r}")
+    if any(k < 2 for k in sizes):
+        raise ValueError("blocks need at least 2 generators to break multiplicativity")
+    WS = _psi_carrier(base, *sizes)
     if isinstance(base, int):
         base = Fraction(base)
     inv_sq = 1 / Fraction(base) ** 2
@@ -197,7 +197,7 @@ def _psi_reports(WS: WeightedSemilattice, base, sizes) -> list[CounterexampleRep
         reports.append(
             CounterexampleReport(
                 family="psi-blocks",
-                params={"base": base, "sizes": tuple(sizes), "block": n},
+                params={"base": base, "sizes": sizes, "block": n},
                 theta=psi,
                 defect=rep,
                 distance_lower_bound=float(1 / base),

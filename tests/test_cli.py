@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import amnm
+from amnm import counterexamples
 from amnm.cli import build_parser, main
 
 CHAIN3 = {"table": [[0, 0, 0], [0, 1, 1], [0, 1, 2]]}
@@ -337,17 +338,19 @@ def test_counterexample_psi_blocks(capsys):
 
 
 def test_psi_blocks_corroboration_builds_its_carrier_once(capsys, monkeypatch):
-    # the reports and the corroborating search share one carrier
+    # the reports and the corroborating search share one carrier; the cache is
+    # cleared around the count so that no carrier built under the patch is kept
     built = []
-
-    def counted(*args):
-        built.append(real(*args))
-        return built[-1]
-
-    real = amnm.cli._psi_carrier
-    monkeypatch.setattr(amnm.cli, "_psi_carrier", counted)
+    real = counterexamples.counterexample_weight
+    monkeypatch.setattr(
+        counterexamples, "counterexample_weight", lambda *args: built.append(args) or real(*args)
+    )
+    counterexamples._psi_carrier.cache_clear()
     argv = ["counterexample", "--family", "psi-blocks", "--sizes", "2,3", "--corroborate", "--json"]
-    code, out, _ = run(capsys, *argv)
+    try:
+        code, out, _ = run(capsys, *argv)
+    finally:
+        counterexamples._psi_carrier.cache_clear()
     assert code == 0 and len(built) == 1
     assert [r["defect"]["defect"] for r in json.loads(out)["reports"]] == ["1/4", "1/8"]
 

@@ -120,6 +120,79 @@ def test_block_family_defect_recomputes_independently():
     assert again.defect == report.defect.defect
 
 
+def test_block_family_takes_its_sizes_once():
+    # an iterator is read once: the size check no longer drains it before the build
+    reports = psi_n_family(2, iter([2, 3]))
+    assert [r.defect.defect for r in reports] == [Fraction(1, 4), Fraction(1, 8)]
+    assert all(r.params["sizes"] == (2, 3) for r in reports)
+
+
+def test_block_family_refuses_a_float_size_after_an_int_one():
+    # 2.0 == 2, but a float size is keyed apart from an int one and fails to build
+    psi_n_family(2, (2, 3))
+    with pytest.raises(TypeError):
+        psi_n_family(2, (2.0, 3))
+
+
+@pytest.fixture
+def fresh_carriers():
+    # a carrier cached under a patch must not serve a later test
+    counterexamples._psi_carrier.cache_clear()
+    yield
+    counterexamples._psi_carrier.cache_clear()
+
+
+def test_repeated_block_family_calls_build_one_carrier(monkeypatch, fresh_carriers):
+    built = []
+    real = counterexamples.counterexample_weight
+    monkeypatch.setattr(
+        counterexamples, "counterexample_weight", lambda *args: built.append(args) or real(*args)
+    )
+    first, second = psi_n_family(2, (2, 3)), psi_n_family(2, (2, 3))
+    assert len(built) == 1
+    assert [r.defect.defect for r in second] == [r.defect.defect for r in first]
+    assert all(a.theta is not b.theta for a, b in zip(first, second))  # fresh maps, fresh scans
+
+
+def test_exact_and_float_bases_of_equal_value_build_their_own_carriers(fresh_carriers):
+    # 2, Fraction(2) and 2.0 hash alike; in either order each base keeps its own carrier
+    for order in ((2, 2.0), (2.0, 2)):
+        counterexamples._psi_carrier.cache_clear()
+        reports = {type(base): psi_n_family(base, (2, 3)) for base in order}
+        assert [r.defect.defect_sq for r in reports[int]] == [Fraction(1, 16), Fraction(1, 64)]
+        assert all(r.distance_exact == Fraction(1, 2) for r in reports[int])
+        assert all(r.defect.defect_sq is None and r.distance_exact is None for r in reports[float])
+
+
+def _moved_defect(real):
+    return lambda *args: dataclasses.replace(real(*args), defect_sq=Fraction(1, 9))
+
+
+def _moved_distance(real):
+    def moved(*args):
+        near, row = real(*args)
+        return dataclasses.replace(near, value=1 / 3, value_exact=Fraction(1, 3)), row
+
+    return moved
+
+
+@pytest.mark.parametrize(
+    "name, patch, message",
+    [
+        ("defect", _moved_defect, "block 0: defect"),
+        ("_exhaustive_nearest", _moved_distance, "block 0: distance"),
+    ],
+)
+def test_a_cached_carrier_still_checks_each_block(
+    monkeypatch, fresh_carriers, name, patch, message
+):
+    psi_n_family(2, (2, 3))  # fills the cache
+    monkeypatch.setattr(counterexamples, name, patch(getattr(counterexamples, name)))
+    with pytest.raises(ClassificationFailure, match=message):
+        psi_n_family(2, (2, 3))
+    assert counterexamples._psi_carrier.cache_info().hits == 1
+
+
 # ---------------------------------------------------------------------------
 # Chain family with an upper-triangular target: defect 1/omega(m) but every
 # multiplicative map of the same shape sits at distance 1; widening the
@@ -165,6 +238,30 @@ def test_t2_chain_survives_weights_past_the_float_range():
         assert r.defect.witness == (m, m)
         assert r.defect.defect_sq == 1 / Fraction(WS.omega[m]) ** 2
         assert r.distance_exact == 1
+
+
+def test_t2_chain_refuses_a_defect_off_its_witness(monkeypatch):
+    real = counterexamples.defect
+    monkeypatch.setattr(
+        counterexamples,
+        "defect",
+        lambda *args: dataclasses.replace(real(*args), witness=(0, 0)),
+    )
+    with pytest.raises(ClassificationFailure, match=r"defect witness \(0, 0\) is not \(3,3\)"):
+        theta_m_t2(geometric_weight(12), 3)
+
+
+def test_t2_chain_refuses_a_companion_with_a_defect(monkeypatch):
+    # only the companion's defect is read in the operator norm
+    real = counterexamples.defect
+
+    def moved(WS, theta, *norm):
+        rep = real(WS, theta, *norm)
+        return dataclasses.replace(rep, defect=Fraction(1, 2)) if norm else rep
+
+    monkeypatch.setattr(counterexamples, "defect", moved)
+    with pytest.raises(ClassificationFailure, match="companion map is not exactly multiplicative"):
+        theta_m_t2(geometric_weight(12), 3)
 
 
 def test_t2_chain_rejects_indices_off_the_chain():
@@ -279,6 +376,14 @@ def test_an_m2_chain_refuses_a_defect_past_its_cap(monkeypatch, family, carrier,
     )
     with pytest.raises(ClassificationFailure, match="exceeds its cap"):
         family(carrier(), delta)
+
+
+def test_m2_chain_nonuniform_refuses_a_selected_index_without_a_spike(monkeypatch):
+    # index 0 of the spiked chain has omega(0) = omega(1) = 1, so the lemma's
+    # omega(i) >= 2 omega(i+1) fails there
+    monkeypatch.setattr(counterexamples, "_eligible_index", lambda *args: 0)
+    with pytest.raises(ClassificationFailure, match=r"omega\(i\) >= 2 omega\(i\+1\) failed"):
+        theta_m2_chain_nonuniform(spiked_weight(9, 4, 400), 0.02)
 
 
 def test_m2_chain_nonuniform_requires_a_spike():

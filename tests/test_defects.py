@@ -571,8 +571,9 @@ def test_exact_defect_matches_the_all_pairs_fraction_scan(case, m2_norm):
     try:
         rep = defect(WS, theta, norm)
     except ValueError:
-        # Only an irrational operator norm may stop the scan, and only one the
-        # filter must keep: hs/sqrt(2) <= op <= hs puts it within half the maximum.
+        # Only an irrational operator norm may stop the scan, and only when its HS
+        # norm, which bounds it, beats every rational pair's ratio; hs/sqrt(2) <= op
+        # then puts it within half the maximum.
         top = max(lo for _, lo, _ in brackets)
         assert any(lo != hi and 4 * hi >= top * (1 - Fraction(1, 10**9)) for _, lo, hi in brackets)
         return
@@ -598,7 +599,7 @@ def _assert_full_scan(rep, brackets):
             assert hi <= best if lo == hi else hi < best
 
 
-def test_filtered_defect_keeps_the_first_of_tied_pairs():
+def test_the_exact_defect_keeps_the_first_of_tied_pairs():
     # (0,0), (0,1) and (1,1) all cost exactly 4/25: the strict > keeps (0,0)
     S = free_semilattice(2)
     rep = defect(S, scalar_map([Fraction(4, 5), Fraction(1, 5), 0]))
@@ -606,7 +607,7 @@ def test_filtered_defect_keeps_the_first_of_tied_pairs():
     assert rep.witness == (0, 0)
 
 
-def test_operator_norm_filter_keeps_a_rank_one_maximum():
+def test_the_exact_op_defect_keeps_a_rank_one_maximum():
     # (0,0) costs diag(2, 0): op = hs = 2, the maximum; (1,1) costs
     # diag(36/25, 36/25): op 36/25 but hs 36/25 sqrt(2) > 2, so ranking by
     # the HS norm would lose (0,0)
@@ -622,7 +623,7 @@ def _irrational_op_pair_map():
     return m2_map([Mat2(0, 0, 0, 0), Mat2(2, 0, 0, 0), Mat2(2, Fraction(1, 3), 0, 2)])
 
 
-def test_an_irrational_op_norm_pair_that_is_filtered_out_does_not_raise():
+def test_an_irrational_op_norm_pair_under_a_heavier_weight_does_not_raise():
     WS = weighted(nmin(3), (1, 1, 10))
     rep = defect(WS, _irrational_op_pair_map(), "op")
     assert rep.defect == 2 and rep.exact_value
@@ -669,7 +670,7 @@ def test_an_irrational_op_norm_pair_below_the_maximum_does_not_raise():
 @pytest.mark.parametrize(
     "weight", [lambda k: 1 + Fraction(k, 7), lambda k: 4**k], ids=["rational", "powers-of-4"]
 )
-def test_the_float_filter_passes_on_a_handful_of_a_dense_maps_pairs(weight):
+def test_the_exact_defect_keeps_the_full_scans_maximum_on_a_dense_map(weight):
     # a random rational map on a 256-chain: tens of thousands of pairs differ
     # from zero, and the integer ranking keeps the full scan's maximum among
     # them, also under weights up to 2**510
