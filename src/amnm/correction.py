@@ -270,13 +270,11 @@ def correct_t2(S: Semilattice, theta: AlgebraMap) -> Certificate:
 def _trace_classify(vals: list[Mat2], delta: float) -> tuple[list[int], list[float]]:
     """Assign each value its trace class j in {0,1,2}, certifying the windows.
 
-    The nearest class must lie within sqrt(2) * rho(delta) * delta (< 0.05,
-    which makes the radius-0.95 windows and these tight windows agree); the
-    other classes are then automatically at distance > 0.95.
+    The nearest class must lie within sqrt(2) * rho(delta) * delta, which is below
+    0.05 as correct_m2 refuses delta >= 0.03 (it increases in delta, to 0.04378 at
+    0.03): the other classes are then automatically at distance > 0.95.
     """
     radius = _SQRT2 * rho(delta) * delta
-    if not radius < 0.05:
-        raise ClassificationFailure("trace window radius failed the < 0.05 bound")
     classes: list[int] = []
     distances: list[float] = []
     for e, v in enumerate(vals):
@@ -383,7 +381,7 @@ def correct_m2(S: Semilattice, theta: AlgebraMap, delta: float | None = None) ->
     if not delta < 0.03:
         raise DefectTooLarge(delta, 0.03, what="delta")
 
-    V = theta._float_stack[0]
+    V = theta._float_stack
     _refuse_non_finite(V, theta)  # an exact entry past the float range
     vals = [Mat2(*v) for v in V.reshape(-1, 4).tolist()]
     n = S.n
@@ -428,16 +426,6 @@ def correct_m2(S: Semilattice, theta: AlgebraMap, delta: float | None = None) ->
         if hs_norm(p_mat - vals[p0]) > rho(delta) * delta + _TOL:
             raise ClassificationFailure("projection strayed beyond rho(delta)*delta of the base point")
         complement = M2_ID - p_mat
-        for e in s_p:
-            if hs_norm(vals[e] - p_mat) > 12.0 * delta + _TOL:
-                raise ClassificationFailure(
-                    f"P-class element {e} lies outside the 12 delta ball around P"
-                )
-        for e in s_q:
-            if hs_norm(vals[e] - complement) > 12.0 * delta + _TOL:
-                raise ClassificationFailure(
-                    f"Q-class element {e} lies outside the 12 delta ball around I - P"
-                )
         details.update(
             {
                 "p0": p0,
@@ -452,5 +440,5 @@ def correct_m2(S: Semilattice, theta: AlgebraMap, delta: float | None = None) ->
     details["F1"] = [e for e in range(n) if label[e] & 1]
     details["F2"] = [e for e in range(n) if label[e] & 2]
     values = (M2_ZERO, p_mat, complement, M2_ID)
-    phi = m2_map([values[k] for k in label])
+    phi = m2_map([values[k] for k in label])  # Certificate checks the 12 delta balls
     return _certify("m2", S, theta, phi, measured, 12.0 * delta, "hs", details)

@@ -148,15 +148,15 @@ class AlgebraMap:
         return chain.from_iterable(map(_LAYOUT[self.codomain], self.values))
 
     @cached_property
-    def _float_stack(self) -> tuple[np.ndarray, float]:
-        """The read-only complex ``(n, 2, 2)`` stack of :meth:`_entries` and its largest part;
-        an exact entry past the float range reads as inf (:func:`mat2._as_complex`)."""
+    def _float_stack(self) -> np.ndarray:
+        """The read-only complex ``(n, 2, 2)`` stack of :meth:`_entries` (its largest part is
+        read where used, by ``_largest_part``); an exact entry past the float range reads as inf."""
         try:
             V = np.fromiter(self._entries(), complex, 4 * self.n).reshape(-1, 2, 2)
         except OverflowError:
             V = np.array(list(map(_as_complex, self._entries()))).reshape(-1, 2, 2)
         V.setflags(write=False)
-        return V, float(np.abs(V.view(float)).max(initial=0.0))
+        return V
 
     @cached_property
     def _integer_stack(self) -> tuple[np.ndarray, int]:
@@ -287,8 +287,7 @@ _ZERO_ID = np.array([0, 0, 0, 0, 1, 0, 0, 1], complex).reshape(2, 1, 2, 2)  # 0 
 def _stack(theta: AlgebraMap, *more: AlgebraMap) -> np.ndarray:
     """The float stacks of ``theta`` and then of each map in ``more`` as one
     ``(n, 2, 2)`` complex array: one map's own read-only stack, made once."""
-    stacks = [m._float_stack[0] for m in (theta, *more)]
-    return np.concatenate(stacks) if more else stacks[0]
+    return np.concatenate([m._float_stack for m in (theta, *more)]) if more else theta._float_stack
 
 
 def _refuse_non_finite(V: np.ndarray, *maps: AlgebraMap) -> None:
@@ -309,6 +308,11 @@ def _scaled(D: np.ndarray, k: np.ndarray) -> np.ndarray:
 def _largest_parts(D: np.ndarray) -> np.ndarray:
     """The largest ``|real|`` or ``|imag|`` per matrix: a modulus overflows near 1.8e308."""
     return np.abs(D.view(float)).max(axis=(-2, -1))
+
+
+def _largest_part(D: np.ndarray) -> float:
+    """The largest ``|real|`` or ``|imag|`` of a whole stack, 0 when it is empty."""
+    return float(np.abs(D.view(float)).max(initial=0.0))
 
 
 # Products of parts (a.re, a.im, ..., d.im) to sum in twos: squares, a*d, b*c (re*re + -im*im)
@@ -410,8 +414,8 @@ def _defect_exact(WS: WeightedSemilattice, theta: AlgebraMap, norm: str) -> Defe
 
 
 def _defect_float(WS: WeightedSemilattice, theta: AlgebraMap, norm: str) -> DefectReport:
-    (V, top), (w_top, ww, below), table = theta._float_stack, WS._float_pairs, WS.S.table
-    if not max(top, w_top) <= _UNSCALED_RANGE:  # or inf or NaN
+    V, (w_top, ww, below), table = theta._float_stack, WS._float_pairs, WS.S.table
+    if not max(_largest_part(V), w_top) <= _UNSCALED_RANGE:  # or inf or NaN; not kept on the map
         _refuse_non_finite(V, theta)
         # a product could overflow: scale each value down to its largest part,
         # each difference to its own and the weights to their mantissas, by powers of two
@@ -546,7 +550,7 @@ def _element_ratios(WS: WeightedSemilattice, theta: AlgebraMap, phis, norm: str)
     with np.errstate(over="ignore", invalid="ignore"):  # both show in the check below
         D = T - P
     k = None
-    if not np.abs(D.view(float)).max(initial=0.0) <= 2.0**1021:  # or an inf or NaN entry
+    if not _largest_part(D) <= 2.0**1021:  # or an inf or NaN entry
         _refuse_non_finite(V, theta, *maps)
         k = np.where(_largest_parts(D) > 2.0**1021, 3, 0)
         D = _scaled(T, -k) - _scaled(P, -k)

@@ -233,9 +233,8 @@ def _rescaled(f, t, det_sq=0) -> float:
 
 def hs_norm(A: Mat2) -> float:
     a, b, c, d = A
-    if type(a) is type(b) is type(c) is type(d) is complex:  # _complex_norm, direct path inlined
-        r = math.sqrt(_complex_hs_sq(a, b, c, d))
-        return r if _DIRECT_MIN <= r < math.inf else _complex_norm(a, b, c, d, False)
+    if type(a) is type(b) is type(c) is type(d) is complex:
+        return _complex_norm(a, b, c, d)
     return _norm(A, False)
 
 
@@ -481,8 +480,8 @@ def key_estimates(A: Mat2, eps: float) -> KeyEstimateReport:
     e, f, g, h = P
     trace_distance = abs(complex(a + d) - j)
     rho_eps = rho(eps)
-    cap = _SQRT2 * rho_eps * eps + 1e-12
-    if trace_distance > cap or trace_distance >= 0.5:
+    cap = _SQRT2 * rho_eps * eps + 1e-12  # below 0.4715 as eps < 2/9: j is the nearest class
+    if trace_distance > cap:
         raise ClassificationFailure(
             f"trace {complex(a + d)!r} is not within {cap!r} of class {j}"
         )
@@ -521,14 +520,6 @@ class ObstructionReport:
     bound_second: float
 
 
-def _check_pair_inputs(P: Mat2, Q: Mat2, tol: float) -> None:
-    for name, M in (("P", P), ("Q", Q)):
-        if not is_idempotent_within(M, tol):
-            raise ValueError(f"{name} is not idempotent to within {tol}")
-    if not commute_within(P, Q, tol):
-        raise ValueError(f"P and Q do not commute to within {tol}")
-
-
 def obstruction_check(
     P: Mat2,
     Q: Mat2,
@@ -547,8 +538,12 @@ def obstruction_check(
     ``||Q - C||_op >= d/4`` holds.  Inputs are validated to be commuting
     idempotents to within 1e-9.
     """
-    _check_pair_inputs(P, Q, 1e-9)
-    slack = 1e-9
+    slack = 1e-9  # also the inputs' tolerance
+    for name, M in (("P", P), ("Q", Q)):
+        if not is_idempotent_within(M, slack):
+            raise ValueError(f"{name} is not idempotent to within {slack}")
+    if not commute_within(P, Q, slack):
+        raise ValueError(f"P and Q do not commute to within {slack}")
     if scenario == "pair":
         if a is None or b is None or not (a >= 1 and b >= 1):
             raise ValueError("scenario 'pair' requires parameters a >= 1 and b >= 1")

@@ -50,11 +50,14 @@ from operator import itemgetter, le, sub
 import numpy as np
 
 from .defects import (
+    _UNITS,
+    _UNSCALED_RANGE,
     _ZERO_ID,
     AlgebraMap,
     _carrier,
     _check_norm,
     _element_ratios,
+    _largest_part,
     _norms,
     _refuse_non_finite,
     _root,
@@ -66,7 +69,6 @@ from .filters import Filter, _row_filter
 from .mat2 import (
     M2_ID,
     Mat2,
-    T2Element,
     _DIRECT_MIN,
     _SQRT2,
     _as_complex,
@@ -119,12 +121,9 @@ class NearestReport:
 # ---------------------------------------------------------------------------
 
 
-_ZERO_ONE = {"scalar": (0, 1), "t2": (T2Element(0, 0), T2Element(1, 0))}  # a codomain's 0, 1
-
-
 def _row_map(codomain: str, row) -> AlgebraMap:
     """The 0/1 map in ``codomain`` that a row of ``S._mult_rows`` names."""
-    return AlgebraMap(codomain, tuple(map(_ZERO_ONE[codomain].__getitem__, row)))
+    return AlgebraMap(codomain, tuple(map(_UNITS[codomain].__getitem__, row)))
 
 
 def enumerate_mult_scalar(S) -> list[AlgebraMap]:
@@ -434,10 +433,11 @@ def nearest_mult_m2(
     op = norm == "op"
     if starts < 0:
         raise ValueError(f"starts must be non-negative, got {starts!r}")
-    V, big = theta._float_stack  # |x| <= 2 big
+    V = theta._float_stack
     _refuse_non_finite(V, theta)
     theta_c = [Mat2(*v) for v in V.reshape(-1, 4).tolist()]
-    slack = 1e-12 * (1001.0 + 2.0 * big) if big < 2.0**250 else math.inf  # see _deflate
+    big = _largest_part(V)  # |x| <= 2 big
+    slack = 1e-12 * (1001.0 + 2.0 * big) if big < _UNSCALED_RANGE else math.inf  # see _deflate
     om = WS.omega_float.tolist()
     rng = np.random.default_rng(seed)
     rows = S._mult_rows  # cell (i1, i2): F1 and F2 are rows i1 and i2

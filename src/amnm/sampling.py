@@ -122,10 +122,6 @@ def _bounded_idempotent(rng: np.random.Generator) -> tuple:
         return _rank_one(v0, v1, cu0, cu1, pairing)
 
 
-def _random_mat2_ball(rng: np.random.Generator, radius: float) -> Mat2:
-    return _tuple_new(Mat2, _ball(rng, radius))
-
-
 def _ball(rng: np.random.Generator, radius: float) -> tuple:
     x0, x1, x2, x3, x4, x5, x6, x7 = rng.normal(size=8).tolist()  # two normal(size=4) draws
     # the entries are x0 + i x4, ..., x3 + i x7; the squares are summed in
@@ -155,7 +151,7 @@ def random_m2_instance(
     """
     F1, F2 = (_row_filter(S, int(rng.integers(0, S.n + 1))) for _ in range(2))
     base = m2_family_map(S, F1, F2, random_bounded_idempotent(rng)).values
-    noise = [_random_mat2_ball(rng, amp) for _ in range(S.n)]
+    noise = [_tuple_new(Mat2, _ball(rng, amp)) for _ in range(S.n)]
 
     def perturbed(scale):
         return m2_map([b + scale * z for b, z in zip(base, noise)])

@@ -70,11 +70,11 @@ def check_submultiplicative(S: Semilattice, omega: Sequence) -> tuple[int, int] 
     """Validate positivity and return the first pair with
     ``omega(x*y) > omega(x)*omega(y)``, or None if the weight is valid.
 
-    Comparisons are exact (no tolerance): ``W(x*y) L > W(x) W(y)`` on the
-    integers ``W = L omega``, or on float64 if any weight is a float.  Raises
-    :class:`NonPositiveWeight` if some value is not a strictly positive real number
-    (an infinite weight compares as a float here; :class:`WeightedSemilattice`
-    refuses it).
+    Comparisons are exact (no tolerance): ``W(x*y) L > W(x) W(y)`` on the integers
+    ``W = L omega``, or on float64 if any weight is a float (an exact weight below 1
+    that rounds to 1.0 or 0.0 then fails at ``(x, x)``).  Raises :class:`NonPositiveWeight`
+    if some value is not a strictly positive real number (an infinite weight compares as
+    a float here; :class:`WeightedSemilattice` refuses it).
     """
     if len(omega) != S.n:
         raise ValueError(f"weight has {len(omega)} entries for a {S.n}-element semilattice")
@@ -107,7 +107,7 @@ def check_submultiplicative(S: Semilattice, omega: Sequence) -> tuple[int, int] 
             if bad.any():
                 i, j = divmod(int(np.argmax(bad)), S.n)
                 return (i0 + i, j)
-    return None
+    return next((i, i) for i, w in enumerate(omega) if w < 1) if low < 1 else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,9 +128,6 @@ class WeightedSemilattice:
             raise NotSubmultiplicative(
                 f"omega[{int(self.S.table[i, j])}] > omega[{i}] * omega[{j}]", (i, j)
             )
-        if min(self.omega) < 1:
-            # impossible once submultiplicativity holds (omega(x) <= omega(x)^2)
-            raise NonPositiveWeight("submultiplicative weight dipped below 1", None)
 
     @property
     def n(self) -> int:

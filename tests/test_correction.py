@@ -1,5 +1,7 @@
 """Correction procedures: certified bounds, classification data, failure modes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,7 @@ from amnm import (
     weighted,
     weighted_sup_distance,
 )
+from amnm import correction
 from amnm.correction import _m2_battery
 
 
@@ -243,6 +246,92 @@ def test_m2_correction_distance_verified_independently(rng):
         cert = correct_m2(S, theta)
         again = weighted_sup_distance(S, theta, cert.corrected, "hs")
         assert float(again) == pytest.approx(cert.achieved_distance, abs=1e-12)
+
+
+# A map on the 3-chain near (0, P, I), P = [[1, 0.002], [0, 0]], with defect about
+# 0.0011: one element in each trace class, so correct_m2 certifies it through
+# key_estimates at the base point 1.  Each test below patches one step.
+_CHAIN = nmin(3)
+_NEAR_0_P_I = m2_map(
+    [
+        Mat2(0.001 + 0j, 0j, 0.0005 + 0j, 0j),
+        Mat2(1.001 + 0j, 0.002 + 0j, 0j, 0.0005 + 0j),
+        Mat2(1 + 0j, 0j, 0j, 0.999 + 0j),
+    ]
+)
+
+
+def _patched_key_estimates(monkeypatch, **fields):
+    real = correction.key_estimates
+    monkeypatch.setattr(
+        correction,
+        "key_estimates",
+        lambda *args: dataclasses.replace(real(*args), **fields),
+    )
+
+
+def test_m2_correction_refuses_a_base_point_outside_the_middle_class(monkeypatch):
+    _patched_key_estimates(monkeypatch, trace_class=0)
+    with pytest.raises(ClassificationFailure, match="^base point's trace class is not 1$"):
+        correct_m2(_CHAIN, _NEAR_0_P_I)
+
+
+def test_m2_correction_refuses_a_projection_that_is_not_rank_one(monkeypatch):
+    _patched_key_estimates(monkeypatch, nearby_idempotent=M2_ID)
+    with pytest.raises(
+        ClassificationFailure, match="^projection near the base point is not rank one$"
+    ):
+        correct_m2(_CHAIN, _NEAR_0_P_I)
+
+
+def test_m2_correction_refuses_a_projection_far_from_the_base_point(monkeypatch):
+    # rank one and idempotent, but the other diagonal projection: HS distance about sqrt(2)
+    _patched_key_estimates(monkeypatch, nearby_idempotent=Mat2(0j, 0j, 0j, 1 + 0j))
+    with pytest.raises(
+        ClassificationFailure,
+        match=r"^projection strayed beyond rho\(delta\)\*delta of the base point$",
+    ):
+        correct_m2(_CHAIN, _NEAR_0_P_I)
+
+
+def test_the_certificate_refuses_a_corrected_map_with_a_defect(monkeypatch):
+    # the second defect call is _certify's, on the corrected map
+    real, calls = correction.defect, []
+
+    def moved(*args):
+        calls.append(args)
+        rep = real(*args)
+        return dataclasses.replace(rep, defect=1e-6) if len(calls) == 2 else rep
+
+    monkeypatch.setattr(correction, "defect", moved)
+    with pytest.raises(ClassificationFailure, match=r"^corrected map has defect 1e-06 > 1e-9$"):
+        correct_m2(_CHAIN, _NEAR_0_P_I)
+    assert len(calls) == 2 and calls[1][1] is not _NEAR_0_P_I
+
+
+@pytest.mark.parametrize("moved_element", [0, 1, 2])
+def test_the_certificate_alone_refuses_a_value_outside_its_12_delta_ball(
+    monkeypatch, moved_element
+):
+    # the distance is measured to the corrected map with one value moved by 25 delta,
+    # so that value lies more than 12 delta from theta's: the certificate's distance
+    # check is the only check of the 12 delta bound
+    delta = defect(_CHAIN, _NEAR_0_P_I, "hs").defect_float
+    real = correction.weighted_sup_distance_report
+
+    def moved(ws, theta, phi, norm):
+        values = list(phi.values)
+        values[moved_element] = values[moved_element] + Mat2(25 * delta + 0j, 0j, 0j, 0j)
+        return real(ws, theta, m2_map(values), norm)
+
+    monkeypatch.setattr(correction, "weighted_sup_distance_report", moved)
+    with pytest.raises(ClassificationFailure) as info:
+        correct_m2(_CHAIN, _NEAR_0_P_I)
+    bound = 12.0 * delta
+    assert str(info.value).startswith("achieved distance ")
+    assert str(info.value).endswith(f" exceeds the claimed bound {bound!r}")
+    achieved = float(str(info.value).split()[2])
+    assert achieved > bound + 1e-12
 
 
 def test_m2_assertion_count_over_the_criterion_7_stream_is_pinned():

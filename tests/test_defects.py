@@ -1083,8 +1083,6 @@ def test_stacks_from_the_values_are_the_embedding_stacks(codomain):
         theta, phi = (_random_map(gen, codomain, S.n) for _ in range(2))
         assert _entries_equal(_stack(theta), _ref_stack(theta))
         assert _entries_equal(_stack(theta, phi), _ref_stack(theta, phi))
-        V, top = theta._float_stack
-        assert top == np.abs(_ref_stack(theta).view(float)).max()
         assert _is_character(S, theta) == _ref_is_character(S, theta)
         exact = _random_map(gen, codomain, S.n, exact=True)
         N, L = _integers(exact)

@@ -33,6 +33,7 @@ from amnm import (
     unitary_triangularize,
 )
 from amnm.mat2 import (
+    _SQRT2,
     _complex_norm,
     _hs_from_gram,
     _op_from_gram,
@@ -131,6 +132,16 @@ def test_rho_and_kappa_are_increasing_with_rho_below_kappa():
     assert all(x <= y + 1e-15 for x, y in zip(rs, rs[1:]))
     assert all(x <= y + 1e-15 for x, y in zip(ks, ks[1:]))
     assert all(r <= k + 1e-15 for r, k in zip(rs, ks))
+
+
+def test_the_trace_windows_stay_inside_their_thresholds():
+    # correct_m2 refuses delta >= 0.03, which keeps _trace_classify's radius below
+    # 0.05; key_estimates refuses eps >= 2/9, which keeps its trace cap below 1/2
+    for top, bound, slack, end in ((0.03, 0.05, 0.0, 0.043782), (2 / 9, 0.5, 1e-12, 0.471405)):
+        grid = np.linspace(0.0, math.nextafter(top, 0.0), 1001).tolist()
+        radii = [_SQRT2 * rho(t) * t + slack for t in grid]
+        assert all(r < bound for r in radii)
+        assert radii == sorted(radii) and radii[-1] == pytest.approx(end, abs=1e-6)
 
 
 def test_rho_at_zero_and_quarter():

@@ -69,6 +69,39 @@ def test_weighted_rejects_supermultiplicative_values():
     assert exc.value.witness == (0, 1)
 
 
+@pytest.mark.parametrize("low", [0.5, 1 - 2**-53, 1e-300, Fraction(1, 2), Fraction(2**64 - 1, 2**64)])
+@pytest.mark.parametrize("S", [nmin(4), free_semilattice(3), orthogonal_free_sum((2, 3))])
+def test_a_weight_below_one_fails_submultiplicativity_at_its_first_pair(S, low):
+    # omega(e) < 1 fails at the diagonal pair (e, e), as omega(e) > omega(e)**2, so
+    # the refusal is NotSubmultiplicative at the first failing pair, never NonPositiveWeight
+    two = Fraction(2) if isinstance(low, Fraction) else 2.0
+    for e in range(S.n):
+        omega = [two] * S.n
+        omega[e] = low
+        first = _all_pairs_check(S, omega)
+        assert first is not None and first <= (e, e)
+        with pytest.raises(NotSubmultiplicative) as exc:
+            weighted(S, omega)
+        assert exc.value.witness == first
+
+
+@pytest.mark.parametrize("rest", [1.0, 2.0])
+@pytest.mark.parametrize("low", [Fraction(2**64 - 1, 2**64), Fraction(1, 10**400)])
+@pytest.mark.parametrize("S", [nmin(4), free_semilattice(3), orthogonal_free_sum((2, 3))])
+def test_a_fraction_below_one_among_float_weights_still_fails_submultiplicativity(S, low, rest):
+    # a mixed list is scanned in float64, where these Fractions read as 1.0 and 0.0;
+    # the weight is still refused, at a pair that fails exactly, never built
+    for e in range(S.n):
+        omega = [rest] * S.n
+        omega[e] = low
+        i, j = check_submultiplicative(S, omega)
+        exact = [Fraction(w) for w in omega]
+        assert exact[int(S.table[i, j])] > exact[i] * exact[j]
+        with pytest.raises(NotSubmultiplicative) as exc:
+            weighted(S, omega)
+        assert exc.value.witness == (i, j)
+
+
 def test_check_submultiplicative_returns_first_violation():
     S = free_semilattice(2)
     assert check_submultiplicative(S, (1, 1, 1)) is None
