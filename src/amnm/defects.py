@@ -38,11 +38,12 @@ not commute, and there are natural maps whose defect is attained at (e, f)
 but not (f, e).  For scalar and T2 codomains the defect function is symmetric
 and the scan covers unordered pairs; witnesses are lexicographically first.
 
-The exact defect scan works in row blocks of about ``_BLOCK_CELLS`` pairs.
-Each pair's difference ``P = N_e N_f - L N_ef = L**2 (theta(e) theta(f) -
-theta(ef))`` is formed on the integers, in ``int64`` when ``2 max|N|**2 + L
-max|N| < 2**63`` proves that nothing overflows, else on Python ints; pairs
-whose terms are all zero are skipped and exact zeros dropped.  With ``omega = W
+The exact scans read a map by its distinct values (``AlgebraMap._classes``,
+``N = U[c]``).  The defect scan forms each product of two values once, in
+``int64`` when ``2 max|N|**2 + L max|N| < 2**63`` proves that nothing
+overflows, else on Python ints, finds the pairs whose difference ``P = N_e N_f
+- L N_ef = L**2 (theta(e) theta(f) - theta(ef))`` is nonzero from class ids
+(:func:`_candidate_pairs`), and forms ``P`` for those only.  With ``omega = W
 / K``, a pair's squared ratio is ``||P||**2 / (W_e W_f)**2`` times ``K**4 /
 L**4``, a factor common to all pairs, so the scan ranks the former by
 cross-multiplying integers, with the full scan's strict ``>``, and builds one
@@ -139,8 +140,9 @@ class AlgebraMap:
         else:
             vals = tuple(x.as_mat2() for x in self.values)
         embedding = AlgebraMap("m2", vals)
-        if "_integer_stack" in vars(self):  # the same integers: the embedding shares them
-            vars(embedding)["_integer_stack"] = self._integer_stack
+        for name in ("_classes", "_integer_stack"):  # the same integers: the embedding shares them
+            if name in vars(self):
+                vars(embedding)[name] = vars(self)[name]
         return embedding
 
     def _entries(self):
@@ -159,10 +161,23 @@ class AlgebraMap:
         return V
 
     @cached_property
+    def _classes(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """An exact map's distinct values as read-only integers ``U = L v`` (``(k, 2, 2)``)
+        over their common denominator ``L``, each element's class ``c`` (its row of ``U``), and
+        ``L``.  ``1`` and ``Fraction(1)`` share a class: only integer kernels read classes."""
+        ids = {}
+        c = np.array([ids.setdefault(v, len(ids)) for v in self.values], np.intp)
+        c.setflags(write=False)
+        U, L = _over_common_denominator(list(chain.from_iterable(map(_LAYOUT[self.codomain], ids))))
+        return U.reshape(-1, 2, 2), c, L
+
+    @cached_property
     def _integer_stack(self) -> tuple[np.ndarray, int]:
-        """An exact map's integers ``N = L theta`` as a read-only ``(n, 2, 2)`` stack, and ``L``."""
-        N, L = _over_common_denominator(list(self._entries()))
-        return N.reshape(-1, 2, 2), L
+        """An exact map's integers ``N = L theta = U[c]`` (read-only, ``(n, 2, 2)``) and ``L``."""
+        U, c, L = self._classes
+        N = U[c]
+        N.setflags(write=False)
+        return N, L
 
     @cached_property
     def _reports(self) -> dict:  # defect reports by (carrier, norm); a carrier compares by identity
@@ -368,31 +383,39 @@ def _integers(*maps: AlgebraMap):
     return np.concatenate([N.astype(dtype) * (L // Li) for N, Li in stacks]), L
 
 
-def _candidate_pairs(WS: WeightedSemilattice, N, L: int, norm: str):
-    """The pairs ``(e, f)`` whose difference is nonzero, in lexicographic order
-    (ordered pairs for matrix norms), each with the entries of ``N_e N_f - L N_ef
-    = L**2 (theta(e) theta(f) - theta(ef))`` for ``N, L = _integers(theta)``."""
-    n, table = WS.n, WS.S.table
+def _candidate_pairs(WS: WeightedSemilattice, theta: AlgebraMap, norm: str):
+    """The pairs ``(e, f)`` whose difference is nonzero, in lexicographic order (ordered pairs
+    for matrix norms), each with the entries of ``N_e N_f - L N_ef = L**2 (theta(e) theta(f) -
+    theta(ef))``, that is ``U_a U_b - L U_{c_ef}`` for ``N = U[c]`` (:attr:`AlgebraMap._classes`)
+    and ``a, b = c_e, c_f``.  Each ``U_a U_b`` is formed once; a cell is nonzero exactly when the
+    class its product equals is not ``c_ef`` (past ``n**(2/3)`` classes, where matching each
+    product with each class costs more than the cells, when the cell's integers differ)."""
+    U, c, L = theta._classes
+    n, k, table = WS.n, len(U), WS.S.table
+    Q = np.matmul(U[:, None], U).reshape(k * k, 4)  # U_a U_b at row a k + b
+    M = L * U.reshape(k, 4)
+    if few := k**3 <= n * n:  # [a, f]: the class equal to U_a U_{c_f} (rows are distinct), or -1
+        match = ((Q[:, None] == M).all(axis=2) @ np.arange(1, k + 1) - 1).reshape(k, k)[:, c]
     step = max(1, _BLOCK_CELLS // n)
-    nonzero = (N.reshape(n, 4) != 0).any(axis=1)
     for i0 in range(0, n, step):
-        rows = slice(i0, i0 + step)
-        # a pair whose terms are all zero has a zero difference
-        cells = (nonzero[rows, None] & nonzero[None, :]) | nonzero[table[rows]]
-        I, J = np.nonzero(cells if norm in ("hs", "op") else np.triu(cells, i0))
-        I += i0
-        P = (N[I] @ N[J] - L * N[table[I, J]]).reshape(-1, 4)
-        differs = (P != 0).any(axis=1)
-        yield from zip(I[differs].tolist(), J[differs].tolist(), P[differs].tolist())
+        cef = c[table[i0 : i0 + step]].ravel()  # cell F of the block is (i0 + F // n, F % n)
+        F = np.flatnonzero(match[c[i0 : i0 + step]].ravel() != cef) if few else np.arange(cef.size)
+        if norm not in ("hs", "op"):  # a symmetric defect: the pairs with e <= f
+            F = F[F // n + i0 <= F % n]
+        I, J = np.divmod(F, n)
+        P = Q[c[I + i0] * k + c[J]] - M[cef[F]]
+        if not few:  # a row's four bools read as one int32, nonzero when any is
+            I, J, P = I[nonzero := (P != 0).view(np.int32).ravel() != 0], J[nonzero], P[nonzero]
+        yield from zip((I + i0).tolist(), J.tolist(), P.tolist())
 
 
 def _defect_exact(WS: WeightedSemilattice, theta: AlgebraMap, norm: str) -> DefectReport:
-    N, L = _integers(theta)
+    L = theta._classes[2]
     W, K = WS._omega_integers  # omega(e) = W_e / K
     # s / w for s = ||d||**2 and w = (W_e W_f)**2 orders the squared ratios s K**4 / (L**4 w)
     best, best_w, witness = 0, 1, (0, 0)
     hs, hs_w = 0, 1  # the largest such HS ratio of an irrational operator norm
-    for i, j, d in _candidate_pairs(WS, N, L, norm):
+    for i, j, d in _candidate_pairs(WS, theta, norm):
         w = (W[i] * W[j]) ** 2
         s = _norm_sq_exact(d, norm)
         if s is None:  # op <= hs: the pair matters only if hs beats the maximum
@@ -497,27 +520,27 @@ class DistanceReport:
         return _as_complex(self.value).real
 
 
-def _exact_costs(WS: WeightedSemilattice, D, L: int, norm: str):
-    """Integer keys ordering the exact costs ``||d|| / omega(e)`` of rows ``D`` of
-    differences ``d = L (theta(e) - phi(e))`` (``n`` integer 4-lists a row), and
-    ``cost(v, e)``, row ``v``'s squared cost at ``e`` as one ``Fraction``: with
-    ``omega = W / K``, ``s K**2 / (L W_e)**2`` for ``s = ||d||**2``, whose key
-    ``s (lcm(W) / W_e)**2`` is it times a factor common to every element.  An
-    irrational operator norm is keyed -1 and raises ``ValueError`` unless its HS
-    key, which bounds it, is at most the largest rational key; it is then below
-    the maximum, which it cannot tie.  Keys past ``2**63`` are replaced by their ranks."""
+def _exact_costs(WS: WeightedSemilattice, D, ids, L: int, norm: str):
+    """Integer keys ordering the exact costs ``||d|| / omega(e)`` of differences ``d = L
+    (theta(e) - phi(e))``, where row ``v`` of ``D`` lists map ``v``'s distinct differences as
+    integer 4-lists and element ``e`` takes the ``ids[e]``-th, one norm each, and ``cost(v,
+    e)``, row ``v``'s squared cost at ``e`` as one ``Fraction``: with ``omega = W / K``, ``s
+    K**2 / (L W_e)**2`` for ``s = ||d||**2``, whose key ``s (lcm(W) / W_e)**2`` is it times a
+    factor common to every element.  An irrational operator norm is keyed -1 and raises
+    ``ValueError`` unless its HS key, which bounds it, is at most the largest rational key; it
+    is then below the maximum, which it cannot tie.  Keys past ``2**63`` are replaced by their
+    ranks."""
     W, K = WS._omega_integers
-    M = math.lcm(*W)
-    scale = [(M // w) ** 2 for w in W]
+    scale = WS._omega_scale
     squares = [[_norm_sq_exact(d, norm) if any(d) else 0 for d in row] for row in D]
-    keys = [[-1 if s is None else s * q for s, q in zip(row, scale)] for row in squares]
+    keys = [[-1 if sq[i] is None else sq[i] * q for i, q in zip(ids, scale)] for sq in squares]
     top = max(map(max, keys))
     for row, sq in zip(D, squares):
-        if any(_norm_sq_exact(d, "hs") * q > top for d, s, q in zip(row, sq, scale) if s is None):
+        if any(_norm_sq_exact(row[i], "hs") * q > top for i, q in zip(ids, scale) if sq[i] is None):
             raise ValueError(_IRRATIONAL_OP)
 
     def cost(v: int, e: int) -> Fraction:
-        return Fraction(squares[v][e] * K * K, (L * W[e]) ** 2)
+        return Fraction(squares[v][ids[e]] * K * K, (L * W[e]) ** 2)
 
     if top >= 2**63:  # ties and order kept: the scans then run on int64, not on objects
         rank = {key: r for r, key in enumerate(sorted(set(chain.from_iterable(keys))))}
@@ -528,10 +551,10 @@ def _exact_costs(WS: WeightedSemilattice, D, L: int, norm: str):
 def _element_ratios(WS: WeightedSemilattice, theta: AlgebraMap, phis, norm: str):
     """``||theta(e) - phi(e)|| / omega(e)``, a row per map ``phi`` of ``phis`` (per
     value 0 and 1 of ``theta``'s codomain, embedded as 0 and ``I``, when ``phis``
-    is None) and a column per element, as ``(keys, cost)``: the
-    :func:`_exact_costs` of the maps' integer forms when the weight and every
-    map are exact, else the float costs, from one :func:`_norms` call on the
-    stack of differences, and None.  Where a float difference has a part past
+    is None) and a column per element, as ``(keys, cost)``: the :func:`_exact_costs`
+    of the maps' integer forms (per class of ``theta`` when ``phis`` is None) when the
+    weight and every map are exact, else the float costs, from one :func:`_norms` call
+    on the stack of differences, and None.  Where a float difference has a part past
     ``2**1021``, its modulus, ``|a| + |b|`` or its norm could overflow: that pair
     is costed on its values over ``2**3``, exactly, and its ratio scaled back, to
     inf past the float range; every other pair keeps the direct formula's bits.
@@ -539,12 +562,14 @@ def _element_ratios(WS: WeightedSemilattice, theta: AlgebraMap, phis, norm: str)
     and scale by their powers of two (``WeightedSemilattice._omega_frexp``)."""
     n, maps = WS.n, phis or ()
     if _can_run_exact(WS, theta, *maps):
+        if phis is None:  # theta(e) - 0 and theta(e) - I, per class
+            U, ids, L = theta._classes
+            T = U.reshape(-1, 4).tolist()
+            D = [T, [[a - L, b, c, d - L] for a, b, c, d in T]]
+            return _exact_costs(WS, D, ids.tolist(), L, norm)
         N, L = _integers(theta, *maps)  # theta(e) - phi_v(e) = (N_e - N_{(v+1)n+e}) / L
-        if phis is None:
-            T = N[:n].reshape(n, 4).tolist()
-            return _exact_costs(WS, [T, [[a - L, b, c, d - L] for a, b, c, d in T]], L, norm)
         D = (N[:n] - N[n:].reshape(-1, n, 2, 2)).reshape(len(phis), n, 4).tolist()
-        return _exact_costs(WS, D, L, norm)
+        return _exact_costs(WS, D, range(n), L, norm)
     V = _stack(theta, *maps)
     T, P = V[:n], _ZERO_ID if phis is None else V[n:].reshape(-1, n, 2, 2)
     with np.errstate(over="ignore", invalid="ignore"):  # both show in the check below

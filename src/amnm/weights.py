@@ -9,8 +9,8 @@ certificates use.
 Provided here:
 
 * validation (:func:`check_submultiplicative`, :class:`WeightedSemilattice`),
-  in numpy row blocks: exact weights compare as integers over their common
-  denominator (:func:`_over_common_denominator`), others as float64,
+  in numpy row blocks: a list with an exact weight compares as integers over
+  its common denominator (:func:`_over_common_denominator`), floats as float64,
 * the building-block weight ``C^gamma`` on a free semilattice and its
   orthogonal-sum extension used by the non-AMNM counterexample families,
 * the flighty constant: the maximum weight reachable by products of
@@ -70,29 +70,34 @@ def check_submultiplicative(S: Semilattice, omega: Sequence) -> tuple[int, int] 
     """Validate positivity and return the first pair with
     ``omega(x*y) > omega(x)*omega(y)``, or None if the weight is valid.
 
-    Comparisons are exact (no tolerance): ``W(x*y) L > W(x) W(y)`` on the integers
-    ``W = L omega``, or on float64 if any weight is a float (an exact weight below 1
-    that rounds to 1.0 or 0.0 then fails at ``(x, x)``).  Raises :class:`NonPositiveWeight`
-    if some value is not a strictly positive real number (an infinite weight compares as
-    a float here; :class:`WeightedSemilattice` refuses it).
+    Comparisons are exact (no tolerance): ``W(x*y) L > W(x) W(y)`` on the integers ``W = L
+    omega`` once any weight is exact, a finite float as its dyadic value, else on float64,
+    where a weight below 1 fails at ``(x, x)`` as ``w * w < w``.  Raises
+    :class:`NonPositiveWeight` if some value is not a strictly positive real number (an
+    infinite weight compares as a float here; :class:`WeightedSemilattice` refuses it).
     """
     if len(omega) != S.n:
         raise ValueError(f"weight has {len(omega)} entries for a {S.n}-element semilattice")
-    for i, w in enumerate(omega):
+    exact = all(map(_is_exact, omega))  # then each weight is real, of its integer's sign
+    for i, w in enumerate(() if exact else omega):
         if isinstance(w, bool) or not isinstance(w, (int, float, Fraction)):
             raise NonPositiveWeight(f"omega[{i}] = {w!r} is not a real number", i)
         if not w > 0:
             raise NonPositiveWeight(f"omega[{i}] = {w!r} is not strictly positive", i)
-    low = min(omega, default=1)
-    low = float(low) if isinstance(low, float) else low  # a numpy float64 square warns on overflow
-    if max(omega, default=1) <= low * low:
+    if exact or any(map(_is_exact, omega)) and math.inf not in omega:  # one exact weight: all exact
+        W, L = _over_common_denominator(omega if exact else list(map(Fraction, omega)))
+    else:
+        W, L = np.array(omega, dtype=float), 1
+    low = min(weights := W.tolist(), default=L)
+    if low <= 0:  # only in an exact list: the loop above refused any other
+        i = next(i for i, w in enumerate(weights) if w <= 0)
+        raise NonPositiveWeight(f"omega[{i}] = {omega[i]!r} is not strictly positive", i)
+    if max(weights, default=L) * L <= low * low:
         return None  # then omega(x*y) <= max <= min**2 <= omega(x) * omega(y)
-    exact = all(map(_is_exact, omega))
-    W, L = _over_common_denominator(omega) if exact else (np.array(omega, dtype=float), 1)
     # with omega >= 1 a comparable pair passes, as x*y = x gives omega(x) <=
     # omega(x) omega(y): where the products are Python ints, only the incomparable
     # pairs are compared (in int64 or float64 the full block costs less than picking)
-    sparse = low >= 1 and W.dtype == object
+    sparse = low >= L and W.dtype == object
     step = max(1, _BLOCK_CELLS // S.n)
     index = np.arange(S.n)
     with np.errstate(over="ignore"):  # an overflowing float product is inf, as in Python
@@ -107,7 +112,7 @@ def check_submultiplicative(S: Semilattice, omega: Sequence) -> tuple[int, int] 
             if bad.any():
                 i, j = divmod(int(np.argmax(bad)), S.n)
                 return (i0 + i, j)
-    return next((i, i) for i, w in enumerate(omega) if w < 1) if low < 1 else None
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,7 +124,7 @@ class WeightedSemilattice:
 
     def __post_init__(self):
         object.__setattr__(self, "omega", tuple(self.omega))
-        if math.inf in self.omega:
+        if not self.is_exact and math.inf in self.omega:
             i = self.omega.index(math.inf)
             raise NonPositiveWeight(f"omega[{i}] = inf is not finite", i)
         witness = check_submultiplicative(self.S, self.omega)
@@ -168,6 +173,12 @@ class WeightedSemilattice:
         tuple of ints, over their common denominator; made once per weight."""
         W, K = _over_common_denominator(self.omega)
         return tuple(W.tolist()), K
+
+    @cached_property
+    def _omega_scale(self) -> list:
+        """``(lcm(W) / W_e)**2`` for :attr:`_omega_integers`' ``W``: an exact cost's key factor."""
+        M = math.lcm(*(W := self._omega_integers[0]))
+        return [(M // w) ** 2 for w in W]
 
 
 def weighted(S: Semilattice, omega: Sequence) -> WeightedSemilattice:

@@ -219,6 +219,16 @@ def test_a_non_finite_weight_is_an_input_error(tmp_path, capsys):
     assert "input error" in err and "not finite" in err
 
 
+def test_mixed_weights_that_fail_exactly_are_a_structural_error(tmp_path, capsys):
+    # "p/q" weights read as Fractions and JSON numbers as floats: one exact weight
+    # makes the check exact, and 1 + 2**-53 > 1.0 * 1.0 fails it
+    weights = [1.0, 1.0, f"{2**53 + 1}/{2**53}"]
+    doc = dict(FREE2, weights=weights, map={"codomain": "scalar", "values": [0, 0, 0]})
+    code, out, err = run(capsys, "--json", "defect", write_doc(tmp_path, doc))
+    assert (code, out) == (2, "")
+    assert "structural error" in err and "omega[2] > omega[0] * omega[1]" in err
+
+
 def test_a_nan_map_value_is_an_input_error(tmp_path, capsys):
     doc = dict(NONFINITE, map={"codomain": "scalar", "values": [0, float("nan")]})
     path = write_doc(tmp_path, doc)

@@ -37,10 +37,11 @@ from amnm import (
     weighted_sup_distance,
     weighted_sup_distance_report,
 )
-from amnm import counterexamples
+from amnm import counterexamples, map_to_json
 from amnm.counterexamples import _check_closed_form
-from amnm.defects import _candidate_pairs, _integers
+from amnm.defects import AlgebraMap, _candidate_pairs
 from amnm.oracle import _exhaustive_nearest
+from test_defects import _assert_full_scan, _ref_integers, _reference_brackets
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +227,8 @@ def test_the_companion_leaves_the_exact_defect_scan_no_pair():
     # every one of its pairs before any norm is formed
     WS = geometric_weight(64)
     for m in range(64):
-        N, L = _integers(theta_m_t2(WS, m).details["companion"])
-        assert list(_candidate_pairs(WS, N, L, "op")) == []
+        companion = theta_m_t2(WS, m).details["companion"]
+        assert list(_candidate_pairs(WS, companion, "op")) == []
 
 
 def test_t2_chain_survives_weights_past_the_float_range():
@@ -605,3 +606,153 @@ def test_exact_scans_build_a_fixed_number_of_fractions(monkeypatch):
 
     assert counts(16) == counts(64)
     assert 0 < counts(64)[0]
+
+
+# ---------------------------------------------------------------------------
+# The scans over a map's distinct values against the per-cell and per-element
+# references.
+# ---------------------------------------------------------------------------
+
+
+def _ref_pairs(WS, theta, norm):
+    """Every pair whose integers ``N_e N_f - L N_ef`` are not all zero, with them, one
+    cell at a time in scan order (``e <= f`` unless the norm is a matrix norm)."""
+    N, L = _ref_integers(theta)
+    rows, table, out = N.reshape(-1, 4).tolist(), WS.S.table, []
+    for i in range(WS.n):
+        for j in range(0 if norm in ("hs", "op") else i, WS.n):
+            (a, b, c, d), (e, f, g, h), x = rows[i], rows[j], rows[int(table[i, j])]
+            P = [a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h]  # the product's entries
+            P = [p - L * y for p, y in zip(P, x)]
+            if any(P):
+                out.append((i, j, P))
+    return out
+
+
+def _ref_nearest(WS, theta):
+    """``((value_sq, witness), row)``: the first row of ``S._mult_rows`` at the least
+    distance, with its first witness, from each element's Fraction cost of 0 and 1."""
+    norm = "abs" if theta.codomain == "scalar" else "t2"
+    unit = [0, 1] if norm == "abs" else [(0, 0), (1, 0)]
+    cost = [_ref_distance([w], [t], [u], norm)[0] for u in unit for t, w in zip(theta.values, WS.omega)]
+    per_row = []
+    for row in WS.S._mult_rows.tolist():
+        costs = [cost[v * WS.n + e] for e, v in enumerate(row)]
+        top = max(costs)
+        per_row.append((top, costs.index(top)))
+    best = min(range(len(per_row)), key=lambda k: per_row[k][0])
+    return per_row[best], best
+
+
+def _check_class_scans(WS, theta, norm, phi=None, brackets=True):
+    """The pair stream, the defect (against the all-pairs brackets, else against the
+    reference stream's maximum), the nearest 0/1 map and, given ``phi``, the distance
+    report of ``theta``, each against its plain reference."""
+    pairs = _ref_pairs(WS, theta, norm)
+    assert list(_candidate_pairs(WS, theta, norm)) == pairs
+    rep = defect(WS, theta, norm)
+    if brackets:
+        _assert_full_scan(rep, _reference_brackets(WS, theta, norm))
+    elif not pairs:
+        assert (rep.defect_sq, rep.witness) == (0, (0, 0))
+    else:
+        L, W = _ref_integers(theta)[1], [Fraction(w) for w in WS.omega]
+        sq = [Fraction(_ref_sq(P if norm != "abs" else P[0], norm)) for _, _, P in pairs]
+        ratios = [s / (L**2 * W[i] * W[j]) ** 2 for s, (i, j, _) in zip(sq, pairs)]
+        top = max(ratios)
+        assert (rep.defect_sq, rep.witness) == (top, pairs[ratios.index(top)][:2])
+    if theta.codomain != "m2":
+        (value_sq, witness), row = _ref_nearest(WS, theta)
+        near, got = _exhaustive_nearest(WS, theta)
+        assert (got, near.witness) == (row, witness)
+        _check_value(near.value, near.value_exact, value_sq)
+    if phi is not None:
+        dr = weighted_sup_distance_report(WS, theta, phi, norm)
+        value_sq, witness = _ref_distance(WS.omega, _ref_values(theta), _ref_values(phi), norm)
+        assert (dr.value_sq, dr.witness) == (value_sq, witness)
+
+
+def _ref_values(theta):
+    return list(theta.values) if theta.codomain == "scalar" else [tuple(v) for v in theta.values]
+
+
+def test_the_class_scans_of_every_t2_chain_map_and_its_companion():
+    # three values on 64 elements (two at either end): the pinned value's 2**(m + 1) keeps the integers
+    # in int64 up to m = 29 and makes them Python ints past it
+    WS = geometric_weight(64)
+    dtypes = set()
+    for m in range(64):
+        report = theta_m_t2(WS, m)
+        theta, companion = report.theta, report.details["companion"]
+        assert len(theta._classes[0]) == len(companion._classes[0]) == 3 - (m in (0, 63))
+        dtypes.add(theta._classes[0].dtype)
+        _check_class_scans(WS, theta, "t2", brackets=False)
+        _check_class_scans(WS, companion, "op", theta.as_m2(), brackets=False)
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+
+def _distinct_map(n, codomain, big):
+    """A map whose ``n`` values are all distinct, past ``int64`` when ``big``."""
+    r = [Fraction(k + 1, 7) * (2**70 if big else 1) for k in range(n)]
+    if codomain == "scalar":
+        return scalar_map(r)
+    return t2_map([(x, -x) for x in r]) if codomain == "t2" else m2_map([Mat2(x, 1, 0, -x) for x in r])
+
+
+@pytest.mark.parametrize("big", [False, True], ids=["int64", "object"])
+@pytest.mark.parametrize("codomain, norm", [("scalar", "abs"), ("t2", "t2"), ("m2", "hs")])
+@pytest.mark.parametrize(
+    "S",
+    [nmin(5), free_semilattice(3), orthogonal_free_sum((2, 2)), random_semilattice(np.random.default_rng(5))],
+    ids=["chain", "free", "sum", "random"],
+)
+def test_the_class_scans_of_one_value_and_of_all_distinct_values(S, codomain, norm, big):
+    # one class: each product of two values is matched once; all distinct (k = n),
+    # each cell's integers decide
+    # monotone weights >= 1 are submultiplicative: omega(xy) <= omega(x)
+    below = [[y for y in range(S.n) if S.table[x, y] == y] for x in range(S.n)]
+    WS = weighted(S, [1 + sum(Fraction(y % 3, 2) for y in below[x]) for x in range(S.n)])
+    distinct = _distinct_map(S.n, codomain, big)
+    constant = AlgebraMap(codomain, [distinct.values[1]] * S.n)
+    assert len(constant._classes[0]) == 1 and len(distinct._classes[0]) == S.n
+    _check_class_scans(WS, constant, norm, distinct)
+    _check_class_scans(WS, distinct, norm, constant)
+
+
+def test_one_and_fraction_one_share_a_class_and_keep_their_values():
+    S = free_semilattice(3)
+    values = [1, Fraction(1), 0, Fraction(0), Fraction(1, 2), 1, Fraction(0)]
+    theta = scalar_map(values)
+    before = map_to_json(theta)
+    WS = weighted(S, [Fraction(3, 2)] * S.n)
+    _check_class_scans(WS, theta, "abs", scalar_map([Fraction(1)] * S.n))
+    assert theta._classes[1].tolist() == [0, 0, 1, 1, 2, 0, 1]
+    assert all(v is w for v, w in zip(theta.values, values))
+    assert [type(v) for v in theta.values] == [type(v) for v in values]
+    assert map_to_json(theta) == before
+
+
+# a few values repeat over the carrier: one to n classes, ints beside Fractions
+_CLASS_VALUES = st.sampled_from(
+    [0, 1, Fraction(1), Fraction(0), -1, Fraction(1, 3), 2**64 + 3, Fraction(-2, 7)]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_the_class_scans_match_the_per_cell_references(data):
+    S = data.draw(st.sampled_from([S for S in _CARRIERS if S.n <= len(_PRIMES)]))
+    WS = data.draw(_exact_weights(S))
+    codomain, norm = data.draw(st.sampled_from([("scalar", "abs"), ("t2", "t2"), ("m2", "hs")]))
+    width = {"scalar": 1, "t2": 2, "m2": 4}[codomain]
+    value = st.tuples(*[st.one_of(_CLASS_VALUES, _EXACT_VALUES)] * width)
+    pool = data.draw(st.lists(value, min_size=1, max_size=S.n))
+    rows = [data.draw(st.sampled_from(pool)) for _ in range(S.n)]
+    other = [data.draw(st.sampled_from(pool)) for _ in range(S.n)]
+    if codomain == "scalar":
+        theta, phi = scalar_map([r[0] for r in rows]), scalar_map([r[0] for r in other])
+    elif codomain == "t2":
+        theta, phi = t2_map(rows), t2_map(other)
+    else:
+        theta, phi = m2_map([Mat2(*r) for r in rows]), m2_map([Mat2(*r) for r in other])
+    _check_class_scans(WS, theta, norm, phi)

@@ -681,9 +681,8 @@ def test_the_exact_defect_keeps_the_full_scans_maximum_on_a_dense_map(weight):
     theta = scalar_map(map(Fraction, num, den))
     brackets = _reference_brackets(WS, theta, "abs")
     assert sum(hi > 0 for _, _, hi in brackets) > 30_000
-    N, L = _integers(theta)
     rep = defect(WS, theta)
-    assert rep.witness in [(i, j) for i, j, _ in _candidate_pairs(WS, N, L, "abs")]
+    assert rep.witness in [(i, j) for i, j, _ in _candidate_pairs(WS, theta, "abs")]
     _assert_full_scan(rep, brackets)
 
 
@@ -699,8 +698,7 @@ def test_the_exact_defect_builds_one_fraction_per_report(monkeypatch, theta, nor
     # every pair of a constant 1/2 map differs from zero and ties at the maximum:
     # the scan ranks them on integers, keeps the first, and builds one Fraction
     WS = unit_weight(nmin(4))
-    N, L = _integers(theta)
-    assert len(list(_candidate_pairs(WS, N, L, norm))) >= 10
+    assert len(list(_candidate_pairs(WS, theta, norm))) >= 10
     made = []
     monkeypatch.setattr(amnm.defects, "Fraction", lambda *args: made.append(args) or Fraction(*args))
     rep = _defect_exact(WS, theta, norm)

@@ -89,8 +89,9 @@ def test_a_weight_below_one_fails_submultiplicativity_at_its_first_pair(S, low):
 @pytest.mark.parametrize("low", [Fraction(2**64 - 1, 2**64), Fraction(1, 10**400)])
 @pytest.mark.parametrize("S", [nmin(4), free_semilattice(3), orthogonal_free_sum((2, 3))])
 def test_a_fraction_below_one_among_float_weights_still_fails_submultiplicativity(S, low, rest):
-    # a mixed list is scanned in float64, where these Fractions read as 1.0 and 0.0;
-    # the weight is still refused, at a pair that fails exactly, never built
+    # a mixed list is compared exactly, each float as its dyadic value, though these
+    # Fractions read as 1.0 and 0.0 in float64; the weight is refused at a pair that
+    # fails exactly, never built
     for e in range(S.n):
         omega = [rest] * S.n
         omega[e] = low
@@ -100,6 +101,42 @@ def test_a_fraction_below_one_among_float_weights_still_fails_submultiplicativit
         with pytest.raises(NotSubmultiplicative) as exc:
             weighted(S, omega)
         assert exc.value.witness == (i, j)
+
+
+def test_mixed_fraction_and_float_weights_are_compared_exactly():
+    # 1 + 2**-53 reads as 1.0 in float64, where 1.0 * 1.0 would pass; exactly,
+    # omega(0 * 1) = 1 + 2**-53 > omega(0) omega(1) = 1
+    S = free_semilattice(2)
+    omega = [1.0, 1.0, Fraction(2**53 + 1, 2**53)]
+    assert check_submultiplicative(S, omega) == _all_pairs_check(S, list(map(Fraction, omega))) == (0, 1)
+    with pytest.raises(NotSubmultiplicative) as exc:
+        weighted(S, omega)
+    assert exc.value.witness == (0, 1)
+
+
+def test_a_submultiplicative_mixed_list_still_builds():
+    # omega(0) omega(1) = (4/3)(3/2) = 2 = omega(2), exactly; each weight keeps its type
+    omega = [Fraction(4, 3), 1.5, 2.0]
+    WS = weighted(free_semilattice(2), omega)
+    assert list(WS.omega) == omega and [type(w) for w in WS.omega] == [Fraction, float, float]
+    assert not WS.is_exact
+
+
+@pytest.mark.parametrize(
+    "omega, index, message",
+    [
+        ([Fraction(1, 2), 0, -1], 1, "0 is not strictly positive"),
+        ([Fraction(-1, 2), 1j], 0, r"Fraction\(-1, 2\) is not strictly positive"),
+        ([2, 1j, -1], 1, "1j is not a real number"),
+        ([2, -1.0, 1j], 1, "-1.0 is not strictly positive"),
+    ],
+)
+def test_the_first_weight_that_is_not_positive_is_refused(omega, index, message):
+    # an all-exact list reads its signs off its integers, another weight by weight,
+    # and each refuses its first bad weight
+    with pytest.raises(NonPositiveWeight, match=rf"omega\[{index}\] = {message}") as exc:
+        check_submultiplicative(nmin(len(omega)), omega)
+    assert exc.value.witness == index
 
 
 def test_check_submultiplicative_returns_first_violation():
@@ -315,6 +352,8 @@ def test_check_submultiplicative_matches_the_all_pairs_loop(data):
     S = data.draw(_SEMILATTICES)
     exact = data.draw(st.booleans())
     draw_weight = _EXACT_WEIGHT if exact else _FLOAT_WEIGHT
+    if data.draw(st.booleans()):  # a float among exact weights, or the other way round
+        draw_weight = st.one_of(_EXACT_WEIGHT, _FLOAT_WEIGHT)
     omega = [data.draw(draw_weight) for _ in range(S.n)]
     if data.draw(st.booleans()):
         # monotone weights >= 1 are submultiplicative: omega(xy) <= omega(x)
@@ -325,7 +364,10 @@ def test_check_submultiplicative_matches_the_all_pairs_loop(data):
             omega[int(S.table[i, j])] = 2 * omega[i] * omega[j]
     if data.draw(st.booleans()):
         omega[data.draw(st.integers(0, S.n - 1))] = Fraction(1, 2) if exact else 0.5
-    assert check_submultiplicative(S, omega) == _all_pairs_check(S, omega)
+    # one exact weight makes every comparison exact, unless a planted product overflowed to inf
+    mixed = any(isinstance(w, (int, Fraction)) for w in omega) and math.inf not in omega
+    reference = [Fraction(w) for w in omega] if mixed else omega
+    assert check_submultiplicative(S, omega) == _all_pairs_check(S, reference)
 
 
 @pytest.mark.parametrize("exact", [True, False])
