@@ -28,6 +28,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf, sqrt  # read as module names by _complex_norm, which every check calls
 from typing import NamedTuple
 
 from .errors import ClassificationFailure, DefectTooLarge
@@ -60,6 +61,7 @@ __all__ = [
 
 
 _tuple_new = tuple.__new__
+_object_new = object.__new__
 _DIRECT_MIN = 2.0**-250  # _complex_norm's least direct norm
 
 
@@ -176,8 +178,8 @@ def _complex_norm(a: complex, b: complex, c: complex, d: complex, op: bool = Fal
         det = a * d - b * c
         r = _op_from_gram(t, det.real * det.real + det.imag * det.imag)
     else:
-        r = math.sqrt(t)
-    if _DIRECT_MIN <= r < math.inf or not any((a, b, c, d)):
+        r = sqrt(t)
+    if _DIRECT_MIN <= r < inf or not any((a, b, c, d)):
         return r
     entries = (a, b, c, d)
     k = math.frexp(max(max(abs(x.real), abs(x.imag)) for x in entries))[1]
@@ -346,16 +348,18 @@ def scalar_project(z: complex, eps: float) -> ScalarProjection:
 # ---------------------------------------------------------------------------
 
 
-def _schur(a: complex, b: complex, c: complex, d: complex) -> tuple:
+def _schur(a: complex, b: complex, c: complex, d: complex, bounded: bool = False) -> tuple:
     """:func:`unitary_triangularize` on a matrix's entries as ``complex``, without
     a ``Mat2``: returns U's first column ``v1, v2`` and T's entries ``ta, tb, td``.
 
-    Past ``2**500`` the squares below could overflow, so the body runs on the
-    entries scaled by the power of two that brings the largest part to at most
-    ``2**500``: U is the same, and T is scaled back.  An entry that is not finite
-    as a float (inf, NaN, or an exact one past the float range) raises ``ValueError``."""
-    scale = 1.0 + _complex_norm(a, b, c, d)
-    if not scale <= 2.0**500:  # past 2**500, inf or NaN
+    Where ``scale = 1 + ||A||_HS`` passes ``2**500`` the squares below could overflow,
+    so the body runs on the entries scaled by the power of two that brings the largest
+    part to at most ``2**500``: U is the same, and T is scaled back.  An entry that is
+    not finite as a float (inf, NaN, or an exact one past the float range) raises
+    ``ValueError``.  ``bounded`` is the caller's proof that ``||2A - I||_HS <= 2**498``,
+    which skips that test: ``||A|| <= (||2A - I|| + ||I||) / 2 <= 2**497 + 1``.  The
+    subdiagonal check forms ``scale`` only past ``1e-10``, which ``scale >= 1`` allows."""
+    if not bounded and not 1.0 + _complex_norm(a, b, c, d) <= 2.0**500:  # past, inf or NaN
         if not all(map(cmath.isfinite, (a, b, c, d))):
             raise ValueError(f"cannot triangularize a matrix with a non-finite entry: {a, b, c, d}")
         k = math.frexp(max(max(abs(x.real), abs(x.imag)) for x in (a, b, c, d)))[1] - 500
@@ -365,11 +369,11 @@ def _schur(a: complex, b: complex, c: complex, d: complex) -> tuple:
             v1, v2, *T = _schur(*B)
             return v1, v2, *(complex(t.real * up, t.imag * up) for t in T)
     tr = a + d
-    disc = (a - d) * (a - d) + 4.0 * b * c
-    root = complex(disc) ** 0.5
+    root = ((a - d) * (a - d) + 4.0 * b * c) ** 0.5
     l1, l2 = 0.5 * (tr + root), 0.5 * (tr - root)
     half = 0.5 * tr  # lam: the larger by (|l - tr/2|, re, im), l1 on ties, as max() picks
-    lam = l2 if (abs(l2 - half), l2.real, l2.imag) > (abs(l1 - half), l1.real, l1.imag) else l1
+    r1, r2 = abs(l1 - half), abs(l2 - half)  # a NaN distance is no tie, as in a tuple
+    lam = l2 if r2 > r1 or r2 == r1 and (l2.real, l2.imag) > (l1.real, l1.imag) else l1
     n1 = abs(b) ** 2 + abs(lam - a) ** 2  # the two eigenvector candidates' squared norms
     n2 = abs(lam - d) ** 2 + abs(c) ** 2
     x, y, vn = (b, lam - a, math.sqrt(n1)) if n1 >= n2 else (lam - d, c, math.sqrt(n2))
@@ -383,7 +387,7 @@ def _schur(a: complex, b: complex, c: complex, d: complex) -> tuple:
     p, q = v1.conjugate(), v2.conjugate()  # U* = (p, q / -v2, v1)
     ma, mb, mc, md = _mul(p, q, -v2, v1, a, b, c, d)
     ta, tb, tc, td = _mul(ma, mb, mc, md, v1, -q, v2, p)
-    if abs(tc) > 1e-10 * scale:
+    if abs(tc) > 1e-10 and abs(tc) > 1e-10 * (scale := 1.0 + _complex_norm(a, b, c, d)):
         raise ClassificationFailure(
             f"triangularization left subdiagonal {abs(tc)!r} (scale {scale!r})"
         )
@@ -417,7 +421,8 @@ class KeyEstimateReport:
     ``nearby_idempotent`` is exactly idempotent (to machine precision) with
     ``||A - P||_HS <= idempotent_distance_bound``, which is ``rho(eps)*eps``
     when the trace class is 1 (P is then rank one) and ``kappa(eps)*eps``
-    when it is 0 or 2 (P is then 0 or the identity).
+    when it is 0 or 2 (P is then exactly 0, or ``U U*`` for the Schur form's
+    unitary U: the identity up to rounding).
     """
 
     trace_class: int
@@ -441,7 +446,8 @@ def nearest_binary_idempotent(A: Mat2) -> tuple[Mat2, int]:
     Each diagonal entry is rounded by :func:`_rounded`.  Returns ``(P, j)`` where
     ``j`` in {0, 1, 2} is the rounded trace.  When the rounded diagonal is mixed,
     ``P`` keeps the triangular super-diagonal entry (making it exactly idempotent
-    in that basis); otherwise ``P`` is 0 or the identity.  No smallness of
+    in that basis); otherwise ``P`` is exactly 0, or ``U U*``, which is the identity
+    up to rounding (``P = U P_T U*`` with ``P_T = I``).  No smallness of
     ``||A - A^2||`` is assumed — :func:`key_estimates` adds the certified bounds.
     """
     return _binary_idempotent(*_schur(*map(_as_complex, A)))
@@ -473,10 +479,11 @@ def key_estimates(A: Mat2, eps: float) -> KeyEstimateReport:
         raise DefectTooLarge(measured, eps, what="||A - A^2||_HS")
 
     lower = math.sqrt(max(2.0 - 6.0 * measured, 0.0))
-    if hs(a * 2 - 1, b * 2, c * 2, d * 2 - 1) < lower - 1e-12:  # exact entries stay exact
+    reflection = hs(a * 2 - 1, b * 2, c * 2, d * 2 - 1)  # ||2A - I||; exact entries stay exact
+    if reflection < lower - 1e-12:
         raise ClassificationFailure("||2A - I|| fell below the certified lower bound")
 
-    P, j = _binary_idempotent(*_schur(*z))
+    P, j = _binary_idempotent(*_schur(*z, reflection <= 2.0**498))  # False on NaN or inf
     e, f, g, h = P
     trace_distance = abs(complex(a + d) - j)
     rho_eps = rho(eps)
@@ -493,14 +500,17 @@ def key_estimates(A: Mat2, eps: float) -> KeyEstimateReport:
         raise ClassificationFailure(
             f"achieved distance {achieved!r} exceeds certified bound {bound!r}"
         )
-    return KeyEstimateReport(
-        trace_class=j,
-        trace_distance=trace_distance,
-        nearby_idempotent=P,
-        idempotent_distance_bound=bound,
-        achieved_distance=achieved,
-        measured=measured,
-    )
+    # six stores in field order, in place of the frozen __init__'s six object.__setattr__
+    # calls; one dict update would give each report its own key table (200 bytes on 3.11)
+    report = _object_new(KeyEstimateReport)
+    fields = report.__dict__
+    fields["trace_class"] = j
+    fields["trace_distance"] = trace_distance
+    fields["nearby_idempotent"] = P
+    fields["idempotent_distance_bound"] = bound
+    fields["achieved_distance"] = achieved
+    fields["measured"] = measured
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,12 @@ def check_submultiplicative(S: Semilattice, omega: Sequence) -> tuple[int, int] 
     :class:`NonPositiveWeight` if some value is not a strictly positive real number (an
     infinite weight compares as a float here; :class:`WeightedSemilattice` refuses it).
     """
+    return _submultiplicative_scan(S, omega)[0]
+
+
+def _submultiplicative_scan(S: Semilattice, omega: Sequence) -> tuple:
+    """:func:`check_submultiplicative`'s witness, with the weights it compared as a list
+    and their denominator: ``(witness, W, L)``, with ``L = 1`` for floats."""
     if len(omega) != S.n:
         raise ValueError(f"weight has {len(omega)} entries for a {S.n}-element semilattice")
     exact = all(map(_is_exact, omega))  # then each weight is real, of its integer's sign
@@ -93,7 +99,7 @@ def check_submultiplicative(S: Semilattice, omega: Sequence) -> tuple[int, int] 
         i = next(i for i, w in enumerate(weights) if w <= 0)
         raise NonPositiveWeight(f"omega[{i}] = {omega[i]!r} is not strictly positive", i)
     if max(weights, default=L) * L <= low * low:
-        return None  # then omega(x*y) <= max <= min**2 <= omega(x) * omega(y)
+        return None, weights, L  # then omega(x*y) <= max <= min**2 <= omega(x) * omega(y)
     # with omega >= 1 a comparable pair passes, as x*y = x gives omega(x) <=
     # omega(x) omega(y): where the products are Python ints, only the incomparable
     # pairs are compared (in int64 or float64 the full block costs less than picking)
@@ -111,8 +117,8 @@ def check_submultiplicative(S: Semilattice, omega: Sequence) -> tuple[int, int] 
                 bad = W[T] * L > W[i0 : i0 + step, None] * W
             if bad.any():
                 i, j = divmod(int(np.argmax(bad)), S.n)
-                return (i0 + i, j)
-    return None
+                return (i0 + i, j), weights, L
+    return None, weights, L
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +133,9 @@ class WeightedSemilattice:
         if not self.is_exact and math.inf in self.omega:
             i = self.omega.index(math.inf)
             raise NonPositiveWeight(f"omega[{i}] = inf is not finite", i)
-        witness = check_submultiplicative(self.S, self.omega)
+        witness, W, K = _submultiplicative_scan(self.S, self.omega)
+        if self.is_exact:  # _omega_integers: (W, K) with omega(e) = W_e / K, for the exact scans
+            self.__dict__["_omega_integers"] = tuple(W), K
         if witness is not None:
             i, j = witness
             raise NotSubmultiplicative(
@@ -168,15 +176,8 @@ class WeightedSemilattice:
         return all(_is_exact(w) for w in self.omega)
 
     @cached_property
-    def _omega_integers(self) -> tuple[tuple, int]:
-        """``(W, K)`` with ``omega(e) = W_e / K``: an exact weight's integers, as a
-        tuple of ints, over their common denominator; made once per weight."""
-        W, K = _over_common_denominator(self.omega)
-        return tuple(W.tolist()), K
-
-    @cached_property
     def _omega_scale(self) -> list:
-        """``(lcm(W) / W_e)**2`` for :attr:`_omega_integers`' ``W``: an exact cost's key factor."""
+        """``(lcm(W) / W_e)**2`` for ``_omega_integers``' ``W``: an exact cost's key factor."""
         M = math.lcm(*(W := self._omega_integers[0]))
         return [(M // w) ** 2 for w in W]
 

@@ -1,5 +1,6 @@
 """2x2 matrix kernel: norms, triangularization, key functions, localization."""
 
+import dataclasses
 import hashlib
 import math
 import struct
@@ -14,10 +15,12 @@ from hypothesis import strategies as st
 from amnm import (
     ClassificationFailure,
     DefectTooLarge,
+    KeyEstimateReport,
     M2_ID,
     M2_ZERO,
     Mat2,
     T2Element,
+    canonical_json,
     f_key,
     hs_norm,
     kappa,
@@ -32,6 +35,7 @@ from amnm import (
     t2_norm,
     unitary_triangularize,
 )
+import amnm.mat2
 from amnm.mat2 import (
     _SQRT2,
     _complex_norm,
@@ -390,6 +394,17 @@ def test_scalar_project_rejects_bad_inputs():
         scalar_project(0.5, 0.24)  # |z^2 - z| = 1/4 exceeds the tolerance
 
 
+def test_scalar_project_refuses_a_value_beyond_its_certified_bound(monkeypatch):
+    # the check guards the rounding step: hand it the farther of 0 and 1
+    real = amnm.mat2._rounded
+    monkeypatch.setattr(amnm.mat2, "_rounded", lambda z: 1 - real(z))
+    z = 0.1 + 0j
+    distance, bound = abs(z - 1), f_key(abs(z * z - z))
+    with pytest.raises(ClassificationFailure) as err:
+        scalar_project(z, 0.2)
+    assert str(err.value) == f"projection distance {distance!r} exceeds certified bound {bound!r}"
+
+
 # ---------------------------------------------------------------------------
 # Localization of near-idempotents.
 # ---------------------------------------------------------------------------
@@ -407,6 +422,19 @@ def test_key_estimates_mixed_trace_keeps_the_coupling():
     assert rep.trace_class == 1
     assert rep.nearby_idempotent == Mat2(1.0, 5.0, 0.0, 0.0)
     assert rep.achieved_distance <= rep.idempotent_distance_bound
+
+
+def test_a_key_estimate_report_is_the_one_its_generated_init_builds():
+    # key_estimates stores the fields into the report's dict, bypassing __init__
+    rep = key_estimates(Mat2(1.0, 5.0, 0.0, 0.01), 0.06)
+    names = [f.name for f in dataclasses.fields(KeyEstimateReport)]
+    built = KeyEstimateReport(**{name: getattr(rep, name) for name in names})
+    assert type(rep) is KeyEstimateReport and dataclasses.fields(rep) == dataclasses.fields(built)
+    assert rep == built and hash(rep) == hash(built) and repr(rep) == repr(built)
+    assert list(vars(rep)) == names and vars(rep) == vars(built)
+    assert canonical_json(rep) == canonical_json(built)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.measured = 0.0
 
 
 def test_key_estimates_rejects_bad_epsilon_and_large_defect():
@@ -438,6 +466,101 @@ def test_key_estimates_on_exact_idempotents_past_the_float_range_ends_in_a_typed
     assert rep.nearby_idempotent == Mat2(1, 10.0**200, 0, 0)
     with pytest.raises(DefectTooLarge, match="nan"):
         key_estimates(Mat2(1.0, 10**400, 0, 0), 0.1)
+
+
+# Each check of key_estimates and of the Schur step fired by fault injection: the
+# one step it guards is patched to return a wrong intermediate.
+_CLASS_1 = Mat2(1.0 + 0.0j, 0.5 + 0.0j, 0.0j, 0.01 + 0.0j)
+
+
+@pytest.mark.parametrize(
+    "norm, A",
+    [("_complex_norm", _CLASS_1), ("hs_norm", Mat2(1, Fraction(1, 2), 0, Fraction(1, 100)))],
+    ids=["complex", "exact"],
+)
+def test_key_estimates_refuses_a_reflection_norm_below_its_lower_bound(norm, A, monkeypatch):
+    real, calls = getattr(amnm.mat2, norm), []
+
+    def patched(*args):  # the second norm is ||2A - I||'s: report it as 0
+        calls.append(args)
+        return 0.0 if len(calls) == 2 else real(*args)
+
+    monkeypatch.setattr(amnm.mat2, norm, patched)
+    with pytest.raises(ClassificationFailure) as err:
+        key_estimates(A, 0.1)
+    assert str(err.value) == "||2A - I|| fell below the certified lower bound"
+    a, b, c, d = A
+    entries = calls[1] if norm == "_complex_norm" else calls[1][0]  # hs_norm takes one tuple
+    assert len(calls) == 2 and entries == (a * 2 - 1, b * 2, c * 2, d * 2 - 1)
+
+
+def _patched_projection(monkeypatch, move_P=lambda P: P, move_j=lambda j: j):
+    """Make ``key_estimates``' projection step return ``move_P(P), move_j(j)``."""
+    real = amnm.mat2._binary_idempotent
+
+    def patched(*schur):
+        P, j = real(*schur)
+        return move_P(P), move_j(j)
+
+    monkeypatch.setattr(amnm.mat2, "_binary_idempotent", patched)
+
+
+def test_key_estimates_refuses_a_trace_far_from_its_class(monkeypatch):
+    _patched_projection(monkeypatch, move_j=lambda j: j + 1)
+    cap = math.sqrt(2.0) * rho(0.1) * 0.1 + 1e-12
+    with pytest.raises(ClassificationFailure) as err:
+        key_estimates(_CLASS_1, 0.1)
+    assert str(err.value) == f"trace {_CLASS_1.trace!r} is not within {cap!r} of class 2"
+
+
+def test_key_estimates_refuses_a_projection_that_is_not_idempotent(monkeypatch):
+    _patched_projection(monkeypatch, move_P=lambda P: P * 0.5)  # (P/2)^2 - P/2 = -P/4
+    with pytest.raises(ClassificationFailure) as err:
+        key_estimates(_CLASS_1, 0.1)
+    assert str(err.value) == "constructed projection failed idempotency check"
+
+
+def test_key_estimates_refuses_a_projection_beyond_its_certified_bound(monkeypatch):
+    # idempotent and of class 1, but the other diagonal projection: about 1.49 from A
+    Q = Mat2(0j, 0j, 0j, 1 + 0j)
+    _patched_projection(monkeypatch, move_P=lambda P: Q)
+    achieved, bound = hs_norm(_CLASS_1 - Q), rho(0.1) * 0.1
+    with pytest.raises(ClassificationFailure) as err:
+        key_estimates(_CLASS_1, 0.1)
+    assert str(err.value) == f"achieved distance {achieved!r} exceeds certified bound {bound!r}"
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        lambda A: key_estimates(A, 0.1),  # ||2A - I|| bounds ||A||: scale formed only to refuse
+        nearest_binary_idempotent,  # scale formed up front for the rescale test, then again
+        unitary_triangularize,
+    ],
+    ids=["key_estimates", "nearest_binary_idempotent", "unitary_triangularize"],
+)
+@pytest.mark.parametrize("shift", [1.5e-10, 2.5e-10, 1e-3])
+def test_the_schur_step_refuses_a_subdiagonal_past_its_scaled_tolerance(kernel, shift, monkeypatch):
+    # the check guards U* A U: shift its subdiagonal entry, which the second product forms
+    real, calls = amnm.mat2._mul, []
+
+    def patched(*args):
+        calls.append(real(*args))
+        if len(calls) == 2:
+            ta, tb, tc, td = calls[-1]
+            calls[-1] = ta, tb, tc + shift, td
+        return calls[-1]
+
+    scale = 1.0 + hs_norm(_CLASS_1)  # about 2.12: 1.5e-10 is inside 1e-10 * scale, 2.5e-10 past it
+    monkeypatch.setattr(amnm.mat2, "_mul", patched)
+    if shift < 1e-10 * scale:  # past 1e-10, so the scale is formed, but inside it
+        kernel(_CLASS_1)
+        assert abs(calls[1][2]) > 1e-10
+        return
+    with pytest.raises(ClassificationFailure) as err:
+        kernel(_CLASS_1)
+    message = f"triangularization left subdiagonal {abs(calls[1][2])!r} (scale {scale!r})"
+    assert str(err.value) == message and len(calls) == 2
 
 
 def test_nearest_binary_idempotent_agrees_with_key_estimates(rng):

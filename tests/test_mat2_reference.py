@@ -12,6 +12,7 @@ the reference sampler below, which draws ``Mat2`` values and norms them through
 
 import bisect
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -322,6 +323,81 @@ def test_key_estimates_of_an_idempotent_past_the_square_range():
     assert report.trace_class == 1
 
 
+_HINT_EDGE = 2.0**497  # ||2A - I|| of (1, b / 0, 0) is sqrt(2 + 4 b^2): 2**498 at b = 2**497
+_EDGE_B = [
+    (math.nextafter(_HINT_EDGE, 0.0), True),
+    (_HINT_EDGE, True),
+    (math.nextafter(_HINT_EDGE, math.inf), False),
+]
+
+
+@pytest.mark.parametrize(
+    "A, inside",
+    [
+        *((Mat2(*map(kind, (1, b, 0, 0))), inside) for b, inside in _EDGE_B for kind in (float, complex)),
+        (Mat2(1, 2**497, 0, 0), True),  # exact: the float norm of the exact 2A - I
+        (Mat2(1, 2**497 + 2**445, 0, 0), False),
+    ],
+)
+def test_fused_kernel_matches_the_reference_at_the_hints_edge(A, inside):
+    """Idempotents whose ``||2A - I||`` lies just inside and just past ``2**498``, where
+    ``key_estimates`` stops telling ``_schur`` that its rescale test cannot pass."""
+    assert (ref_hs_norm(A * 2 - M2_ID) <= 2.0**498) is inside
+    assert_same(A, 0.1)
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        Mat2(1.0, 2.0**501, 0.0, 0.0),
+        Mat2(0j, 0j, complex(2.0**501, -(2.0**502)), 1 + 0j),
+        Mat2(1, 2**505, 0, 0),
+    ],
+)
+def test_fused_kernel_matches_the_reference_on_the_rescale_branch(A):
+    """Idempotents with a part past ``2**500``: ``_schur`` scales the entries down by a
+    power of two, where the reference's squares stay finite."""
+    assert 1.0 + ref_hs_norm(Mat2(*map(complex, A))) > 2.0**500
+    assert_same(A, 0.1)
+
+
+def _subdiagonal(A):
+    """``|t_c|`` of ``U* A U`` for the Schur form's U: the entry ``_schur`` checks."""
+    U, _ = unitary_triangularize(A)
+    return abs((U.adjoint() @ A @ U).c)
+
+
+@pytest.mark.parametrize(
+    "A, past",
+    [
+        (  # |t_c| just below 1e-10
+            Mat2(
+                1082800.4677594218 + 316933.29422296456j,
+                54818.692809037806 + 2479943.6153834113j,
+                -286176.0655723426 + 425945.6758662285j,
+                -1082799.4677594218 - 316933.29422296456j,
+            ),
+            False,
+        ),
+        (  # |t_c| just past 1e-10, far inside 1e-10 * (1 + ||A||)
+            Mat2(
+                -5003511.830375061 - 4144604.2714928533j,
+                -30848714.2838524 + 30593641.925817914j,
+                -543800.6078488444 + 805165.3579387942j,
+                5003512.830375061 + 4144604.2714928533j,
+            ),
+            True,
+        ),
+    ],
+)
+def test_fused_kernel_matches_the_reference_at_a_subdiagonal_of_1e_10(A, past):
+    """Rotated rank-one idempotents of norm about 1e7, whose Schur step leaves a
+    subdiagonal at ``1e-10``: the hinted kernel forms the scale only past it."""
+    t = _subdiagonal(A)
+    assert (t > 1e-10) is past and 0.99e-10 < t < 1.01e-10
+    assert_same(A, 0.1)
+
+
 def test_fused_kernel_matches_the_reference_on_the_sampler_stream():
     rng = np.random.default_rng(606)
     for k in range(3000):
@@ -376,3 +452,30 @@ def test_key_estimates_converts_no_complex_entry_and_forms_rho_once(A, j, monkey
     report = key_estimates(A, 0.1)
     assert report.trace_class == j
     assert calls == {"_as_complex": 0, "rho": 1}
+
+
+@pytest.mark.parametrize(
+    "A, norms",
+    [
+        (Mat2(0.01 + 0.0j, 0.002j, 0.0j, -0.01 + 0.0j), 4),
+        (Mat2(1.0 + 0.0j, 0.5 + 0.0j, 0.0j, 0.01 + 0.0j), 4),
+        (Mat2(1.0 + 0.01j, 0.0j, 0.003 + 0.0j, 0.99 + 0.0j), 4),
+        (Mat2(1.0 + 0.0j, 2.0**498 + 0.0j, 0.0j, 0.0j), 5),  # ||2A - I|| about 2**499
+    ],
+)
+def test_key_estimates_forms_the_schur_scale_only_past_the_hint(A, norms):
+    """``_complex_norm`` runs for the defect, ``||2A - I||``, the projection's
+    idempotency and the achieved distance; ``_schur``'s ``1 + ||A||`` only where
+    ``||2A - I||`` passes ``2**498`` (or the subdiagonal passes ``1e-10``)."""
+    code, calls = amnm.mat2._complex_norm.__code__, []
+
+    def hook(frame, event, arg):  # every call, the default argument's and recursion too
+        if event == "call" and frame.f_code is code:
+            calls.append(None)
+
+    sys.setprofile(hook)
+    try:
+        key_estimates(A, 0.1)
+    finally:
+        sys.setprofile(None)
+    assert len(calls) == norms

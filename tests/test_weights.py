@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import amnm.weights
 from amnm import (
     Mat2,
     NonPositiveWeight,
@@ -120,6 +121,26 @@ def test_a_submultiplicative_mixed_list_still_builds():
     WS = weighted(free_semilattice(2), omega)
     assert list(WS.omega) == omega and [type(w) for w in WS.omega] == [Fraction, float, float]
     assert not WS.is_exact
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: geometric_weight(64), lambda: weighted(free_semilattice(2), [Fraction(4, 3), Fraction(3, 2), 2])],
+    ids=["geometric-64", "free-2"],
+)
+def test_an_exact_weight_keeps_the_integers_its_check_built(build, monkeypatch):
+    # the exact scans read the integers that validated the weight: one common denominator
+    real, calls = amnm.weights._over_common_denominator, []
+
+    def counted(values):
+        calls.append(values)
+        return real(values)
+
+    monkeypatch.setattr(amnm.weights, "_over_common_denominator", counted)
+    WS = build()
+    W, K = WS._omega_integers
+    assert WS._omega_scale == [(math.lcm(*W) // w) ** 2 for w in W]
+    assert len(calls) == 1 and [Fraction(w, K) for w in W] == list(WS.omega)
 
 
 @pytest.mark.parametrize(
